@@ -150,7 +150,13 @@ def _eval_expr(src: str, names: dict) -> float:
             return -v if isinstance(node.op, ast.USub) else v
         raise UsageError(f"unsupported grid expression {src!r}")
 
-    return ev(tree)
+    try:
+        value = ev(tree)
+    except ZeroDivisionError:
+        raise UsageError(f"division by zero in grid expression {src!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"grid expression {src!r} is not finite")
+    return value
 
 
 def _parse_float_grid(spec: str) -> List[float]:
@@ -302,6 +308,8 @@ def _cmd_moment(args, out) -> int:
     mv = _mean_or_usage(args.mean)
     if args.order < 0:
         raise UsageError("--order must be nonnegative")
+    _finite_or_usage(args.center, "--center")
+    _finite_or_usage(args.threshold, "--threshold")
     t0 = time.perf_counter_ns()
     value, cond, cert = _compute_value(args.method, mv, args.center,
                                        args.threshold, args.order, prec)
@@ -530,6 +538,11 @@ def _mean_or_usage(x) -> float:
         return as_mean(x)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _finite_or_usage(x: Optional[float], flag: str) -> None:
+    if x is not None and not math.isfinite(x):
+        raise UsageError(f"{flag} must be finite, got {x!r}")
 
 
 # ---------------------------------------------------------------------------

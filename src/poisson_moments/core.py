@@ -1,17 +1,16 @@
 """Numerically stable Poisson primitives.
 
-Log-pmf via log-gamma, the cumulative distribution by direct summation,
-and certified truncation cutoffs for weighted series of the form
-``sum_j |j - center|^degree * pmf(j)``.  These are the foundation both for
-the moment recurrences and for the brute-force oracle; everything here is
-a pure function of its arguments.
+Log-pmf via log-gamma, the cumulative distribution by a certified sum
+outward from the threshold, and certified truncation cutoffs for weighted
+series of the form ``sum_j |j - center|^degree * pmf(j)``.  These are the
+foundation both for the moment recurrences and for the brute-force oracle;
+everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 from mpmath import mp
@@ -117,25 +116,27 @@ def _as_index(k) -> int:
     return ki
 
 
-@lru_cache(maxsize=None)
-def _ln_factorial(k: int, bits: int):
-    # Exact integer factorial, then one correctly rounded log at `bits`.
-    with mp.workprec(bits):
-        return mp.log(mp.mpf(math.factorial(k)))
+def require_finite(x, name: str):
+    """Return ``x`` unchanged, or raise ValueError naming the argument when
+    it is NaN or infinite."""
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
 
 
 def log_pmf(k, m, prec: PrecisionSpec = NATIVE):
     """log P(X = k) = -m + k log m - log k! for X ~ Poisson(m).
 
-    Native mode uses ``math.lgamma`` (Lanczos class); extended mode takes the
-    log of the exactly accumulated factorial, so the value is certified at
-    the working precision.  Stays finite for k up to 1e6 and m up to 1e4.
+    Native mode uses ``math.lgamma`` (Lanczos class); extended mode uses
+    ``mp.loggamma(k + 1)`` at the working precision, which forms no
+    factorial, so its cost does not grow with k.  Stays finite for k up to
+    1e6 and m up to 1e4 in either mode.
     """
     ki = _as_index(k)
     mv = as_mean(m)
     if prec.is_extended:
         with prec.working():
-            return -mp.mpf(mv) + ki * mp.log(mv) - _ln_factorial(ki, prec.bits)
+            return -mp.mpf(mv) + ki * mp.log(mv) - mp.loggamma(ki + 1)
     return -mv + ki * math.log(mv) - math.lgamma(ki + 1)
 
 
@@ -165,28 +166,90 @@ def pmf_series(m, n, prec: PrecisionSpec = NATIVE) -> list:
     return [math.exp(log_pmf(j, mv)) for j in range(ni + 1)]
 
 
-def cdf(b, m, prec: PrecisionSpec = NATIVE):
-    """P(X <= b) by direct pmf summation; 0 for b < 0, always within [0, 1].
+# Below this many terms the plain upward sum from p_0 = e^-m is cheaper than
+# the log-gamma evaluation that anchors the outward sum at p_floor(b).
+_DIRECT_TERMS = 64
 
-    The sum always runs in extended precision (at least 128 bits, more if
-    the caller works wider) up to floor(b), which is modest at desk scale;
-    the result is then rounded into the working arithmetic.  No
-    incomplete-gamma machinery, so the value is easy to certify against
-    the oracle, and native callers receive a correctly rounded double even
-    when the individual log-space terms would carry ~|log pmf| * eps noise.
+# Fixed-point guard bits of the cdf sum: k truncated integer divisions err
+# by at most k^2 / 2 units in total, which stays below 2^_CDF_GUARD for any
+# sum shorter than 2^31 terms (m up to about 1e15).
+_CDF_GUARD = 64
+
+
+def cdf(b, m, prec: PrecisionSpec = NATIVE):
+    """P(X <= b) for X ~ Poisson(m); 0 for b < 0, always within [0, 1].
+
+    The sum runs outward from n = floor(b) toward the nearer tail, so its
+    cost follows the spread of the pmf (about sqrt(m) terms), not b:
+
+    * at or below the mode, p_n + p_{n-1} + ... with p_{j-1} = p_j j / m;
+    * above it, 1 - (p_{n+1} + p_{n+2} + ...) with p_{j+1} = p_j m / (j+1).
+
+    The anchor p_n is one log-space evaluation (``mp.loggamma(n + 1)``);
+    for n < 64 the sum instead runs up from p_0 = e^-m and needs no anchor.
+    The term ratios are exact rationals (``m.as_integer_ratio()``), so the
+    sum itself is Python-integer fixed point.  It stops once a geometric
+    bound on the remaining terms (every later ratio is at most the current
+    one, as in :func:`truncation_index`) falls 8 bits below the working
+    width W = max(128, prec.bits); a threshold far past the bulk therefore
+    returns 1 without adding a term.  The result carries a relative error
+    below 2^-(W+6) before it is rounded into the working arithmetic, so
+    native callers receive the correctly rounded double of the sum.
     """
     mv = as_mean(m)
-    n = math.floor(b)
+    n = math.floor(require_finite(b, "threshold b"))
     if n < 0:
         return prec.real(0.0)
-    with mp.workprec(max(128, prec.bits)):
+    width = max(128, prec.bits)
+    scale = width + 8 + _CDF_GUARD  # p_anchor is 2^scale units
+    num, den = mv.as_integer_ratio()  # m = num / den exactly
+    # The anchor's log adds terms up to (n + m + 1) * 2^10 in size (|log m|
+    # < 745 for a double m); its absolute error stays below 2^-(W+12).
+    with mp.workprec(width + 24 + (n + int(mv) + 1).bit_length()):
+        one = 1 << scale
+        if n < _DIRECT_TERMS:
+            t = total = one
+            for j in range(n):
+                t = t * num // ((j + 1) * den)
+                total += t
+            return _cdf_round(mp.ldexp(mp.exp(-mp.mpf(mv)) * total, -scale), prec)
         mm = mp.mpf(mv)
-        p = mp.exp(-mm)
-        total = p
-        for j in range(n):
-            p = p * mm / (j + 1)
-            total += p
-        total = total if total <= 1 else mp.mpf(1)
+        anchor = mp.exp(n * mp.log(mm) - mm - mp.loggamma(n + 1))
+        t = one
+        j = n
+        if n * den <= num:
+            # at or below the mode: terms fall toward 0; total >= one
+            tol = 1 << _CDF_GUARD
+            total = t
+            while j > 0:
+                # the remaining terms sum to at most t * j / (m - j)
+                tjd = t * j * den
+                if tjd <= tol * (num - j * den):
+                    break
+                t = tjd // num
+                total += t
+                j -= 1
+            return _cdf_round(mp.ldexp(anchor * total, -scale), prec)
+        # above the mode P(X <= n) >= 1/2 (the median is below m + 1/3), so
+        # an absolute bound on the upper tail is a relative one on the result
+        if anchor * mm / (n + 1 - mm) <= mp.ldexp(1, -(width + 8)):
+            return _cdf_round(mp.one, prec)  # past the bulk: no term counts
+        tol = int(mp.ldexp(1, _CDF_GUARD) / anchor)  # < 2^scale m here
+        tail = 0
+        while True:
+            # the remaining terms sum to at most t * m / (j + 1 - m)
+            step = (j + 1) * den
+            tn = t * num
+            if tn <= tol * (step - num):
+                break
+            t = tn // step
+            tail += t
+            j += 1
+        return _cdf_round(1 - mp.ldexp(anchor * tail, -scale), prec)
+
+
+def _cdf_round(total, prec: PrecisionSpec):
+    total = min(max(total, mp.zero), mp.one)
     with prec.working():
         return prec.real(total)
 

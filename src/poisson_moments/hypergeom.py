@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .core import as_mean
+from .core import as_mean, require_finite
 from .precision import NATIVE, PrecisionSpec
 from .recurrences import central_moment_table, threshold_pmf_factor
 
@@ -72,8 +72,15 @@ def hyp1f1(p: Hyp1F1Params, prec: PrecisionSpec = NATIVE):
 
     Stops once three consecutive terms fall below rel_tol times the partial
     sum.  For the positive-parameter cases used by the moment assembly all
-    terms are positive, so the summation is cancellation-free.
+    terms are positive, so the summation is cancellation-free.  A negative
+    z goes through Kummer's transformation 1F1(alpha, beta, z)
+    = e^z 1F1(beta - alpha, beta, -z), whose series has no alternating
+    terms of size e^|z| to cancel.
     """
+    if p.z < 0:
+        mirrored = hyp1f1(Hyp1F1Params(p.beta - p.alpha, p.beta, -p.z), prec)
+        with prec.working():
+            return prec.exp(prec.real(p.z)) * mirrored
     with prec.working():
         alpha = prec.real(p.alpha)
         beta = prec.real(p.beta)
@@ -159,6 +166,7 @@ def katti_abs_moment_with_condition(m, a, r, prec: PrecisionSpec = NATIVE):
     """
     mv = as_mean(m)
     ri = _check_odd_order(r)
+    require_finite(a, "center a")
     if a < 0:
         raise ValueError(
             "the series route requires a >= 0 (the factorial argument "

@@ -44,15 +44,13 @@ from typing import Optional
 
 from mpmath import mp
 
-from .core import (DiscreteFunction, as_mean, cdf, log_pmf, pmf_series, sign,
-                   truncation_index)
+from .core import (DiscreteFunction, as_mean, cdf, log_pmf, pmf_series,
+                   require_finite, truncation_index)
 from .precision import NATIVE, PrecisionSpec
 
 __all__ = [
     "CONDITION_FLAG_THRESHOLD",
     "MomentTable",
-    "DiscreteFunction",
-    "sign",
     "central_moment_table",
     "central_moment_shifted",
     "signed_moment_table",
@@ -186,6 +184,7 @@ def _finish(kind: str, mv: float, a: float, b: Optional[float], r_max: int,
 def central_moment_table(m, a, r_max, prec: PrecisionSpec = NATIVE) -> MomentTable:
     """Table of E (X - a)^r for r = 0..r_max via the binomial-sum recurrence."""
     mv = as_mean(m)
+    require_finite(a, "center a")
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
     return _finish("central", mv, float(a), None, int(r_max), prec)
@@ -199,6 +198,8 @@ def signed_moment_table(m, a, b, r_max, prec: PrecisionSpec = NATIVE) -> MomentT
     +1 everywhere and the central values are returned.
     """
     mv = as_mean(m)
+    require_finite(a, "center a")
+    require_finite(b, "threshold b")
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
     return _finish("signed", mv, float(a), float(b), int(r_max), prec)

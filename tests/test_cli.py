@@ -89,6 +89,22 @@ class TestExitCodes:
                             "--center", "1", "--method", "katti"])
         assert code == 3 and "precondition" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--center", "1", "--threshold", "nan"],
+        ["--center", "1", "--threshold", "inf"],
+        ["--center", "nan"],
+        ["--center=-inf", "--method", "katti"],
+    ])
+    def test_nonfinite_center_or_threshold_is_usage_error(self, flags):
+        code, _, err = run(["moment", "--mean", "2", "--order", "3"] + flags)
+        assert code == 2 and "must be finite" in err
+
+    @pytest.mark.parametrize("centers", ["m/0", "1e308*10"])
+    def test_nonfinite_grid_expression_is_usage_error(self, centers):
+        code, _, err = run(["table", "--mean-grid", "2", "--centers", centers,
+                            "--max-order", "2"])
+        assert code == 2 and centers in err
+
     def test_katti_negative_center_is_precondition(self):
         code, _, _ = run(["moment", "--mean", "1", "--order", "1",
                           "--center", "-0.5", "--method", "katti"])

@@ -1,6 +1,7 @@
 """Poisson primitives: log-pmf, cdf, certified truncation, domain types."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +127,73 @@ class TestCdf:
         cutoff = truncation_index(m, 0, 0.0, 1e-15).cutoff
         total = math.fsum(math.exp(log_pmf(k, m)) for k in range(cutoff + 1))
         assert abs(total - 1.0) < 1e-12
+
+
+def _direct_cdf(b, m, bits):
+    """P(X <= b) as the plain upward pmf sum at ``bits``, clamped to 1."""
+    if b < 0:
+        return mp.mpf(0)
+    with mp.workprec(bits):
+        mm = mp.mpf(m)
+        p = total = mp.exp(-mm)
+        for j in range(math.floor(b)):
+            p = p * mm / (j + 1)
+            total += p
+        return min(total, mp.mpf(1))
+
+
+def _cdf_grid():
+    """Seeded (b, m): m log-uniform in [1e-2, 2e3], b = m +- 6 sqrt(m) +- 3."""
+    rng = random.Random(20061)
+    out = []
+    for _ in range(40):
+        m = 10.0 ** rng.uniform(-2.0, math.log10(2e3))
+        for s1 in (-1, 1):
+            for s2 in (-1, 1):
+                out.append((m + s1 * 6.0 * math.sqrt(m) + s2 * 3.0, m))
+    return out
+
+
+class TestCdfOutwardSum:
+    def test_native_bit_identical_to_direct_sum(self):
+        for b, m in _cdf_grid():
+            assert cdf(b, m) == float(_direct_cdf(b, m, 128)), (b, m)
+
+    def test_extended_matches_direct_sum(self):
+        for b, m in _cdf_grid()[::3]:
+            got = cdf(b, m, EXT)
+            with mp.workprec(256):
+                want = _direct_cdf(b, m, 256)
+                assert abs(got - want) <= mp.mpf("1e-70") * want, (b, m)
+
+    @pytest.mark.parametrize("m", [2.0, 1e3, 1e5])
+    def test_threshold_far_past_the_bulk_is_one(self, m):
+        assert cdf(1e7, m) == 1.0
+
+    @pytest.mark.parametrize("b", [1e5 - 300, 1e5 - 299.5, 1e5 + 300])
+    def test_large_mean_matches_incomplete_gamma(self, b):
+        m = 1e5
+        with mp.workprec(200):
+            want = mp.gammainc(math.floor(b) + 1, m, mp.inf, regularized=True)
+            assert abs(cdf(b, m) - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_threshold_is_rejected(self, b):
+        with pytest.raises(ValueError, match="threshold b"):
+            cdf(b, 2.0)
+
+
+class TestExtendedLogPmf:
+    def test_finite_at_a_million(self):
+        v = log_pmf(10 ** 6, 1e4, EXT)
+        assert mp.isfinite(v) and v < 0
+
+    def test_matches_exact_factorial(self):
+        k, m = 5000, 4321.5
+        got = log_pmf(k, m, EXT)
+        with mp.workprec(400):
+            want = -mp.mpf(m) + k * mp.log(m) - mp.log(mp.mpf(math.factorial(k)))
+            assert abs(got - want) <= mp.mpf("1e-60") * abs(want)
 
 
 class TestTruncationIndex:

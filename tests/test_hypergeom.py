@@ -65,6 +65,21 @@ class TestHyp1F1:
             hyp1f1(Hyp1F1Params(2.0, 4.0, 25.0))
 
 
+class TestHyp1F1NegativeArgument:
+    def test_kummer_transformation_value(self):
+        # 1F1(1, 2, z) = (e^z - 1) / z
+        got = hg.hyp1f1(Hyp1F1Params(1.0, 2.0, -50.0))
+        assert got == pytest.approx((1.0 - math.exp(-50.0)) / 50.0, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha,beta,z", [(2.5, 1.5, -7.3), (3.0, 2.0, -50.0),
+                                              (0.5, 4.25, -120.0)])
+    def test_matches_mpmath(self, alpha, beta, z):
+        got = hg.hyp1f1(Hyp1F1Params(alpha, beta, z), PrecisionSpec.extended(256))
+        with mp.workprec(256):
+            want = mp.hyp1f1(alpha, beta, z)
+            assert abs(got - want) <= mp.mpf("1e-18") * abs(want)
+
+
 class TestGTable:
     def test_value_row_is_kummer(self):
         a, m, r = 1.3, 2.0, 3

@@ -11,7 +11,8 @@ from poisson_moments import (DiscreteFunction, GrowthBoundError,
                              PrecisionSpec, abs_central_moment,
                              abs_moment_3_closed, abs_moment_5_closed,
                              b_expectation, cdf, central_moment_shifted,
-                             central_moment_table, mean_deviation, sign,
+                             central_moment_table, katti_abs_moment,
+                             mean_deviation, sign,
                              signed_moment_shifted, signed_moment_table)
 
 from helpers import brute_expectation, grid_centers, rel_err
@@ -192,6 +193,22 @@ class TestAbsCentralMoment:
     @pytest.mark.parametrize("m", [0.1, 0.5, 1.0, 2.7, 5.0, 10.0, 30.0])
     def test_second_moment_equals_mean(self, m):
         assert abs_central_moment(m, m, 2) == pytest.approx(m, rel=1e-13)
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_center_is_rejected(self, a):
+        for call in (lambda: central_moment_table(2.0, a, 3),
+                     lambda: signed_moment_table(2.0, a, 1.0, 3),
+                     lambda: abs_central_moment(2.0, a, 3),
+                     lambda: katti_abs_moment(2.0, a, 3)):
+            with pytest.raises(ValueError, match="center a"):
+                call()
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    def test_threshold_is_rejected(self, b):
+        with pytest.raises(ValueError, match="threshold b"):
+            signed_moment_table(2.0, 0.5, b, 3)
 
 
 class TestClosedForms:
