@@ -11,8 +11,8 @@ from .core import (DiscreteFunction, GrowthBoundError, PoissonMean, TailBound,
                    cdf, log_pmf, pmf, pmf_series, sign, truncation_index)
 from .hypergeom import (GTable, Hyp1F1Params, g_table, hyp1f1,
                         katti_abs_moment, katti_abs_moment_with_condition)
-from .oracle import (OracleResult, VerifyReport, WeightSpec, expectation,
-                     verify_against)
+from .oracle import (OracleResult, OracleTable, VerifyReport, WeightSpec,
+                     expectation, expectation_table, verify_against)
 from .polynomials import (MomentPolynomial, check_derivative_identity,
                           evaluate_polynomial, moment_polynomials)
 from .precision import NATIVE, PrecisionSpec
@@ -35,6 +35,7 @@ __all__ = [
     "MomentTable",
     "NATIVE",
     "OracleResult",
+    "OracleTable",
     "PoissonMean",
     "PrecisionSpec",
     "TailBound",
@@ -50,6 +51,7 @@ __all__ = [
     "check_derivative_identity",
     "evaluate_polynomial",
     "expectation",
+    "expectation_table",
     "g_table",
     "hyp1f1",
     "katti_abs_moment",

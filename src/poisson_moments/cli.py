@@ -213,10 +213,12 @@ def _dedupe(values: List[float]) -> List[float]:
 
 
 def _prec_from(args) -> PrecisionSpec:
+    # without --rel-tol each mode keeps its own PrecisionSpec default
+    tol = {} if args.rel_tol is None else {"rel_tol": args.rel_tol}
     try:
         if args.precision_bits is not None:
-            return PrecisionSpec.extended(args.precision_bits, rel_tol=args.rel_tol)
-        return PrecisionSpec.native(rel_tol=args.rel_tol)
+            return PrecisionSpec.extended(args.precision_bits, **tol)
+        return PrecisionSpec.native(**tol)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -437,18 +439,10 @@ def _cmd_verify(args, out, err) -> int:
     flagged = 0
     gated_rows = 0
 
-    def _weight_for(key):
-        mv, a, b, r, kind = key
-        if kind == "central":
-            return oracle_mod.WeightSpec.power(r, a)
-        if kind == "signed":
-            return oracle_mod.WeightSpec.signed_power(r, a, b)
-        return oracle_mod.WeightSpec.abs_power(r, a)
-
     def check(method, candidate, oracle_res, key, gated=True, row_flagged=False):
         nonlocal flagged, gated_rows
-        report = oracle_mod.verify_against(key[0], _weight_for(key), candidate,
-                                           tol, oracle_result=oracle_res)
+        report = oracle_mod.verify_against(key[0], None, candidate, tol,
+                                           oracle_result=oracle_res)
         prev = worst.get(method)
         if prev is None or report.rel_err > prev[0]:
             worst[method] = (report.rel_err, key)
@@ -459,24 +453,22 @@ def _cmd_verify(args, out, err) -> int:
             if not report.passed:
                 failures.append((key, method, report.rel_err))
 
-    oracle_cache: dict = {}
-
-    def oracle_for(key):
-        res = oracle_cache.get(key)
-        if res is None:
-            res = oracle_mod.expectation(key[0], _weight_for(key), eps)
-            oracle_cache[key] = res
-        return res
-
     for mv in means:
         names = {"m": mv, "fl": float(math.floor(mv))}
         centers = _dedupe([_eval_expr(e, names) for e in center_exprs])
         for a in centers:
+            tnames = dict(names, a=a)
+            thresholds = _dedupe([_eval_expr(e, tnames) for e in threshold_exprs])
+            # one certified pass for every row about this center
+            oracle = oracle_mod.expectation_table(mv, a, args.max_order, eps,
+                                                  thresholds)
+            with prec.working():
+                a_lo = prec.real(a) - 1  # formed at the working width
             ctable = central_moment_table(mv, a, args.max_order, prec)
-            shift_lo = central_moment_table(mv, a - 1, args.max_order, prec)
+            shift_lo = central_moment_table(mv, a_lo, args.max_order, prec)
             for r in orders:
-                key = (mv, a, None, r, "central")
-                res = oracle_for(key)
+                key = (mv, a, None, r)
+                res = oracle.power[r]
                 row_flagged = ctable.condition_at(r) > CONDITION_FLAG_THRESHOLD
                 check("recurrence", ctable.values[r], res, key,
                       row_flagged=row_flagged)
@@ -486,27 +478,22 @@ def _cmd_verify(args, out, err) -> int:
                             - prec.real(a) * ctable.values[r - 1]
                     check("shifted", shifted, res, key)
                 if a == mv and r in (1, 3, 5):
-                    akey = (mv, a, None, r, "abs")
-                    ares = oracle_for(akey)
                     closed = {1: mean_deviation, 3: abs_moment_3_closed,
                               5: abs_moment_5_closed}[r](mv, prec)
-                    check("closed", closed, ares, akey)
+                    check("closed", closed, oracle.absolute[r], key)
                 if r % 2 == 1 and a >= 0:
-                    akey = (mv, a, None, r, "abs")
-                    ares = oracle_for(akey)
                     kval, _ = katti_abs_moment_with_condition(mv, a, r, prec)
                     # series-route agreement is asserted in extended mode
                     # only; in native mode it is reported, not gated
-                    check("katti", kval, ares, akey, gated=prec.is_extended)
-            tnames = dict(names, a=a)
-            thresholds = _dedupe([_eval_expr(e, tnames) for e in threshold_exprs])
+                    check("katti", kval, oracle.absolute[r], key,
+                          gated=prec.is_extended)
             for b in thresholds:
                 stable = signed_moment_table(mv, a, b, args.max_order, prec)
-                sshift_lo = signed_moment_table(mv, a - 1, b - 1,
+                sshift_lo = signed_moment_table(mv, a_lo, b - 1,
                                                 args.max_order, prec)
                 for r in orders:
-                    key = (mv, a, b, r, "signed")
-                    res = oracle_for(key)
+                    key = (mv, a, b, r)
+                    res = oracle.signed[b][r]
                     row_flagged = stable.condition_at(r) > CONDITION_FLAG_THRESHOLD
                     check("recurrence", stable.values[r], res, key,
                           row_flagged=row_flagged)
@@ -553,8 +540,9 @@ def _add_common(p) -> None:
     p.add_argument("--precision-bits", type=int, default=None, metavar="BITS",
                    help="use extended precision with this mantissa width "
                         "(>= 64); default is native doubles")
-    p.add_argument("--rel-tol", type=float, default=1e-12, metavar="TOL",
-                   help="relative tolerance for series loops (default 1e-12)")
+    p.add_argument("--rel-tol", type=float, default=None, metavar="TOL",
+                   help="relative tolerance for series loops (default 1e-12 "
+                        "for native doubles, 1e-20 with --precision-bits)")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text",
                    help="output format (default text)")
 

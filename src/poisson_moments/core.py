@@ -257,10 +257,21 @@ def _cdf_round(total, prec: PrecisionSpec):
 def truncation_index(m, degree, center, eps) -> TailBound:
     """Certified cutoff for ``sum_j |j - center|^degree pmf(j)``.
 
-    For j >= max(2 (m + degree + |center|), center + 1) the ratio of
-    successive terms is below one half, so the tail past N is at most twice
-    the term at N.  Returns the smallest such N whose (slightly inflated,
-    hence still certified) bound ``2 * term(N)`` is <= eps.
+    Let s = 2 (m + degree).  Two envelopes of the terms have successive
+    ratios below one half from j = N on, so either bounds the tail from N
+    by twice its term at N:
+
+    * (j + |center|)^degree pmf(j), which dominates every term, for N >= s:
+      its ratio (1 + 1/(j + |center|))^degree m / (j + 1) only falls as
+      |center| grows;
+    * the terms themselves, |j - center|^degree pmf(j), once N - center >= s
+      as well (tighter; the same as the first for a negative center).
+
+    The search starts at s, which does not depend on the center, so a far
+    center costs no more terms than the pmf bulk needs.  Returns the
+    smallest N >= s whose (slightly inflated, hence still certified) bound
+    ``2 * envelope(N)`` is <= eps, using the tighter envelope wherever it
+    holds.
     """
     mv = as_mean(m)
     deg = _as_index(degree)
@@ -270,12 +281,13 @@ def truncation_index(m, degree, center, eps) -> TailBound:
     if eps < MIN_CERTIFIABLE_EPS:
         raise ValueError(f"eps below the certifiable range (< {MIN_CERTIFIABLE_EPS})")
 
-    n = math.ceil(max(2.0 * (mv + deg + abs(c)), c + 1.0, 0.0))
+    start = 2.0 * (mv + deg)
+    n = math.ceil(start)
     for _ in range(1_000_000):
-        # n >= center + 1 guarantees n - c >= 1, so the log is well defined.
         log_term = log_pmf(n, mv)
         if deg > 0:
-            log_term += deg * math.log(n - c)
+            # n >= s >= 2 here, so either base is at least 2.
+            log_term += deg * math.log(n - c if n - c >= start else n + abs(c))
         # The floor keeps the certificate positive: letting exp underflow
         # would report a vacuous zero bound for sub-1e-304 tails.
         bound = 2.0 * math.exp(max(log_term, -699.0)) * _BOUND_SAFETY

@@ -1,9 +1,25 @@
 """Certified brute-force expectations: the referee for every other method.
 
-``expectation`` evaluates E w(X) for a declared-growth weight by direct
-truncated summation in extended precision and returns the value together
-with a certified error bound (tail mass past the cutoff plus a rounding
-allowance).  It deliberately never imports the recurrence, polynomial, or
+``expectation_table`` sums the defining series once, for a fixed mean m
+and center a, directly over j = 0..N in extended precision, and returns
+every entry asked about that center, each with its own certified error:
+
+* the power sums E (X - a)^r,
+* the absolute sums E |X - a|^r,
+* the signed sums E (X - a)^r sign(X - b), for each threshold b,
+
+for every order r <= r_max.  The pass keeps running sums
+S_r = sum_j (j - a)^r p_j, each power one multiplication up from the order
+below it, and copies them at j = ceil(a) - 1 and at each floor(b).  An odd
+absolute sum is then S_r - 2 S_r(j < a) (an even one is S_r) and a signed
+sum S_r - 2 S_r(j <= floor b), with no further pass.  The cutoff N is the
+largest any entry needs.  An entry's certified error is the tail bound of
+its own order past N plus a rounding bound for the pass; the mantissa
+width starts at 192 bits and is raised until every rounding bound is below
+a tenth of eps.  ``expectation`` runs the same pass for a single weight,
+advancing only its order; custom weights multiply each term by f(j).
+
+The module deliberately never imports the recurrence, polynomial, or
 hypergeometric modules: ground truth here comes only from the defining
 series, so it can adjudicate disagreements between the other routes.
 """
@@ -16,18 +32,22 @@ from typing import NamedTuple, Optional
 
 from mpmath import mp
 
-from .core import DiscreteFunction, as_mean, sign, truncation_index
+from .core import (DiscreteFunction, as_mean, require_finite,
+                   truncation_index)
 
 __all__ = [
     "WeightSpec",
     "OracleResult",
+    "OracleTable",
     "VerifyReport",
     "expectation",
+    "expectation_table",
     "verify_against",
 ]
 
 _MIN_BITS = 128     # floor demanded of every oracle evaluation
 _START_BITS = 192   # usually enough that no second pass is needed
+_ROUND_SAFETY = 1.0 + 1e-9  # covers M computed a hair low and float rounding
 
 _FORMS = ("power", "signed_power", "abs_power", "custom")
 
@@ -83,6 +103,16 @@ class WeightSpec:
 class OracleResult(NamedTuple):
     value: object           # mpmath float at the oracle's working precision
     certified_error: float
+    cutoff: int = 0         # last index j summed
+    bits: int = 0           # mantissa width of the pass
+
+
+class OracleTable(NamedTuple):
+    """Certified entries about one center; each tuple is indexed by r."""
+
+    power: tuple            # E (X - a)^r
+    absolute: tuple         # E |X - a|^r
+    signed: dict            # threshold b -> tuple of E (X - a)^r sign(X - b)
 
 
 class VerifyReport(NamedTuple):
@@ -92,81 +122,179 @@ class VerifyReport(NamedTuple):
     rel_err: float
 
 
-def _weight_value(w: WeightSpec, j: int):
-    # Called under an mpmath working-precision context.
-    base = mp.mpf(j) - mp.mpf(w.a)
-    if w.form == "power":
-        return base ** w.r
-    if w.form == "abs_power":
-        return abs(base) ** w.r
-    if w.form == "signed_power":
-        return base ** w.r * sign(j - w.b)
-    raw = w.f.func(j)
-    w.f.check_growth(j, raw)
-    return base ** w.r * mp.mpf(raw)
+def _pass(mv: float, a: float, orders: tuple, cutoff: int, bits: int,
+          marks=(), f: Optional[DiscreteFunction] = None):
+    """The one summation loop, over j = 0..cutoff at ``bits`` bits.
 
-
-def _sum_terms(mv: float, w: WeightSpec, cutoff: int, bits: int):
-    """(sum, sum of |terms|) over j = 0..cutoff at the given mantissa width."""
+    Returns (sums, prefixes, mags): ``sums[i]`` is sum_j (j - a)^orders[i]
+    p_j f(j) (f = 1 when None); ``prefixes[k]`` holds the same sums over
+    j <= k, for each mark 0 <= k < cutoff; ``mags[i]`` sums the absolute
+    terms, kept only for a custom f, whose terms have no known sign.
+    """
+    steps = [r - q for q, r in zip((0,) + orders, orders)]
     with mp.workprec(bits):
         mm = mp.mpf(mv)
+        aa = mp.mpf(a)
         p = mp.exp(-mm)
-        total = mp.mpf(0)
-        total_abs = mp.mpf(0)
+        sums = [mp.zero] * len(orders)
+        mags = None if f is None else [mp.zero] * len(orders)
+        prefixes = dict.fromkeys(k for k in marks if 0 <= k < cutoff)
         for j in range(cutoff + 1):
-            t = _weight_value(w, j) * p
-            total += t
-            total_abs += abs(t)
+            d = j - aa
+            if f is None:
+                t = p
+            else:
+                raw = f.func(j)
+                f.check_growth(j, raw)
+                t = p * mp.mpf(raw)
+            for i, step in enumerate(steps):
+                if step:
+                    t = t * (d if step == 1 else d ** step)  # 0^0 = 1
+                sums[i] += t
+                if mags is not None:
+                    mags[i] += abs(t)
+            if j in prefixes:
+                prefixes[j] = sums[:]
             p = p * mm / (j + 1)
-        return total, total_abs
+        return sums, prefixes, mags
 
 
-def _tail_plan(mv: float, w: WeightSpec, eps: float):
-    """(cutoff, certified tail mass past it), budgeting 90% of eps."""
-    if w.form == "custom" and w.f.degree is None:
-        return w.f.support_end, 0.0
-    if w.form == "custom":
+def _plan(mv: float, a: float, orders: tuple, eps: float,
+          f: Optional[DiscreteFunction] = None):
+    """(cutoff, certified tail per order), budgeting 90% of eps.
+
+    The cutoff is the largest any order needs.  Each order keeps the bound
+    from its own cutoff, which also covers the smaller tail past any later
+    one; a lower order's tail is not bounded by a higher order's, since
+    |j - a|^r grows with r only where |j - a| >= 1.
+    """
+    if f is not None and f.degree is None:
+        return f.support_end, [0.0] * len(orders)
+    if f is None:
+        plans = [truncation_index(mv, r, a, 0.9 * eps) for r in orders]
+        scale = 1.0
+    else:
         # |(j-a)^r f(j)| <= coeff (j + A)^(r + degree) with A = max(1, |a|),
         # since |j - a| <= j + A and 1 + j <= j + A.
-        amp = max(1.0, abs(w.a))
-        tb = truncation_index(mv, w.growth_degree, -amp, 0.9 * eps / w.f.coeff)
-        return tb.cutoff, w.f.coeff * tb.bound
-    tb = truncation_index(mv, w.r, w.a, 0.9 * eps)
-    return tb.cutoff, tb.bound
+        amp = max(1.0, abs(a))
+        plans = [truncation_index(mv, r + f.degree, -amp, 0.9 * eps / f.coeff)
+                 for r in orders]
+        scale = f.coeff
+    return max(tb.cutoff for tb in plans), [scale * tb.bound for tb in plans]
+
+
+def _certify(mv: float, a: float, orders: tuple, eps: float,
+             thresholds=(), f: Optional[DiscreteFunction] = None) -> OracleTable:
+    """Every entry about one center from one pass, each with its own
+    certified error; a custom f gives power entries only.
+
+    Rounding, in units u = 2^-bits and to first order in u (bits >= 192
+    leaves the rest far inside the spare units below):
+
+    * p_j is off by at most (2j + 2) u relative: exp, then one product and
+      one quotient per step;
+    * a term (j - a)^r p_j, times f(j) if given, adds at most 3r + 3: j - a
+      carries one u into each of the r factors, and each order step adds a
+      product and, for a step of two or more, a power's own rounding (two
+      units at most); f(j) adds its conversion and a product;
+    * summing N + 1 terms adds N u of their magnitude.
+
+    So a running sum, and each copy of it, is off by at most c u M, with
+    c = 3N + 3r + 8 and M the sum of the absolute terms; S - 2 S(prefix)
+    adds 2 c u M for the prefix and u M for the subtraction.  For power
+    terms M is the absolute entry itself, whose computed value is within
+    (3c + 1) u M of it.
+    """
+    cutoff, tails = _plan(mv, a, orders, eps, f)
+    thresholds = tuple(dict.fromkeys(thresholds))
+    below_a = math.ceil(a) - 1
+    marks = () if f is not None else (below_a,) + tuple(
+        math.floor(b) for b in thresholds)
+    bits = _START_BITS
+    while True:
+        sums, prefixes, mags = _pass(mv, a, orders, cutoff, bits, marks, f)
+        with mp.workprec(bits):
+            def minus_twice_prefix(k):
+                if k < 0:
+                    return sums
+                below = sums if k >= cutoff else prefixes[k]
+                return [s - 2 * q for s, q in zip(sums, below)]
+
+            if f is None:
+                absolute = [s if r % 2 == 0 else v for r, s, v in
+                            zip(orders, sums, minus_twice_prefix(below_a))]
+                signed = {b: minus_twice_prefix(math.floor(b))
+                          for b in thresholds}
+                mags = absolute
+            else:
+                absolute, signed = [], {}
+            units = [mp.ldexp(abs(mg) * _ROUND_SAFETY, -bits) for mg in mags]
+            plain = [(3 * cutoff + 3 * r + 8) * u for r, u in zip(orders, units)]
+            derived = [3 * pl + u for pl, u in zip(plain, units)]
+            worst = max(derived if f is None else plain)
+            if worst <= 0.1 * eps:
+                break
+            deficit = float(mp.log(10 * worst / eps, 2))
+        bits += max(32, int(math.ceil(deficit)) + 16)
+
+    def entries(values, rounding):
+        return tuple(OracleResult(v, t + float(e), cutoff, bits)
+                     for v, e, t in zip(values, rounding, tails))
+
+    abs_rounding = [p if r % 2 == 0 else d
+                    for r, p, d in zip(orders, plain, derived)]
+    return OracleTable(
+        entries(sums, plain),
+        entries(absolute, abs_rounding),
+        {b: entries(v, derived) for b, v in signed.items()})
+
+
+def _check_eps(eps: float) -> None:
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
+
+
+def expectation_table(m, a, r_max: int, eps: float,
+                      thresholds=()) -> OracleTable:
+    """E (X - a)^r, E |X - a|^r and E (X - a)^r sign(X - b) for every
+    r <= r_max and every threshold b, from one certified pass; each entry's
+    certified_error is <= eps."""
+    mv = as_mean(m)
+    a = float(require_finite(a, "center a"))
+    thresholds = [float(require_finite(b, "threshold b")) for b in thresholds]
+    if isinstance(r_max, bool) or int(r_max) != r_max or r_max < 0:
+        raise ValueError(f"r_max must be a nonnegative integer, got {r_max!r}")
+    _check_eps(eps)
+    return _certify(mv, a, tuple(range(int(r_max) + 1)), eps, thresholds)
 
 
 def expectation(m, w: WeightSpec, eps: float) -> OracleResult:
-    """E w(X) with certified_error <= eps, always in extended precision.
-
-    The certified error is the tail bound past the cutoff plus four times a
-    worst-case rounding bound for the summation itself; the mantissa width
-    starts at 192 bits and is raised until the rounding share is below a
-    tenth of eps, so doubling the cutoff can never move the value by more
-    than the reported error.
-    """
+    """E w(X) with certified_error <= eps, always in extended precision:
+    the pass of :func:`expectation_table` for the one order of ``w``."""
     mv = as_mean(m)
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    cutoff, tail = _tail_plan(mv, w, eps)
-    bits = _START_BITS
-    while True:
-        value, total_abs = _sum_terms(mv, w, cutoff, bits)
-        rounding = (cutoff + 3) * 2.0 ** (1 - bits) * float(total_abs)
-        if 4.0 * rounding <= 0.1 * eps:
-            break
-        deficit = math.log2(40.0 * rounding / eps) if rounding > 0 else 0.0
-        bits += max(32, int(math.ceil(deficit)) + 16)
-    return OracleResult(value, tail + 4.0 * rounding)
+    a = float(require_finite(w.a, "center a"))
+    _check_eps(eps)
+    if w.form == "custom":
+        return _certify(mv, a, (w.r,), eps, f=w.f).power[0]
+    thresholds = ()
+    if w.form == "signed_power":
+        thresholds = (float(require_finite(w.b, "threshold b")),)
+    table = _certify(mv, a, (w.r,), eps, thresholds)
+    if w.form == "power":
+        return table.power[0]
+    if w.form == "abs_power":
+        return table.absolute[0]
+    return table.signed[thresholds[0]][0]
 
 
-def verify_against(m, w: WeightSpec, candidate, tol: float,
+def verify_against(m, w: Optional[WeightSpec], candidate, tol: float,
                    eps: Optional[float] = None,
                    oracle_result: Optional[OracleResult] = None) -> VerifyReport:
     """Check |candidate - oracle| <= tol (|oracle| + 1).
 
     The oracle's certified error must sit strictly below tol (it defaults
     to a million times tighter); pass a precomputed ``oracle_result`` to
-    amortize sweeps over many candidates.
+    amortize sweeps over many candidates (``w`` is then not read).
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")

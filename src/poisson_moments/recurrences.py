@@ -95,7 +95,8 @@ class MomentTable:
     ``values[r]`` is C(r, a) for the central kind and D(r, a, b) for the
     signed kind; ``condition[r]`` is that entry's condition estimate.
     ``upgraded`` records that a native build tripped the cancellation flag
-    and the values were recomputed in extended precision.
+    and the values were recomputed in extended precision.  ``a`` is a
+    double in native mode and the center as given in extended mode.
     """
 
     kind: str  # "central" | "signed"
@@ -177,17 +178,31 @@ def _finish(kind: str, mv: float, a: float, b: Optional[float], r_max: int,
         ext_values, _ = _build(build_kind, mv, a, b, r_max, _UPGRADE_PREC)
         values = [float(v) for v in ext_values]
         upgraded = True
-    return MomentTable(kind, mv, float(a), b, tuple(values), tuple(conds),
+    return MomentTable(kind, mv, a, b, tuple(values), tuple(conds),
                        prec, upgraded)
+
+
+def _center(a, prec: PrecisionSpec):
+    """The center as the tables use it: a double in native mode; in
+    extended mode kept unrounded (say a - 1 formed at the working width)."""
+    require_finite(a, "center a")
+    return a if prec.is_extended else float(a)
+
+
+def _shift_down(a, prec: PrecisionSpec):
+    """a - 1 for the center-shift identity, formed at the working width: in
+    binary64 it is inexact for a center like 0.1, at 256 bits it is exact."""
+    with prec.working():
+        return prec.real(a) - 1
 
 
 def central_moment_table(m, a, r_max, prec: PrecisionSpec = NATIVE) -> MomentTable:
     """Table of E (X - a)^r for r = 0..r_max via the binomial-sum recurrence."""
     mv = as_mean(m)
-    require_finite(a, "center a")
+    a = _center(a, prec)
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
-    return _finish("central", mv, float(a), None, int(r_max), prec)
+    return _finish("central", mv, a, None, int(r_max), prec)
 
 
 def signed_moment_table(m, a, b, r_max, prec: PrecisionSpec = NATIVE) -> MomentTable:
@@ -198,11 +213,11 @@ def signed_moment_table(m, a, b, r_max, prec: PrecisionSpec = NATIVE) -> MomentT
     +1 everywhere and the central values are returned.
     """
     mv = as_mean(m)
-    require_finite(a, "center a")
+    a = _center(a, prec)
     require_finite(b, "threshold b")
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
-    return _finish("signed", mv, float(a), float(b), int(r_max), prec)
+    return _finish("signed", mv, a, float(b), int(r_max), prec)
 
 
 def central_moment_shifted(m, a, r, prec: PrecisionSpec = NATIVE):
@@ -214,7 +229,7 @@ def central_moment_shifted(m, a, r, prec: PrecisionSpec = NATIVE):
     mv = as_mean(m)
     if r < 1:
         raise ValueError("the center-shift identity needs r >= 1")
-    t1 = central_moment_table(mv, a - 1, r - 1, prec).values[r - 1]
+    t1 = central_moment_table(mv, _shift_down(a, prec), r - 1, prec).values[r - 1]
     t2 = central_moment_table(mv, a, r - 1, prec).values[r - 1]
     with prec.working():
         return prec.real(mv) * t1 - prec.real(a) * t2
@@ -231,7 +246,8 @@ def signed_moment_shifted(m, a, b, r, prec: PrecisionSpec = NATIVE):
         raise ValueError("the center-shift identity needs r >= 1")
     if b < 0:
         raise ValueError("the signed center-shift identity requires b >= 0")
-    t1 = signed_moment_table(mv, a - 1, b - 1, r - 1, prec).values[r - 1]
+    t1 = signed_moment_table(mv, _shift_down(a, prec), b - 1, r - 1,
+                             prec).values[r - 1]
     t2 = signed_moment_table(mv, a, b, r - 1, prec).values[r - 1]
     with prec.working():
         return prec.real(mv) * t1 - prec.real(a) * t2

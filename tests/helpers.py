@@ -32,6 +32,22 @@ def brute_expectation(m, weight, terms=None, dps=60):
         return total
 
 
+def weight_of(w):
+    """The weight of an oracle WeightSpec as a plain per-j mpmath callable,
+    for summing it with :func:`brute_expectation`."""
+    def weight(j):
+        base = mp.mpf(j) - mp.mpf(w.a)
+        if w.form == "abs_power":
+            return abs(base) ** w.r
+        value = base ** w.r
+        if w.form == "signed_power":
+            value *= -1 if j <= w.b else 1
+        elif w.form == "custom":
+            value *= mp.mpf(w.f.func(j))
+        return value
+    return weight
+
+
 def grid_centers(m):
     """The standard sweep centers for a mean m, deduplicated."""
     out = []

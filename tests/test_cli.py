@@ -5,10 +5,12 @@ import io
 import json
 import math
 import re
+import time
 
 import pytest
 
-from poisson_moments.cli import CSV_HEADER, main
+from poisson_moments import WeightSpec, expectation
+from poisson_moments.cli import CSV_HEADER, _prec_from, build_parser, main
 
 TWO_OVER_E = 0.7357588823428846
 
@@ -60,6 +62,18 @@ class TestMoment:
         assert "certified_error=" in out
         cert = re.search(r"certified_error=([^\s]+)", out).group(1)
         assert cert != "-" and float(cert) > 0
+
+    def test_oracle_far_center_is_quick(self):
+        t0 = time.perf_counter()
+        code, out, _ = run(["moment", "--method", "oracle", "--mean", "2",
+                            "--order", "3", "--center", "1e9"])
+        assert code == 0 and time.perf_counter() - t0 < 1.0
+        # E |X - a|^3 = a^3 - 3 a^2 m + 3 a (m + m^2) - E X^3 for a past X
+        a = 1e9
+        assert parse_value(out) == pytest.approx(
+            a ** 3 - 6 * a ** 2 + 18 * a - 22, rel=1e-15)
+        res = expectation(2.0, WeightSpec.abs_power(3, a), 1e-18)
+        assert res.cutoff < 1000
 
     def test_extended_precision_flag(self):
         code, out, _ = run(["moment", "--mean", "1", "--order", "1",
@@ -208,6 +222,24 @@ class TestVerify:
                             "--tol", "1e-18", "--precision-bits", "256",
                             "--rel-tol", "1e-30"])
         assert code == 0, out
+
+    def test_readme_extended_run_passes_without_rel_tol(self):
+        # --rel-tol follows the mode (1e-20 at 256 bits), and the shift
+        # forms a - 1 at 256 bits, so neither katti nor shifted rows fail
+        code, out, err = run(["verify", "--mean-grid", "0.5:2.5:0.5",
+                              "--max-order", "6", "--precision-bits", "256",
+                              "--tol", "1e-18"])
+        assert code == 0, err
+        assert "result: PASS" in out and err == ""
+
+    def test_rel_tol_default_follows_precision_mode(self):
+        native = build_parser().parse_args(["verify"])
+        extended = build_parser().parse_args(["verify", "--precision-bits", "256"])
+        assert _prec_from(native).rel_tol == 1e-12
+        assert _prec_from(extended).rel_tol == 1e-20
+        given = build_parser().parse_args(["verify", "--precision-bits", "256",
+                                           "--rel-tol", "1e-30"])
+        assert _prec_from(given).rel_tol == 1e-30
 
     def test_reports_worst_error_per_method(self):
         code, out, _ = run(["verify", "--mean-grid", "1", "--max-order", "2",

@@ -224,6 +224,30 @@ class TestTruncationIndex:
                 mp.mpf(m) ** n / mp.factorial(n)
             assert 2 * term > eps
 
+    def test_far_center_does_not_move_the_start(self):
+        # the search starts at 2 (m + degree) whatever the center
+        tb = truncation_index(2.0, 3, 1e9, 1e-18)
+        assert 10 <= tb.cutoff < 1000 and tb.bound <= 1e-18
+        extra = self._tail_mass_past_cutoff(2.0, 3, 1e9, tb.cutoff,
+                                            11 * tb.cutoff)
+        assert extra < tb.bound
+
+    @pytest.mark.parametrize("m", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0])
+    def test_grid_cutoffs_do_not_grow(self, m):
+        # the search used to start at max(2 (m + degree + |center|),
+        # center + 1), bounding by the terms themselves; that bound still
+        # holds there, and the search now starts no later
+        def old_cutoff(r, a, eps):
+            n = math.ceil(max(2 * (m + r + abs(a)), a + 1))
+            while 2 * math.exp(log_pmf(n, m) + r * math.log(n - a)) > eps:
+                n += 1
+            return n
+
+        for a in (0.0, m, math.floor(m) + 0.3, m + 1.0):
+            for r in range(11):
+                tb = truncation_index(m, r, a, 1e-18)
+                assert tb.cutoff <= old_cutoff(r, a, 1e-18)
+
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             truncation_index(1.0, 0, 0.0, 0.0)
@@ -263,6 +287,7 @@ class TestTruncationIndex:
         (60.0, 8, 70.0, 1e-20),      # large mean, far center, heavy weight
         (0.05, 0, 55.0, 1e-2),       # sub-underflow tail: bound must stay > 0
         (0.05, 6, -9.5, 1e-18),      # tiny mean, negative center
+        (0.5, 8, 17.01, 1e-25),      # center a hair past the search start
     ])
     def test_certificate_extremes(self, m, degree, center, eps):
         tb = truncation_index(m, degree, center, eps)

@@ -9,9 +9,10 @@ from mpmath import mp
 
 import poisson_moments.oracle as oracle_mod
 from poisson_moments import (DiscreteFunction, GrowthBoundError, WeightSpec,
-                             expectation, sign, verify_against)
+                             expectation, expectation_table, sign,
+                             verify_against)
 
-from helpers import brute_expectation, rel_err
+from helpers import brute_expectation, rel_err, weight_of
 
 TWO_OVER_E = 0.7357588823428846
 
@@ -93,6 +94,112 @@ class TestExpectation:
         assert abs(float(res.value) - 1.0) <= 1e-12
 
 
+def _reference(m, weight, terms=None):
+    """Direct sum of one weight, far past any certified error here."""
+    return brute_expectation(m, weight, terms, dps=80)
+
+
+def _agrees(entry, reference):
+    with mp.workdps(80):
+        return abs(mp.mpf(entry.value) - reference) <= entry.certified_error
+
+
+class TestExpectationTable:
+    @staticmethod
+    def _cases():
+        rng = random.Random(20261018)
+        for i in range(10):
+            m = 10.0 ** rng.uniform(-1.0, math.log10(50.0))
+            if i % 5 == 3:
+                a = -rng.uniform(0.1, 4.0)          # left of the support
+            elif i % 5 == 4:
+                a = m + rng.uniform(30.0, 120.0)    # far right of the bulk
+            else:
+                a = m + rng.uniform(-3.0, 3.0) * math.sqrt(m)
+            thresholds = (a, rng.uniform(-1.0, 2.0 * m))
+            yield m, a, rng.randrange(0, 13), rng.choice((1e-12, 1e-24)), thresholds
+
+    def test_seeded_grid_against_direct_sums(self):
+        for m, a, r_max, eps, thresholds in self._cases():
+            table = expectation_table(m, a, r_max, eps, thresholds)
+            assert len(table.power) == len(table.absolute) == r_max + 1
+            assert set(table.signed) == set(thresholds)
+            for r in range(r_max + 1):
+                want = {
+                    "power": WeightSpec.power(r, a),
+                    "abs": WeightSpec.abs_power(r, a),
+                }
+                got = {"power": table.power[r], "abs": table.absolute[r]}
+                for b in thresholds:
+                    want[b] = WeightSpec.signed_power(r, a, b)
+                    got[b] = table.signed[b][r]
+                for kind, entry in got.items():
+                    assert 0 < entry.certified_error <= eps, (m, a, r, kind)
+                    ref = _reference(m, weight_of(want[kind]))
+                    assert _agrees(entry, ref), (m, a, r, kind, eps)
+
+    def test_center_just_past_the_cutoff(self):
+        # the first term left out, j = 8, sits within 1 of the center, so
+        # there a lower order has the larger tail: each order needs its own
+        m, a, r_max, eps = 0.2, 7.5, 3, 1e-2
+        table = expectation_table(m, a, r_max, eps)
+        cutoff = table.power[0].cutoff
+        assert cutoff < a < cutoff + 1
+        tails = []
+        for r in range(r_max + 1):
+            full = _reference(m, weight_of(WeightSpec.abs_power(r, a)))
+            kept = _reference(m, weight_of(WeightSpec.abs_power(r, a)),
+                              terms=cutoff + 1)
+            tails.append(full - kept)
+            for entry in (table.power[r], table.absolute[r]):
+                assert tails[r] < entry.certified_error <= eps
+            assert _agrees(table.absolute[r], full)
+            assert _agrees(table.power[r],
+                           _reference(m, weight_of(WeightSpec.power(r, a))))
+        assert tails == sorted(tails, reverse=True) and tails[0] > tails[-1]
+
+    def test_far_center_needs_few_terms(self):
+        table = expectation_table(2.0, 1e9, 3, 1e-18)
+        assert table.power[3].cutoff < 1000
+        with mp.workdps(60):
+            want = sum(mp.binomial(3, k) * mp.mpf(-1e9) ** (3 - k) * mom
+                       for k, mom in enumerate((1, 2, 6, 22)))
+            assert abs(table.power[3].value - want) <= table.power[3].certified_error
+            assert abs(table.absolute[3].value + want) <= \
+                table.absolute[3].certified_error
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="r_max"):
+            expectation_table(2.0, 1.0, -1, 1e-12)
+        with pytest.raises(ValueError, match="center a"):
+            expectation_table(2.0, math.nan, 2, 1e-12)
+        with pytest.raises(ValueError, match="threshold b"):
+            expectation_table(2.0, 1.0, 2, 1e-12, (math.inf,))
+        with pytest.raises(ValueError, match="eps"):
+            expectation_table(2.0, 1.0, 2, 0.0)
+
+
+class TestCustomWeights:
+    def test_declared_growth_with_mixed_signs(self):
+        fn = lambda j: (j % 3 - 1) * (1.0 + j) ** 2
+        f = DiscreteFunction(fn, degree=2, coeff=1.0)
+        for eps in (1e-12, 1e-24):
+            res = expectation(3.5, WeightSpec.custom(f, 3, 2.5), eps)
+            assert 0 < res.certified_error <= eps
+            ref = _reference(
+                3.5, lambda j: (mp.mpf(j) - mp.mpf(2.5)) ** 3 * mp.mpf(fn(j)))
+            assert _agrees(res, ref)
+
+    def test_finite_support_is_summed_exactly_to_its_end(self):
+        f = DiscreteFunction(lambda j: (-1.0) ** j if j <= 6 else 0.0,
+                             support_end=6)
+        res = expectation(4.0, WeightSpec.custom(f, 2, 1.5), 1e-30)
+        assert res.cutoff == 6
+        ref = _reference(
+            4.0, lambda j: (mp.mpf(j) - mp.mpf(1.5)) ** 2 * (-1) ** j, terms=7)
+        assert _agrees(res, ref)
+
+
 class TestDoublingInvariance:
     def test_doubling_cutoff_stays_within_certificate(self):
         rng = random.Random(1234)
@@ -103,9 +210,8 @@ class TestDoublingInvariance:
             eps = 10.0 ** rng.uniform(-25.0, -8.0)
             w = WeightSpec.power(r, a)
             res = expectation(m, w, eps)
-            cutoff, _ = oracle_mod._tail_plan(m, w, eps)
-            v1, _ = oracle_mod._sum_terms(m, w, cutoff, 600)
-            v2, _ = oracle_mod._sum_terms(m, w, 2 * cutoff, 600)
+            v1 = brute_expectation(m, weight_of(w), res.cutoff + 1, 181)
+            v2 = brute_expectation(m, weight_of(w), 2 * res.cutoff + 1, 181)
             with mp.workprec(600):
                 assert abs(v2 - v1) < res.certified_error
                 assert abs(mp.mpf(res.value) - v2) <= res.certified_error

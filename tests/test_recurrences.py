@@ -99,6 +99,32 @@ class TestCentralShifted:
                 assert abs(v - t.values[r]) <= 1e-12 * (abs(t.values[r]) + 1)
 
 
+class TestShiftAtWorkingWidth:
+    """In extended mode the shift forms a - 1 at the working width, so a
+    center like 0.1, whose a - 1 is inexact in binary64, loses nothing."""
+
+    @pytest.mark.parametrize("a", [0.1, 0.3])
+    def test_central_shift_is_exact_to_the_width(self, a):
+        m, r = 0.5, 6
+        got = central_moment_shifted(m, a, r, EXT)
+        want = brute_expectation(m, lambda j: (mp.mpf(j) - mp.mpf(a)) ** r)
+        assert rel_err(got, want) < 1e-40
+
+    @pytest.mark.parametrize("a", [0.1, 0.3])
+    def test_signed_shift_is_exact_to_the_width(self, a):
+        m, b, r = 1.5, 1.0, 5
+        got = signed_moment_shifted(m, a, b, r, EXT)
+        want = brute_expectation(
+            m, lambda j: (mp.mpf(j) - mp.mpf(a)) ** r * sign(j - b))
+        assert rel_err(got, want) < 1e-40
+
+    def test_table_keeps_an_extended_center_unrounded(self):
+        with mp.workprec(256):
+            a = mp.mpf(0.1) - 1
+            t = central_moment_table(0.5, a, 1, EXT)
+            assert t.a == a and t.values[1] == mp.mpf(0.5) - a
+
+
 class TestSignedTable:
     def test_base_entry(self):
         t = signed_moment_table(1.0, 0.0, 0.0, 0)
