@@ -5,8 +5,8 @@ or JSON), ``verify`` (cross-method sweep against the oracle), ``bench``
 (median-of-5 timings per method), ``poly`` (exact moment-polynomial
 coefficients).
 
-Exit codes: 0 ok, 1 verification failure, 2 usage/validation, 3 method
-precondition violation.
+Exit codes: 0 ok, 1 verification failure, 2 usage/validation (a library
+ValueError included), 3 method precondition violation.
 """
 
 from __future__ import annotations
@@ -626,7 +626,9 @@ def main(argv=None, out=None, err=None) -> int:
         if args.command == "poly":
             return _cmd_poly(args, out)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # a ValueError is the library's domain error, say an order whose
+        # moments overflow binary64
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
     except PreconditionError as exc:

@@ -109,10 +109,12 @@ def sign(y) -> int:
     return -1 if y <= 0 else 1
 
 
-def _as_index(k) -> int:
-    ki = int(k)
-    if ki != k or ki < 0:
-        raise ValueError(f"index must be a nonnegative integer, got {k!r}")
+def as_index(k, name: str = "index") -> int:
+    """``k`` as an int, or a ValueError naming the argument when it is not
+    a nonnegative integer (2.5, -1, NaN and inf included)."""
+    ki = int(k) if math.isfinite(k) else None
+    if ki is None or ki != k or ki < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {k!r}")
     return ki
 
 
@@ -132,7 +134,7 @@ def log_pmf(k, m, prec: PrecisionSpec = NATIVE):
     factorial, so its cost does not grow with k.  Stays finite for k up to
     1e6 and m up to 1e4 in either mode.
     """
-    ki = _as_index(k)
+    ki = as_index(k)
     mv = as_mean(m)
     if prec.is_extended:
         with prec.working():
@@ -154,7 +156,7 @@ def pmf_series(m, n, prec: PrecisionSpec = NATIVE) -> list:
     pmf so large means cannot flush the whole series to zero.
     """
     mv = as_mean(m)
-    ni = _as_index(n)
+    ni = as_index(n)
     if prec.is_extended:
         with prec.working():
             p = mp.exp(-mp.mpf(mv))
@@ -271,10 +273,13 @@ def truncation_index(m, degree, center, eps) -> TailBound:
     center costs no more terms than the pmf bulk needs.  Returns the
     smallest N >= s whose (slightly inflated, hence still certified) bound
     ``2 * envelope(N)`` is <= eps, using the tighter envelope wherever it
-    holds.
+    holds.  That bound never increases with N (each envelope at least
+    halves per step, and the switch to the tighter one only lowers it), so
+    the search gallops up from s in doubling steps and then bisects: about
+    2 log2(N - s) pmf evaluations instead of N - s.
     """
     mv = as_mean(m)
-    deg = _as_index(degree)
+    deg = as_index(degree)
     c = float(center)
     if not eps > 0.0:
         raise ValueError("eps must be positive")
@@ -282,16 +287,31 @@ def truncation_index(m, degree, center, eps) -> TailBound:
         raise ValueError(f"eps below the certifiable range (< {MIN_CERTIFIABLE_EPS})")
 
     start = 2.0 * (mv + deg)
-    n = math.ceil(start)
-    for _ in range(1_000_000):
+
+    def bound_at(n: int) -> float:
         log_term = log_pmf(n, mv)
         if deg > 0:
             # n >= s >= 2 here, so either base is at least 2.
             log_term += deg * math.log(n - c if n - c >= start else n + abs(c))
         # The floor keeps the certificate positive: letting exp underflow
         # would report a vacuous zero bound for sub-1e-304 tails.
-        bound = 2.0 * math.exp(max(log_term, -699.0)) * _BOUND_SAFETY
+        return 2.0 * math.exp(max(log_term, -699.0)) * _BOUND_SAFETY
+
+    first = math.ceil(start)
+    last = first + 999_999  # the search gives up past this index
+    lo, hi, step = first - 1, first, 1  # bound(lo) > eps, unless lo < s
+    while True:
+        bound = bound_at(hi)
         if bound <= eps:
-            return TailBound(n, bound)
-        n += 1
-    raise RuntimeError("truncation search failed to terminate (internal fault)")
+            break
+        if hi == last:
+            raise RuntimeError("truncation search failed to terminate (internal fault)")
+        lo, hi, step = hi, min(hi + step, last), 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        b_mid = bound_at(mid)
+        if b_mid <= eps:
+            hi, bound = mid, b_mid
+        else:
+            lo = mid
+    return TailBound(hi, bound)

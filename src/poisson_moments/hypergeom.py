@@ -25,6 +25,16 @@ from the value row.)  Since E |X - a|^r = 2 E (X - a)^r 1{X > a}
 All series terms and recursion coefficients are positive in the parameter
 ranges used here, so the table itself is cancellation-free; the final
 subtraction is monitored with a condition estimate.
+
+Native mode runs the series and the recursion in doubles.  Extended mode
+runs both in Python-integer fixed point, as ``core.cdf`` does: every
+parameter enters as an exact rational (a double's ``as_integer_ratio``, an
+mpf's own mantissa and exponent), each series term costs one floor
+division, each table entry one more, and a result is rounded into the
+working precision once.  Each step keeps at least W + 64 bits, W =
+max(128, bits), so the integer arithmetic leaves every value within
+2^-(bits-1) relative of the exact sum or recursion it stands for (the
+series truncation, which ``rel_tol`` governs, aside).
 """
 
 from __future__ import annotations
@@ -32,6 +42,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Tuple
+
+from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 from .core import as_mean, require_finite
 from .precision import NATIVE, PrecisionSpec
@@ -49,22 +62,47 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Hyp1F1Params:
-    """Parameters of the Kummer series 1F1(alpha, beta, z)."""
+    """Parameters of the Kummer series 1F1(alpha, beta, z): finite reals
+    (doubles, integers or mpmath floats)."""
 
     alpha: float
     beta: float
     z: float
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "z"):
+            v = getattr(self, name)
+            if not (mp.isfinite(v) if isinstance(v, mpf) else math.isfinite(v)):
+                raise ValueError(f"{name} must be finite, got {v!r}")
         b = float(self.beta)
         if b <= 0 and b == math.floor(b):
             raise ValueError("beta must not be a nonpositive integer (series poles)")
+
+
+_NOT_SETTLED = ("hypergeometric series failed to settle within the "
+                "iteration cap (internal fault)")
 
 
 def _iteration_cap(p: Hyp1F1Params) -> int:
     # The series converges for every finite z; the cap only guards against
     # programming errors, not against legitimate slow convergence.
     return int(10.0 * max(0.0, p.z + p.alpha + p.beta)) + 1000
+
+
+def _mirrored(p: Hyp1F1Params) -> Hyp1F1Params:
+    """The parameters of Kummer's transformation: 1F1(alpha, beta, z)
+    = e^z 1F1(beta - alpha, beta, -z)."""
+    return Hyp1F1Params(p.beta - p.alpha, p.beta, -p.z)
+
+
+def _ratio(x) -> Tuple[int, int]:
+    """(num, den) with x = num / den exactly and den > 0, for a double,
+    an integer or an mpf."""
+    if isinstance(x, mpf):
+        return to_rational(x._mpf_)
+    if isinstance(x, int):
+        return x, 1
+    return float(x).as_integer_ratio()
 
 
 def hyp1f1(p: Hyp1F1Params, prec: PrecisionSpec = NATIVE):
@@ -76,31 +114,101 @@ def hyp1f1(p: Hyp1F1Params, prec: PrecisionSpec = NATIVE):
     z goes through Kummer's transformation 1F1(alpha, beta, z)
     = e^z 1F1(beta - alpha, beta, -z), whose series has no alternating
     terms of size e^|z| to cancel.
+
+    Native mode sums in doubles.  Extended mode sums in Python-integer
+    fixed point (:func:`_kummer_sum`) on the exact rational values of the
+    parameters, tests the stopping rule exactly on those integers, and
+    rounds the sum into the working precision once; for z < 0 the factor
+    e^z is applied at W + 64 bits first, W = max(128, bits).  Apart from
+    the truncation that ``rel_tol`` governs, an extended result whose
+    terms are all positive lies within 2^-(bits-1) relative of the sum of
+    the terms it used.
     """
+    if prec.is_extended:
+        return _hyp1f1_fixed(p, prec)
     if p.z < 0:
-        mirrored = hyp1f1(Hyp1F1Params(p.beta - p.alpha, p.beta, -p.z), prec)
+        return math.exp(p.z) * hyp1f1(_mirrored(p), prec)
+    alpha = float(p.alpha)
+    beta = float(p.beta)
+    z = float(p.z)
+    term = total = 1.0
+    small = 0
+    for n in range(_iteration_cap(p)):
+        term = term * z * (alpha + n) / ((beta + n) * (n + 1))
+        total = total + term
+        if abs(term) <= prec.rel_tol * abs(total):
+            small += 1
+            if small >= 3:
+                return total
+        else:
+            small = 0
+    raise RuntimeError(_NOT_SETTLED)
+
+
+def _hyp1f1_fixed(p: Hyp1F1Params, prec: PrecisionSpec):
+    (an, ad), beta, (zn, zd) = (_ratio(x) for x in (p.alpha, p.beta, p.z))
+    width = max(128, prec.bits)
+    if zn >= 0:
+        total, e = _kummer_sum((an, ad), beta, (zn, zd), prec.rel_tol,
+                               _iteration_cap(p), width)
         with prec.working():
-            return prec.exp(prec.real(p.z)) * mirrored
+            return mp.ldexp(mp.mpf(total), e)
+    bn, bd = beta
+    total, e = _kummer_sum((bn * ad - an * bd, bd * ad), beta, (-zn, zd),
+                           prec.rel_tol, _iteration_cap(_mirrored(p)), width)
+    with mp.workprec(width + 64):
+        value = mp.exp(mp.mpf(zn) / zd) * mp.ldexp(mp.mpf(total), e)
     with prec.working():
-        alpha = prec.real(p.alpha)
-        beta = prec.real(p.beta)
-        z = prec.real(p.z)
-        term = prec.real(1.0)
-        total = term
-        small = 0
-        for n in range(_iteration_cap(p)):
-            term = term * z * (alpha + n) / ((beta + n) * (n + 1))
-            total = total + term
-            if abs(term) <= prec.rel_tol * abs(total):
-                small += 1
-                if small >= 3:
-                    return total
-            else:
-                small = 0
-    raise RuntimeError(
-        "hypergeometric series failed to settle within the iteration cap "
-        "(internal fault)"
-    )
+        return +value
+
+
+def _kummer_sum(alpha, beta, z, rel_tol: float, cap: int, width: int):
+    """(total, e) with total * 2^e the Kummer series 1F1(alpha, beta, z)
+    summed to the stopping rule; alpha, beta and z are exact (num, den).
+
+    Each term is the previous one times the exact ratio, one floor
+    division.  Before the division the term's numerator and the running
+    total are rescaled together, exactly when the term shrinks and by a
+    truncation of under one unit when it grows, so that every quotient
+    is at least 2^(width+64) units and below 2^(width+129).  Each term
+    therefore carries a relative error below 2 (n + 1) 2^-(width+64)
+    after n steps, and for positive terms the sum is within
+    3 N 2^-(width+64) relative, N the number of terms: below 2^-(width+2)
+    for any N < 2^60.
+    """
+    (an, ad), (bn, bd), (zn, zd) = alpha, beta, z
+    lo = width + 64
+    tol_num, tol_den = rel_tol.as_integer_ratio()
+    up = zn * bd  # t_{n+1} = t_n up (an + n ad) / (down (bn + n bd) (n + 1))
+    down = zd * ad
+    t = total = 1 << lo
+    e = -lo
+    small = 0
+    for n in range(cap):
+        num = t * (up * (an + n * ad))
+        den = down * (bn + n * bd) * (n + 1)
+        if num:
+            # the quotient has size or size + 1 bits
+            size = num.bit_length() - den.bit_length()
+            if size <= lo:
+                k = lo + 32 - size
+                num <<= k
+                total <<= k
+                e -= k
+            elif size > lo + 64:
+                k = size - lo - 32
+                num >>= k
+                total >>= k
+                e += k
+        t = num // den
+        total += t
+        if abs(t) * tol_den <= tol_num * abs(total):
+            small += 1
+            if small >= 3:
+                return total, e
+        else:
+            small = 0
+    raise RuntimeError(_NOT_SETTLED)
 
 
 @dataclass(frozen=True)
@@ -130,12 +238,27 @@ def _check_odd_order(r: int) -> int:
 
 
 def g_table(a, m, r, prec: PrecisionSpec = NATIVE) -> GTable:
-    """Build the derivative table for center a >= 0, mean m, odd order r."""
+    """Build the derivative table for center a >= 0, mean m, odd order r.
+
+    Native mode runs the recursion in doubles.  Extended mode runs it on
+    integers: the value row enters as the exact binary fractions that
+    :func:`hyp1f1` returns, brought to one exponent, and the coefficients
+    are exact rationals, fl + 1 + beta - a and m (beta + 1) / (beta + fl
+    + 2), so each entry costs one floor division.  All of them are
+    positive; a row is shifted up (exactly) whenever its smallest entry
+    would keep fewer than W + 64 bits, W = max(128, bits), so an entry
+    carries a relative error below (s + 1) 2^-(W+64) after s rows.  Each
+    entry is rounded into the working precision once, at the end, and so
+    lies within 2^-(bits-8) relative (indeed 2^-(bits-1)) of the exact
+    recursion on the value row.
+    """
     mv = as_mean(m)
     ri = _check_odd_order(r)
     if a < 0:
         raise ValueError("the series route requires a nonnegative center")
     fl = math.floor(a)
+    if prec.is_extended:
+        return GTable(float(a), mv, ri, _g_rows_fixed(a, fl, mv, ri, prec))
     with prec.working():
         mm = prec.real(mv)
         offset = prec.real(fl) - prec.real(a) + 1  # in (0, 1]
@@ -155,6 +278,33 @@ def g_table(a, m, r, prec: PrecisionSpec = NATIVE) -> GTable:
                 )
             )
     return GTable(float(a), mv, ri, tuple(rows))
+
+
+def _g_rows_fixed(a, fl: int, mv: float, ri: int, prec: PrecisionSpec):
+    lo = max(128, prec.bits) + 64
+    an, ad = _ratio(a)
+    mn, md = mv.as_integer_ratio()
+    # g[s+1][beta] = (P[beta] g[s][beta] + Q[beta] g[s][beta+1]) / D[beta]
+    P = [((fl + 1 + beta) * ad - an) * md * (beta + fl + 2) for beta in range(ri)]
+    Q = [ad * mn * (beta + 1) for beta in range(ri)]
+    D = [ad * md * (beta + fl + 2) for beta in range(ri)]
+    values = [hyp1f1(Hyp1F1Params(beta + 1, beta + fl + 2, mv), prec).man_exp
+              for beta in range(ri + 1)]  # all >= 1
+    e = min(exp + man.bit_length() for man, exp in values) - lo - 1
+    row = [man << (exp - e) for man, exp in values]
+    rows = [(row, e)]
+    for s in range(ri):
+        nums = [P[b] * row[b] + Q[b] * row[b + 1] for b in range(ri - s)]
+        k = lo + 1 + max(D[b].bit_length() - x.bit_length()
+                         for b, x in enumerate(nums))
+        if k > 0:
+            nums = [x << k for x in nums]
+            e -= k
+        row = [x // D[b] for b, x in enumerate(nums)]
+        rows.append((row, e))
+    with prec.working():
+        return tuple(tuple(mp.ldexp(mp.mpf(x), e) for x in row)
+                     for row, e in rows)
 
 
 def katti_abs_moment_with_condition(m, a, r, prec: PrecisionSpec = NATIVE):

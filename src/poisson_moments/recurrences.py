@@ -44,8 +44,8 @@ from typing import Optional
 
 from mpmath import mp
 
-from .core import (DiscreteFunction, as_mean, cdf, log_pmf, pmf_series,
-                   require_finite, truncation_index)
+from .core import (DiscreteFunction, as_index, as_mean, cdf, log_pmf,
+                   pmf_series, require_finite, truncation_index)
 from .precision import NATIVE, PrecisionSpec
 
 __all__ = [
@@ -153,14 +153,16 @@ def _build(kind: str, mv: float, a: float, b: Optional[float], r_max: int,
             if kind == "signed":
                 terms.append(2 * corr_base ** (r - 1) * pb)  # 0^0 = 1
             # the entry itself is exactly summed; the condition estimate
-            # re-walks the terms in order to expose cancellation
-            acc = prec.fsum(terms)
+            # walks the terms in order to expose cancellation
             partial = 0.0
             max_partial = 0.0
             for t in terms:
                 partial += float(t)
                 if abs(partial) > max_partial:
                     max_partial = abs(partial)
+            if not prec.is_extended and not math.isfinite(partial):
+                raise OverflowError(f"the terms of order {r} overflow binary64")
+            acc = prec.fsum(terms)
             values.append(acc)
             conds.append(_condition(max_partial, acc))
         return values, conds
@@ -172,7 +174,12 @@ def _finish(kind: str, mv: float, a: float, b: Optional[float], r_max: int,
     # table degenerates to the central one; this also makes the center-shift
     # identity's b-1 sub-call total.
     build_kind = "central" if (kind == "central" or b < 0) else "signed"
-    values, conds = _build(build_kind, mv, a, b, r_max, prec)
+    try:
+        values, conds = _build(build_kind, mv, a, b, r_max, prec)
+    except OverflowError as exc:  # native only: a double entry or binomial
+        raise ValueError(
+            f"r_max = {r_max} is too large for binary64 at m = {mv!r}, "
+            f"a = {a!r} ({exc}); use extended precision") from None
     upgraded = False
     if not prec.is_extended and max(conds) > CONDITION_FLAG_THRESHOLD:
         ext_values, _ = _build(build_kind, mv, a, b, r_max, _UPGRADE_PREC)
@@ -200,9 +207,7 @@ def central_moment_table(m, a, r_max, prec: PrecisionSpec = NATIVE) -> MomentTab
     """Table of E (X - a)^r for r = 0..r_max via the binomial-sum recurrence."""
     mv = as_mean(m)
     a = _center(a, prec)
-    if r_max < 0:
-        raise ValueError("r_max must be nonnegative")
-    return _finish("central", mv, a, None, int(r_max), prec)
+    return _finish("central", mv, a, None, as_index(r_max, "r_max"), prec)
 
 
 def signed_moment_table(m, a, b, r_max, prec: PrecisionSpec = NATIVE) -> MomentTable:
@@ -215,9 +220,7 @@ def signed_moment_table(m, a, b, r_max, prec: PrecisionSpec = NATIVE) -> MomentT
     mv = as_mean(m)
     a = _center(a, prec)
     require_finite(b, "threshold b")
-    if r_max < 0:
-        raise ValueError("r_max must be nonnegative")
-    return _finish("signed", mv, a, float(b), int(r_max), prec)
+    return _finish("signed", mv, a, float(b), as_index(r_max, "r_max"), prec)
 
 
 def central_moment_shifted(m, a, r, prec: PrecisionSpec = NATIVE):
@@ -255,10 +258,11 @@ def signed_moment_shifted(m, a, b, r, prec: PrecisionSpec = NATIVE):
 
 def abs_central_moment(m, a, r, prec: PrecisionSpec = NATIVE):
     """E |X - a|^r: the central table for even r, the signed table at b = a
-    for odd r.  Clamped at zero (tiny negative artifacts only)."""
+    for odd r.  Clamped at zero (tiny negative artifacts only).  An order
+    that is not a nonnegative integer, or whose moment overflows binary64
+    in native mode, raises a ValueError."""
     mv = as_mean(m)
-    if r < 0:
-        raise ValueError("order must be nonnegative")
+    r = as_index(r, "order")
     if r % 2 == 0:
         value = central_moment_table(mv, a, r, prec).values[r]
     else:

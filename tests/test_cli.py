@@ -119,6 +119,12 @@ class TestExitCodes:
                             "--max-order", "2"])
         assert code == 2 and centers in err
 
+    def test_overflowing_order_is_usage_error(self):
+        code, out, err = run(["moment", "--mean", "2", "--order", "401",
+                              "--center", "2"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: r_max = 401") and "Traceback" not in err
+
     def test_katti_negative_center_is_precondition(self):
         code, _, _ = run(["moment", "--mean", "1", "--order", "1",
                           "--center", "-0.5", "--method", "katti"])

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from poisson_moments import (DiscreteFunction, GrowthBoundError, PoissonMean,
-                             PrecisionSpec, cdf, log_pmf, pmf, pmf_series,
-                             sign, truncation_index)
+                             PrecisionSpec, TailBound, cdf, log_pmf, pmf,
+                             pmf_series, sign, truncation_index)
 from poisson_moments.core import MIN_CERTIFIABLE_EPS
 
 from helpers import brute_expectation, rel_err
@@ -247,6 +247,31 @@ class TestTruncationIndex:
             for r in range(11):
                 tb = truncation_index(m, r, a, 1e-18)
                 assert tb.cutoff <= old_cutoff(r, a, 1e-18)
+
+    def test_search_matches_linear_scan(self):
+        # the bound the search tests, scanned one index at a time from s
+        def linear(m, degree, center, eps):
+            start = 2.0 * (m + degree)
+            n = math.ceil(start)
+            while True:
+                log_term = log_pmf(n, m)
+                if degree > 0:
+                    log_term += degree * math.log(
+                        n - center if n - center >= start else n + abs(center))
+                bound = 2.0 * math.exp(max(log_term, -699.0)) * (1.0 + 1e-9)
+                if bound <= eps:
+                    return TailBound(n, bound)
+                n += 1
+
+        rng = random.Random(2006)
+        for _ in range(300):
+            m = 10 ** rng.uniform(-3, 3.5)
+            degree = rng.randint(0, 30)
+            center = rng.choice([m, rng.uniform(-10, 3 * m + 10),
+                                 1e9 * rng.random(), -1e6 * rng.random()])
+            eps = 10 ** rng.uniform(-280, -1)
+            assert truncation_index(m, degree, center, eps) == \
+                linear(m, degree, center, eps), (m, degree, center, eps)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Kummer series, the derivative table, and the odd-moment assembly."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,45 @@ from poisson_moments import (Hyp1F1Params, PrecisionSpec,
 from helpers import rel_err
 
 EXT = PrecisionSpec.extended(256)
+# tight enough that the series truncation sits far below the 2^-(bits-8) bar
+EXT_TIGHT = PrecisionSpec.extended(256, rel_tol=1e-90)
+BAR = mp.mpf(2) ** -(256 - 8)
+
+
+def mpf_series(alpha, beta, z, rel_tol, bits=512):
+    """1F1 by the mpf term loop with the extended route's stopping rule
+    (three consecutive terms <= rel_tol |sum|), at 512 bits."""
+    with mp.workprec(bits):
+        alpha, beta, z = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
+        term = total = mp.mpf(1)
+        n = small = 0
+        while small < 3:
+            term = term * z * (alpha + n) / ((beta + n) * (n + 1))
+            total += term
+            small = small + 1 if abs(term) <= rel_tol * abs(total) else 0
+            n += 1
+        return total
+
+
+def reference_g_rows(a, m, r, rel_tol, bits=512):
+    """The derivative table by the mpf recursion, at 512 bits."""
+    fl = math.floor(a)
+    with mp.workprec(bits):
+        mm = mp.mpf(m)
+        offset = fl - mp.mpf(a) + 1
+        rows = [[mpf_series(b + 1, b + fl + 2, m, rel_tol, bits)
+                 for b in range(r + 1)]]
+        for s in range(r):
+            prev = rows[-1]
+            rows.append([(offset + b) * prev[b]
+                         + mm * (b + 1) / (b + fl + 2) * prev[b + 1]
+                         for b in range(r - s)])
+        return rows
+
+
+def within_bar(got, want):
+    with mp.workprec(512):
+        return abs(mp.mpf(got) - want) <= BAR * abs(want)
 
 
 class TestHyp1F1:
@@ -64,6 +104,84 @@ class TestHyp1F1:
         with pytest.raises(RuntimeError):
             hyp1f1(Hyp1F1Params(2.0, 4.0, 25.0))
 
+    def test_iteration_cap_is_internal_fault_extended(self, monkeypatch):
+        monkeypatch.setattr(hg, "_iteration_cap", lambda p: 3)
+        with pytest.raises(RuntimeError, match="internal fault"):
+            hyp1f1(Hyp1F1Params(2.0, 4.0, 25.0), EXT)
+        with pytest.raises(RuntimeError, match="internal fault"):
+            hyp1f1(Hyp1F1Params(2.0, 4.0, -25.0), EXT)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "z"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, mp.inf],
+                             ids=["nan", "inf", "-inf", "mpf-inf"])
+    def test_rejects_non_finite_parameters(self, field, bad):
+        args = dict(alpha=1.0, beta=2.0, z=1.0)
+        args[field] = bad
+        with pytest.raises(ValueError, match=field):
+            Hyp1F1Params(**args)
+
+    @pytest.mark.parametrize("params,want", [
+        ((1.0, 2.0, 2.0), "0x1.98e64b8d4dda8p+1"),
+        ((2.5, 1.5, 7.3), "0x1.0f6368f179e80p+13"),
+        ((1, 9, 37.5), "0x1.7bf706d905c31p+27"),
+        ((0.5, 4.25, -120.0), "0x1.5a3c038c46d35p-3"),
+    ])
+    def test_native_values_are_pinned(self, params, want):
+        # the double loop is kept bit for bit
+        assert hyp1f1(Hyp1F1Params(*params)).hex() == want
+
+
+class TestHyp1F1Extended:
+    """The integer fixed-point series against mpmath at 512 bits."""
+
+    def test_seeded_grid_against_mpmath(self):
+        rng = random.Random(1997)
+        for _ in range(30):
+            alpha = rng.choice([rng.randint(1, 12), rng.uniform(0.5, 12)])
+            beta = rng.choice([rng.randint(1, 14), rng.uniform(0.5, 14)])
+            z = rng.choice([rng.uniform(0, 1e3), 10 ** rng.uniform(-3, 2)])
+            got = hyp1f1(Hyp1F1Params(alpha, beta, z), EXT_TIGHT)
+            with mp.workprec(512):
+                want = mp.hyp1f1(alpha, beta, z)
+            assert within_bar(got, want), (alpha, beta, z)
+
+    def test_terms_that_dip_and_regrow(self):
+        # t_1 is ~2^-126 of t_0, and later terms grow past 1e80: the sum
+        # rests on terms computed after the dip
+        got = hyp1f1(Hyp1F1Params(1e-40, 2, 300.0), EXT_TIGHT)
+        with mp.workprec(512):
+            want = mp.hyp1f1(1e-40, 2, 300.0)
+        assert want > 1e80 and within_bar(got, want)
+
+    def test_mpf_argument_is_taken_exactly(self):
+        with mp.workprec(256):
+            z = mp.mpf(10) / 3  # not a double
+        got = hyp1f1(Hyp1F1Params(1.5, 2, z), EXT_TIGHT)
+        with mp.workprec(512):
+            want = mp.hyp1f1(1.5, 2, z)
+        assert within_bar(got, want)
+        rounded = hyp1f1(Hyp1F1Params(1.5, 2, float(z)), EXT_TIGHT)
+        assert not within_bar(rounded, want)
+
+    @pytest.mark.parametrize("alpha,beta,z", [
+        (0.5, 4.25, -120.0), (1, 2, -50.0), (2, 3.5, -7.3), (1, 9, -400.0),
+    ])
+    def test_negative_argument_against_mpmath(self, alpha, beta, z):
+        # beta > alpha: the transformed series has positive terms only
+        got = hyp1f1(Hyp1F1Params(alpha, beta, z), EXT_TIGHT)
+        with mp.workprec(512):
+            want = mp.hyp1f1(alpha, beta, z)
+        assert within_bar(got, want)
+
+    @pytest.mark.parametrize("alpha,beta,z", [
+        (1, 2, 2.0), (4, 7, 50.0), (2.5, 1.5, 7.3), (1, 3, 1e3), (3, 5, 1e-3),
+    ])
+    def test_stopping_rule_is_unchanged(self, alpha, beta, z):
+        # same terms as the mpf loop at rel_tol 1e-20: one term more or
+        # less would move the sum by about 1e-20, far above the bar
+        got = hyp1f1(Hyp1F1Params(alpha, beta, z), EXT)
+        assert within_bar(got, mpf_series(alpha, beta, z, EXT.rel_tol))
+
 
 class TestHyp1F1NegativeArgument:
     def test_kummer_transformation_value(self):
@@ -110,6 +228,29 @@ class TestGTable:
         with pytest.raises(ValueError):
             g_table(-0.5, 1.0, 1)
 
+    def test_native_entries_are_pinned(self):
+        assert g_table(4.9999, 1e-3, 5).top.hex() == "0x1.5f4cc4d15f8d6p-13"
+        assert g_table(2.3, 7.5, 7).entries[3][2].hex() == "0x1.245843ced4423p+16"
+
+    @pytest.mark.parametrize("a,m,r", [
+        (0.999, 1e-3, 15), (4.9999, 1e-3, 9), (4.9999, 2.0, 15),
+        (0.999, 50.0, 7), (2.3, 7.5, 11), (0.0, 1e-3, 5),
+        (0.999999999999, 1e-30, 5),  # entries shrink by ~100 bits a row
+    ])
+    def test_extended_entries_against_mpf_recursion(self, a, m, r):
+        got = g_table(a, m, r, EXT).entries
+        want = reference_g_rows(a, m, r, EXT.rel_tol)
+        for s, (got_row, want_row) in enumerate(zip(got, want)):
+            assert len(got_row) == len(want_row) == r + 1 - s
+            for beta, (g, w) in enumerate(zip(got_row, want_row)):
+                assert within_bar(g, w), (s, beta)
+
+    def test_extended_center_is_taken_exactly(self):
+        with mp.workprec(256):
+            a = mp.mpf(7) / 3  # not a double
+        got = g_table(a, 2.0, 5, EXT).top
+        assert within_bar(got, reference_g_rows(a, 2.0, 5, EXT.rel_tol)[5][0])
+
 
 class TestAssembly:
     def test_reproduces_mean_deviation(self):
@@ -144,6 +285,10 @@ class TestAssembly:
     def test_condition_reported(self):
         value, cond = katti_abs_moment_with_condition(2.0, 1.3, 3)
         assert value >= 0 and cond >= 1.0
+
+    def test_native_values_are_pinned(self):
+        assert katti_abs_moment(10.0, 10.5, 7).hex() == "0x1.014dc13ad448fp+17"
+        assert katti_abs_moment(0.001, 0.999, 3).hex() == "0x1.fdf4a10a97e03p-1"
 
     def test_native_smoke(self):
         # native agreement is reported, not asserted; just require sanity

@@ -237,6 +237,38 @@ class TestNonFiniteArguments:
             signed_moment_table(2.0, 0.5, b, 3)
 
 
+class TestOrderDomain:
+    def test_overflowing_native_table_is_rejected(self):
+        with pytest.raises(ValueError, match="r_max"):
+            central_moment_table(1e4, 0.0, 200)
+
+    def test_extended_table_holds_the_same_orders(self):
+        assert mp.isfinite(central_moment_table(1e4, 0.0, 200, EXT).values[200])
+
+    @pytest.mark.parametrize("call", [
+        lambda: central_moment_table(2.0, 2.0, 401),
+        lambda: signed_moment_table(2.0, 2.0, 2.0, 401),
+        lambda: abs_central_moment(2.0, 2.0, 401),
+    ], ids=["central", "signed", "abs"])
+    def test_order_401_is_rejected(self, call):
+        with pytest.raises(ValueError, match="r_max = 401 .* order"):
+            call()
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda: central_moment_table(2.0, 2.0, 2.5), "r_max"),
+        (lambda: signed_moment_table(2.0, 2.0, 1.0, 2.5), "r_max"),
+        (lambda: central_moment_table(2.0, 2.0, math.nan), "r_max"),
+        (lambda: abs_central_moment(2.0, 2.0, 2.5), "order"),
+        (lambda: abs_central_moment(2.0, 2.0, -1), "order"),
+    ], ids=["central-2.5", "signed-2.5", "central-nan", "abs-2.5", "abs-minus-1"])
+    def test_order_that_is_not_a_nonnegative_integer(self, call, name):
+        with pytest.raises(ValueError, match=f"{name} must be a nonnegative integer"):
+            call()
+
+    def test_integral_float_order_is_accepted(self):
+        assert central_moment_table(2.0, 2.0, 4.0).values[4] == 14.0
+
+
 class TestClosedForms:
     def test_mean_deviation_m1(self):
         assert mean_deviation(1.0) == pytest.approx(TWO_OVER_E, rel=1e-15)
