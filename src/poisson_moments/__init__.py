@@ -17,7 +17,7 @@ from .polynomials import (MomentPolynomial, check_derivative_identity,
                           evaluate_polynomial, moment_polynomials)
 from .precision import NATIVE, PrecisionSpec
 from .recurrences import (CONDITION_FLAG_THRESHOLD, MomentTable,
-                          abs_central_moment, abs_moment_3_closed,
+                          OrderOverflowError, abs_central_moment, abs_moment_3_closed,
                           abs_moment_5_closed, b_expectation,
                           central_moment_shifted, central_moment_table,
                           mean_deviation, signed_moment_shifted,
@@ -36,6 +36,7 @@ __all__ = [
     "NATIVE",
     "OracleResult",
     "OracleTable",
+    "OrderOverflowError",
     "PoissonMean",
     "PrecisionSpec",
     "TailBound",

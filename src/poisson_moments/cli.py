@@ -5,8 +5,8 @@ or JSON), ``verify`` (cross-method sweep against the oracle), ``bench``
 (median-of-5 timings per method), ``poly`` (exact moment-polynomial
 coefficients).
 
-Exit codes: 0 ok, 1 verification failure, 2 usage/validation (a library
-ValueError included), 3 method precondition violation.
+Exit codes: 0 ok, 1 verification failure, 2 usage/validation (an order
+too large for binary64 included), 3 method precondition violation.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from .core import as_mean
 from .hypergeom import katti_abs_moment_with_condition
 from .polynomials import moment_polynomials
 from .precision import PrecisionSpec
-from .recurrences import (CONDITION_FLAG_THRESHOLD, abs_moment_3_closed,
-                          abs_moment_5_closed, central_moment_shifted,
-                          central_moment_table, mean_deviation,
-                          signed_moment_shifted, signed_moment_table)
+from .recurrences import (CONDITION_FLAG_THRESHOLD, OrderOverflowError,
+                          abs_moment_3_closed, abs_moment_5_closed,
+                          central_moment_shifted, central_moment_table,
+                          mean_deviation, signed_moment_shifted,
+                          signed_moment_table)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -261,6 +262,8 @@ def _compute_value(method: str, mv: float, a: float, b: Optional[float],
         else:
             try:
                 v = signed_moment_shifted(mv, a, b, r, prec)
+            except OrderOverflowError:
+                raise
             except ValueError as exc:
                 raise PreconditionError(str(exc)) from None
         return float(v), None, None
@@ -288,6 +291,8 @@ def _compute_value(method: str, mv: float, a: float, b: Optional[float],
                                     "only (drop --threshold)")
         try:
             v, cond = katti_abs_moment_with_condition(mv, a, r, prec)
+        except OrderOverflowError:
+            raise
         except ValueError as exc:
             raise PreconditionError(str(exc)) from None
         return float(v), cond, None
@@ -626,9 +631,7 @@ def main(argv=None, out=None, err=None) -> int:
         if args.command == "poly":
             return _cmd_poly(args, out)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, ValueError) as exc:
-        # a ValueError is the library's domain error, say an order whose
-        # moments overflow binary64
+    except (UsageError, OrderOverflowError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
     except PreconditionError as exc:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_man_exp, round_nearest, to_rational
 
 from .core import as_mean, require_finite
 from .precision import NATIVE, PrecisionSpec
@@ -151,8 +151,7 @@ def _hyp1f1_fixed(p: Hyp1F1Params, prec: PrecisionSpec):
     if zn >= 0:
         total, e = _kummer_sum((an, ad), beta, (zn, zd), prec.rel_tol,
                                _iteration_cap(p), width)
-        with prec.working():
-            return mp.ldexp(mp.mpf(total), e)
+        return _rounded(total, e, prec)
     bn, bd = beta
     total, e = _kummer_sum((bn * ad - an * bd, bd * ad), beta, (-zn, zd),
                            prec.rel_tol, _iteration_cap(_mirrored(p)), width)
@@ -160,6 +159,12 @@ def _hyp1f1_fixed(p: Hyp1F1Params, prec: PrecisionSpec):
         value = mp.exp(mp.mpf(zn) / zd) * mp.ldexp(mp.mpf(total), e)
     with prec.working():
         return +value
+
+
+def _rounded(man: int, e: int, prec: PrecisionSpec):
+    """man * 2^e rounded to nearest at the working precision, as
+    ``mp.ldexp(mp.mpf(man), e)`` would give it, at half the cost."""
+    return mp.make_mpf(from_man_exp(man, e, prec.bits, round_nearest))
 
 
 def _kummer_sum(alpha, beta, z, rel_tol: float, cap: int, width: int):
@@ -259,24 +264,22 @@ def g_table(a, m, r, prec: PrecisionSpec = NATIVE) -> GTable:
     fl = math.floor(a)
     if prec.is_extended:
         return GTable(float(a), mv, ri, _g_rows_fixed(a, fl, mv, ri, prec))
-    with prec.working():
-        mm = prec.real(mv)
-        offset = prec.real(fl) - prec.real(a) + 1  # in (0, 1]
-        rows = [
+    offset = float(fl) - float(a) + 1  # in (0, 1]
+    rows = [
+        tuple(
+            hyp1f1(Hyp1F1Params(beta + 1, beta + fl + 2, mv), prec)
+            for beta in range(ri + 1)
+        )
+    ]
+    for s in range(ri):
+        prev = rows[-1]
+        rows.append(
             tuple(
-                hyp1f1(Hyp1F1Params(beta + 1, beta + fl + 2, mv), prec)
-                for beta in range(ri + 1)
+                (offset + beta) * prev[beta]
+                + mv * (beta + 1) / (beta + fl + 2) * prev[beta + 1]
+                for beta in range(ri - s)
             )
-        ]
-        for s in range(ri):
-            prev = rows[-1]
-            rows.append(
-                tuple(
-                    (offset + beta) * prev[beta]
-                    + mm * (beta + 1) / (beta + fl + 2) * prev[beta + 1]
-                    for beta in range(ri - s)
-                )
-            )
+        )
     return GTable(float(a), mv, ri, tuple(rows))
 
 
@@ -302,9 +305,7 @@ def _g_rows_fixed(a, fl: int, mv: float, ri: int, prec: PrecisionSpec):
             e -= k
         row = [x // D[b] for b, x in enumerate(nums)]
         rows.append((row, e))
-    with prec.working():
-        return tuple(tuple(mp.ldexp(mp.mpf(x), e) for x in row)
-                     for row, e in rows)
+    return tuple(tuple(_rounded(x, e, prec) for x in row) for row, e in rows)
 
 
 def katti_abs_moment_with_condition(m, a, r, prec: PrecisionSpec = NATIVE):

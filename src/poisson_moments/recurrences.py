@@ -51,6 +51,7 @@ from .precision import NATIVE, PrecisionSpec
 __all__ = [
     "CONDITION_FLAG_THRESHOLD",
     "MomentTable",
+    "OrderOverflowError",
     "central_moment_table",
     "central_moment_shifted",
     "signed_moment_table",
@@ -68,6 +69,11 @@ __all__ = [
 CONDITION_FLAG_THRESHOLD = 1e6
 
 _UPGRADE_PREC = PrecisionSpec.extended(bits=256)
+
+
+class OrderOverflowError(ValueError):
+    """A native table whose order is too large for binary64: a term or a
+    binomial coefficient overflows the double range."""
 
 
 def threshold_pmf_factor(k, m, prec: PrecisionSpec = NATIVE):
@@ -177,7 +183,7 @@ def _finish(kind: str, mv: float, a: float, b: Optional[float], r_max: int,
     try:
         values, conds = _build(build_kind, mv, a, b, r_max, prec)
     except OverflowError as exc:  # native only: a double entry or binomial
-        raise ValueError(
+        raise OrderOverflowError(
             f"r_max = {r_max} is too large for binary64 at m = {mv!r}, "
             f"a = {a!r} ({exc}); use extended precision") from None
     upgraded = False

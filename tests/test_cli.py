@@ -125,6 +125,30 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: r_max = 401") and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--method", "katti"],
+        ["--method", "shifted"],
+        ["--method", "shifted", "--threshold", "1"],
+        ["--threshold", "1"],
+    ])
+    def test_overflowing_order_is_usage_error_for_every_method(self, flags):
+        code, out, err = run(["moment", "--mean", "2", "--order", "401",
+                              "--center", "2"] + flags)
+        assert code == 2 and out == ""
+        assert "too large for binary64" in err
+
+    def test_other_library_value_error_is_not_a_usage_error(self, monkeypatch):
+        # only the named domain errors map to exit 2; anything else is a
+        # fault and keeps its traceback
+        import poisson_moments.cli as cli
+
+        def broken(*args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "_compute_value", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            run(["moment", "--mean", "2", "--order", "3", "--center", "2"])
+
     def test_katti_negative_center_is_precondition(self):
         code, _, _ = run(["moment", "--mean", "1", "--order", "1",
                           "--center", "-0.5", "--method", "katti"])

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from poisson_moments import (DiscreteFunction, GrowthBoundError,
-                             PrecisionSpec, abs_central_moment,
+                             OrderOverflowError, PrecisionSpec,
+                             abs_central_moment,
                              abs_moment_3_closed, abs_moment_5_closed,
                              b_expectation, cdf, central_moment_shifted,
                              central_moment_table, katti_abs_moment,
@@ -239,7 +240,7 @@ class TestNonFiniteArguments:
 
 class TestOrderDomain:
     def test_overflowing_native_table_is_rejected(self):
-        with pytest.raises(ValueError, match="r_max"):
+        with pytest.raises(OrderOverflowError, match="r_max"):
             central_moment_table(1e4, 0.0, 200)
 
     def test_extended_table_holds_the_same_orders(self):
@@ -251,7 +252,7 @@ class TestOrderDomain:
         lambda: abs_central_moment(2.0, 2.0, 401),
     ], ids=["central", "signed", "abs"])
     def test_order_401_is_rejected(self, call):
-        with pytest.raises(ValueError, match="r_max = 401 .* order"):
+        with pytest.raises(OrderOverflowError, match="r_max = 401 .* order"):
             call()
 
     @pytest.mark.parametrize("call,name", [

@@ -4,6 +4,9 @@ Cases, each at a = m for m in {2, 50, 1e3, 1e5} and r in {3, 15}:
 
 * ``value_row``: the r + 1 ``hyp1f1`` calls of a ``g_table`` value row,
   1F1(beta + 1, beta + floor(m) + 2, m) for beta = 0..r, at 256 bits;
+* ``g_table recursion``: one ``g_table(m, m, r)`` call at 256 bits whose
+  value row ``hyp1f1`` answers from values computed beforehand, so that
+  the time is the derivative recursion and its conversions alone;
 * ``katti``: one ``katti_abs_moment(m, m, r)`` call at 256 bits;
 * ``katti native``: the same call in doubles, which should not move.
 
@@ -13,13 +16,12 @@ Run it as
         --out BENCH_4.json
 
 Each tree is measured in fresh interpreters, ROUNDS of them, alternating
-parent and change so that a slow phase of a shared machine hits both.  In
-a round, a case repeats its calls up to REPEATS times and stops once they
-have used BUDGET_S seconds; a case whose calls do not all fit in the
-budget even once is timed on the calls that fit, scaled to the whole work
-by the share of calls made, and marked ``capped``.  A case's figure is the
-median over rounds of its per-round median.  Standard library only, apart
-from the package under test and its mpmath dependency.
+which tree goes first (``_benchlib``).  In a round, a case repeats its
+calls up to REPEATS times and stops once they have used BUDGET_S seconds
+(``_benchlib.time_work``, which also says how a case that does not fit is
+``capped``).  A case's figure is the median over rounds of its per-round
+median.  Standard library only, apart from the package under test and its
+mpmath dependency.
 """
 
 from __future__ import annotations
@@ -28,13 +30,10 @@ import argparse
 import json
 import math
 import os
-import platform
-import statistics
-import subprocess
 import sys
-from time import perf_counter_ns
 
-import mpmath
+from _benchlib import (alternating_rounds, combine, environment, run_child,
+                       time_work, write_json)
 
 MEANS = (2.0, 50.0, 1e3, 1e5)
 ORDERS = (3, 15)
@@ -52,6 +51,8 @@ def _cases(pm):
     differs between the trees by a factor of 10 or more) runs before them
     in the same interpreter.
     """
+    import poisson_moments.hypergeom as hg
+
     ext = pm.PrecisionSpec.extended(BITS)
     grid = [(m, r) for m in MEANS for r in ORDERS]
     for m, r in grid:
@@ -63,28 +64,23 @@ def _cases(pm):
                   for beta in range(r + 1)]
         yield ("value_row", m, r,
                [lambda p=p: pm.hyp1f1(p, ext) for p in params])
+        row = {p: pm.hyp1f1(p, ext) for p in params}
+        yield ("g_table recursion", m, r,
+               [_with_row(hg, row, lambda m=m, r=r: pm.g_table(m, m, r, ext))])
         yield ("katti", m, r,
                [lambda m=m, r=r: pm.katti_abs_moment(m, m, r, ext)])
 
 
-def _time_work(calls: list) -> tuple:
-    """(median ns of the whole work, repetitions, capped)."""
-    budget = BUDGET_S * 1e9
-    times = []
-    spent = 0
-    while len(times) < REPEATS and spent < budget:
-        total = 0
-        for done, call in enumerate(calls, 1):
-            t0 = perf_counter_ns()
+def _with_row(hg, row: dict, call):
+    """call, with ``hg.hyp1f1`` answering from ``row`` while it runs."""
+    def run():
+        real = hg.hyp1f1
+        hg.hyp1f1 = lambda p, prec: row[p]
+        try:
             call()
-            total += perf_counter_ns() - t0
-            if spent + total >= budget and done < len(calls):
-                if times:
-                    return statistics.median(times), len(times), False
-                return total * len(calls) / done, done / len(calls), True
-        times.append(total)
-        spent += total
-    return statistics.median(times), len(times), False
+        finally:
+            hg.hyp1f1 = real
+    return run
 
 
 def measure(src: str) -> list:
@@ -96,29 +92,10 @@ def measure(src: str) -> list:
     pm.katti_abs_moment(2.0, 2.0, 3, pm.PrecisionSpec.extended(BITS))
     out = []
     for case, m, r, calls in _cases(pm):
-        ns, reps, capped = _time_work(calls)
+        ns, reps, capped = time_work(calls, REPEATS, BUDGET_S)
         out.append({"case": case, "m": m, "r": r, "calls_per_work": len(calls),
                     "median_us": ns / 1e3, "repetitions": reps,
                     "capped": capped})
-    return out
-
-
-def _measure_in_child(src: str) -> list:
-    cmd = [sys.executable, os.path.abspath(__file__), "--measure", src]
-    done = subprocess.run(cmd, check=True, capture_output=True, text=True)
-    return json.loads(done.stdout)
-
-
-def _combine(rounds: list) -> dict:
-    """Per case: the median over rounds; capped if any round was."""
-    out = {}
-    for per_case in zip(*rounds):
-        first = per_case[0]
-        out[first["case"], first["m"], first["r"]] = dict(
-            first,
-            median_us=statistics.median(c["median_us"] for c in per_case),
-            repetitions=sum(c["repetitions"] for c in per_case),
-            capped=any(c["capped"] for c in per_case))
     return out
 
 
@@ -136,14 +113,11 @@ def main(argv=None) -> int:
     if not args.parent_src:
         p.error("--parent-src is required")
 
-    change_src = os.path.join(HERE, "..", "src")
-    runs = {"parent": [], "change": []}
-    for i in range(ROUNDS):
-        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in sides:
-            src = args.parent_src if side == "parent" else change_src
-            runs[side].append(_measure_in_child(src))
-    parent, change = (_combine(runs[side]) for side in ("parent", "change"))
+    srcs = {"parent": args.parent_src,
+            "change": os.path.join(HERE, "..", "src")}
+    runs = alternating_rounds(ROUNDS, lambda side: run_child(__file__, srcs[side]))
+    parent, change = (combine(runs[side], ("case", "m", "r"))
+                      for side in ("parent", "change"))
 
     rows = []
     for key, new in change.items():
@@ -159,27 +133,20 @@ def main(argv=None) -> int:
         })
     doc = {
         "what": "median microseconds per unit of Kummer-route work at a = m; "
-                "value_row and katti at 256 bits, katti native in doubles",
+                "value_row, g_table recursion and katti at 256 bits, katti "
+                "native in doubles",
         "parent": args.parent_label,
         "change": "this checkout",
         "bits": BITS,
         "rounds": ROUNDS,
         "repeats": REPEATS,
         "budget_s_per_case": BUDGET_S,
-        "environment": {
-            "python": platform.python_version(),
-            "mpmath": mpmath.__version__,
-            "mpmath_backend": mpmath.libmp.BACKEND,
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "environment": environment(),
         "cases": rows,
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(doc, args.out)
     for r in rows:
-        print(f"{r['case']:13} m={r['m']:<7g} r={r['r']:<3} "
+        print(f"{r['case']:17} m={r['m']:<7g} r={r['r']:<3} "
               f"parent {r['parent_median_us']:>12.1f} us"
               f"{' (capped)' if r['parent_capped'] else '':10} "
               f"change {r['change_median_us']:>10.1f} us"

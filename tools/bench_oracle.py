@@ -18,14 +18,13 @@ with the default grid.  Run it as
         --out BENCH_3.json
 
 Each tree is measured in fresh interpreters, ROUNDS of them, alternating
-parent and change so that a slow phase of a shared machine hits both.  In
-a round, a case repeats its calls up to REPEATS times and stops once they
-have used BUDGET_S seconds; a case whose calls do not all fit in the budget
-even once is timed on the calls that fit, scaled to the whole work by the
-share of calls made, and marked ``capped`` (its ``repetitions`` is then
-that share).  A case's figure is the median
-over rounds of its per-round median.  Standard library only, apart from
-the package under test and its mpmath dependency.
+which tree goes first (``_benchlib``); a round of a tree also times
+VERIFY_RUNS ``verify`` processes.  In a round, a case repeats its calls up
+to REPEATS times and stops once they have used BUDGET_S seconds
+(``_benchlib.time_work``, which also says how a case that does not fit is
+``capped``).  A case's figure is the median over rounds of its per-round
+median.  Standard library only, apart from the package under test and its
+mpmath dependency.
 """
 
 from __future__ import annotations
@@ -33,13 +32,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 from time import perf_counter_ns
 
-import mpmath
+from _benchlib import (alternating_rounds, combine, environment, run_child,
+                       time_work, write_json)
 
 MEANS = (2.0, 50.0, 1e3, 1e5)
 SINGLE_MEANS = (2.0, 50.0)
@@ -72,26 +71,6 @@ def _cases(pm, with_table: bool):
             yield (f"single r={r}", m, [lambda w=w, m=m: pm.expectation(m, w, EPS)])
 
 
-def _time_work(calls: list) -> tuple:
-    """(median ns of the whole work, repetitions, capped)."""
-    budget = BUDGET_S * 1e9
-    times = []
-    spent = 0
-    while len(times) < REPEATS and spent < budget:
-        total = 0
-        for done, call in enumerate(calls, 1):
-            t0 = perf_counter_ns()
-            call()
-            total += perf_counter_ns() - t0
-            if spent + total >= budget and done < len(calls):
-                if times:
-                    return statistics.median(times), len(times), False
-                return total * len(calls) / done, done / len(calls), True
-        times.append(total)
-        spent += total
-    return statistics.median(times), len(times), False
-
-
 def measure(src: str, with_table: bool) -> list:
     """Time every case with the package imported from ``src``."""
     sys.path.insert(0, os.path.abspath(src))
@@ -100,19 +79,11 @@ def measure(src: str, with_table: bool) -> list:
     pm.expectation(2.0, pm.WeightSpec.abs_power(3, 2.0), EPS)  # warm-up
     out = []
     for case, m, calls in _cases(pm, with_table):
-        ns, reps, capped = _time_work(calls)
+        ns, reps, capped = time_work(calls, REPEATS, BUDGET_S)
         out.append({"case": case, "m": m, "calls_per_work": len(calls),
                     "median_us": ns / 1e3, "repetitions": reps,
                     "capped": capped})
     return out
-
-
-def _measure_in_child(src: str, with_table: bool) -> list:
-    cmd = [sys.executable, os.path.abspath(__file__), "--measure", src]
-    if with_table:
-        cmd.append("--with-table")
-    done = subprocess.run(cmd, check=True, capture_output=True, text=True)
-    return json.loads(done.stdout)
 
 
 def _verify_wall(src: str) -> float:
@@ -121,19 +92,6 @@ def _verify_wall(src: str) -> float:
     subprocess.run([sys.executable, "-m", "poisson_moments", "verify"],
                    env=env, check=True, capture_output=True)
     return (perf_counter_ns() - t0) / 1e3
-
-
-def _combine(rounds: list) -> dict:
-    """Per case: the median over rounds; capped if any round was."""
-    out = {}
-    for per_case in zip(*rounds):
-        first = per_case[0]
-        out[first["case"], first["m"]] = dict(
-            first,
-            median_us=statistics.median(c["median_us"] for c in per_case),
-            repetitions=sum(c["repetitions"] for c in per_case),
-            capped=any(c["capped"] for c in per_case))
-    return out
 
 
 def main(argv=None) -> int:
@@ -151,16 +109,19 @@ def main(argv=None) -> int:
     if not args.parent_src:
         p.error("--parent-src is required")
 
-    change_src = os.path.join(HERE, "..", "src")
-    runs = {"parent": [], "change": []}
+    srcs = {"parent": args.parent_src,
+            "change": os.path.join(HERE, "..", "src")}
     walls = {"parent": [], "change": []}
-    for _ in range(ROUNDS):
-        runs["parent"].append(_measure_in_child(args.parent_src, False))
-        runs["change"].append(_measure_in_child(change_src, True))
-        for _ in range(VERIFY_RUNS):
-            walls["parent"].append(_verify_wall(args.parent_src))
-            walls["change"].append(_verify_wall(change_src))
-    parent, change = (_combine(runs[side]) for side in ("parent", "change"))
+
+    def measure_side(side: str) -> list:
+        walls[side] += [_verify_wall(srcs[side]) for _ in range(VERIFY_RUNS)]
+        # the parent tree has no expectation_table
+        flags = ("--with-table",) if side == "change" else ()
+        return run_child(__file__, srcs[side], *flags)
+
+    runs = alternating_rounds(ROUNDS, measure_side)
+    parent, change = (combine(runs[side], ("case", "m"))
+                      for side in ("parent", "change"))
 
     rows = []
     for key, new in change.items():
@@ -194,18 +155,10 @@ def main(argv=None) -> int:
         "repeats": REPEATS,
         "budget_s_per_case": BUDGET_S,
         "verify_runs_per_tree": ROUNDS * VERIFY_RUNS,
-        "environment": {
-            "python": platform.python_version(),
-            "mpmath": mpmath.__version__,
-            "mpmath_backend": mpmath.libmp.BACKEND,
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "environment": environment(),
         "cases": rows,
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(doc, args.out)
     for r in rows:
         parent_us = r.get("parent_median_us")
         parent_txt = "-" if parent_us is None else f"{parent_us:.1f} us"

@@ -11,12 +11,12 @@ checkout only (a direct sum or an exact factorial takes minutes there):
         --out BENCH_2.json
 
 Each tree is measured in fresh interpreters, ROUNDS of them, alternating
-parent and change so that a slow phase of a shared machine hits both; a
-case's figure is the median over rounds of its per-round median.  In each
-round every case makes one untimed warm-up call, then up to REPEATS timed
-calls, and stops early once its timed calls have used BUDGET_S seconds; a
-case stopped that way is marked ``capped`` and rests on fewer calls.  A factorial cache, if
-the tree has one, is cleared before every timed call, so repeated calls at
+which tree goes first (``_benchlib``); a case's figure is the median over
+rounds of its per-round median.  In each round every case makes one
+untimed warm-up call, then up to REPEATS timed calls, and stops early once
+its timed calls have used BUDGET_S seconds; a case stopped that way is
+marked ``capped`` and rests on fewer calls.  A factorial cache, if the
+tree has one, is cleared before every timed call, so repeated calls at
 one k are timed as the first call at a new k would be.  Standard library
 only, apart from the package under test and its mpmath dependency.
 """
@@ -26,13 +26,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
-import subprocess
 import sys
 from time import perf_counter_ns
 
-import mpmath
+from _benchlib import (alternating_rounds, combine, environment, run_child,
+                       write_json)
 
 MEANS = (2.0, 50.0, 1e3, 1e5)
 ORDER = 10
@@ -83,26 +82,6 @@ def measure(src: str, targets: bool) -> list:
     return out
 
 
-def _measure_in_child(src: str, targets: bool) -> list:
-    cmd = [sys.executable, os.path.abspath(__file__), "--measure", src]
-    if targets:
-        cmd.append("--targets")
-    done = subprocess.run(cmd, check=True, capture_output=True, text=True)
-    return json.loads(done.stdout)
-
-
-def _combine(rounds: list) -> list:
-    """Per case: the median over rounds, the calls summed over rounds."""
-    out = []
-    for per_case in zip(*rounds):
-        first = per_case[0]
-        out.append(dict(first,
-                        median_us=statistics.median(c["median_us"] for c in per_case),
-                        calls=sum(c["calls"] for c in per_case),
-                        capped=any(c["capped"] for c in per_case)))
-    return out
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent-src", help="src directory of the parent tree")
@@ -118,19 +97,20 @@ def main(argv=None) -> int:
     if not args.parent_src:
         p.error("--parent-src is required")
 
-    change_src = os.path.join(HERE, "..", "src")
-    runs = {"parent": [], "change": []}
-    for _ in range(ROUNDS):
-        runs["parent"].append(_measure_in_child(args.parent_src, False))
-        runs["change"].append(_measure_in_child(change_src, True))
-    parent, change = (_combine(runs[side]) for side in ("parent", "change"))
+    srcs = {"parent": args.parent_src,
+            "change": os.path.join(HERE, "..", "src")}
+    # the target cases run on this checkout only
+    runs = alternating_rounds(ROUNDS, lambda side: run_child(
+        __file__, srcs[side], *(("--targets",) if side == "change" else ())))
+    parent, change = (combine(runs[side], ("layer", "case", "m"), count="calls")
+                      for side in ("parent", "change"))
     rows = []
-    for i, new in enumerate(change):
+    for key, new in change.items():
         row = {"layer": new["layer"], "case": new["case"], "m": new["m"],
                "parent_median_us": None, "parent_calls": 0,
                "parent_capped": False}
-        if i < len(parent):
-            old = parent[i]
+        old = parent.get(key)
+        if old is not None:
             row.update(parent_median_us=round(old["median_us"], 1),
                        parent_calls=old["calls"], parent_capped=old["capped"])
         row.update(change_median_us=round(new["median_us"], 1),
@@ -145,18 +125,10 @@ def main(argv=None) -> int:
         "rounds": ROUNDS,
         "repeats": REPEATS,
         "budget_s_per_case": BUDGET_S,
-        "environment": {
-            "python": platform.python_version(),
-            "mpmath": mpmath.__version__,
-            "mpmath_backend": mpmath.libmp.BACKEND,
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "environment": environment(),
         "cases": rows,
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(doc, args.out)
     for r in rows:
         parent_us = r["parent_median_us"]
         parent_txt = "not run" if parent_us is None else f"{parent_us:.1f} us"
