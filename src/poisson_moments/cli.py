@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from statistics import median
 from typing import List, Optional
 
@@ -28,9 +28,10 @@ from .hypergeom import katti_abs_moment_with_condition
 from .polynomials import moment_polynomials
 from .precision import PrecisionSpec
 from .recurrences import (CONDITION_FLAG_THRESHOLD, OrderOverflowError,
-                          abs_moment_3_closed, abs_moment_5_closed,
-                          central_moment_shifted, central_moment_table,
-                          mean_deviation, signed_moment_shifted,
+                          _shift_down, abs_moment_3_closed,
+                          abs_moment_5_closed, central_moment_shifted,
+                          central_moment_table, mean_deviation,
+                          shift_identity, signed_moment_shifted,
                           signed_moment_table)
 
 EXIT_OK = 0
@@ -43,6 +44,10 @@ _MOMENT_METHODS = ("recurrence", "shifted", "katti", "closed", "oracle")
 DEFAULT_MEAN_GRID = "0.1,0.5,1,2,5,10,25,50"
 DEFAULT_CENTER_GRID = "0,m,fl+0.3,m+1"
 DEFAULT_THRESHOLD_GRID = "a,0,m/2"
+
+# E |X - m|^r in closed form, by order
+_CLOSED_FORMS = {1: mean_deviation, 3: abs_moment_3_closed,
+                 5: abs_moment_5_closed}
 
 
 class UsageError(Exception):
@@ -70,8 +75,7 @@ class OutputRecord:
     elapsed_ns: int
 
 
-CSV_HEADER = ["m", "a", "b", "r", "method", "value", "condition",
-              "certified_error", "elapsed_ns"]
+CSV_HEADER = [f.name for f in fields(OutputRecord)]
 
 
 def _f17(x: Optional[float]) -> str:
@@ -79,42 +83,23 @@ def _f17(x: Optional[float]) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
-def _record_csv_row(rec: OutputRecord) -> List[str]:
-    return [_f17(rec.m), _f17(rec.a), _f17(rec.b), str(rec.r), rec.method,
-            _f17(rec.value), _f17(rec.condition), _f17(rec.certified_error),
-            str(rec.elapsed_ns)]
-
-
-def _record_json_obj(rec: OutputRecord) -> dict:
-    return {
-        "m": rec.m, "a": rec.a, "b": rec.b, "r": rec.r, "method": rec.method,
-        "value": rec.value, "condition": rec.condition,
-        "certified_error": rec.certified_error, "elapsed_ns": rec.elapsed_ns,
-    }
-
-
-def _record_text(rec: OutputRecord) -> str:
-    parts = [f"m={_f17(rec.m)}", f"a={_f17(rec.a) or '-'}",
-             f"b={_f17(rec.b) or '-'}", f"r={rec.r}", f"method={rec.method}",
-             f"value={_f17(rec.value)}",
-             f"condition={_f17(rec.condition) or '-'}",
-             f"certified_error={_f17(rec.certified_error) or '-'}",
-             f"elapsed_ns={rec.elapsed_ns}"]
-    return " ".join(parts)
+def _cell(v) -> str:
+    # a field as text: method, r and elapsed_ns as they are, floats by _f17
+    return str(v) if isinstance(v, (str, int)) else _f17(v)
 
 
 def _emit_records(records: List[OutputRecord], fmt: str, out) -> None:
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow(_record_csv_row(rec))
+        writer.writerows([_cell(v) for v in astuple(rec)] for rec in records)
     elif fmt == "json":
-        json.dump([_record_json_obj(r) for r in records], out, indent=2)
+        json.dump([asdict(rec) for rec in records], out, indent=2)
         out.write("\n")
     else:
         for rec in records:
-            out.write(_record_text(rec) + "\n")
+            out.write(" ".join(f"{name}={_cell(v) or '-'}"
+                               for name, v in asdict(rec).items()) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +165,11 @@ def _parse_float_grid(spec: str) -> List[float]:
         while x <= stop * (1 + 1e-12):
             out.append(x)
             x += step
-        if not out:
-            raise UsageError(f"grid {spec!r} is empty")
-        return out
-    try:
-        out = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise UsageError(f"bad grid {spec!r}") from None
+    else:
+        try:
+            out = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
+        except ValueError:
+            raise UsageError(f"bad grid {spec!r}") from None
     if not out:
         raise UsageError(f"grid {spec!r} is empty")
     return out
@@ -199,14 +182,23 @@ def _parse_exprs(spec: str) -> List[str]:
     return toks
 
 
-def _dedupe(values: List[float]) -> List[float]:
-    seen = set()
-    out = []
-    for v in values:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+def _grid(args, threshold_spec: Optional[str]):
+    """Parse the grids now; return a walk yielding (m, a, thresholds or None)
+    per mean and center, each expression evaluated when it is reached."""
+    means = [_mean_or_usage(x) for x in _parse_float_grid(args.mean_grid)]
+    center_exprs = _parse_exprs(args.centers)
+    threshold_exprs = (None if threshold_spec is None
+                       else _parse_exprs(threshold_spec))
+
+    def walk():
+        for mv in means:
+            names = {"m": mv, "fl": float(math.floor(mv))}
+            # dict.fromkeys drops repeated values and keeps the first order
+            for a in dict.fromkeys([_eval_expr(e, names) for e in center_exprs]):
+                tnames = dict(names, a=a)
+                yield mv, a, (None if threshold_exprs is None else list(
+                    dict.fromkeys([_eval_expr(e, tnames) for e in threshold_exprs])))
+    return walk()
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +228,14 @@ def _compute_value(method: str, mv: float, a: float, b: Optional[float],
     signed moment E (X - a)^r sign(X - b).
     """
     if method == "recurrence":
-        if b is None:
-            if r % 2 == 0:
-                tbl = central_moment_table(mv, a, r, prec)
-            else:
-                tbl = signed_moment_table(mv, a, a, r, prec)
-            v = tbl.values[r]
-            v = v if v > 0 else prec.real(0.0)
-        else:
-            tbl = signed_moment_table(mv, a, b, r, prec)
-            v = tbl.values[r]
-        return float(v), tbl.condition_at(r), None
+        if b is None and r % 2 == 0:
+            tbl = central_moment_table(mv, a, r, prec)
+        else:  # E |X - a|^r for odd r is the signed moment at b = a
+            tbl = signed_moment_table(mv, a, a if b is None else b, r, prec)
+        v = float(tbl.values[r])
+        if b is None and not v > 0:
+            v = 0.0  # an absolute moment: clamp tiny negative artifacts
+        return v, tbl.condition_at(r), None
 
     if method == "shifted":
         if r < 1:
@@ -275,15 +264,9 @@ def _compute_value(method: str, mv: float, a: float, b: Optional[float],
         if a != mv:
             raise PreconditionError("closed forms are stated about the mean; "
                                     "--center must equal --mean")
-        if r == 1:
-            v = mean_deviation(mv, prec)
-        elif r == 3:
-            v = abs_moment_3_closed(mv, prec)
-        elif r == 5:
-            v = abs_moment_5_closed(mv, prec)
-        else:
+        if r not in _CLOSED_FORMS:
             raise PreconditionError("closed forms exist for orders 1, 3 and 5")
-        return float(v), None, None
+        return float(_CLOSED_FORMS[r](mv, prec)), None, None
 
     if method == "katti":
         if b is not None:
@@ -310,7 +293,7 @@ def _compute_value(method: str, mv: float, a: float, b: Optional[float],
 # subcommands
 
 
-def _cmd_moment(args, out) -> int:
+def _cmd_moment(args, out, err) -> int:
     prec = _prec_from(args)
     mv = _mean_or_usage(args.mean)
     if args.order < 0:
@@ -327,11 +310,9 @@ def _cmd_moment(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_table(args, out) -> int:
+def _cmd_table(args, out, err) -> int:
     prec = _prec_from(args)
-    means = [_mean_or_usage(x) for x in _parse_float_grid(args.mean_grid)]
-    center_exprs = _parse_exprs(args.centers)
-    threshold_exprs = _parse_exprs(args.thresholds) if args.thresholds else None
+    grid = _grid(args, args.thresholds or None)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in _MOMENT_METHODS:
@@ -340,32 +321,24 @@ def _cmd_table(args, out) -> int:
         raise UsageError("--max-order must be nonnegative")
 
     records = []
-    for mv in means:
-        names = {"m": mv, "fl": float(math.floor(mv))}
-        centers = _dedupe([_eval_expr(e, names) for e in center_exprs])
-        for a in centers:
-            if threshold_exprs is None:
-                thresholds = [None]
-            else:
-                tnames = dict(names, a=a)
-                thresholds = _dedupe([_eval_expr(e, tnames) for e in threshold_exprs])
-            for b in thresholds:
-                for r in range(args.max_order + 1):
-                    for method in methods:
-                        try:
-                            t0 = time.perf_counter_ns()
-                            value, cond, cert = _compute_value(
-                                method, mv, a, b, r, prec)
-                            elapsed = time.perf_counter_ns() - t0
-                        except PreconditionError:
-                            continue  # inapplicable (method, point): skip row
-                        records.append(OutputRecord(mv, a, b, r, method,
-                                                    value, cond, cert, elapsed))
+    for mv, a, thresholds in grid:
+        for b in thresholds or [None]:
+            for r in range(args.max_order + 1):
+                for method in methods:
+                    try:
+                        t0 = time.perf_counter_ns()
+                        value, cond, cert = _compute_value(
+                            method, mv, a, b, r, prec)
+                        elapsed = time.perf_counter_ns() - t0
+                    except PreconditionError:
+                        continue  # inapplicable (method, point): skip row
+                    records.append(OutputRecord(mv, a, b, r, method,
+                                                value, cond, cert, elapsed))
     _emit_records(records, args.format, out)
     return EXIT_OK
 
 
-def _cmd_poly(args, out) -> int:
+def _cmd_poly(args, out, err) -> int:
     if args.max_order < 0:
         raise UsageError("--max-order must be nonnegative")
     polys = moment_polynomials(args.max_order)
@@ -384,7 +357,7 @@ def _cmd_poly(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args, out) -> int:
+def _cmd_bench(args, out, err) -> int:
     prec = _prec_from(args)
     mv = _mean_or_usage(args.mean)
     if args.max_order < 0:
@@ -431,12 +404,10 @@ def _cmd_verify(args, out, err) -> int:
     tol = args.tol
     if not tol > 0:
         raise UsageError("--tol must be positive")
-    means = [_mean_or_usage(x) for x in _parse_float_grid(args.mean_grid)]
-    center_exprs = _parse_exprs(args.centers)
-    threshold_exprs = _parse_exprs(args.thresholds)
+    grid = _grid(args, args.thresholds)
     if args.max_order < 0:
         raise UsageError("--max-order must be nonnegative")
-    orders = range(args.max_order + 1)
+    top = args.max_order
     eps = min(_oracle_eps(prec), tol * 1e-6)
 
     worst: dict = {}
@@ -458,55 +429,35 @@ def _cmd_verify(args, out, err) -> int:
             if not report.passed:
                 failures.append((key, method, report.rel_err))
 
-    for mv in means:
-        names = {"m": mv, "fl": float(math.floor(mv))}
-        centers = _dedupe([_eval_expr(e, names) for e in center_exprs])
-        for a in centers:
-            tnames = dict(names, a=a)
-            thresholds = _dedupe([_eval_expr(e, tnames) for e in threshold_exprs])
-            # one certified pass for every row about this center
-            oracle = oracle_mod.expectation_table(mv, a, args.max_order, eps,
-                                                  thresholds)
-            with prec.working():
-                a_lo = prec.real(a) - 1  # formed at the working width
-            ctable = central_moment_table(mv, a, args.max_order, prec)
-            shift_lo = central_moment_table(mv, a_lo, args.max_order, prec)
-            for r in orders:
-                key = (mv, a, None, r)
-                res = oracle.power[r]
-                row_flagged = ctable.condition_at(r) > CONDITION_FLAG_THRESHOLD
-                check("recurrence", ctable.values[r], res, key,
-                      row_flagged=row_flagged)
-                if r >= 1:
-                    with prec.working():
-                        shifted = prec.real(mv) * shift_lo.values[r - 1] \
-                            - prec.real(a) * ctable.values[r - 1]
-                    check("shifted", shifted, res, key)
-                if a == mv and r in (1, 3, 5):
-                    closed = {1: mean_deviation, 3: abs_moment_3_closed,
-                              5: abs_moment_5_closed}[r](mv, prec)
-                    check("closed", closed, oracle.absolute[r], key)
+    for mv, a, thresholds in grid:
+        # one certified pass for every row about this center
+        oracle = oracle_mod.expectation_table(mv, a, top, eps, thresholds)
+        a_lo = _shift_down(a, prec)
+        # (b, table about a, table about a - 1 and b - 1, oracle entries)
+        blocks = [(None, central_moment_table(mv, a, top, prec),
+                   central_moment_table(mv, a_lo, top, prec), oracle.power)]
+        blocks += [(b, signed_moment_table(mv, a, b, top, prec),
+                    signed_moment_table(mv, a_lo, b - 1, top, prec),
+                    oracle.signed[b]) for b in thresholds]
+        for b, table, shifted, expected in blocks:
+            for r in range(top + 1):
+                key = (mv, a, b, r)
+                check("recurrence", table.values[r], expected[r], key,
+                      row_flagged=table.condition_at(r) > CONDITION_FLAG_THRESHOLD)
+                if r >= 1 and (b is None or b >= 0):
+                    check("shifted", shift_identity(shifted, table, r),
+                          expected[r], key)
+                if b is not None:
+                    continue  # closed forms and the series route: E |X - a|^r
+                if a == mv and r in _CLOSED_FORMS:
+                    check("closed", _CLOSED_FORMS[r](mv, prec),
+                          oracle.absolute[r], key)
                 if r % 2 == 1 and a >= 0:
                     kval, _ = katti_abs_moment_with_condition(mv, a, r, prec)
                     # series-route agreement is asserted in extended mode
                     # only; in native mode it is reported, not gated
                     check("katti", kval, oracle.absolute[r], key,
                           gated=prec.is_extended)
-            for b in thresholds:
-                stable = signed_moment_table(mv, a, b, args.max_order, prec)
-                sshift_lo = signed_moment_table(mv, a_lo, b - 1,
-                                                args.max_order, prec)
-                for r in orders:
-                    key = (mv, a, b, r)
-                    res = oracle.signed[b][r]
-                    row_flagged = stable.condition_at(r) > CONDITION_FLAG_THRESHOLD
-                    check("recurrence", stable.values[r], res, key,
-                          row_flagged=row_flagged)
-                    if r >= 1 and b >= 0:
-                        with prec.working():
-                            shifted = prec.real(mv) * sshift_lo.values[r - 1] \
-                                - prec.real(a) * stable.values[r - 1]
-                        check("shifted", shifted, res, key)
 
     out.write(f"verify: tol={_f17(tol)} precision={prec.mode} "
               f"gated_rows={gated_rows} flagged_rows={flagged}\n")
@@ -569,6 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of E |X-a|^r")
     p.add_argument("--method", choices=_MOMENT_METHODS, default="recurrence")
     _add_common(p)
+    p.set_defaults(run=_cmd_moment)
 
     p = sub.add_parser("table", help="emit a grid of moment values")
     p.add_argument("--mean-grid", default="1,2,5",
@@ -584,6 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of methods (default recurrence); "
                         "inapplicable rows are skipped")
     _add_common(p)
+    p.set_defaults(run=_cmd_table)
 
     p = sub.add_parser("verify",
                        help="cross-verify all applicable methods against the "
@@ -595,6 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9,
                    help="pass when |candidate - oracle| <= tol (|oracle|+1)")
     _add_common(p)
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("bench",
                        help="median-of-N timings of the recurrence path vs "
@@ -603,10 +557,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=10)
     p.add_argument("--repeats", type=int, default=5)
     _add_common(p)
+    p.set_defaults(run=_cmd_bench)
 
     p = sub.add_parser("poly", help="print exact moment-polynomial coefficients")
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p.set_defaults(run=_cmd_poly)
 
     return parser
 
@@ -620,17 +576,7 @@ def main(argv=None, out=None, err=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "moment":
-            return _cmd_moment(args, out)
-        if args.command == "table":
-            return _cmd_table(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out, err)
-        if args.command == "bench":
-            return _cmd_bench(args, out)
-        if args.command == "poly":
-            return _cmd_poly(args, out)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args, out, err)
     except (UsageError, OrderOverflowError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE

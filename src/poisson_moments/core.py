@@ -111,8 +111,8 @@ def sign(y) -> int:
 
 def as_index(k, name: str = "index") -> int:
     """``k`` as an int, or a ValueError naming the argument when it is not
-    a nonnegative integer (2.5, -1, NaN and inf included)."""
-    ki = int(k) if math.isfinite(k) else None
+    a nonnegative integer (2.5, -1, NaN, inf and booleans included)."""
+    ki = int(k) if math.isfinite(k) and not isinstance(k, bool) else None
     if ki is None or ki != k or ki < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {k!r}")
     return ki

@@ -40,6 +40,7 @@ series truncation, which ``rel_tol`` governs, aside).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -48,7 +49,8 @@ from mpmath.libmp import from_man_exp, round_nearest, to_rational
 
 from .core import as_mean, require_finite
 from .precision import NATIVE, PrecisionSpec
-from .recurrences import central_moment_table, threshold_pmf_factor
+from .recurrences import (_UPGRADE_PREC, _condition, central_moment_table,
+                          threshold_pmf_factor)
 
 __all__ = [
     "Hyp1F1Params",
@@ -308,12 +310,27 @@ def _g_rows_fixed(a, fl: int, mv: float, ri: int, prec: PrecisionSpec):
     return tuple(tuple(_rounded(x, e, prec) for x in row) for row, e in rows)
 
 
+def _in_double_range(x) -> bool:
+    return sys.float_info.min <= abs(x) <= sys.float_info.max  # NaN fails
+
+
 def katti_abs_moment_with_condition(m, a, r, prec: PrecisionSpec = NATIVE):
     """(E |X - a|^r, condition estimate) via the Kummer-series assembly.
 
     The condition estimate is the larger addend's magnitude over the result
     magnitude: the central moment and the series term can be large and of
     opposite sign.
+
+    In native mode the derivative table's top entry grows like e^m while
+    the prefactor e^-m m^(fl+1) / (fl+1)! shrinks like it: at m of about
+    700 and a small center one overflows or the other underflows.  When
+    the top entry, the prefactor or their product leaves the normal double
+    range, the assembly is redone at 256 bits and rounded back, with that
+    assembly's condition estimate (the policy the tables follow for an
+    ill-conditioned build).  The result itself is not checked: in probes up
+    to m = 1e6 the native central table of the same order, built first,
+    raises :class:`~poisson_moments.recurrences.OrderOverflowError` before
+    the result would leave the double range.
     """
     mv = as_mean(m)
     ri = _check_odd_order(r)
@@ -332,12 +349,13 @@ def katti_abs_moment_with_condition(m, a, r, prec: PrecisionSpec = NATIVE):
         # e^-m m^(fl+1) / (fl+1)!
         prefactor = pmf_factor / (fl + 1)
         series_term = 2 * prefactor * top
+        in_range = map(_in_double_range, (top, prefactor, series_term))
+        if not prec.is_extended and not all(in_range):
+            value, cond = katti_abs_moment_with_condition(mv, a, ri,
+                                                          _UPGRADE_PREC)
+            return float(value), cond
         raw = series_term - central
-        largest = max(abs(float(central)), abs(float(series_term)))
-        if float(raw) == 0.0:
-            cond = math.inf if largest > 0.0 else 1.0
-        else:
-            cond = max(1.0, largest / abs(float(raw)))
+        cond = _condition(max(abs(float(central)), abs(float(series_term))), raw)
         zero = prec.real(0.0)
         value = raw if raw > zero else zero
     return value, cond

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 
 from mpmath import mp
 
-from .core import (DiscreteFunction, as_mean, require_finite,
+from .core import (DiscreteFunction, as_index, as_mean, require_finite,
                    truncation_index)
 
 __all__ = [
@@ -66,8 +66,7 @@ class WeightSpec:
     def __post_init__(self) -> None:
         if self.form not in _FORMS:
             raise ValueError(f"unknown weight form {self.form!r}")
-        if self.r < 0:
-            raise ValueError("power must be nonnegative")
+        as_index(self.r, "r")
         if self.form == "signed_power" and self.b is None:
             raise ValueError("signed_power needs a threshold b")
         if self.form == "custom" and self.f is None:
@@ -262,10 +261,9 @@ def expectation_table(m, a, r_max: int, eps: float,
     mv = as_mean(m)
     a = float(require_finite(a, "center a"))
     thresholds = [float(require_finite(b, "threshold b")) for b in thresholds]
-    if isinstance(r_max, bool) or int(r_max) != r_max or r_max < 0:
-        raise ValueError(f"r_max must be a nonnegative integer, got {r_max!r}")
+    r_max = as_index(r_max, "r_max")
     _check_eps(eps)
-    return _certify(mv, a, tuple(range(int(r_max) + 1)), eps, thresholds)
+    return _certify(mv, a, tuple(range(r_max + 1)), eps, thresholds)
 
 
 def expectation(m, w: WeightSpec, eps: float) -> OracleResult:

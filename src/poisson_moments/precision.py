@@ -3,7 +3,7 @@
 Every numerical routine in this package accepts a :class:`PrecisionSpec`
 and runs its arithmetic either on native ``float`` values or on mpmath
 floats with a configurable mantissa width.  The object doubles as a tiny
-facade (``real``/``exp``/``log``/``fsum``/``working``) so the algorithms
+facade (``real``/``exp``/``fsum``/``working``) so the algorithms
 are written once and execute under either backend.
 
 Extended mode relies on the (correctly rounded) global mpmath context;
@@ -76,11 +76,6 @@ class PrecisionSpec:
         if self.is_extended:
             return mp.exp(x)
         return math.exp(x)
-
-    def log(self, x):
-        if self.is_extended:
-            return mp.log(x)
-        return math.log(x)
 
     def fsum(self, terms):
         """Accurate sum: ``math.fsum`` for doubles, ``mp.fsum`` for mpmath."""

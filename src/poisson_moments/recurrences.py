@@ -61,7 +61,7 @@ __all__ = [
     "abs_moment_3_closed",
     "abs_moment_5_closed",
     "b_expectation",
-    "threshold_pmf_factor",
+    "shift_identity",
 ]
 
 # Condition estimates above this signal catastrophic cancellation; native
@@ -229,6 +229,16 @@ def signed_moment_table(m, a, b, r_max, prec: PrecisionSpec = NATIVE) -> MomentT
     return _finish("signed", mv, a, float(b), as_index(r_max, "r_max"), prec)
 
 
+def shift_identity(shifted: MomentTable, table: MomentTable, r: int):
+    """Order r of the center-shift identity, m T(r-1, a-1) - a T(r-1, a),
+    from ``shifted`` (the table about a - 1, and b - 1) and ``table`` (the
+    table about a, and b), both of order r - 1 or more."""
+    prec = table.prec
+    with prec.working():
+        return (prec.real(table.m) * shifted.values[r - 1]
+                - prec.real(table.a) * table.values[r - 1])
+
+
 def central_moment_shifted(m, a, r, prec: PrecisionSpec = NATIVE):
     """E (X - a)^r via the center-shift identity m C(r-1, a-1) - a C(r-1, a).
 
@@ -238,10 +248,8 @@ def central_moment_shifted(m, a, r, prec: PrecisionSpec = NATIVE):
     mv = as_mean(m)
     if r < 1:
         raise ValueError("the center-shift identity needs r >= 1")
-    t1 = central_moment_table(mv, _shift_down(a, prec), r - 1, prec).values[r - 1]
-    t2 = central_moment_table(mv, a, r - 1, prec).values[r - 1]
-    with prec.working():
-        return prec.real(mv) * t1 - prec.real(a) * t2
+    shifted = central_moment_table(mv, _shift_down(a, prec), r - 1, prec)
+    return shift_identity(shifted, central_moment_table(mv, a, r - 1, prec), r)
 
 
 def signed_moment_shifted(m, a, b, r, prec: PrecisionSpec = NATIVE):
@@ -255,11 +263,8 @@ def signed_moment_shifted(m, a, b, r, prec: PrecisionSpec = NATIVE):
         raise ValueError("the center-shift identity needs r >= 1")
     if b < 0:
         raise ValueError("the signed center-shift identity requires b >= 0")
-    t1 = signed_moment_table(mv, _shift_down(a, prec), b - 1, r - 1,
-                             prec).values[r - 1]
-    t2 = signed_moment_table(mv, a, b, r - 1, prec).values[r - 1]
-    with prec.working():
-        return prec.real(mv) * t1 - prec.real(a) * t2
+    shifted = signed_moment_table(mv, _shift_down(a, prec), b - 1, r - 1, prec)
+    return shift_identity(shifted, signed_moment_table(mv, a, b, r - 1, prec), r)
 
 
 def abs_central_moment(m, a, r, prec: PrecisionSpec = NATIVE):
@@ -330,11 +335,9 @@ def b_expectation(m, a, r, f: DiscreteFunction, prec: PrecisionSpec = NATIVE):
     :class:`~poisson_moments.core.GrowthBoundError`.
     """
     mv = as_mean(m)
-    if r < 0:
-        raise ValueError("order must be nonnegative")
+    r = as_index(r, "order")
     if not isinstance(f, DiscreteFunction):
         raise ValueError("f must be a DiscreteFunction with declared growth")
-    r = int(r)
     # Base-sum tails far below the working precision's own resolution needs;
     # capped by rel_tol so a looser caller tolerance still wins.
     tail_eps = min(prec.rel_tol, 2.0 ** (-(prec.bits // 2)))

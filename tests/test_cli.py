@@ -75,6 +75,14 @@ class TestMoment:
         res = expectation(2.0, WeightSpec.abs_power(3, a), 1e-18)
         assert res.cutoff < 1000
 
+    def test_katti_at_large_mean_and_small_center(self):
+        # the Kummer value row overflows binary64 at m = 1000; the native
+        # assembly is redone at 256 bits instead of printing 0
+        code, out, _ = run(["moment", "--method", "katti", "--mean", "1000",
+                            "--center", "0.5", "--order", "3"])
+        assert code == 0
+        assert " value=1001500249.875 " in out
+
     def test_extended_precision_flag(self):
         code, out, _ = run(["moment", "--mean", "1", "--order", "1",
                             "--center", "1", "--precision-bits", "128"])

@@ -71,6 +71,11 @@ def _moment_cases():
                                   "--center", "0", "--precision-bits", "32"]
     cases["table-exit2-grid"] = ["table", "--mean-grid", "1",
                                  "--centers", "q+1"]
+    cases["table-exit2-list-grid"] = ["table", "--mean-grid", "1,x"]
+    cases["verify-exit2-empty-range"] = ["verify", "--mean-grid", "5:1:1"]
+    cases["verify-exit2-empty-thresholds"] = ["verify", "--thresholds", ""]
+    cases["table-exit2-mean-before-method"] = [
+        "table", "--mean-grid", "-1", "--methods", "guess"]
     # exit 3: method preconditions
     cases["moment-exit3-katti-even"] = ["moment", "--mean", "1", "--order", "2",
                                         "--center", "1", "--method", "katti"]
@@ -100,6 +105,8 @@ CASES = {
         "--thresholds", "a,-1,m/2", "--max-order", "5",
         "--precision-bits", "128", "--tol", "1e-15"],
     **_moment_cases(),
+    "table-empty-thresholds": ["table", "--mean-grid", "2", "--thresholds", "",
+                               "--max-order", "2"],
     "poly-text": ["poly", "--max-order", "8"],
     "poly-csv": ["poly", "--max-order", "8", "--format", "csv"],
     "poly-json": ["poly", "--max-order", "8", "--format", "json"],

@@ -300,3 +300,15 @@ class TestAssembly:
         got = katti_abs_moment(2.0, 3.0, 3, EXT)
         want = abs_central_moment(2.0, 3.0, 3, EXT)
         assert rel_err(got, want) < 1e-12
+
+    @pytest.mark.parametrize("m,a,r", [
+        (700.0, 0.5, 3), (1000.0, 0.5, 3), (1e5, 0.0, 3),
+        (1e4, 1e4, 109),  # the top entry overflows; the moment, 1.09e306, fits
+    ])
+    def test_native_value_row_overflow_redoes_at_256_bits(self, m, a, r):
+        # e^m overflows the native top entry, or e^-m underflows the
+        # prefactor; the assembly is redone at 256 bits and rounded back
+        value, cond = katti_abs_moment_with_condition(m, a, r)
+        assert isinstance(value, float)
+        assert value == pytest.approx(abs_central_moment(m, a, r), rel=1e-12)
+        assert 1.0 <= cond < 10.0

@@ -1,5 +1,6 @@
 """The certified brute-force referee: values, error bounds, independence."""
 
+import ast
 import inspect
 import math
 import random
@@ -33,6 +34,8 @@ class TestWeightSpec:
             WeightSpec("cube", 1, 0.0)
         with pytest.raises(ValueError):
             WeightSpec.power(-1, 0.0)
+        with pytest.raises(ValueError, match="r must be a nonnegative integer"):
+            WeightSpec.power(2.5, 0.0)
         with pytest.raises(ValueError):
             WeightSpec("signed_power", 1, 0.0)
         with pytest.raises(ValueError):
@@ -169,8 +172,9 @@ class TestExpectationTable:
                 table.absolute[3].certified_error
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="r_max"):
-            expectation_table(2.0, 1.0, -1, 1e-12)
+        for bad in (-1, 2.5, math.inf, math.nan, True):
+            with pytest.raises(ValueError, match="r_max must be a nonnegative"):
+                expectation_table(2.0, 1.0, bad, 1e-12)
         with pytest.raises(ValueError, match="center a"):
             expectation_table(2.0, math.nan, 2, 1e-12)
         with pytest.raises(ValueError, match="threshold b"):
@@ -249,3 +253,19 @@ class TestIndependence:
         for name in ("recurrences", "hypergeom", "polynomials"):
             assert f"from .{name}" not in src
             assert f"poisson_moments.{name}" not in src
+
+    def test_imports_only_core_from_the_package(self):
+        # the cross-checks adjudicate with the oracle, so of the package it
+        # may import ``core`` alone: no other method's code can leak in
+        tree = ast.parse(inspect.getsource(oracle_mod))
+        relative, absolute = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                relative.add("." * node.level + (node.module or ""))
+            elif isinstance(node, ast.ImportFrom):
+                absolute.add(node.module)
+            elif isinstance(node, ast.Import):
+                absolute.update(alias.name for alias in node.names)
+        assert relative == {".core"}
+        assert not {name for name in absolute
+                    if name.split(".")[0] == "poisson_moments"}

@@ -261,7 +261,10 @@ class TestOrderDomain:
         (lambda: central_moment_table(2.0, 2.0, math.nan), "r_max"),
         (lambda: abs_central_moment(2.0, 2.0, 2.5), "order"),
         (lambda: abs_central_moment(2.0, 2.0, -1), "order"),
-    ], ids=["central-2.5", "signed-2.5", "central-nan", "abs-2.5", "abs-minus-1"])
+        (lambda: b_expectation(2.0, 0.0, 2.5, _const_one()), "order"),
+        (lambda: b_expectation(2.0, 0.0, -1, _const_one()), "order"),
+    ], ids=["central-2.5", "signed-2.5", "central-nan", "abs-2.5", "abs-minus-1",
+            "b-2.5", "b-minus-1"])
     def test_order_that_is_not_a_nonnegative_integer(self, call, name):
         with pytest.raises(ValueError, match=f"{name} must be a nonnegative integer"):
             call()
