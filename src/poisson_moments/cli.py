@@ -312,7 +312,7 @@ def _cmd_moment(args, out, err) -> int:
 
 def _cmd_table(args, out, err) -> int:
     prec = _prec_from(args)
-    grid = _grid(args, args.thresholds or None)
+    grid = _grid(args, args.thresholds)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in _MOMENT_METHODS:

@@ -280,7 +280,7 @@ def truncation_index(m, degree, center, eps) -> TailBound:
     """
     mv = as_mean(m)
     deg = as_index(degree)
-    c = float(center)
+    c = float(require_finite(center, "center a"))
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     if eps < MIN_CERTIFIABLE_EPS:

@@ -47,7 +47,7 @@ from typing import Tuple
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest, to_rational
 
-from .core import as_mean, require_finite
+from .core import as_index, as_mean, require_finite
 from .precision import NATIVE, PrecisionSpec
 from .recurrences import (_UPGRADE_PREC, _condition, central_moment_table,
                           threshold_pmf_factor)
@@ -237,9 +237,9 @@ class GTable:
         return self.entries[self.r][0]
 
 
-def _check_odd_order(r: int) -> int:
-    ri = int(r)
-    if ri != r or ri < 1 or ri % 2 == 0:
+def _check_odd_order(r) -> int:
+    ri = as_index(r, "order")
+    if ri % 2 == 0:
         raise ValueError(f"order must be an odd positive integer, got {r!r}")
     return ri
 
@@ -261,6 +261,7 @@ def g_table(a, m, r, prec: PrecisionSpec = NATIVE) -> GTable:
     """
     mv = as_mean(m)
     ri = _check_odd_order(r)
+    require_finite(a, "center a")
     if a < 0:
         raise ValueError("the series route requires a nonnegative center")
     fl = math.floor(a)

@@ -246,6 +246,7 @@ def central_moment_shifted(m, a, r, prec: PrecisionSpec = NATIVE):
     built from two lower-order tables.
     """
     mv = as_mean(m)
+    r = as_index(r, "order")
     if r < 1:
         raise ValueError("the center-shift identity needs r >= 1")
     shifted = central_moment_table(mv, _shift_down(a, prec), r - 1, prec)
@@ -259,6 +260,7 @@ def signed_moment_shifted(m, a, b, r, prec: PrecisionSpec = NATIVE):
     resolves through the b < 0 degeneration of ``signed_moment_table``.
     """
     mv = as_mean(m)
+    r = as_index(r, "order")
     if r < 1:
         raise ValueError("the center-shift identity needs r >= 1")
     if b < 0:
@@ -335,6 +337,7 @@ def b_expectation(m, a, r, f: DiscreteFunction, prec: PrecisionSpec = NATIVE):
     :class:`~poisson_moments.core.GrowthBoundError`.
     """
     mv = as_mean(m)
+    require_finite(a, "center a")
     r = as_index(r, "order")
     if not isinstance(f, DiscreteFunction):
         raise ValueError("f must be a DiscreteFunction with declared growth")

@@ -12,9 +12,10 @@ from poisson_moments import (DiscreteFunction, GrowthBoundError,
                              abs_central_moment,
                              abs_moment_3_closed, abs_moment_5_closed,
                              b_expectation, cdf, central_moment_shifted,
-                             central_moment_table, katti_abs_moment,
+                             central_moment_table, g_table, katti_abs_moment,
                              mean_deviation, sign,
-                             signed_moment_shifted, signed_moment_table)
+                             signed_moment_shifted, signed_moment_table,
+                             truncation_index)
 
 from helpers import brute_expectation, grid_centers, rel_err
 
@@ -228,7 +229,10 @@ class TestNonFiniteArguments:
         for call in (lambda: central_moment_table(2.0, a, 3),
                      lambda: signed_moment_table(2.0, a, 1.0, 3),
                      lambda: abs_central_moment(2.0, a, 3),
-                     lambda: katti_abs_moment(2.0, a, 3)):
+                     lambda: katti_abs_moment(2.0, a, 3),
+                     lambda: b_expectation(2.0, a, 3, _const_one()),
+                     lambda: truncation_index(2.0, 3, a, 1e-12),
+                     lambda: g_table(a, 2.0, 3)):
             with pytest.raises(ValueError, match="center a"):
                 call()
 
@@ -263,8 +267,13 @@ class TestOrderDomain:
         (lambda: abs_central_moment(2.0, 2.0, -1), "order"),
         (lambda: b_expectation(2.0, 0.0, 2.5, _const_one()), "order"),
         (lambda: b_expectation(2.0, 0.0, -1, _const_one()), "order"),
+        (lambda: central_moment_shifted(2.0, 1.0, 2.5), "order"),
+        (lambda: signed_moment_shifted(2.0, 1.0, 1.0, math.nan), "order"),
+        (lambda: katti_abs_moment(2.0, 1.0, math.inf), "order"),
+        (lambda: g_table(1.0, 2.0, math.inf), "order"),
     ], ids=["central-2.5", "signed-2.5", "central-nan", "abs-2.5", "abs-minus-1",
-            "b-2.5", "b-minus-1"])
+            "b-2.5", "b-minus-1", "shifted-2.5", "shifted-signed-nan",
+            "katti-inf", "g-table-inf"])
     def test_order_that_is_not_a_nonnegative_integer(self, call, name):
         with pytest.raises(ValueError, match=f"{name} must be a nonnegative integer"):
             call()

@@ -1,0 +1,294 @@
+"""Median time of each layer's work on fixed cases, for two source trees.
+
+One case table, ``CASES``, covers the layers:
+
+* ``primitives``: ``cdf``, extended ``log_pmf`` and ``threshold_pmf_factor``;
+* ``tables``: the table recurrence, native and at 256 bits;
+* ``hypergeom``: the Kummer route at a = m and 256 bits unless the case
+  says otherwise: ``hyp1f1``'s value row, ``g_table``'s derivative
+  recursion alone, and ``katti_abs_moment``;
+* ``oracle``: ``expectation`` and ``expectation_table``, eps = 1e-24 unless
+  the case says otherwise;
+* ``cli``: the wall time of a whole ``python -m poisson_moments`` process.
+
+Run it as
+
+    python tools/bench_layers.py --parent-src OLD/src --parent-label REV \\
+        --out BENCH_N.json [--layer NAME ...]
+
+In each of ROUNDS rounds, every layer runs once per tree in a fresh
+interpreter, ``bench_layers.py --measure SRC --layer NAME``, which imports
+the package from SRC and prints one JSON dict per case.  The rounds
+alternate which tree goes first, so that a slow phase of a shared machine
+hits both, and no layer's work runs in the same process as another
+layer's.  A case's work is a list of calls, repeated up to REPEATS times
+within BUDGET_S seconds (``time_work``, which also says when a case is
+``capped``); no call is left untimed as a warm-up, since the median drops
+a cold first repetition.  A case's figure is the median over rounds of its
+per-round median; a case whose function a tree lacks has a null median on
+that tree.  Standard library only, apart from the package under test and
+its mpmath dependency.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from functools import partial
+from time import perf_counter_ns
+
+import mpmath
+
+MEANS = (2.0, 50.0, 1e3, 1e5)
+ORDER = 10
+HYP_ORDERS = (3, 15)
+EPS = 1e-24
+ROUNDS = 5
+REPEATS = 21
+BUDGET_S = 5.0
+SIDES = ("parent", "change")
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def _ext(pm, bits: int = 256):
+    return pm.PrecisionSpec.extended(bits)
+
+
+def _row_params(pm, m, r) -> list:
+    """The r + 1 parameter sets of ``g_table(m, m, r)``'s value row."""
+    fl = math.floor(m)
+    return [pm.Hyp1F1Params(beta + 1, beta + fl + 2, m) for beta in range(r + 1)]
+
+
+def _g_recursion(pm, m, r) -> list:
+    """One ``g_table(m, m, r)`` at 256 bits whose value row ``hyp1f1``
+    answers from values computed beforehand: the derivative recursion and
+    its conversions alone."""
+    hg, g_table, ext = pm.hypergeom, pm.g_table, _ext(pm)
+    row = {p: pm.hyp1f1(p, ext) for p in _row_params(pm, m, r)}
+
+    def run():
+        real = hg.hyp1f1
+        hg.hyp1f1 = lambda p, prec: row[p]
+        try:
+            g_table(m, m, r, ext)
+        finally:
+            hg.hyp1f1 = real
+    return [run]
+
+
+def _per_entry(pm, m, r) -> list:
+    """The oracle rows ``verify`` needs about the center m, one
+    ``expectation`` call each: power, absolute, and signed at b in
+    {m, 0, m/2}, for every order up to r."""
+    w = pm.WeightSpec
+    weights = [x for k in range(r + 1) for x in (
+        w.power(k, m), w.abs_power(k, m),
+        *(w.signed_power(k, m, b) for b in (m, 0.0, m / 2)))]
+    return [partial(pm.expectation, m, x, EPS) for x in weights]
+
+
+def _process(pm, *argv):
+    src = os.path.dirname(os.path.dirname(pm.__file__))
+    return partial(subprocess.run,
+                   [sys.executable, "-m", "poisson_moments", *argv],
+                   env=dict(os.environ, PYTHONPATH=src),
+                   check=True, capture_output=True)
+
+
+# (layer, case, means (None: MEANS), orders, work): work(pm, m, r) returns
+# the list of zero-argument calls that make up one unit of the case's work,
+# and looks up every function it names before it returns.
+CASES = [
+    ("primitives", "cdf b=m", None, (None,),
+     lambda pm, m, r: [partial(pm.cdf, m, m)]),
+    ("primitives", "cdf b=1e7", (1e3,), (None,),
+     lambda pm, m, r: [partial(pm.cdf, 1e7, m)]),
+    ("primitives", "log_pmf_extended k=m, 128 bits", None, (None,),
+     lambda pm, m, r: [partial(pm.log_pmf, int(m), m, _ext(pm, 128))]),
+    ("primitives", "log_pmf_extended k=1e6, 128 bits", (1e4,), (None,),
+     lambda pm, m, r: [partial(pm.log_pmf, 10 ** 6, m, _ext(pm, 128))]),
+    ("primitives", "threshold_pmf_factor k=floor(m)", None, (None,),
+     lambda pm, m, r: [partial(pm.recurrences.threshold_pmf_factor,
+                               math.floor(m), m)]),
+    ("tables", "central_moment_table a=m", None, (ORDER,),
+     lambda pm, m, r: [partial(pm.central_moment_table, m, m, r)]),
+    ("tables", "signed_moment_table a=b=m", None, (ORDER,),
+     lambda pm, m, r: [partial(pm.signed_moment_table, m, m, m, r)]),
+    ("tables", "signed_moment_table a=b=m, 256 bits", None, (ORDER,),
+     lambda pm, m, r: [partial(pm.signed_moment_table, m, m, m, r, _ext(pm))]),
+    ("hypergeom", "katti native", None, HYP_ORDERS,
+     lambda pm, m, r: [partial(pm.katti_abs_moment, m, m, r)]),
+    ("hypergeom", "value_row", None, HYP_ORDERS,
+     lambda pm, m, r: [partial(pm.hyp1f1, p, _ext(pm))
+                       for p in _row_params(pm, m, r)]),
+    ("hypergeom", "g_table recursion", None, HYP_ORDERS, _g_recursion),
+    ("hypergeom", "katti", None, HYP_ORDERS,
+     lambda pm, m, r: [partial(pm.katti_abs_moment, m, m, r, _ext(pm))]),
+    ("hypergeom", "katti a=0", None, (3,),
+     lambda pm, m, r: [partial(pm.katti_abs_moment, m, 0.0, r, _ext(pm))]),
+    ("oracle", "per_entry", None, (ORDER,), _per_entry),
+    ("oracle", "table", None, (ORDER,),
+     lambda pm, m, r: [partial(pm.expectation_table, m, m, r, EPS,
+                               (m, 0.0, m / 2))]),
+    ("oracle", "single", (2.0, 50.0), (3, 30),
+     lambda pm, m, r: [partial(pm.expectation, m,
+                               pm.WeightSpec.abs_power(r, m), EPS)]),
+    ("oracle", "single eps=1e-12", None, (3,),
+     lambda pm, m, r: [partial(pm.expectation, m,
+                               pm.WeightSpec.abs_power(r, m), 1e-12)]),
+    ("cli", "verify process, default grid", (None,), (None,),
+     lambda pm, m, r: [_process(pm, "verify")]),
+    ("cli", "moment process", (2.0,), (3,),
+     lambda pm, m, r: [_process(pm, "moment", "--mean", f"{m:g}",
+                                "--center", f"{m:g}", "--order", str(r))]),
+]
+LAYERS = tuple(dict.fromkeys(layer for layer, *_ in CASES))
+
+
+def time_work(calls: list, repeats: int, budget_s: float) -> tuple:
+    """(median ns of the whole work, capped).
+
+    The work is the list of zero-argument ``calls``, made in order.  It is
+    repeated up to ``repeats`` times and stops once it has used
+    ``budget_s`` seconds.  Work that does not fit in the budget even once
+    is timed on the calls that fit, scaled to the whole work by the share
+    of calls made, and is capped.
+    """
+    budget = budget_s * 1e9
+    times = []
+    spent = 0
+    while len(times) < repeats and spent < budget:
+        total = 0
+        for done, call in enumerate(calls, 1):
+            t0 = perf_counter_ns()
+            call()
+            total += perf_counter_ns() - t0
+            if spent + total >= budget and done < len(calls):
+                if times:
+                    return statistics.median(times), False
+                return total * len(calls) / done, True
+        times.append(total)
+        spent += total
+    return statistics.median(times), False
+
+
+def measure(src: str, layer: str) -> list:
+    """Time every case of ``layer`` with the package imported from ``src``."""
+    src = os.path.abspath(src)
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    import poisson_moments as pm
+
+    out = []
+    for name, case, means, orders, work in CASES:
+        if name != layer:
+            continue
+        for m in MEANS if means is None else means:
+            for r in orders:
+                key = {"layer": layer, "case": case, "m": m, "r": r}
+                try:
+                    calls = work(pm, m, r)
+                except AttributeError:  # the tree lacks the function
+                    out.append(dict(key, calls_per_work=None, median_us=None,
+                                    capped=False))
+                    continue
+                ns, capped = time_work(calls, REPEATS, BUDGET_S)
+                out.append(dict(key, calls_per_work=len(calls),
+                                median_us=ns / 1e3, capped=capped))
+    return out
+
+
+def _child(src: str, layer: str) -> list:
+    """``measure(src, layer)``, made in a fresh interpreter."""
+    cmd = [sys.executable, os.path.abspath(__file__),
+           "--measure", src, "--layer", layer]
+    done = subprocess.run(cmd, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def _row(parent: list, change: list) -> dict:
+    """One output row from a case's per-round dicts on each tree."""
+    row = {k: change[0][k] for k in ("layer", "case", "m", "r")}
+    row["calls_per_work"] = (change[0]["calls_per_work"]
+                             or parent[0]["calls_per_work"])
+    medians = {}
+    for side, rounds in (("parent", parent), ("change", change)):
+        us = [c["median_us"] for c in rounds]
+        medians[side] = None if None in us else statistics.median(us)
+        row[f"{side}_median_us"] = (None if medians[side] is None
+                                    else round(medians[side], 1))
+        row[f"{side}_capped"] = any(c["capped"] for c in rounds)
+    row["speedup"] = (None if None in medians.values()
+                      else round(medians["parent"] / medians["change"], 2))
+    return row
+
+
+def _text(row: dict, side: str) -> str:
+    us = row[f"{side}_median_us"]
+    return (f" {side} {'-' if us is None else f'{us:.1f} us':>14}"
+            f"{' (capped)' if row[f'{side}_capped'] else '':9}")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent-src", help="src directory of the parent tree")
+    p.add_argument("--parent-label", default="parent")
+    p.add_argument("--out", help="JSON file to write")
+    p.add_argument("--layer", action="append", choices=LAYERS,
+                   help="a layer to measure (repeatable; default every layer)")
+    p.add_argument("--measure", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    layers = args.layer or list(LAYERS)
+
+    if args.measure:
+        json.dump([c for layer in layers for c in measure(args.measure, layer)],
+                  sys.stdout)
+        return 0
+    if not (args.parent_src and args.out):
+        p.error("--parent-src and --out are required")
+
+    srcs = {"parent": os.path.abspath(args.parent_src),
+            "change": os.path.join(HERE, "..", "src")}
+    runs = {side: [[] for _ in range(ROUNDS)] for side in SIDES}
+    for i in range(ROUNDS):
+        for layer in layers:
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                runs[side][i] += _child(srcs[side], layer)
+    rows = [_row(case[:ROUNDS], case[ROUNDS:])
+            for case in zip(*runs["parent"], *runs["change"])]
+    doc = {
+        "what": "median microseconds per unit of work (calls_per_work calls) "
+                "of each layer's cases",
+        "parent": args.parent_label,
+        "change": "this checkout",
+        "rounds": ROUNDS,
+        "repeats": REPEATS,
+        "budget_s_per_case": BUDGET_S,
+        "environment": {
+            "python": platform.python_version(),
+            "mpmath": mpmath.__version__,
+            "mpmath_backend": mpmath.libmp.BACKEND,
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "cases": rows,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    for r in rows:
+        m = "-" if r["m"] is None else f"{r['m']:g}"
+        print(f"{r['layer']:10} {r['case']:36} m={m:<6} r={r['r'] or '-':<3}"
+              f"{_text(r, 'parent')}{_text(r, 'change')} x{r['speedup'] or '-'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
