@@ -10,9 +10,11 @@ brute-force oracle.
 from .core import (DiscreteFunction, GrowthBoundError, PoissonMean, TailBound,
                    cdf, log_pmf, pmf, pmf_series, sign, truncation_index)
 from .hypergeom import (GTable, Hyp1F1Params, g_table, hyp1f1,
-                        katti_abs_moment, katti_abs_moment_with_condition)
+                        katti_abs_moment, katti_abs_moment_table,
+                        katti_abs_moment_with_condition)
 from .oracle import (OracleResult, OracleTable, VerifyReport, WeightSpec,
-                     expectation, expectation_table, verify_against)
+                     expectation, expectation_table, verify_against,
+                     verify_rows)
 from .polynomials import (MomentPolynomial, check_derivative_identity,
                           evaluate_polynomial, moment_polynomials)
 from .precision import NATIVE, PrecisionSpec
@@ -56,6 +58,7 @@ __all__ = [
     "g_table",
     "hyp1f1",
     "katti_abs_moment",
+    "katti_abs_moment_table",
     "katti_abs_moment_with_condition",
     "log_pmf",
     "mean_deviation",
@@ -67,4 +70,5 @@ __all__ = [
     "signed_moment_table",
     "truncation_index",
     "verify_against",
+    "verify_rows",
 ]

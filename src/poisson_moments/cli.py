@@ -23,8 +23,8 @@ from statistics import median
 from typing import List, Optional
 
 from . import oracle as oracle_mod
-from .core import as_mean
-from .hypergeom import katti_abs_moment_with_condition
+from .core import MIN_CERTIFIABLE_EPS, as_mean
+from .hypergeom import katti_abs_moment_table, katti_abs_moment_with_condition
 from .polynomials import moment_polynomials
 from .precision import PrecisionSpec
 from .recurrences import (CONDITION_FLAG_THRESHOLD, OrderOverflowError,
@@ -44,6 +44,9 @@ _MOMENT_METHODS = ("recurrence", "shifted", "katti", "closed", "oracle")
 DEFAULT_MEAN_GRID = "0.1,0.5,1,2,5,10,25,50"
 DEFAULT_CENTER_GRID = "0,m,fl+0.3,m+1"
 DEFAULT_THRESHOLD_GRID = "a,0,m/2"
+
+# the most points a start:stop:step range grid may have
+MAX_RANGE_POINTS = 100_000
 
 # E |X - m|^r in closed form, by order
 _CLOSED_FORMS = {1: mean_deviation, 3: abs_moment_3_closed,
@@ -158,12 +161,22 @@ def _parse_float_grid(spec: str) -> List[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise UsageError(f"bad range grid {spec!r}") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise UsageError(f"range grid {spec!r} must have finite ends and step")
         if step <= 0:
             raise UsageError("grid step must be positive")
+        end = stop * (1 + 1e-12)
+        # counted before any point is made, so a huge grid costs nothing
+        if (end - start) / step >= MAX_RANGE_POINTS:
+            raise UsageError(f"range grid {spec!r} has more than "
+                             f"{MAX_RANGE_POINTS} points")
         out = []
         x = start
-        while x <= stop * (1 + 1e-12):
+        while x <= end:
             out.append(x)
+            if x + step == x:
+                raise UsageError(f"grid step {step!r} is too small to move "
+                                 f"past {x!r}")
             x += step
     else:
         try:
@@ -225,8 +238,20 @@ def _compute_value(method: str, mv: float, a: float, b: Optional[float],
     """(value, condition or None, certified_error or None).
 
     Without a threshold the target is E |X - a|^r; with one it is the
-    signed moment E (X - a)^r sign(X - b).
+    signed moment E (X - a)^r sign(X - b).  A value beyond the double
+    range of the output records (an extended or oracle value, say, about a
+    far center) is a usage error.
     """
+    value, cond, cert = _route(method, mv, a, b, r, prec)
+    if math.isinf(value):
+        raise UsageError(f"the {method} value at m = {mv!r}, a = {a!r}, "
+                         f"r = {r} overflows binary64")
+    return value, cond, cert
+
+
+def _route(method: str, mv: float, a: float, b: Optional[float], r: int,
+           prec: PrecisionSpec):
+    """_compute_value's result before its range check."""
     if method == "recurrence":
         if b is None and r % 2 == 0:
             tbl = central_moment_table(mv, a, r, prec)
@@ -362,6 +387,8 @@ def _cmd_bench(args, out, err) -> int:
     mv = _mean_or_usage(args.mean)
     if args.max_order < 0:
         raise UsageError("--max-order must be nonnegative")
+    if args.repeats < 1:
+        raise UsageError("--repeats must be positive")
     orders = range(args.max_order + 1)
 
     def run_recurrence():
@@ -404,6 +431,10 @@ def _cmd_verify(args, out, err) -> int:
     tol = args.tol
     if not tol > 0:
         raise UsageError("--tol must be positive")
+    if not (math.isfinite(tol) and tol * 1e-6 >= MIN_CERTIFIABLE_EPS):
+        # the oracle certifies its entries to eps <= tol * 1e-6
+        raise UsageError(f"--tol must be finite with tol * 1e-6 >= "
+                         f"{MIN_CERTIFIABLE_EPS:g}, got {tol!r}")
     grid = _grid(args, args.thresholds)
     if args.max_order < 0:
         raise UsageError("--max-order must be nonnegative")
@@ -415,49 +446,49 @@ def _cmd_verify(args, out, err) -> int:
     flagged = 0
     gated_rows = 0
 
-    def check(method, candidate, oracle_res, key, gated=True, row_flagged=False):
-        nonlocal flagged, gated_rows
-        report = oracle_mod.verify_against(key[0], None, candidate, tol,
-                                           oracle_result=oracle_res)
-        prev = worst.get(method)
-        if prev is None or report.rel_err > prev[0]:
-            worst[method] = (report.rel_err, key)
-        if row_flagged:
-            flagged += 1
-        if gated and not row_flagged:
-            gated_rows += 1
-            if not report.passed:
-                failures.append((key, method, report.rel_err))
-
     for mv, a, thresholds in grid:
-        # one certified pass for every row about this center
+        # one certified pass, and one block of row checks, per center
         oracle = oracle_mod.expectation_table(mv, a, top, eps, thresholds)
+        rows = []  # (method, candidate, oracle entry, key, gated, flagged)
         a_lo = _shift_down(a, prec)
+        central = central_moment_table(mv, a, top, prec)
         # (b, table about a, table about a - 1 and b - 1, oracle entries)
-        blocks = [(None, central_moment_table(mv, a, top, prec),
-                   central_moment_table(mv, a_lo, top, prec), oracle.power)]
+        blocks = [(None, central, central_moment_table(mv, a_lo, top, prec),
+                   oracle.power)]
         blocks += [(b, signed_moment_table(mv, a, b, top, prec),
                     signed_moment_table(mv, a_lo, b - 1, top, prec),
                     oracle.signed[b]) for b in thresholds]
+        katti = (katti_abs_moment_table(mv, a, top, prec, central.values)
+                 if a >= 0 else {})
         for b, table, shifted, expected in blocks:
             for r in range(top + 1):
                 key = (mv, a, b, r)
-                check("recurrence", table.values[r], expected[r], key,
-                      row_flagged=table.condition_at(r) > CONDITION_FLAG_THRESHOLD)
+                rows.append(("recurrence", table.values[r], expected[r], key, True,
+                             table.condition_at(r) > CONDITION_FLAG_THRESHOLD))
                 if r >= 1 and (b is None or b >= 0):
-                    check("shifted", shift_identity(shifted, table, r),
-                          expected[r], key)
+                    rows.append(("shifted", shift_identity(shifted, table, r),
+                                 expected[r], key, True, False))
                 if b is not None:
                     continue  # closed forms and the series route: E |X - a|^r
                 if a == mv and r in _CLOSED_FORMS:
-                    check("closed", _CLOSED_FORMS[r](mv, prec),
-                          oracle.absolute[r], key)
-                if r % 2 == 1 and a >= 0:
-                    kval, _ = katti_abs_moment_with_condition(mv, a, r, prec)
+                    rows.append(("closed", _CLOSED_FORMS[r](mv, prec),
+                                 oracle.absolute[r], key, True, False))
+                if r in katti:
                     # series-route agreement is asserted in extended mode
                     # only; in native mode it is reported, not gated
-                    check("katti", kval, oracle.absolute[r], key,
-                          gated=prec.is_extended)
+                    rows.append(("katti", katti[r][0], oracle.absolute[r], key,
+                                 prec.is_extended, False))
+        reports = oracle_mod.verify_rows([row[1:3] for row in rows], tol)
+        for (method, _, _, key, gated, row_flagged), report in zip(rows, reports):
+            prev = worst.get(method)
+            if prev is None or report.rel_err > prev[0]:
+                worst[method] = (report.rel_err, key)
+            if row_flagged:
+                flagged += 1
+            if gated and not row_flagged:
+                gated_rows += 1
+                if not report.passed:
+                    failures.append((key, method, report.rel_err))
 
     out.write(f"verify: tol={_f17(tol)} precision={prec.mode} "
               f"gated_rows={gated_rows} flagged_rows={flagged}\n")

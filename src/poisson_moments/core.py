@@ -22,6 +22,8 @@ from .precision import NATIVE, PrecisionSpec
 MIN_CERTIFIABLE_EPS = 1e-290
 
 _BOUND_SAFETY = 1.0 + 1e-9  # absorbs double rounding in the certificate
+# Above this log the bound 2 e^x (1 + 1e-9) would overflow binary64.
+_LOG_BOUND_MAX = 709.0
 
 
 class GrowthBoundError(ValueError):
@@ -293,6 +295,10 @@ def truncation_index(m, degree, center, eps) -> TailBound:
         if deg > 0:
             # n >= s >= 2 here, so either base is at least 2.
             log_term += deg * math.log(n - c if n - c >= start else n + abs(c))
+        if log_term > _LOG_BOUND_MAX:
+            # a far center: the envelope overflows binary64 here, and an
+            # infinite bound is still a bound, so the search goes on
+            return math.inf
         # The floor keeps the certificate positive: letting exp underflow
         # would report a vacuous zero bound for sub-1e-304 tails.
         return 2.0 * math.exp(max(log_term, -699.0)) * _BOUND_SAFETY

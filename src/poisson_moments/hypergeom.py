@@ -58,6 +58,7 @@ __all__ = [
     "hyp1f1",
     "g_table",
     "katti_abs_moment",
+    "katti_abs_moment_table",
     "katti_abs_moment_with_condition",
 ]
 
@@ -315,26 +316,16 @@ def _in_double_range(x) -> bool:
     return sys.float_info.min <= abs(x) <= sys.float_info.max  # NaN fails
 
 
-def katti_abs_moment_with_condition(m, a, r, prec: PrecisionSpec = NATIVE):
-    """(E |X - a|^r, condition estimate) via the Kummer-series assembly.
+def _katti_entries(mv: float, a, orders, prec: PrecisionSpec, central=None):
+    """{r: (E |X - a|^r, condition estimate)} for the odd ``orders``
+    (ascending, nonempty), assembled from one central table, one
+    derivative table of the largest order and one pmf factor.
 
-    The condition estimate is the larger addend's magnitude over the result
-    magnitude: the central moment and the series term can be large and of
-    opposite sign.
-
-    In native mode the derivative table's top entry grows like e^m while
-    the prefactor e^-m m^(fl+1) / (fl+1)! shrinks like it: at m of about
-    700 and a small center one overflows or the other underflows.  When
-    the top entry, the prefactor or their product leaves the normal double
-    range, the assembly is redone at 256 bits and rounded back, with that
-    assembly's condition estimate (the policy the tables follow for an
-    ill-conditioned build).  The result itself is not checked: in probes up
-    to m = 1e6 the native central table of the same order, built first,
-    raises :class:`~poisson_moments.recurrences.OrderOverflowError` before
-    the result would leave the double range.
+    ``central`` is a sequence of E (X - a)^r indexed by r, covering the
+    largest order; None builds the central table here.  The top entry of
+    order r is ``g_table(...).entries[r][0]``, which rests only on the
+    value-row entries with beta <= r, so one table serves every order.
     """
-    mv = as_mean(m)
-    ri = _check_odd_order(r)
     require_finite(a, "center a")
     if a < 0:
         raise ValueError(
@@ -342,27 +333,81 @@ def katti_abs_moment_with_condition(m, a, r, prec: PrecisionSpec = NATIVE):
             "floor(a)+1 must be a nonnegative integer); use the recurrence "
             "path for negative centers"
         )
-    central = central_moment_table(mv, a, ri, prec).values[ri]
-    top = g_table(a, mv, ri, prec).top
+    top_order = orders[-1]
+    if central is None:
+        central = central_moment_table(mv, a, top_order, prec).values
+    entries = g_table(a, mv, top_order, prec).entries
     fl = math.floor(a)
     pmf_factor = threshold_pmf_factor(fl, mv, prec)
+    out = {}
+    redo = []
     with prec.working():
         # e^-m m^(fl+1) / (fl+1)!
         prefactor = pmf_factor / (fl + 1)
-        series_term = 2 * prefactor * top
-        in_range = map(_in_double_range, (top, prefactor, series_term))
-        if not prec.is_extended and not all(in_range):
-            value, cond = katti_abs_moment_with_condition(mv, a, ri,
-                                                          _UPGRADE_PREC)
-            return float(value), cond
-        raw = series_term - central
-        cond = _condition(max(abs(float(central)), abs(float(series_term))), raw)
         zero = prec.real(0.0)
-        value = raw if raw > zero else zero
-    return value, cond
+        for r in orders:
+            top = entries[r][0]
+            series_term = 2 * prefactor * top
+            in_range = map(_in_double_range, (top, prefactor, series_term))
+            if not prec.is_extended and not all(in_range):
+                redo.append(r)
+                continue
+            raw = series_term - central[r]
+            cond = _condition(max(abs(float(central[r])), abs(float(series_term))),
+                              raw)
+            out[r] = (raw if raw > zero else zero, cond)
+    if redo:
+        wide = _katti_entries(mv, a, redo, _UPGRADE_PREC)
+        out.update((r, (float(v), cond)) for r, (v, cond) in wide.items())
+    return {r: out[r] for r in orders}
+
+
+def katti_abs_moment_table(m, a, r_max, prec: PrecisionSpec = NATIVE,
+                           central=None) -> dict:
+    """{r: (E |X - a|^r, condition estimate)} for every odd r <= r_max,
+    via the Kummer-series assembly, from one derivative table of the
+    largest odd order; empty when r_max < 1.
+
+    ``central`` may pass the caller's own central moments E (X - a)^r
+    (``central_moment_table(m, a, R, prec).values`` for some R >= r_max at
+    the same precision), so that table is not built again.
+
+    The condition estimate is the larger addend's magnitude over the result
+    magnitude: the central moment and the series term can be large and of
+    opposite sign.
+
+    In native mode the derivative table's top entry grows like e^m while
+    the prefactor e^-m m^(fl+1) / (fl+1)! shrinks like it: at m of about
+    700 and a small center one overflows or the other underflows.  The
+    orders whose top entry, prefactor or product leaves the normal double
+    range are assembled again from one 256-bit table of the largest such
+    order and rounded back, with that assembly's condition estimate (the
+    policy the tables follow for an ill-conditioned build); the other
+    orders keep their native values.  The results themselves are not
+    checked: in probes up to m = 1e6 the native central table of the same
+    order, built first, raises
+    :class:`~poisson_moments.recurrences.OrderOverflowError` before a
+    result would leave the double range.
+
+    Native entries equal :func:`katti_abs_moment` bit for bit, unless the
+    central table of order r_max was rebuilt at 256 bits for a cancellation
+    that the table of a lower order does not have; extended entries agree
+    with it within 2^-(bits-8) relative.
+    """
+    mv = as_mean(m)
+    ri = as_index(r_max, "r_max")
+    orders = tuple(range(1, ri + 1, 2))
+    return _katti_entries(mv, a, orders, prec, central) if orders else {}
+
+
+def katti_abs_moment_with_condition(m, a, r, prec: PrecisionSpec = NATIVE):
+    """(E |X - a|^r, condition estimate) for one odd order r: the entry of
+    :func:`katti_abs_moment_table`, built for that order alone."""
+    mv = as_mean(m)
+    ri = _check_odd_order(r)
+    return _katti_entries(mv, a, (ri,), prec)[ri]
 
 
 def katti_abs_moment(m, a, r, prec: PrecisionSpec = NATIVE):
     """E |X - a|^r for odd r, a >= 0, assembled from the derivative table."""
-    value, _ = katti_abs_moment_with_condition(m, a, r, prec)
-    return value
+    return katti_abs_moment_with_condition(m, a, r, prec)[0]

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from mpmath import mp
+from mpmath.libmp import (fone, from_float, mpf_abs, mpf_add, mpf_div, mpf_le,
+                          mpf_mul, mpf_sub, round_nearest, to_float)
 
 from .core import (DiscreteFunction, as_index, as_mean, require_finite,
                    truncation_index)
@@ -43,6 +45,7 @@ __all__ = [
     "expectation",
     "expectation_table",
     "verify_against",
+    "verify_rows",
 ]
 
 _MIN_BITS = 128     # floor demanded of every oracle evaluation
@@ -285,10 +288,45 @@ def expectation(m, w: WeightSpec, eps: float) -> OracleResult:
     return table.signed[thresholds[0]][0]
 
 
+def verify_rows(rows, tol: float) -> list:
+    """A :class:`VerifyReport` for each (candidate, OracleResult) pair in
+    ``rows``, in order: pass when |candidate - oracle| <= tol (|oracle| + 1).
+
+    Every row is compared at 256 bits, with tol converted once.  The
+    arithmetic calls mpmath's own rounding functions on raw values, which
+    gives the bits that mpf arithmetic in a 256-bit context gives, for
+    about half the interpreter work per row.  Each oracle's certified
+    error must sit strictly below tol.
+    """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    bits, rnd = max(_MIN_BITS, 256), round_nearest
+    bound = from_float(tol)
+    reports = []
+    with mp.workprec(bits):  # the width mp.mpf(candidate) rounds to
+        for candidate, res in rows:
+            if not tol > res.certified_error:
+                raise ValueError(
+                    "tolerance must exceed the oracle's certified error")
+            if isinstance(candidate, float):
+                c = from_float(candidate)
+            else:
+                c = mp.mpf(candidate)._mpf_
+            value = res.value._mpf_
+            scale = mpf_add(mpf_abs(value, bits, rnd), fone, bits, rnd)
+            diff = mpf_abs(mpf_sub(c, value, bits, rnd))
+            reports.append(VerifyReport(
+                mpf_le(diff, mpf_mul(bound, scale, bits, rnd)),
+                to_float(value, rnd=rnd), res.certified_error,
+                to_float(mpf_div(diff, scale, bits, rnd), rnd=rnd)))
+    return reports
+
+
 def verify_against(m, w: Optional[WeightSpec], candidate, tol: float,
                    eps: Optional[float] = None,
                    oracle_result: Optional[OracleResult] = None) -> VerifyReport:
-    """Check |candidate - oracle| <= tol (|oracle| + 1).
+    """Check |candidate - oracle| <= tol (|oracle| + 1): the one-row case
+    of :func:`verify_rows`.
 
     The oracle's certified error must sit strictly below tol (it defaults
     to a million times tighter); pass a precomputed ``oracle_result`` to
@@ -298,12 +336,4 @@ def verify_against(m, w: Optional[WeightSpec], candidate, tol: float,
         raise ValueError("tol must be positive")
     if oracle_result is None:
         oracle_result = expectation(m, w, eps if eps is not None else tol * 1e-6)
-    if not tol > oracle_result.certified_error:
-        raise ValueError("tolerance must exceed the oracle's certified error")
-    with mp.workprec(max(_MIN_BITS, 256)):
-        scale = abs(mp.mpf(oracle_result.value)) + 1
-        diff = abs(mp.mpf(candidate) - oracle_result.value)
-        passed = bool(diff <= mp.mpf(tol) * scale)
-        rel = float(diff / scale)
-    return VerifyReport(passed, float(oracle_result.value),
-                        oracle_result.certified_error, rel)
+    return verify_rows([(candidate, oracle_result)], tol)[0]

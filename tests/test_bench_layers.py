@@ -20,7 +20,8 @@ def test_layer_measures_every_case(monkeypatch, layer):
     monkeypatch.setattr(bench_layers, "MEANS", (2.0,))
     monkeypatch.setattr(bench_layers, "REPEATS", 1)
     monkeypatch.setattr(bench_layers, "BUDGET_S", 0.2)
-    rows = bench_layers.measure(str(ROOT / "src"), layer)
+    rows = [bench_layers.measure(str(ROOT / "src"), unit)
+            for unit in bench_layers.units((layer,))]
     cases = {case for name, case, *_ in bench_layers.CASES if name == layer}
     assert {row["case"] for row in rows} == cases
     for row in rows:

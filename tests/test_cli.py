@@ -6,11 +6,13 @@ import json
 import math
 import re
 import time
+import tracemalloc
 
 import pytest
 
 from poisson_moments import WeightSpec, expectation
-from poisson_moments.cli import CSV_HEADER, _prec_from, build_parser, main
+from poisson_moments.cli import (CSV_HEADER, UsageError, _parse_float_grid,
+                                 _prec_from, build_parser, main)
 
 TWO_OVER_E = 0.7357588823428846
 
@@ -181,6 +183,75 @@ class TestExitCodes:
     def test_empty_grid_is_usage_error(self):
         code, _, _ = run(["verify", "--mean-grid", ","])
         assert code == 2
+
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_nonpositive_bench_repeats_is_usage_error(self, repeats):
+        code, out, err = run(["bench", "--mean", "2", "--repeats", repeats])
+        assert code == 2 and out == ""
+        assert err == "error: --repeats must be positive\n"
+
+    @pytest.mark.parametrize("tol", ["1e-320", "1e-290", "inf"])
+    def test_uncertifiable_verify_tol_is_usage_error(self, tol):
+        # 1e-320 * 1e-6 underflows to an oracle eps of 0, 1e-290 * 1e-6 is
+        # below the certifiable range, and inf would pass every row
+        code, out, err = run(["verify", "--mean-grid", "2", "--tol", tol,
+                              "--max-order", "2"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: --tol must be finite")
+
+    def test_smallest_certifiable_verify_tol_runs(self):
+        code, _, err = run(["verify", "--mean-grid", "2", "--tol", "1e-283",
+                            "--max-order", "2", "--precision-bits", "1024",
+                            "--thresholds", "a"])
+        assert code in (0, 1) and "error" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["moment", "--mean", "2", "--order", "3", "--center", "1e200",
+         "--method", "oracle"],
+        ["moment", "--mean", "2", "--order", "3", "--center", "1e200",
+         "--precision-bits", "256"],
+        ["verify", "--mean-grid", "2", "--centers", "1e300", "--max-order", "2"],
+    ])
+    def test_far_center_is_usage_error(self, argv):
+        # the oracle's cutoff search used to overflow math.exp here; now the
+        # value itself is out of the double range of the output
+        code, out, err = run(argv)
+        assert code == 2 and out == ""
+        assert "binary64" in err and "Traceback" not in err
+
+    def test_far_center_verify_runs_in_extended_precision(self):
+        code, out, _ = run(["verify", "--mean-grid", "2", "--centers", "1e300",
+                            "--max-order", "2", "--precision-bits", "256",
+                            "--tol", "1e-18"])
+        assert code == 0 and "result: PASS" in out
+
+    def test_range_grid_is_counted_before_it_is_built(self):
+        # 100,001 points, one past the limit: refused with no point made
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError, match="more than 100000 points"):
+                _parse_float_grid("0:100000:1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # a list of the points takes over 3 MB
+        # so a grid of about 1e18 points is refused as quickly
+        t0 = time.perf_counter()
+        code, out, err = run(["table", "--mean-grid", "1:1e9:1e-9"])
+        assert code == 2 and out == "" and time.perf_counter() - t0 < 1.0
+        assert err == ("error: range grid '1:1e9:1e-9' has more than "
+                       "100000 points\n")
+
+    @pytest.mark.parametrize("grid,match", [
+        ("1e20:1e20:5000", "too small to move past"),
+        ("inf:inf:1", "finite ends and step"),
+        ("0:nan:1", "finite ends and step"),
+    ])
+    def test_range_grid_that_cannot_advance_is_usage_error(self, grid, match):
+        # x + step == x at 1e20 (within the point limit), and x = inf
+        # never passes stop = inf: both used to loop forever
+        with pytest.raises(UsageError, match=match):
+            _parse_float_grid(grid)
 
     def test_bad_grid_expression_is_usage_error(self):
         code, _, _ = run(["table", "--mean-grid", "1", "--centers", "q+1"])

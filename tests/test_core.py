@@ -273,6 +273,18 @@ class TestTruncationIndex:
             assert truncation_index(m, degree, center, eps) == \
                 linear(m, degree, center, eps), (m, degree, center, eps)
 
+    @pytest.mark.parametrize("m,degree,center", [
+        (2.0, 3, 1e200), (2.0, 2, 1e300), (50.0, 10, -1e100), (0.3, 40, 1e30),
+    ])
+    def test_overflowing_envelope_keeps_searching(self, m, degree, center):
+        # degree * log(n + |center|) passes 709: the bound there is
+        # infinite rather than an OverflowError, and the certificate holds
+        tb = truncation_index(m, degree, center, 1e-18)
+        assert 0 < tb.bound <= 1e-18
+        extra = self._tail_mass_past_cutoff(m, degree, center, tb.cutoff,
+                                            11 * tb.cutoff)
+        assert extra < tb.bound
+
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             truncation_index(1.0, 0, 0.0, 0.0)

@@ -11,7 +11,8 @@ from mpmath import mp
 import poisson_moments.hypergeom as hg
 from poisson_moments import (Hyp1F1Params, PrecisionSpec,
                              abs_central_moment, abs_moment_3_closed,
-                             g_table, hyp1f1, katti_abs_moment,
+                             central_moment_table, g_table, hyp1f1,
+                             katti_abs_moment, katti_abs_moment_table,
                              katti_abs_moment_with_condition, mean_deviation)
 
 from helpers import rel_err
@@ -312,3 +313,87 @@ class TestAssembly:
         assert isinstance(value, float)
         assert value == pytest.approx(abs_central_moment(m, a, r), rel=1e-12)
         assert 1.0 <= cond < 10.0
+
+
+def katti_grid():
+    """Seeded (m, a, r_max) cases with m <= 1e3, a >= 0 and r_max <= 15,
+    led by centers where the native Kummer value row overflows."""
+    cases = [(700.0, 0.5, 15), (1000.0, 0.5, 9), (850.0, 2.3, 5),
+             (1000.0, 0.0, 15), (720.0, 10.7, 11)]
+    rng = random.Random(2026)
+    for _ in range(40):
+        m = 10 ** rng.uniform(-3, 3)
+        a = rng.choice([0.0, float(rng.randint(0, 20)), rng.uniform(0, 2 * m), m])
+        cases.append((m, a, rng.randint(1, 15)))
+    return cases
+
+
+class TestKattiTable:
+    @pytest.mark.parametrize("m,a,r_max", katti_grid())
+    def test_native_entries_are_the_scalar_bit_for_bit(self, m, a, r_max):
+        table = katti_abs_moment_table(m, a, r_max)
+        assert list(table) == list(range(1, r_max + 1, 2))
+        for r, (value, cond) in table.items():
+            want, want_cond = katti_abs_moment_with_condition(m, a, r)
+            assert value.hex() == want.hex() and cond == want_cond, r
+            assert value == katti_abs_moment(m, a, r)
+
+    @pytest.mark.parametrize("m,a,r_max", katti_grid()[::3])
+    def test_extended_entries_agree_with_the_scalar(self, m, a, r_max):
+        for r, (value, _) in katti_abs_moment_table(m, a, r_max, EXT).items():
+            assert within_bar(value, katti_abs_moment(m, a, r, EXT)), r
+
+    def test_one_derivative_table_per_call(self, monkeypatch):
+        built = []
+        real = hg.g_table
+        monkeypatch.setattr(hg, "g_table",
+                            lambda *args: built.append(args) or real(*args))
+        katti_abs_moment_table(50.0, 50.0, 10)
+        assert [args[2] for args in built] == [9]
+        # the value row overflows binary64 for every order at m = 1e3: one
+        # native table and one 256-bit table
+        built.clear()
+        katti_abs_moment_table(1000.0, 0.5, 15)
+        assert [(args[2], args[3].bits) for args in built] == [(15, 53),
+                                                               (15, 256)]
+
+    def test_redo_keeps_the_orders_that_stay_in_range(self, monkeypatch):
+        # at m = 690 the native top entry overflows from order 5 on: orders
+        # 5 and 7 come from one 256-bit table of order 7, orders 1 and 3
+        # keep their native bits (689.4999999976194, not 689.5)
+        built = []
+        real = hg.g_table
+        monkeypatch.setattr(hg, "g_table",
+                            lambda *args: built.append(args) or real(*args))
+        table = katti_abs_moment_table(690.0, 0.5, 7)
+        monkeypatch.undo()
+        assert [(args[2], args[3].bits) for args in built] == [(7, 53),
+                                                               (7, 256)]
+        wide = hg._UPGRADE_PREC
+        for r in (1, 3):
+            assert table[r] == katti_abs_moment_with_condition(690.0, 0.5, r)
+            assert table[r][0] != float(katti_abs_moment(690.0, 0.5, r, wide))
+        for r in (5, 7):
+            value, cond = katti_abs_moment_with_condition(690.0, 0.5, r, wide)
+            assert table[r] == (float(value), cond)
+
+    def test_passed_central_values_are_used(self):
+        central = central_moment_table(7.5, 3.2, 12).values
+        assert katti_abs_moment_table(7.5, 3.2, 11, central=central) == \
+            katti_abs_moment_table(7.5, 3.2, 11)
+
+    @pytest.mark.parametrize("r_max", [0, 1, 2])
+    def test_small_orders(self, r_max):
+        table = katti_abs_moment_table(2.0, 1.0, r_max)
+        assert list(table) == ([1] if r_max else [])
+
+    @pytest.mark.parametrize("args,match", [
+        ((2.0, -0.5, 3), "a >= 0"),
+        ((2.0, 1.0, 2.5), "r_max"),
+        ((2.0, 1.0, -1), "r_max"),
+        ((2.0, math.nan, 3), "center a"),
+        ((0.0, 1.0, 3), "mean"),
+    ])
+    def test_rejects_bad_arguments(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            katti_abs_moment_table(*args)

@@ -9,9 +9,9 @@ import pytest
 from mpmath import mp
 
 import poisson_moments.oracle as oracle_mod
-from poisson_moments import (DiscreteFunction, GrowthBoundError, WeightSpec,
-                             expectation, expectation_table, sign,
-                             verify_against)
+from poisson_moments import (DiscreteFunction, GrowthBoundError, OracleResult,
+                             WeightSpec, expectation, expectation_table, sign,
+                             verify_against, verify_rows)
 
 from helpers import brute_expectation, rel_err, weight_of
 
@@ -245,6 +245,66 @@ class TestVerifyAgainst:
     def test_recomputes_oracle_when_not_supplied(self):
         rep = verify_against(1.0, WeightSpec.abs_power(1, 1.0), TWO_OVER_E, 1e-9)
         assert rep.passed
+
+
+def row_check(candidate, res, tol):
+    """(passed, rel_err) of one row, each in its own 256-bit context: the
+    per-row check that verify_rows batches."""
+    with mp.workprec(256):
+        scale = abs(mp.mpf(res.value)) + 1
+        diff = abs(mp.mpf(candidate) - res.value)
+        return bool(diff <= mp.mpf(tol) * scale), float(diff / scale)
+
+
+def seeded_rows(tol):
+    """(candidate, OracleResult) rows about a few centers: the oracle value
+    itself, as a double, and nudged to either side of the tolerance, as
+    doubles and as 512-bit floats."""
+    rng = random.Random(77)
+    rows = []
+    for m, a in ((0.7, 0.0), (4.0, 4.3), (25.0, 26.0)):
+        table = expectation_table(m, a, 6, 1e-20, (a, m / 2))
+        for res in table.power + table.absolute + table.signed[a]:
+            with mp.workprec(512):
+                v = mp.mpf(res.value)
+                nudge = (abs(v) + 1) * tol * rng.uniform(0.5, 1.5)
+                for c in (v, v + nudge, v - nudge):
+                    rows += [(float(c), res), (+c, res)]
+    return rows
+
+
+class TestVerifyRows:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-15])
+    def test_matches_the_row_by_row_check(self, tol):
+        rows = seeded_rows(tol)
+        reports = verify_rows(rows, tol)
+        assert len(reports) == len(rows)
+        assert 0 < sum(rep.passed for rep in reports) < len(rows)
+        for (candidate, res), rep in zip(rows, reports):
+            assert (rep.passed, rep.rel_err) == row_check(candidate, res, tol)
+            assert rep == verify_against(None, None, candidate, tol,
+                                         oracle_result=res)
+            assert rep.oracle_value == float(res.value)
+            assert rep.certified_error == res.certified_error
+
+    def test_empty_block(self):
+        assert verify_rows([], 1e-9) == []
+
+    @pytest.mark.parametrize("tol", [1e-8, 5e-9])
+    def test_refuses_tolerance_at_or_below_a_certificate(self, tol):
+        res = expectation(4.0, WeightSpec.power(2, 4.0), 1e-8)
+        good = expectation(4.0, WeightSpec.power(2, 4.0), 1e-15)
+        assert res.certified_error > 5e-9
+        with pytest.raises(ValueError, match="certified error"):
+            verify_rows([(4.0, good), (4.0, OracleResult(
+                res.value, tol, res.cutoff, res.bits))], tol)
+        with pytest.raises(ValueError, match="certified error"):
+            verify_rows([(4.0, res)], 5e-9)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_rejects_nonpositive_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            verify_rows([], tol)
 
 
 class TestIndependence:

@@ -6,7 +6,8 @@ One case table, ``CASES``, covers the layers:
 * ``tables``: the table recurrence, native and at 256 bits;
 * ``hypergeom``: the Kummer route at a = m and 256 bits unless the case
   says otherwise: ``hyp1f1``'s value row, ``g_table``'s derivative
-  recursion alone, and ``katti_abs_moment``;
+  recursion alone, ``katti_abs_moment``, and every odd order up to r by
+  ``katti_abs_moment_table`` next to a ``katti_abs_moment`` call per order;
 * ``oracle``: ``expectation`` and ``expectation_table``, eps = 1e-24 unless
   the case says otherwise;
 * ``cli``: the wall time of a whole ``python -m poisson_moments`` process.
@@ -16,18 +17,20 @@ Run it as
     python tools/bench_layers.py --parent-src OLD/src --parent-label REV \\
         --out BENCH_N.json [--layer NAME ...]
 
-In each of ROUNDS rounds, every layer runs once per tree in a fresh
-interpreter, ``bench_layers.py --measure SRC --layer NAME``, which imports
-the package from SRC and prints one JSON dict per case.  The rounds
-alternate which tree goes first, so that a slow phase of a shared machine
-hits both, and no layer's work runs in the same process as another
-layer's.  A case's work is a list of calls, repeated up to REPEATS times
-within BUDGET_S seconds (``time_work``, which also says when a case is
-``capped``); no call is left untimed as a warm-up, since the median drops
-a cold first repetition.  A case's figure is the median over rounds of its
-per-round median; a case whose function a tree lacks has a null median on
-that tree.  Standard library only, apart from the package under test and
-its mpmath dependency.
+A unit is one case at one mean and order: one output row.  In each of
+ROUNDS rounds, every unit runs once per tree, the two trees back to back,
+each in a fresh interpreter, ``bench_layers.py --measure SRC --unit K``,
+which imports the package from SRC and prints one JSON dict.  Which tree
+goes first alternates from one unit to the next and from one round to the
+next, so that the drift of a shared machine's speed, which shows within
+seconds, falls on both trees alike, and no unit's work runs in the same
+process as another's.  A case's work is a list of calls, repeated up to
+REPEATS times within BUDGET_S seconds (``time_work``, which also says when
+a case is ``capped``); no call is left untimed as a warm-up, since the
+median drops a cold first repetition.  A row's figure is the median over
+rounds of its per-round median; a case whose function a tree lacks has a
+null median on that tree.  Standard library only, apart from the package
+under test and its mpmath dependency.
 """
 
 from __future__ import annotations
@@ -133,6 +136,16 @@ CASES = [
      lambda pm, m, r: [partial(pm.katti_abs_moment, m, m, r, _ext(pm))]),
     ("hypergeom", "katti a=0", None, (3,),
      lambda pm, m, r: [partial(pm.katti_abs_moment, m, 0.0, r, _ext(pm))]),
+    ("hypergeom", "katti per order 1..r native", (2.0, 50.0, 1e3), (9,),
+     lambda pm, m, r: [partial(pm.katti_abs_moment, m, m, k)
+                       for k in range(1, r + 1, 2)]),
+    ("hypergeom", "katti_abs_moment_table native", (2.0, 50.0, 1e3), (9,),
+     lambda pm, m, r: [partial(pm.katti_abs_moment_table, m, m, r)]),
+    ("hypergeom", "katti per order 1..r", (2.0, 50.0, 1e3), (9,),
+     lambda pm, m, r: [partial(pm.katti_abs_moment, m, m, k, _ext(pm))
+                       for k in range(1, r + 1, 2)]),
+    ("hypergeom", "katti_abs_moment_table", (2.0, 50.0, 1e3), (9,),
+     lambda pm, m, r: [partial(pm.katti_abs_moment_table, m, m, r, _ext(pm))]),
     ("oracle", "per_entry", None, (ORDER,), _per_entry),
     ("oracle", "table", None, (ORDER,),
      lambda pm, m, r: [partial(pm.expectation_table, m, m, r, EPS,
@@ -179,42 +192,43 @@ def time_work(calls: list, repeats: int, budget_s: float) -> tuple:
     return statistics.median(times), False
 
 
-def measure(src: str, layer: str) -> list:
-    """Time every case of ``layer`` with the package imported from ``src``."""
+def units(layers) -> list:
+    """(layer, case, m, r, work) for every output row of ``layers``, in
+    ``CASES`` order."""
+    return [(layer, case, m, r, work)
+            for layer, case, means, orders, work in CASES if layer in layers
+            for m in (MEANS if means is None else means) for r in orders]
+
+
+def measure(src: str, unit: tuple) -> dict:
+    """Time one unit of ``units`` with the package imported from ``src``."""
     src = os.path.abspath(src)
     if src not in sys.path:
         sys.path.insert(0, src)
     import poisson_moments as pm
 
-    out = []
-    for name, case, means, orders, work in CASES:
-        if name != layer:
-            continue
-        for m in MEANS if means is None else means:
-            for r in orders:
-                key = {"layer": layer, "case": case, "m": m, "r": r}
-                try:
-                    calls = work(pm, m, r)
-                except AttributeError:  # the tree lacks the function
-                    out.append(dict(key, calls_per_work=None, median_us=None,
-                                    capped=False))
-                    continue
-                ns, capped = time_work(calls, REPEATS, BUDGET_S)
-                out.append(dict(key, calls_per_work=len(calls),
-                                median_us=ns / 1e3, capped=capped))
-    return out
+    layer, case, m, r, work = unit
+    key = {"layer": layer, "case": case, "m": m, "r": r}
+    try:
+        calls = work(pm, m, r)
+    except AttributeError:  # the tree lacks the function
+        return dict(key, calls_per_work=None, median_us=None, capped=False)
+    ns, capped = time_work(calls, REPEATS, BUDGET_S)
+    return dict(key, calls_per_work=len(calls), median_us=ns / 1e3,
+                capped=capped)
 
 
-def _child(src: str, layer: str) -> list:
-    """``measure(src, layer)``, made in a fresh interpreter."""
+def _child(src: str, k: int) -> dict:
+    """Unit ``k`` of ``units(LAYERS)`` timed with the package imported from
+    ``src``, in a fresh interpreter."""
     cmd = [sys.executable, os.path.abspath(__file__),
-           "--measure", src, "--layer", layer]
+           "--measure", src, "--unit", str(k)]
     done = subprocess.run(cmd, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
 
 
 def _row(parent: list, change: list) -> dict:
-    """One output row from a case's per-round dicts on each tree."""
+    """One output row from a unit's per-round dicts on each tree."""
     row = {k: change[0][k] for k in ("layer", "case", "m", "r")}
     row["calls_per_work"] = (change[0]["calls_per_work"]
                              or parent[0]["calls_per_work"])
@@ -244,25 +258,25 @@ def main(argv=None) -> int:
     p.add_argument("--layer", action="append", choices=LAYERS,
                    help="a layer to measure (repeatable; default every layer)")
     p.add_argument("--measure", help=argparse.SUPPRESS)
+    p.add_argument("--unit", type=int, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     layers = args.layer or list(LAYERS)
 
     if args.measure:
-        json.dump([c for layer in layers for c in measure(args.measure, layer)],
-                  sys.stdout)
+        json.dump(measure(args.measure, units(LAYERS)[args.unit]), sys.stdout)
         return 0
     if not (args.parent_src and args.out):
         p.error("--parent-src and --out are required")
 
     srcs = {"parent": os.path.abspath(args.parent_src),
             "change": os.path.join(HERE, "..", "src")}
-    runs = {side: [[] for _ in range(ROUNDS)] for side in SIDES}
+    todo = [k for k, unit in enumerate(units(LAYERS)) if unit[0] in layers]
+    runs = {side: {k: [] for k in todo} for side in SIDES}
     for i in range(ROUNDS):
-        for layer in layers:
-            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                runs[side][i] += _child(srcs[side], layer)
-    rows = [_row(case[:ROUNDS], case[ROUNDS:])
-            for case in zip(*runs["parent"], *runs["change"])]
+        for j, k in enumerate(todo):
+            for side in (SIDES if (i + j) % 2 == 0 else SIDES[::-1]):
+                runs[side][k].append(_child(srcs[side], k))
+    rows = [_row(runs["parent"][k], runs["change"][k]) for k in todo]
     doc = {
         "what": "median microseconds per unit of work (calls_per_work calls) "
                 "of each layer's cases",
