@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import functools
 import json
 import math
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass, fields
 from statistics import median
 from typing import List, Optional
 
@@ -65,20 +65,9 @@ class PreconditionError(Exception):
 # records and serialization
 
 
-@dataclass
-class OutputRecord:
-    m: float
-    a: Optional[float]
-    b: Optional[float]
-    r: int
-    method: str
-    value: float
-    condition: Optional[float]
-    certified_error: Optional[float]
-    elapsed_ns: int
-
-
-CSV_HEADER = [f.name for f in fields(OutputRecord)]
+# the fields of an output record, in order
+CSV_HEADER = ["m", "a", "b", "r", "method", "value", "condition",
+              "certified_error", "elapsed_ns"]
 
 
 def _f17(x: Optional[float]) -> str:
@@ -87,22 +76,31 @@ def _f17(x: Optional[float]) -> str:
 
 
 def _cell(v) -> str:
-    # a field as text: method, r and elapsed_ns as they are, floats by _f17
+    # a field as text: strings and integers as they are, a list of
+    # integers space-separated, floats by _f17
+    if isinstance(v, list):
+        return " ".join(map(str, v))
     return str(v) if isinstance(v, (str, int)) else _f17(v)
 
 
-def _emit_records(records: List[OutputRecord], fmt: str, out) -> None:
+def _emit(rows: list, header: list, fmt: str, out, line) -> None:
+    """Write ``rows``, each a sequence of fields in ``header`` order: csv
+    cells by _cell, a json list of objects, or one ``line(row)`` of text
+    per row."""
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows([_cell(v) for v in astuple(rec)] for rec in records)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
     elif fmt == "json":
-        json.dump([asdict(rec) for rec in records], out, indent=2)
+        json.dump([dict(zip(header, row)) for row in rows], out, indent=2)
         out.write("\n")
     else:
-        for rec in records:
-            out.write(" ".join(f"{name}={_cell(v) or '-'}"
-                               for name, v in asdict(rec).items()) + "\n")
+        out.writelines(line(row) + "\n" for row in rows)
+
+
+def _record_line(rec: tuple) -> str:
+    return " ".join(f"{name}={_cell(v) or '-'}"
+                    for name, v in zip(CSV_HEADER, rec))
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +236,20 @@ def _compute_value(method: str, mv: float, a: float, b: Optional[float],
     """(value, condition or None, certified_error or None).
 
     Without a threshold the target is E |X - a|^r; with one it is the
-    signed moment E (X - a)^r sign(X - b).  A value beyond the double
-    range of the output records (an extended or oracle value, say, about a
-    far center) is a usage error.
+    signed moment E (X - a)^r sign(X - b).  A ValueError from the shifted
+    or series route, other than an order too large for binary64, is a
+    precondition violation.  A value beyond the double range of the output
+    records (an extended or oracle value, say, about a far center) is a
+    usage error.
     """
-    value, cond, cert = _route(method, mv, a, b, r, prec)
+    try:
+        value, cond, cert = _route(method, mv, a, b, r, prec)
+    except OrderOverflowError:
+        raise
+    except ValueError as exc:
+        if method not in ("shifted", "katti"):
+            raise
+        raise PreconditionError(str(exc)) from None
     if math.isinf(value):
         raise UsageError(f"the {method} value at m = {mv!r}, a = {a!r}, "
                          f"r = {r} overflows binary64")
@@ -274,12 +281,7 @@ def _route(method: str, mv: float, a: float, b: Optional[float], r: int,
                 v = signed_moment_shifted(mv, a, a, r, prec)
             v = v if v > 0 else prec.real(0.0)
         else:
-            try:
-                v = signed_moment_shifted(mv, a, b, r, prec)
-            except OrderOverflowError:
-                raise
-            except ValueError as exc:
-                raise PreconditionError(str(exc)) from None
+            v = signed_moment_shifted(mv, a, b, r, prec)
         return float(v), None, None
 
     if method == "closed":
@@ -297,12 +299,7 @@ def _route(method: str, mv: float, a: float, b: Optional[float], r: int,
         if b is not None:
             raise PreconditionError("the series route covers absolute moments "
                                     "only (drop --threshold)")
-        try:
-            v, cond = katti_abs_moment_with_condition(mv, a, r, prec)
-        except OrderOverflowError:
-            raise
-        except ValueError as exc:
-            raise PreconditionError(str(exc)) from None
+        v, cond = katti_abs_moment_with_condition(mv, a, r, prec)
         return float(v), cond, None
 
     if method == "oracle":
@@ -312,6 +309,16 @@ def _route(method: str, mv: float, a: float, b: Optional[float], r: int,
         return float(res.value), None, res.certified_error
 
     raise UsageError(f"unknown method {method!r}")
+
+
+def _record(method: str, mv: float, a: float, b: Optional[float], r: int,
+            prec: PrecisionSpec) -> tuple:
+    """One output record, fields in CSV_HEADER order: the value by
+    ``method`` and the time it took."""
+    t0 = time.perf_counter_ns()
+    value, cond, cert = _compute_value(method, mv, a, b, r, prec)
+    return (mv, a, b, r, method, value, cond, cert,
+            time.perf_counter_ns() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +332,9 @@ def _cmd_moment(args, out, err) -> int:
         raise UsageError("--order must be nonnegative")
     _finite_or_usage(args.center, "--center")
     _finite_or_usage(args.threshold, "--threshold")
-    t0 = time.perf_counter_ns()
-    value, cond, cert = _compute_value(args.method, mv, args.center,
-                                       args.threshold, args.order, prec)
-    elapsed = time.perf_counter_ns() - t0
-    rec = OutputRecord(mv, args.center, args.threshold, args.order,
-                       args.method, value, cond, cert, elapsed)
-    _emit_records([rec], args.format, out)
+    rec = _record(args.method, mv, args.center, args.threshold, args.order,
+                  prec)
+    _emit([rec], CSV_HEADER, args.format, out, _record_line)
     return EXIT_OK
 
 
@@ -351,15 +354,10 @@ def _cmd_table(args, out, err) -> int:
             for r in range(args.max_order + 1):
                 for method in methods:
                     try:
-                        t0 = time.perf_counter_ns()
-                        value, cond, cert = _compute_value(
-                            method, mv, a, b, r, prec)
-                        elapsed = time.perf_counter_ns() - t0
+                        records.append(_record(method, mv, a, b, r, prec))
                     except PreconditionError:
-                        continue  # inapplicable (method, point): skip row
-                    records.append(OutputRecord(mv, a, b, r, method,
-                                                value, cond, cert, elapsed))
-    _emit_records(records, args.format, out)
+                        pass  # inapplicable (method, point): skip row
+    _emit(records, CSV_HEADER, args.format, out, _record_line)
     return EXIT_OK
 
 
@@ -367,18 +365,8 @@ def _cmd_poly(args, out, err) -> int:
     if args.max_order < 0:
         raise UsageError("--max-order must be nonnegative")
     polys = moment_polynomials(args.max_order)
-    if args.format == "json":
-        json.dump([{"order": p.order, "coeffs": list(p.coeffs)} for p in polys],
-                  out, indent=2)
-        out.write("\n")
-    elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["order", "coeffs"])
-        for p in polys:
-            writer.writerow([p.order, " ".join(str(c) for c in p.coeffs)])
-    else:
-        for p in polys:
-            out.write(f"mu{p.order}: {list(p.coeffs)}\n")
+    _emit([(p.order, list(p.coeffs)) for p in polys], ["order", "coeffs"],
+          args.format, out, lambda row: f"mu{row[0]}: {row[1]}")
     return EXIT_OK
 
 
@@ -407,21 +395,12 @@ def _cmd_bench(args, out, err) -> int:
             t0 = time.perf_counter_ns()
             fn()
             times.append(time.perf_counter_ns() - t0)
-        results.append({"method": name, "elapsed_ns": int(median(times))})
+        results.append((name, int(median(times))))
 
-    if args.format == "json":
-        json.dump(results, out, indent=2)
-        out.write("\n")
-    elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["method", "elapsed_ns"])
-        for row in results:
-            writer.writerow([row["method"], row["elapsed_ns"]])
-    else:
-        for row in results:
-            out.write(f"{row['method']}: {row['elapsed_ns']} ns "
-                      f"(median of {args.repeats})\n")
-        ratio = results[1]["elapsed_ns"] / max(1, results[0]["elapsed_ns"])
+    _emit(results, ["method", "elapsed_ns"], args.format, out,
+          lambda row: f"{row[0]}: {row[1]} ns (median of {args.repeats})")
+    if args.format == "text":
+        ratio = results[1][1] / max(1, results[0][1])
         out.write(f"oracle/recurrence ratio: {ratio:.1f}\n")
     return EXIT_OK
 
@@ -461,12 +440,13 @@ def _cmd_verify(args, out, err) -> int:
         katti = (katti_abs_moment_table(mv, a, top, prec, central.values)
                  if a >= 0 else {})
         for b, table, shifted, expected in blocks:
+            identity = shift_identity(shifted, table)
             for r in range(top + 1):
                 key = (mv, a, b, r)
                 rows.append(("recurrence", table.values[r], expected[r], key, True,
                              table.condition_at(r) > CONDITION_FLAG_THRESHOLD))
                 if r >= 1 and (b is None or b >= 0):
-                    rows.append(("shifted", shift_identity(shifted, table, r),
+                    rows.append(("shifted", identity[r - 1],
                                  expected[r], key, True, False))
                 if b is not None:
                     continue  # closed forms and the series route: E |X - a|^r
@@ -534,7 +514,10 @@ def _add_common(p) -> None:
                    help="output format (default text)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  argparse reads the terminal
+    width (``COLUMNS``) when it formats a message, not here."""
     parser = argparse.ArgumentParser(
         prog="poisson-moments",
         description="Central, signed and absolute moments of the Poisson "

@@ -48,7 +48,6 @@ __all__ = [
     "verify_rows",
 ]
 
-_MIN_BITS = 128     # floor demanded of every oracle evaluation
 _START_BITS = 192   # usually enough that no second pass is needed
 _ROUND_SAFETY = 1.0 + 1e-9  # covers M computed a hair low and float rounding
 
@@ -300,7 +299,7 @@ def verify_rows(rows, tol: float) -> list:
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    bits, rnd = max(_MIN_BITS, 256), round_nearest
+    bits, rnd = 256, round_nearest
     bound = from_float(tol)
     reports = []
     with mp.workprec(bits):  # the width mp.mpf(candidate) rounds to
@@ -322,18 +321,11 @@ def verify_rows(rows, tol: float) -> list:
     return reports
 
 
-def verify_against(m, w: Optional[WeightSpec], candidate, tol: float,
-                   eps: Optional[float] = None,
-                   oracle_result: Optional[OracleResult] = None) -> VerifyReport:
-    """Check |candidate - oracle| <= tol (|oracle| + 1): the one-row case
-    of :func:`verify_rows`.
-
-    The oracle's certified error must sit strictly below tol (it defaults
-    to a million times tighter); pass a precomputed ``oracle_result`` to
-    amortize sweeps over many candidates (``w`` is then not read).
-    """
+def verify_against(m, w: WeightSpec, candidate, tol: float) -> VerifyReport:
+    """Check |candidate - oracle| <= tol (|oracle| + 1) against E w(X)
+    certified to tol * 1e-6: the one-row case of :func:`verify_rows`.  To
+    check candidates against oracle entries already computed, call
+    :func:`verify_rows`."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if oracle_result is None:
-        oracle_result = expectation(m, w, eps if eps is not None else tol * 1e-6)
-    return verify_rows([(candidate, oracle_result)], tol)[0]
+    return verify_rows([(candidate, expectation(m, w, tol * 1e-6))], tol)[0]

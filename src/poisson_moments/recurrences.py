@@ -157,7 +157,8 @@ def _build(kind: str, mv: float, a: float, b: Optional[float], r_max: int,
             for k in range(r - 1):
                 terms.append(mm * (comb(r - 1, k) * values[k]))
             if kind == "signed":
-                terms.append(2 * corr_base ** (r - 1) * pb)  # 0^0 = 1
+                # 0^0 = 1; a factor that underflowed to zero skips the power
+                terms.append(2 * corr_base ** (r - 1) * pb if pb else pb)
             # the entry itself is exactly summed; the condition estimate
             # walks the terms in order to expose cancellation
             partial = 0.0
@@ -229,14 +230,15 @@ def signed_moment_table(m, a, b, r_max, prec: PrecisionSpec = NATIVE) -> MomentT
     return _finish("signed", mv, a, float(b), as_index(r_max, "r_max"), prec)
 
 
-def shift_identity(shifted: MomentTable, table: MomentTable, r: int):
-    """Order r of the center-shift identity, m T(r-1, a-1) - a T(r-1, a),
+def shift_identity(shifted: MomentTable, table: MomentTable) -> list:
+    """Every order of the center-shift identity, m T(r-1, a-1) - a T(r-1, a),
     from ``shifted`` (the table about a - 1, and b - 1) and ``table`` (the
-    table about a, and b), both of order r - 1 or more."""
+    table about a, and b), in one working context: index r - 1 holds order
+    r, for r = 1 up to one more than the shorter table's order."""
     prec = table.prec
     with prec.working():
-        return (prec.real(table.m) * shifted.values[r - 1]
-                - prec.real(table.a) * table.values[r - 1])
+        mm, aa = prec.real(table.m), prec.real(table.a)
+        return [mm * s - aa * t for s, t in zip(shifted.values, table.values)]
 
 
 def central_moment_shifted(m, a, r, prec: PrecisionSpec = NATIVE):
@@ -250,7 +252,7 @@ def central_moment_shifted(m, a, r, prec: PrecisionSpec = NATIVE):
     if r < 1:
         raise ValueError("the center-shift identity needs r >= 1")
     shifted = central_moment_table(mv, _shift_down(a, prec), r - 1, prec)
-    return shift_identity(shifted, central_moment_table(mv, a, r - 1, prec), r)
+    return shift_identity(shifted, central_moment_table(mv, a, r - 1, prec))[-1]
 
 
 def signed_moment_shifted(m, a, b, r, prec: PrecisionSpec = NATIVE):
@@ -266,7 +268,7 @@ def signed_moment_shifted(m, a, b, r, prec: PrecisionSpec = NATIVE):
     if b < 0:
         raise ValueError("the signed center-shift identity requires b >= 0")
     shifted = signed_moment_table(mv, _shift_down(a, prec), b - 1, r - 1, prec)
-    return shift_identity(shifted, signed_moment_table(mv, a, b, r - 1, prec), r)
+    return shift_identity(shifted, signed_moment_table(mv, a, b, r - 1, prec))[-1]
 
 
 def abs_central_moment(m, a, r, prec: PrecisionSpec = NATIVE):

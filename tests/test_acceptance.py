@@ -56,11 +56,11 @@ def test_criterion_1_oracle_agreement_sweep():
                 w = om.WeightSpec.power(r, a)
                 res = om.expectation(m, w, 1e-30)
                 rows += 1
-                if not om.verify_against(m, w, ext_tbl.values[r], 1e-20,
-                                         oracle_result=res).passed:
+                if not om.verify_rows([(ext_tbl.values[r], res)],
+                                      1e-20)[0].passed:
                     failures.append(("extended", m, a, None, r))
-                nat_ok = om.verify_against(m, w, nat_tbl.values[r], 1e-9,
-                                           oracle_result=res).passed
+                nat_ok = om.verify_rows([(nat_tbl.values[r], res)],
+                                        1e-9)[0].passed
                 row_flagged = nat_tbl.condition_at(r) > CONDITION_FLAG_THRESHOLD
                 flagged += row_flagged
                 if not (nat_ok or row_flagged):
@@ -72,11 +72,11 @@ def test_criterion_1_oracle_agreement_sweep():
                     w = om.WeightSpec.signed_power(r, a, b)
                     res = om.expectation(m, w, 1e-30)
                     rows += 1
-                    if not om.verify_against(m, w, ext_s.values[r], 1e-20,
-                                             oracle_result=res).passed:
+                    if not om.verify_rows([(ext_s.values[r], res)],
+                                          1e-20)[0].passed:
                         failures.append(("extended", m, a, b, r))
-                    nat_ok = om.verify_against(m, w, nat_s.values[r], 1e-9,
-                                               oracle_result=res).passed
+                    nat_ok = om.verify_rows([(nat_s.values[r], res)],
+                                            1e-9)[0].passed
                     row_flagged = nat_s.condition_at(r) > CONDITION_FLAG_THRESHOLD
                     flagged += row_flagged
                     if not (nat_ok or row_flagged):

@@ -1,16 +1,19 @@
 """Command-line interface: values, formats, exit codes, verification."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import re
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 
-from poisson_moments import WeightSpec, expectation
+from poisson_moments import WeightSpec, expectation, verify_rows
 from poisson_moments.cli import (CSV_HEADER, UsageError, _parse_float_grid,
                                  _prec_from, build_parser, main)
 
@@ -84,6 +87,20 @@ class TestMoment:
                             "--center", "0.5", "--order", "3"])
         assert code == 0
         assert " value=1001500249.875 " in out
+
+    @pytest.mark.parametrize("order,threshold", [
+        ("3", "1e200"), ("30", "1e20"), ("3", "1e300")])
+    def test_far_threshold_matches_the_oracle(self, order, threshold):
+        # the pmf factor at floor(b) underflows to zero in binary64; its
+        # power of the far threshold used to overflow and exit 2
+        r, b = int(order), float(threshold)
+        res = expectation(2.0, WeightSpec.signed_power(r, 0.0, b), 1e-18)
+        for method in ("recurrence", "shifted"):
+            code, out, err = run(["moment", "--mean", "2", "--order", order,
+                                  "--center", "0", "--threshold", threshold,
+                                  "--method", method])
+            assert code == 0, err
+            assert verify_rows([(parse_value(out), res)], 1e-9)[0].passed
 
     def test_extended_precision_flag(self):
         code, out, _ = run(["moment", "--mean", "1", "--order", "1",
@@ -218,6 +235,12 @@ class TestExitCodes:
         code, out, err = run(argv)
         assert code == 2 and out == ""
         assert "binary64" in err and "Traceback" not in err
+
+    def test_far_threshold_verify_passes(self):
+        code, out, err = run(["verify", "--mean-grid", "2", "--centers", "0",
+                              "--thresholds", "1e300", "--max-order", "3"])
+        assert code == 0, err
+        assert "result: PASS" in out
 
     def test_far_center_verify_runs_in_extended_precision(self):
         code, out, _ = run(["verify", "--mean-grid", "2", "--centers", "1e300",
@@ -359,13 +382,57 @@ class TestVerify:
 
 
 class TestBench:
+    ARGV = ["bench", "--mean", "5", "--max-order", "4", "--repeats", "2"]
+
     def test_bench_reports_both_methods(self):
-        code, out, _ = run(["bench", "--mean", "5", "--max-order", "4",
-                            "--repeats", "2", "--format", "json"])
+        code, out, _ = run(self.ARGV + ["--format", "json"])
         assert code == 0
         rows = json.loads(out)
         assert [r["method"] for r in rows] == ["recurrence", "oracle"]
         assert all(r["elapsed_ns"] > 0 for r in rows)
+
+    def test_csv_rows(self):
+        code, out, err = run(self.ARGV + ["--format", "csv"])
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "method,elapsed_ns"
+        assert re.fullmatch(r"recurrence,[1-9]\d*", lines[1])
+        assert re.fullmatch(r"oracle,[1-9]\d*", lines[2])
+        assert len(lines) == 3 and out.endswith("\n")
+
+    def test_text_rows_and_ratio(self):
+        code, out, err = run(self.ARGV)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 3 and out.endswith("\n")
+        rec = re.fullmatch(r"recurrence: (\d+) ns \(median of 2\)", lines[0])
+        orc = re.fullmatch(r"oracle: (\d+) ns \(median of 2\)", lines[1])
+        assert rec and orc
+        ratio = int(orc.group(1)) / max(1, int(rec.group(1)))
+        assert lines[2] == f"oracle/recurrence ratio: {ratio:.1f}"
+
+
+class TestParser:
+    def test_built_once_across_main_calls(self):
+        build_parser.cache_clear()
+        assert run(["poly", "--max-order", "1"])[0] == 0
+        assert run(["poly", "--max-order", "2"])[0] == 0
+        assert build_parser.cache_info().misses == 1
+        assert build_parser() is build_parser()
+
+    def test_usage_follows_columns_on_every_call(self):
+        # a usage error prints the subcommand's usage, wrapped to COLUMNS
+        lines = {}
+        for columns in ("200", "50"):
+            err = io.StringIO()
+            with mock.patch.dict(os.environ, {"COLUMNS": columns}), \
+                    contextlib.redirect_stderr(err):
+                assert main(["moment", "--mean", "2"]) == 2
+            usage = err.getvalue().split("\npoisson-moments moment: error")[0]
+            lines[columns] = usage.splitlines()
+        assert len(lines["200"]) == 2 and len(lines["200"][0]) > 150
+        # one option to a line after the first
+        assert len(lines["50"]) == 8
 
 
 class TestPoly:

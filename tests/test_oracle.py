@@ -224,27 +224,32 @@ class TestDoublingInvariance:
 class TestVerifyAgainst:
     def test_exact_candidate_passes(self):
         res = expectation(4.0, WeightSpec.power(2, 4.0), 1e-15)
-        rep = verify_against(4.0, WeightSpec.power(2, 4.0), res.value, 1e-9,
-                             oracle_result=res)
+        rep = verify_rows([(res.value, res)], 1e-9)[0]
         assert rep.passed and rep.rel_err < 1e-15
 
     def test_perturbed_candidate_fails(self):
         tol = 1e-9
         res = expectation(4.0, WeightSpec.power(2, 4.0), 1e-15)
         bad = float(res.value) * (1 + 10 * tol)
-        rep = verify_against(4.0, WeightSpec.power(2, 4.0), bad, tol,
-                             oracle_result=res)
+        rep = verify_rows([(bad, res)], tol)[0]
         assert not rep.passed
 
     def test_tolerance_must_exceed_certificate(self):
         res = expectation(4.0, WeightSpec.power(2, 4.0), 1e-8)
         with pytest.raises(ValueError):
-            verify_against(4.0, WeightSpec.power(2, 4.0), 4.0, 1e-12,
-                           oracle_result=res)
+            verify_rows([(4.0, res)], 1e-12)
 
     def test_recomputes_oracle_when_not_supplied(self):
         rep = verify_against(1.0, WeightSpec.abs_power(1, 1.0), TWO_OVER_E, 1e-9)
         assert rep.passed
+
+    def test_takes_the_weight_candidate_and_tolerance_only(self):
+        params = inspect.signature(verify_against).parameters
+        assert list(params) == ["m", "w", "candidate", "tol"]
+        res = expectation(4.0, WeightSpec.power(2, 4.0), 1e-15)
+        assert verify_against(4.0, WeightSpec.power(2, 4.0), 4.0 * (1 + 1e-12),
+                              1e-9) == verify_rows([(4.0 * (1 + 1e-12), res)],
+                                                   1e-9)[0]
 
 
 def row_check(candidate, res, tol):
@@ -282,8 +287,7 @@ class TestVerifyRows:
         assert 0 < sum(rep.passed for rep in reports) < len(rows)
         for (candidate, res), rep in zip(rows, reports):
             assert (rep.passed, rep.rel_err) == row_check(candidate, res, tol)
-            assert rep == verify_against(None, None, candidate, tol,
-                                         oracle_result=res)
+            assert rep == verify_rows([(candidate, res)], tol)[0]
             assert rep.oracle_value == float(res.value)
             assert rep.certified_error == res.certified_error
 

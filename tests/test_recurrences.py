@@ -1,13 +1,15 @@
 """Moment recurrences: tables, shift identities, closed forms, weighted sums."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from poisson_moments import (DiscreteFunction, GrowthBoundError,
+import poisson_moments.oracle as om
+from poisson_moments import (NATIVE, DiscreteFunction, GrowthBoundError,
                              OrderOverflowError, PrecisionSpec,
                              abs_central_moment,
                              abs_moment_3_closed, abs_moment_5_closed,
@@ -16,6 +18,7 @@ from poisson_moments import (DiscreteFunction, GrowthBoundError,
                              mean_deviation, sign,
                              signed_moment_shifted, signed_moment_table,
                              truncation_index)
+from poisson_moments.recurrences import _shift_down, shift_identity
 
 from helpers import brute_expectation, grid_centers, rel_err
 
@@ -125,6 +128,44 @@ class TestShiftAtWorkingWidth:
             a = mp.mpf(0.1) - 1
             t = central_moment_table(0.5, a, 1, EXT)
             assert t.a == a and t.values[1] == mp.mpf(0.5) - a
+
+
+def per_order_identity(shifted, table, r):
+    """Order r of the center-shift identity as one expression, in its own
+    working context."""
+    prec = table.prec
+    with prec.working():
+        return (prec.real(table.m) * shifted.values[r - 1]
+                - prec.real(table.a) * table.values[r - 1])
+
+
+class TestShiftIdentityBlock:
+    @pytest.mark.parametrize("prec", [NATIVE, EXT], ids=["native", "256"])
+    def test_matches_the_per_order_expression_bit_for_bit(self, prec):
+        rng = random.Random(8)
+        seen = set()
+        for _ in range(24):
+            m = 10.0 ** rng.uniform(-1.0, 1.7)
+            a = rng.uniform(-3.0, m + 3.0)
+            b = rng.choice([None, rng.uniform(0.0, 1.0), rng.uniform(0.0, m + 2)])
+            r_max = rng.randrange(0, 9)
+            a_lo = _shift_down(a, prec)
+            if b is None:
+                table = central_moment_table(m, a, r_max, prec)
+                shifted = central_moment_table(m, a_lo, r_max, prec)
+            else:
+                table = signed_moment_table(m, a, b, r_max, prec)
+                shifted = signed_moment_table(m, a_lo, b - 1, r_max, prec)
+            block = shift_identity(shifted, table)
+            assert len(block) == r_max + 1
+            for r in range(1, r_max + 2):
+                want = per_order_identity(shifted, table, r)
+                assert type(block[r - 1]) is type(want)
+                assert block[r - 1] == want
+            seen.add(("a<0", a < 0))
+            seen.add(("b-1<0", b is not None and b - 1 < 0))
+        assert seen == {("a<0", True), ("a<0", False),
+                        ("b-1<0", True), ("b-1<0", False)}
 
 
 class TestSignedTable:
@@ -280,6 +321,20 @@ class TestOrderDomain:
 
     def test_integral_float_order_is_accepted(self):
         assert central_moment_table(2.0, 2.0, 4.0).values[4] == 14.0
+
+    @pytest.mark.parametrize("b,r", [(1e200, 3), (1e300, 3), (1e20, 30)])
+    def test_far_threshold_adds_no_correction(self, b, r):
+        # the pmf factor at floor(b) underflows to zero, and its power
+        # (floor(b) + 1 - a)^(r-1) would overflow binary64
+        got = signed_moment_table(2.0, 0.0, b, r)
+        for k in range(r + 1):
+            res = om.expectation(2.0, om.WeightSpec.signed_power(k, 0.0, b), 1e-20)
+            assert om.verify_rows([(got.values[k], res)], 1e-9)[0].passed
+
+    def test_nonzero_factor_with_an_overflowing_power_is_rejected(self):
+        # the factor at b = 2 is about 0.36; (3 + 1e200)^2 overflows
+        with pytest.raises(OrderOverflowError, match="r_max = 3"):
+            signed_moment_table(2.0, -1e200, 2.0, 3)
 
 
 class TestClosedForms:

@@ -10,7 +10,9 @@ One case table, ``CASES``, covers the layers:
   ``katti_abs_moment_table`` next to a ``katti_abs_moment`` call per order;
 * ``oracle``: ``expectation`` and ``expectation_table``, eps = 1e-24 unless
   the case says otherwise;
-* ``cli``: the wall time of a whole ``python -m poisson_moments`` process.
+* ``cli``: ``verify`` requests shaped like the benchmark's ``verify_sweep``,
+  each one in-process ``cli.main`` call, and the wall time of a whole
+  ``python -m poisson_moments`` process.
 
 Run it as
 
@@ -36,6 +38,8 @@ under test and its mpmath dependency.
 from __future__ import annotations
 
 import argparse
+import importlib
+import io
 import json
 import math
 import os
@@ -97,6 +101,18 @@ def _per_entry(pm, m, r) -> list:
     return [partial(pm.expectation, m, x, EPS) for x in weights]
 
 
+def _in_process(pm, *argv):
+    """One ``cli.main`` call in this interpreter, its output discarded; an
+    exit code other than 0 is an error."""
+    main = importlib.import_module(pm.__name__ + ".cli").main
+
+    def run():
+        code = main(list(argv), out=io.StringIO(), err=io.StringIO())
+        if code != 0:
+            raise RuntimeError(f"{' '.join(argv)} exited {code}")
+    return run
+
+
 def _process(pm, *argv):
     src = os.path.dirname(os.path.dirname(pm.__file__))
     return partial(subprocess.run,
@@ -156,6 +172,13 @@ CASES = [
     ("oracle", "single eps=1e-12", None, (3,),
      lambda pm, m, r: [partial(pm.expectation, m,
                                pm.WeightSpec.abs_power(r, m), 1e-12)]),
+    ("cli", "verify", (2.0, 50.0), (8,),
+     lambda pm, m, r: [_in_process(pm, "verify", "--mean-grid", f"{m:g}",
+                                   "--max-order", str(r))]),
+    ("cli", "verify 256 bits tol=1e-18", (2.0, 50.0), (8,),
+     lambda pm, m, r: [_in_process(pm, "verify", "--mean-grid", f"{m:g}",
+                                   "--max-order", str(r), "--precision-bits",
+                                   "256", "--tol", "1e-18")]),
     ("cli", "verify process, default grid", (None,), (None,),
      lambda pm, m, r: [_process(pm, "verify")]),
     ("cli", "moment process", (2.0,), (3,),
