@@ -7,8 +7,9 @@ closed forms, a confluent-hypergeometric series route, and a certified
 brute-force oracle.
 """
 
-from .core import (DiscreteFunction, GrowthBoundError, PoissonMean, TailBound,
-                   cdf, log_pmf, pmf, pmf_series, sign, truncation_index)
+from .core import (DiscreteFunction, GrowthBoundError, MeanTooLargeError,
+                   PoissonMean, TailBound, cdf, log_pmf, pmf, pmf_series, sign,
+                   truncation_index)
 from .hypergeom import (GTable, Hyp1F1Params, g_table, hyp1f1,
                         katti_abs_moment, katti_abs_moment_table,
                         katti_abs_moment_with_condition)
@@ -33,6 +34,7 @@ __all__ = [
     "GTable",
     "GrowthBoundError",
     "Hyp1F1Params",
+    "MeanTooLargeError",
     "MomentPolynomial",
     "MomentTable",
     "NATIVE",

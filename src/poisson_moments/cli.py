@@ -6,13 +6,15 @@ or JSON), ``verify`` (cross-method sweep against the oracle), ``bench``
 coefficients).
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/validation (an order
-too large for binary64 included), 3 method precondition violation.
+too large for binary64 and a mean above the cdf ceiling included), 3 method
+precondition violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import csv
 import functools
 import json
@@ -23,7 +25,7 @@ from statistics import median
 from typing import List, Optional
 
 from . import oracle as oracle_mod
-from .core import MIN_CERTIFIABLE_EPS, as_mean
+from .core import MIN_CERTIFIABLE_EPS, MeanTooLargeError, as_mean
 from .hypergeom import katti_abs_moment_table, katti_abs_moment_with_condition
 from .polynomials import moment_polynomials
 from .precision import PrecisionSpec
@@ -59,6 +61,10 @@ class UsageError(Exception):
 
 class PreconditionError(Exception):
     """A method was asked for outside its domain (exit 3)."""
+
+
+# library errors for a finite argument too large to compute with (exit 2)
+_TOO_LARGE = (OrderOverflowError, MeanTooLargeError)
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +243,14 @@ def _compute_value(method: str, mv: float, a: float, b: Optional[float],
 
     Without a threshold the target is E |X - a|^r; with one it is the
     signed moment E (X - a)^r sign(X - b).  A ValueError from the shifted
-    or series route, other than an order too large for binary64, is a
-    precondition violation.  A value beyond the double range of the output
-    records (an extended or oracle value, say, about a far center) is a
-    usage error.
+    or series route, other than an order too large for binary64 or a mean
+    above the cdf ceiling, is a precondition violation.  A value beyond
+    the double range of the output records (an extended or oracle value,
+    say, about a far center) is a usage error.
     """
     try:
         value, cond, cert = _route(method, mv, a, b, r, prec)
-    except OrderOverflowError:
+    except _TOO_LARGE:
         raise
     except ValueError as exc:
         if method not in ("shifted", "katti"):
@@ -426,20 +432,22 @@ def _cmd_verify(args, out, err) -> int:
     gated_rows = 0
 
     for mv, a, thresholds in grid:
-        # one certified pass, and one block of row checks, per center
-        oracle = oracle_mod.expectation_table(mv, a, top, eps, thresholds)
         rows = []  # (method, candidate, oracle entry, key, gated, flagged)
         a_lo = _shift_down(a, prec)
         central = central_moment_table(mv, a, top, prec)
-        # (b, table about a, table about a - 1 and b - 1, oracle entries)
-        blocks = [(None, central, central_moment_table(mv, a_lo, top, prec),
-                   oracle.power)]
+        # (b, table about a, table about a - 1 and b - 1); the signed
+        # tables refuse a mean above the cdf ceiling before the oracle
+        # would sum its O(m) terms
+        blocks = [(None, central, central_moment_table(mv, a_lo, top, prec))]
         blocks += [(b, signed_moment_table(mv, a, b, top, prec),
-                    signed_moment_table(mv, a_lo, b - 1, top, prec),
-                    oracle.signed[b]) for b in thresholds]
+                    signed_moment_table(mv, a_lo, b - 1, top, prec))
+                   for b in thresholds]
         katti = (katti_abs_moment_table(mv, a, top, prec, central.values)
                  if a >= 0 else {})
-        for b, table, shifted, expected in blocks:
+        # one certified pass, and one block of row checks, per center
+        oracle = oracle_mod.expectation_table(mv, a, top, eps, thresholds)
+        for b, table, shifted in blocks:
+            expected = oracle.power if b is None else oracle.signed[b]
             identity = shift_identity(shifted, table)
             for r in range(top + 1):
                 key = (mv, a, b, r)
@@ -586,12 +594,14 @@ def main(argv=None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse writes usage errors to sys.stderr and --help to sys.stdout
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.run(args, out, err)
-    except (UsageError, OrderOverflowError) as exc:
+    except (UsageError, *_TOO_LARGE) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
     except PreconditionError as exc:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
-from mpmath import mp
+from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 from .precision import NATIVE, PrecisionSpec
 
@@ -24,6 +25,10 @@ MIN_CERTIFIABLE_EPS = 1e-290
 _BOUND_SAFETY = 1.0 + 1e-9  # absorbs double rounding in the certificate
 # Above this log the bound 2 e^x (1 + 1e-9) would overflow binary64.
 _LOG_BOUND_MAX = 709.0
+
+
+class MeanTooLargeError(ValueError):
+    """A mean above MAX_CDF_MEAN, the largest :func:`cdf` sums."""
 
 
 class GrowthBoundError(ValueError):
@@ -128,6 +133,16 @@ def require_finite(x, name: str):
     return x
 
 
+def exact_ratio(x) -> Tuple[int, int]:
+    """(num, den) with x = num / den exactly, for a double, an integer or
+    an mpf; den is a power of two."""
+    if isinstance(x, mpf):
+        return to_rational(x._mpf_)
+    if isinstance(x, int):
+        return x, 1
+    return float(x).as_integer_ratio()
+
+
 def log_pmf(k, m, prec: PrecisionSpec = NATIVE):
     """log P(X = k) = -m + k log m - log k! for X ~ Poisson(m).
 
@@ -174,9 +189,16 @@ def pmf_series(m, n, prec: PrecisionSpec = NATIVE) -> list:
 # the log-gamma evaluation that anchors the outward sum at p_floor(b).
 _DIRECT_TERMS = 64
 
+# The largest mean cdf accepts.  Its sum runs over about
+# sqrt(2 m (W + 72) ln 2) terms around the bulk, W the working width: at
+# this mean and W = 128 under 2e6 terms, about a second of Python-integer
+# arithmetic on a 2-CPU x86 machine.
+MAX_CDF_MEAN = 1e10
+
 # Fixed-point guard bits of the cdf sum: k truncated integer divisions err
 # by at most k^2 / 2 units in total, which stays below 2^_CDF_GUARD for any
-# sum shorter than 2^31 terms (m up to about 1e15).
+# sum shorter than 2^31 terms: every sum at m <= MAX_CDF_MEAN and any width
+# W below 2^25 bits.
 _CDF_GUARD = 64
 
 
@@ -199,8 +221,14 @@ def cdf(b, m, prec: PrecisionSpec = NATIVE):
     returns 1 without adding a term.  The result carries a relative error
     below 2^-(W+6) before it is rounded into the working arithmetic, so
     native callers receive the correctly rounded double of the sum.
+
+    A mean above ``MAX_CDF_MEAN`` raises :class:`MeanTooLargeError`.
     """
     mv = as_mean(m)
+    if mv > MAX_CDF_MEAN:
+        raise MeanTooLargeError(
+            f"mean m = {mv!r} is above {MAX_CDF_MEAN:g}, the largest the "
+            f"cdf sum accepts")
     n = math.floor(require_finite(b, "threshold b"))
     if n < 0:
         return prec.real(0.0)

@@ -45,9 +45,9 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest, to_rational
+from mpmath.libmp import from_man_exp, round_nearest
 
-from .core import as_index, as_mean, require_finite
+from .core import as_index, as_mean, exact_ratio, require_finite
 from .precision import NATIVE, PrecisionSpec
 from .recurrences import (_UPGRADE_PREC, _condition, central_moment_table,
                           threshold_pmf_factor)
@@ -98,16 +98,6 @@ def _mirrored(p: Hyp1F1Params) -> Hyp1F1Params:
     return Hyp1F1Params(p.beta - p.alpha, p.beta, -p.z)
 
 
-def _ratio(x) -> Tuple[int, int]:
-    """(num, den) with x = num / den exactly and den > 0, for a double,
-    an integer or an mpf."""
-    if isinstance(x, mpf):
-        return to_rational(x._mpf_)
-    if isinstance(x, int):
-        return x, 1
-    return float(x).as_integer_ratio()
-
-
 def hyp1f1(p: Hyp1F1Params, prec: PrecisionSpec = NATIVE):
     """Kummer series by term recursion t_{n+1} = t_n z (alpha+n) / ((beta+n)(n+1)).
 
@@ -149,7 +139,7 @@ def hyp1f1(p: Hyp1F1Params, prec: PrecisionSpec = NATIVE):
 
 
 def _hyp1f1_fixed(p: Hyp1F1Params, prec: PrecisionSpec):
-    (an, ad), beta, (zn, zd) = (_ratio(x) for x in (p.alpha, p.beta, p.z))
+    (an, ad), beta, (zn, zd) = (exact_ratio(x) for x in (p.alpha, p.beta, p.z))
     width = max(128, prec.bits)
     if zn >= 0:
         total, e = _kummer_sum((an, ad), beta, (zn, zd), prec.rel_tol,
@@ -289,7 +279,7 @@ def g_table(a, m, r, prec: PrecisionSpec = NATIVE) -> GTable:
 
 def _g_rows_fixed(a, fl: int, mv: float, ri: int, prec: PrecisionSpec):
     lo = max(128, prec.bits) + 64
-    an, ad = _ratio(a)
+    an, ad = exact_ratio(a)
     mn, md = mv.as_integer_ratio()
     # g[s+1][beta] = (P[beta] g[s][beta] + Q[beta] g[s][beta+1]) / D[beta]
     P = [((fl + 1 + beta) * ad - an) * md * (beta + fl + 2) for beta in range(ri)]

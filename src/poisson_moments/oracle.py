@@ -8,16 +8,23 @@ every entry asked about that center, each with its own certified error:
 * the absolute sums E |X - a|^r,
 * the signed sums E (X - a)^r sign(X - b), for each threshold b,
 
-for every order r <= r_max.  The pass keeps running sums
-S_r = sum_j (j - a)^r p_j, each power one multiplication up from the order
-below it, and copies them at j = ceil(a) - 1 and at each floor(b).  An odd
-absolute sum is then S_r - 2 S_r(j < a) (an even one is S_r) and a signed
-sum S_r - 2 S_r(j <= floor b), with no further pass.  The cutoff N is the
-largest any entry needs.  An entry's certified error is the tail bound of
-its own order past N plus a rounding bound for the pass; the mantissa
-width starts at 192 bits and is raised until every rounding bound is below
-a tenth of eps.  ``expectation`` runs the same pass for a single weight,
-advancing only its order; custom weights multiply each term by f(j).
+for every order r <= r_max.  The pass runs in Python integers.  The mean
+and the center enter as exact ratios, so j - a is exact.  The weight
+m^j / j! is one truncated integer division per step, rescaled as
+``hypergeom`` rescales its series terms, so that it always keeps
+S = bits + log2(N + 2) + 8 bits.  Each power is one integer product up
+from the order below it, and the running sums S_r = sum_j (j - a)^r p_j
+share one binary exponent, kept S bits below the largest weight seen, so
+a term adds exactly or with its bits below that unit dropped.  The sums
+are copied at j = ceil(a) - 1 and at each floor(b).  An odd absolute sum
+is then S_r - 2 S_r(j < a) (an even one is S_r) and a signed sum
+S_r - 2 S_r(j <= floor b), and each entry is rounded into floating point
+once, times e^-m.  The cutoff N is the largest any entry needs.  An
+entry's certified error is the tail bound of its own order past N plus a
+rounding bound for the pass; the mantissa width starts at 192 bits and is
+raised until every rounding bound is below a tenth of eps.
+``expectation`` runs the same pass for a single weight, advancing only
+its order; custom weights multiply each term by the exact value of f(j).
 
 The module deliberately never imports the recurrence, polynomial, or
 hypergeometric modules: ground truth here comes only from the defining
@@ -28,14 +35,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import add, lshift, mul, rshift
 from typing import NamedTuple, Optional
 
 from mpmath import mp
-from mpmath.libmp import (fone, from_float, mpf_abs, mpf_add, mpf_div, mpf_le,
-                          mpf_mul, mpf_sub, round_nearest, to_float)
+from mpmath.libmp import (fone, from_float, from_man_exp, mpf_abs, mpf_add,
+                          mpf_div, mpf_le, mpf_mul, mpf_sub, round_nearest,
+                          to_float)
 
-from .core import (DiscreteFunction, as_index, as_mean, require_finite,
-                   truncation_index)
+from .core import (DiscreteFunction, as_index, as_mean, exact_ratio,
+                   require_finite, truncation_index)
 
 __all__ = [
     "WeightSpec",
@@ -123,41 +133,101 @@ class VerifyReport(NamedTuple):
     rel_err: float
 
 
+def _aligned(totals, e: int, to: int) -> list:
+    """Integers at exponent ``e`` brought to exponent ``to``: exactly when
+    to <= e, and floored (under one unit of 2^to lost) when to > e."""
+    if to <= e:
+        return [t << (e - to) for t in totals]
+    return [t >> (to - e) for t in totals]
+
+
 def _pass(mv: float, a: float, orders: tuple, cutoff: int, bits: int,
           marks=(), f: Optional[DiscreteFunction] = None):
-    """The one summation loop, over j = 0..cutoff at ``bits`` bits.
+    """The one summation loop, over j = 0..cutoff, in Python integers, for
+    a run of consecutive orders.
 
-    Returns (sums, prefixes, mags): ``sums[i]`` is sum_j (j - a)^orders[i]
-    p_j f(j) (f = 1 when None); ``prefixes[k]`` holds the same sums over
-    j <= k, for each mark 0 <= k < cutoff; ``mags[i]`` sums the absolute
-    terms, kept only for a custom f, whose terms have no known sign.
+    With m = num/den and a = A/Q exact (Q a power of two), D_j = jQ - A
+    is exact.  The weight p_j e^m = m^j / j! is an integer times 2^ep, one
+    truncated division per step, rescaled with ep before the division so
+    that the quotient keeps at least S + 31 bits, S = bits + log2(N + 2)
+    + 8; times f(j) when given, as its exact binary fraction.  A term of
+    order r is D_j^r times the weight, one integer product up from the
+    order below it.  The sums share one exponent, raised (their low bits
+    dropped) to keep S bits below the largest weight seen at a j with
+    D_j != 0; a term is added at that exponent, exactly or with its bits
+    below the unit dropped.
+
+    Returns (sums, prefixes, mags, rounded): ``sums`` are the integer sums
+    for ``orders``; ``prefixes[k]`` holds the sums over j <= k, for each
+    mark 0 <= k < cutoff; ``mags`` sums the absolute terms, kept only for
+    a custom f, whose terms have no known sign; ``rounded(totals)`` turns
+    integers on the scale of ``sums`` into their mpf values, times e^-m
+    taken at bits + 64 bits, each rounded once to nearest at ``bits``
+    bits.
     """
-    steps = [r - q for q, r in zip((0,) + orders, orders)]
-    with mp.workprec(bits):
-        mm = mp.mpf(mv)
-        aa = mp.mpf(a)
-        p = mp.exp(-mm)
-        sums = [mp.zero] * len(orders)
-        mags = None if f is None else [mp.zero] * len(orders)
-        prefixes = dict.fromkeys(k for k in marks if 0 <= k < cutoff)
-        for j in range(cutoff + 1):
-            d = j - aa
-            if f is None:
-                t = p
-            else:
-                raw = f.func(j)
-                f.check_growth(j, raw)
-                t = p * mp.mpf(raw)
-            for i, step in enumerate(steps):
-                if step:
-                    t = t * (d if step == 1 else d ** step)  # 0^0 = 1
-                sums[i] += t
-                if mags is not None:
-                    mags[i] += abs(t)
-            if j in prefixes:
-                prefixes[j] = sums[:]
-            p = p * mm / (j + 1)
-        return sums, prefixes, mags
+    num, den = mv.as_integer_ratio()
+    center, q = a.as_integer_ratio()
+    qbits = q.bit_length() - 1
+    width = bits + (cutoff + 2).bit_length() + 8
+    first, steps = orders[0], len(orders) - 1
+    p, ep = 1 << width, -width
+    d = -center
+    sums = [0] * len(orders)
+    mags = None if f is None else [0] * len(orders)
+    prefixes = dict.fromkeys(k for k in marks if 0 <= k < cutoff)
+    e = None  # the exponent of the sums, set by the first nonzero weight
+    top = None  # the level of the largest weight seen where D_j != 0
+    for j in range(cutoff + 1):
+        w, ew = p, ep
+        if f is not None:
+            raw = f.func(j)
+            f.check_growth(j, raw)
+            fn, fd = exact_ratio(require_finite(raw, f"f({j})"))
+            w, ew = p * fn, ep - (fd.bit_length() - 1)
+        if w:
+            level = ew + w.bit_length()
+            if d and (top is None or level > top):
+                top = level
+                to = top - width
+                if e is not None and e != to:
+                    sums = _aligned(sums, e, to)
+                    if mags is not None:
+                        mags = _aligned(mags, e, to)
+                e = to
+            elif e is None:
+                e = ew
+            t = w * d ** first if first else w
+            terms = accumulate(repeat(d, steps), mul, initial=t)
+            terms = list(map(lshift, terms, repeat(ew - e)) if ew >= e
+                         else map(rshift, terms, repeat(e - ew)))
+            sums = list(map(add, sums, terms))
+            if mags is not None:
+                mags = list(map(add, mags, map(abs, terms)))
+        if j in prefixes:
+            prefixes[j] = (sums, e)
+        wide = p * num
+        den_j = (j + 1) * den
+        size = wide.bit_length() - den_j.bit_length()
+        if size < width + 32:
+            wide <<= width + 32 - size
+            ep -= width + 32 - size
+        elif size > width + 96:
+            wide >>= size - width - 64
+            ep += size - width - 64
+        p = wide // den_j
+        d += q
+    e = 0 if e is None else e
+    for k, (prefix, at) in prefixes.items():
+        prefixes[k] = _aligned(prefix, 0 if at is None else at, e)
+    with mp.workprec(bits + 64):
+        _, man, exp, _ = mp.exp(-mp.mpf(mv))._mpf_
+
+    def rounded(totals):
+        return [mp.make_mpf(from_man_exp(
+            total * man, exp + e - qbits * r, bits, round_nearest))
+            for r, total in zip(orders, totals)]
+
+    return sums, prefixes, mags, rounded
 
 
 def _plan(mv: float, a: float, orders: tuple, eps: float,
@@ -189,22 +259,34 @@ def _certify(mv: float, a: float, orders: tuple, eps: float,
     """Every entry about one center from one pass, each with its own
     certified error; a custom f gives power entries only.
 
-    Rounding, in units u = 2^-bits and to first order in u (bits >= 192
-    leaves the rest far inside the spare units below):
+    The rounding bound, in units u = 2^-bits, is c u M for a sum and each
+    copy of it, with c = 3N + 3r + 8 and M the sum of the absolute terms,
+    and 3 c u M + u M for S - 2 S(prefix); for power terms M is the
+    absolute entry itself.  (The bound was derived for a pass in mpf
+    arithmetic, which rounded every operation, and is kept so that the
+    cutoff, the width and every certified error stay what they were.)
+    The integer pass errs far less.  With S = bits + log2(N + 2) + 8, and
+    the terms D_j^r m^j/j! f(j) on the integer scale of the sums (e^m Q^r
+    times their share of the entry):
 
-    * p_j is off by at most (2j + 2) u relative: exp, then one product and
-      one quotient per step;
-    * a term (j - a)^r p_j, times f(j) if given, adds at most 3r + 3: j - a
-      carries one u into each of the r factors, and each order step adds a
-      product and, for a step of two or more, a power's own rounding (two
-      units at most); f(j) adds its conversion and a product;
-    * summing N + 1 terms adds N u of their magnitude.
+    * each weight m^j/j! carries a relative error below N 2^-(S+29):
+      every truncated division yields at least 2^(S+31) units, and a
+      rescaling drops less than one of them; f(j) is exact;
+    * the unit of the sums is at most 2^-(S-1) times the largest
+      |m^j/j! f(j)| seen at a j with D_j != 0, so at most 2^-(S-1) M,
+      since |D_j| >= 1 there (the sums stay exact until such a weight is seen); each term
+      added, each raise of the exponent and each alignment of a prefix
+      copy drops under one unit, 2N + 3 units at most in a sum or a copy;
+    * so a sum, a prefix copy or S - 2 S(prefix) is within
+      3 (N 2^-(S+29) + (2N + 3) 2^-(S-1)) M < u M / 16 of its exact value;
+    * e^-m enters at bits + 64 bits, within 2^-(bits+62) relative;
+    * each entry is rounded to nearest once, at ``bits`` bits, which adds
+      at most u times its size, itself below (1 + u) M.
 
-    So a running sum, and each copy of it, is off by at most c u M, with
-    c = 3N + 3r + 8 and M the sum of the absolute terms; S - 2 S(prefix)
-    adds 2 c u M for the prefix and u M for the subtraction.  For power
-    terms M is the absolute entry itself, whose computed value is within
-    (3c + 1) u M of it.
+    So every entry lies within 1.07 u M of its exact sum over j <= N, far
+    inside c u M (c >= 8).  The computed M, a rounded sum of the absolute
+    terms as the pass forms them, is within 1.1 u relative of the exact
+    one, which _ROUND_SAFETY covers.
     """
     cutoff, tails = _plan(mv, a, orders, eps, f)
     thresholds = tuple(dict.fromkeys(thresholds))
@@ -213,22 +295,26 @@ def _certify(mv: float, a: float, orders: tuple, eps: float,
         math.floor(b) for b in thresholds)
     bits = _START_BITS
     while True:
-        sums, prefixes, mags = _pass(mv, a, orders, cutoff, bits, marks, f)
-        with mp.workprec(bits):
-            def minus_twice_prefix(k):
-                if k < 0:
-                    return sums
-                below = sums if k >= cutoff else prefixes[k]
-                return [s - 2 * q for s, q in zip(sums, below)]
+        sums, prefixes, mags, rounded = _pass(mv, a, orders, cutoff, bits,
+                                              marks, f)
 
-            if f is None:
-                absolute = [s if r % 2 == 0 else v for r, s, v in
-                            zip(orders, sums, minus_twice_prefix(below_a))]
-                signed = {b: minus_twice_prefix(math.floor(b))
-                          for b in thresholds}
-                mags = absolute
-            else:
-                absolute, signed = [], {}
+        def minus_twice_prefix(k):
+            if k < 0:
+                return sums
+            below = sums if k >= cutoff else prefixes[k]
+            return [s - 2 * q for s, q in zip(sums, below)]
+
+        if f is None:
+            absolute = rounded(s if r % 2 == 0 else v for r, s, v in
+                               zip(orders, sums, minus_twice_prefix(below_a)))
+            signed = {b: rounded(minus_twice_prefix(math.floor(b)))
+                      for b in thresholds}
+            mags = absolute
+        else:
+            absolute, signed = [], {}
+            mags = rounded(mags)
+        sums = rounded(sums)
+        with mp.workprec(bits):
             units = [mp.ldexp(abs(mg) * _ROUND_SAFETY, -bits) for mg in mags]
             plain = [(3 * cutoff + 3 * r + 8) * u for r, u in zip(orders, units)]
             derived = [3 * pl + u for pl, u in zip(plain, units)]

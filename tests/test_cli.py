@@ -164,6 +164,30 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "too large for binary64" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["moment", "--mean", "1e12", "--order", "1", "--center", "1e12"],
+        ["moment", "--mean", "1e12", "--order", "1", "--center", "1e12",
+         "--method", "shifted"],
+        ["moment", "--mean", "1e12", "--order", "3", "--center", "1e12",
+         "--method", "closed"],
+        ["moment", "--mean", "1e20", "--order", "2", "--center", "0",
+         "--threshold", "1e20", "--precision-bits", "256"],
+        ["table", "--mean-grid", "1e20"],
+        ["table", "--mean-grid", "1e20", "--methods", "shifted,closed",
+         "--max-order", "3"],
+        ["verify", "--mean-grid", "1e20"],
+    ], ids=["moment", "shifted", "closed", "signed-256", "table",
+            "table-shifted-closed", "verify"])
+    def test_mean_above_the_cdf_ceiling_is_usage_error(self, argv):
+        # every route that sums the cdf refuses the mean at once: before,
+        # the first took 10 s and a mean of 1e20 did not finish
+        t0 = time.perf_counter()
+        code, out, err = run(argv)
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: mean m = {float(argv[2])!r} is above")
+        assert "Traceback" not in err
+
     def test_other_library_value_error_is_not_a_usage_error(self, monkeypatch):
         # only the named domain errors map to exit 2; anything else is a
         # fault and keeps its traceback
@@ -433,6 +457,23 @@ class TestParser:
         assert len(lines["200"]) == 2 and len(lines["200"][0]) > 150
         # one option to a line after the first
         assert len(lines["50"]) == 8
+
+
+class TestParserStreams:
+    # argparse's own messages go to the caller's streams, not the process's
+    def test_usage_error_lands_in_err(self, capsys):
+        code, out, err = run(["verify", "--centers", "-1e5"])
+        assert code == 2 and out == ""
+        assert err.startswith("usage: poisson-moments verify")
+        assert err.endswith("error: argument --centers: expected one "
+                            "argument\n")
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_lands_in_out(self, capsys):
+        code, out, err = run(["moment", "--help"])
+        assert code == 0 and err == ""
+        assert out.startswith("usage: poisson-moments moment")
+        assert capsys.readouterr() == ("", "")
 
 
 class TestPoly:

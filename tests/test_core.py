@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,8 @@ from mpmath import mp
 from poisson_moments import (DiscreteFunction, GrowthBoundError, PoissonMean,
                              PrecisionSpec, TailBound, cdf, log_pmf, pmf,
                              pmf_series, sign, truncation_index)
-from poisson_moments.core import MIN_CERTIFIABLE_EPS
+from poisson_moments.core import (MAX_CDF_MEAN, MIN_CERTIFIABLE_EPS,
+                                  MeanTooLargeError)
 
 from helpers import brute_expectation, rel_err
 
@@ -181,6 +183,21 @@ class TestCdfOutwardSum:
     def test_nonfinite_threshold_is_rejected(self, b):
         with pytest.raises(ValueError, match="threshold b"):
             cdf(b, 2.0)
+
+    @pytest.mark.parametrize("m", [math.nextafter(MAX_CDF_MEAN, math.inf),
+                                   1e12, 1e20, 1e300])
+    @pytest.mark.parametrize("b", [-1.0, 0.0, 1e12, 1e300])
+    def test_mean_above_the_ceiling_is_rejected(self, m, b):
+        # a mean of 1e12 took 10 s at b = m, and 1e20 did not finish
+        with pytest.raises(MeanTooLargeError,
+                           match=re.escape(f"mean m = {m!r} is above")):
+            cdf(b, m)
+        with pytest.raises(MeanTooLargeError):
+            cdf(b, m, EXT)
+
+    def test_mean_at_the_ceiling_is_accepted(self):
+        assert cdf(-1.0, MAX_CDF_MEAN) == 0.0
+        assert cdf(1e11, MAX_CDF_MEAN, EXT) == 1
 
 
 class TestExtendedLogPmf:

@@ -221,6 +221,131 @@ class TestDoublingInvariance:
                 assert abs(mp.mpf(res.value) - v2) <= res.certified_error
 
 
+def _double_width_sums(m, a, r_max, cutoff, bits, thresholds=(), fn=None):
+    """(power, absolute, signed) sums over j = 0..cutoff, summed in mpf at
+    twice the pass width: an independent reference for the integer pass.
+    With ``fn`` the power sums carry f(j) and ``absolute`` sums the
+    absolute terms."""
+    with mp.workprec(2 * bits):
+        mm, aa = mp.mpf(m), mp.mpf(a)
+        p = mp.exp(-mm)
+        power = [mp.zero] * (r_max + 1)
+        absolute = [mp.zero] * (r_max + 1)
+        signed = {b: [mp.zero] * (r_max + 1) for b in thresholds}
+        for j in range(cutoff + 1):
+            d = j - aa
+            t = p if fn is None else p * mp.mpf(fn(j))
+            for r in range(r_max + 1):
+                if r:
+                    t *= d
+                power[r] += t
+                absolute[r] += abs(t)
+                for b in thresholds:
+                    signed[b][r] += t if j > b else -t
+            p = p * mm / (j + 1)
+        return power, absolute, signed
+
+
+def _within_pass_error(entry, want, mag):
+    """The entry is within its certified error of the reference and, far
+    tighter, within the integer pass's own error: under 2 u M, u =
+    2^-bits and M the order's absolute sum."""
+    with mp.workprec(2 * entry.bits):
+        diff = abs(mp.mpf(entry.value) - want)
+        return (diff <= entry.certified_error
+                and diff <= mp.ldexp(mag, 1 - entry.bits))
+
+
+SIGN_CHANGING = DiscreteFunction(lambda j: (j % 3 - 1) * (1.0 + j) ** 2 / 3,
+                                 degree=2, coeff=1.0)
+
+
+class TestIntegerPass:
+    # (m, a, r_max, eps) -> (cutoff, bits), as the mpf pass it replaced
+    # recorded them; the far center escalates to 1426 bits, a = -40 to 272
+    PINNED = {
+        (0.2, 0.2, 10, 1e-24): (23, 192),
+        (50.0, 50.3, 10, 1e-24): (181, 192),
+        (1e3, 1e3, 10, 1e-24): (2020, 192),
+        (3.0, 1e100, 4, 1e-20): (274, 1426),
+        (1e-3, -2.5, 30, 1e-12): (61, 192),
+        (2.0, -40.0, 30, 1e-24): (74, 272),
+    }
+
+    @staticmethod
+    def _cases():
+        """Seeded (m, a, r_max, eps): m log-uniform in [1e-3, 1e3], r <= 30,
+        centers below 0, fractional, at floor(m) + 0.3, far and on the
+        lattice (where one D_j is zero)."""
+        rng = random.Random(90210)
+        for i in range(15):
+            m = 10.0 ** (-3.0 + 0.4 * i + rng.uniform(0.0, 0.4))
+            a = (-rng.uniform(0.1, 5.0), rng.uniform(0.0, 2.0 * m),
+                 math.floor(m) + 0.3, 1e100, float(math.floor(m)))[i % 5]
+            top = 8 if a == 1e100 or m > 100.0 else 30
+            yield m, a, rng.randrange(0, top + 1), rng.choice(
+                (1e-12, 1e-24, 1e-40))
+
+    def test_seeded_grid_against_a_double_width_sum(self):
+        for m, a, r_max, eps in self._cases():
+            cutoff = expectation_table(m, a, r_max, eps).power[0].cutoff
+            # thresholds below 0, at floor(a), at and past the cutoff
+            thresholds = (-1.5, float(math.floor(a)), float(cutoff),
+                          cutoff + 7.5)
+            table = expectation_table(m, a, r_max, eps, thresholds)
+            bits = table.power[-1].bits
+            power, absolute, signed = _double_width_sums(
+                m, a, r_max, cutoff, bits, thresholds)
+            for r in range(r_max + 1):
+                got = [(table.power[r], power[r]),
+                       (table.absolute[r], absolute[r])]
+                got += [(table.signed[b][r], signed[b][r]) for b in thresholds]
+                for entry, want in got:
+                    assert (entry.cutoff, entry.bits) == (cutoff, bits)
+                    assert 0 < entry.certified_error <= eps
+                    assert _within_pass_error(entry, want, absolute[r]), (
+                        m, a, r, eps)
+
+    @pytest.mark.parametrize("f,m,a,r,eps", [
+        (SIGN_CHANGING, 3.5, 2.5, 3, 1e-24),
+        (SIGN_CHANGING, 0.01, -1.25, 12, 1e-30),
+        (SIGN_CHANGING, 200.0, 180.3, 5, 1e-12),
+        # the largest weight sits where j - a = 0, so it adds nothing
+        (DiscreteFunction(lambda j: 1.0 if j == 50 else 1e-300, degree=0,
+                          coeff=1.0), 50.0, 50.0, 2, 1e-24),
+        (DiscreteFunction(lambda j: 1.0 if j == 3 else -1e-200, degree=0,
+                          coeff=1.0), 0.01, 3.0, 4, 1e-30),
+        # zero on the bulk, nonzero only in the tail
+        (DiscreteFunction(lambda j: 0.0 if j < 12 else 1.0, degree=0,
+                          coeff=1.0), 2.0, 0.0, 3, 1e-30),
+        # subnormal values, exact binary fractions 2^-1074 deep
+        (DiscreteFunction(lambda j: 2.0 ** -1070 * (-1) ** j, degree=0,
+                          coeff=1.0), 5.0, 1.5, 3, 1e-30),
+    ], ids=["mixed-signs", "small-m", "large-m", "at-the-center",
+            "at-the-center-small-m", "tail-only", "subnormal"])
+    def test_custom_weight(self, f, m, a, r, eps):
+        res = expectation(m, WeightSpec.custom(f, r, a), eps)
+        assert 0 < res.certified_error <= eps
+        power, absolute, _ = _double_width_sums(
+            m, a, r, res.cutoff, res.bits, fn=f.func)
+        assert absolute[r] > 0
+        assert _within_pass_error(res, power[r], absolute[r])
+
+    def test_cutoff_and_bits_are_the_recorded_ones(self):
+        for (m, a, r_max, eps), want in self.PINNED.items():
+            table = expectation_table(m, a, r_max, eps, (a, -1.0))
+            every = table.power + table.absolute + sum(table.signed.values(), ())
+            assert {(e.cutoff, e.bits) for e in every} == {want}, (m, a)
+        res = expectation(3.5, WeightSpec.custom(SIGN_CHANGING, 3, 2.5), 1e-24)
+        assert (res.cutoff, res.bits) == (45, 192)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_custom_value_is_rejected(self, bad):
+        f = DiscreteFunction(lambda j: bad if j == 3 else 1.0, support_end=5)
+        with pytest.raises(ValueError, match=r"f\(3\) must be finite"):
+            expectation(2.0, WeightSpec.custom(f, 1, 0.0), 1e-12)
+
+
 class TestVerifyAgainst:
     def test_exact_candidate_passes(self):
         res = expectation(4.0, WeightSpec.power(2, 4.0), 1e-15)
