@@ -6,8 +6,8 @@ or JSON), ``verify`` (cross-method sweep against the oracle), ``bench``
 coefficients).
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/validation (an order
-too large for binary64 and a mean above the cdf ceiling included), 3 method
-precondition violation.
+too large for binary64 and a mean above the cdf or oracle ceiling
+included), 3 method precondition violation.
 """
 
 from __future__ import annotations
@@ -244,9 +244,9 @@ def _compute_value(method: str, mv: float, a: float, b: Optional[float],
     Without a threshold the target is E |X - a|^r; with one it is the
     signed moment E (X - a)^r sign(X - b).  A ValueError from the shifted
     or series route, other than an order too large for binary64 or a mean
-    above the cdf ceiling, is a precondition violation.  A value beyond
-    the double range of the output records (an extended or oracle value,
-    say, about a far center) is a usage error.
+    above the cdf or oracle ceiling, is a precondition violation.  A value
+    beyond the double range of the output records (an extended or oracle
+    value, say, about a far center) is a usage error.
     """
     try:
         value, cond, cert = _route(method, mv, a, b, r, prec)
@@ -435,17 +435,17 @@ def _cmd_verify(args, out, err) -> int:
         rows = []  # (method, candidate, oracle entry, key, gated, flagged)
         a_lo = _shift_down(a, prec)
         central = central_moment_table(mv, a, top, prec)
-        # (b, table about a, table about a - 1 and b - 1); the signed
-        # tables refuse a mean above the cdf ceiling before the oracle
-        # would sum its O(m) terms
+        # (b, table about a, table about a - 1 and b - 1)
         blocks = [(None, central, central_moment_table(mv, a_lo, top, prec))]
         blocks += [(b, signed_moment_table(mv, a, b, top, prec),
                     signed_moment_table(mv, a_lo, b - 1, top, prec))
                    for b in thresholds]
+        # one certified pass, and one block of row checks, per center; the
+        # pass refuses a mean above its ceiling before the series route
+        # would sum its O(m) terms
+        oracle = oracle_mod.expectation_table(mv, a, top, eps, thresholds)
         katti = (katti_abs_moment_table(mv, a, top, prec, central.values)
                  if a >= 0 else {})
-        # one certified pass, and one block of row checks, per center
-        oracle = oracle_mod.expectation_table(mv, a, top, eps, thresholds)
         for b, table, shifted in blocks:
             expected = oracle.power if b is None else oracle.signed[b]
             identity = shift_identity(shifted, table)

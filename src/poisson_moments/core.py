@@ -9,6 +9,7 @@ everything here is a pure function of its arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -28,7 +29,8 @@ _LOG_BOUND_MAX = 709.0
 
 
 class MeanTooLargeError(ValueError):
-    """A mean above MAX_CDF_MEAN, the largest :func:`cdf` sums."""
+    """A mean above a route's ceiling: MAX_CDF_MEAN, the largest :func:`cdf`
+    sums, or MAX_ORACLE_MEAN, the largest the oracle's pass sums."""
 
 
 class GrowthBoundError(ValueError):
@@ -195,6 +197,16 @@ _DIRECT_TERMS = 64
 # arithmetic on a 2-CPU x86 machine.
 MAX_CDF_MEAN = 1e10
 
+# The largest mean the oracle's pass accepts.  The pass sums every j from 0
+# to a cutoff past 2m, so at this mean about 2e6 terms: an order-2
+# ``expectation`` takes several seconds on a 2-CPU x86 machine.
+MAX_ORACLE_MEAN = 1e6
+
+# Entries kept by each lattice memo (``cdf`` here, the pmf factor in
+# ``recurrences``): a ``verify`` request needs a few dozen, and a bound this
+# small keeps the memos out of the peak resident size.
+_LATTICE_CACHE_SIZE = 128
+
 # Fixed-point guard bits of the cdf sum: k truncated integer divisions err
 # by at most k^2 / 2 units in total, which stays below 2^_CDF_GUARD for any
 # sum shorter than 2^31 terms: every sum at m <= MAX_CDF_MEAN and any width
@@ -222,7 +234,11 @@ def cdf(b, m, prec: PrecisionSpec = NATIVE):
     below 2^-(W+6) before it is rounded into the working arithmetic, so
     native callers receive the correctly rounded double of the sum.
 
-    A mean above ``MAX_CDF_MEAN`` raises :class:`MeanTooLargeError`.
+    A mean above ``MAX_CDF_MEAN`` raises :class:`MeanTooLargeError`.  The
+    sum depends on b only through floor(b): past the checks above it is
+    memoised on (floor(b), m, prec), in a bounded least-recently-used
+    cache of ``_LATTICE_CACHE_SIZE`` entries, so the tables of one request
+    at thresholds with the same floor share one sum.
     """
     mv = as_mean(m)
     if mv > MAX_CDF_MEAN:
@@ -232,6 +248,14 @@ def cdf(b, m, prec: PrecisionSpec = NATIVE):
     n = math.floor(require_finite(b, "threshold b"))
     if n < 0:
         return prec.real(0.0)
+    return _cdf_at(n, mv, prec)
+
+
+@functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
+def _cdf_at(n: int, mv: float, prec: PrecisionSpec):
+    """P(X <= n) for an integer n >= 0: the sum of :func:`cdf`.  It pins
+    its own working width and rounds into ``prec``, so its value does not
+    depend on the caller's ``mp.prec``."""
     width = max(128, prec.bits)
     scale = width + 8 + _CDF_GUARD  # p_anchor is 2^scale units
     num, den = mv.as_integer_ratio()  # m = num / den exactly
@@ -316,22 +340,10 @@ def truncation_index(m, degree, center, eps) -> TailBound:
     if eps < MIN_CERTIFIABLE_EPS:
         raise ValueError(f"eps below the certifiable range (< {MIN_CERTIFIABLE_EPS})")
 
-    start = 2.0 * (mv + deg)
-
     def bound_at(n: int) -> float:
-        log_term = log_pmf(n, mv)
-        if deg > 0:
-            # n >= s >= 2 here, so either base is at least 2.
-            log_term += deg * math.log(n - c if n - c >= start else n + abs(c))
-        if log_term > _LOG_BOUND_MAX:
-            # a far center: the envelope overflows binary64 here, and an
-            # infinite bound is still a bound, so the search goes on
-            return math.inf
-        # The floor keeps the certificate positive: letting exp underflow
-        # would report a vacuous zero bound for sub-1e-304 tails.
-        return 2.0 * math.exp(max(log_term, -699.0)) * _BOUND_SAFETY
+        return _envelope_bound(log_pmf(n, mv), n, mv, deg, c)
 
-    first = math.ceil(start)
+    first = math.ceil(2.0 * (mv + deg))
     last = first + 999_999  # the search gives up past this index
     lo, hi, step = first - 1, first, 1  # bound(lo) > eps, unless lo < s
     while True:
@@ -349,3 +361,45 @@ def truncation_index(m, degree, center, eps) -> TailBound:
         else:
             lo = mid
     return TailBound(hi, bound)
+
+
+def _envelope_bound(log_p: float, n: int, mv: float, deg: int,
+                    c: float) -> float:
+    """2 envelope(n), slightly inflated, for n >= 2 (m + deg): the tail
+    bound of :func:`truncation_index` at n, given log_p = log_pmf(n, m)."""
+    log_term = log_p
+    if deg > 0:
+        # n >= s >= 2 here, so either base is at least 2.
+        log_term += deg * math.log(n - c if n - c >= 2.0 * (mv + deg)
+                                   else n + abs(c))
+    if log_term > _LOG_BOUND_MAX:
+        # a far center: the envelope overflows binary64 here, and an
+        # infinite bound is still a bound, so the search goes on
+        return math.inf
+    # The floor keeps the certificate positive: letting exp underflow
+    # would report a vacuous zero bound for sub-1e-304 tails.
+    return 2.0 * math.exp(max(log_term, -699.0)) * _BOUND_SAFETY
+
+
+def tail_bounds(m, degrees, center, cutoff: int) -> list:
+    """The certified tail of ``sum_j |j - center|^d pmf(j)`` past
+    ``cutoff``, for each degree d in ``degrees``: the bound
+    :func:`truncation_index` gives at that index, from one log-pmf and one
+    power per degree.  The cutoff must be at least 2 (m + d) for every d,
+    where both envelopes of :func:`truncation_index` hold.
+
+    At a common cutoff N >= 2 (m + D), D the largest degree, the bound of a
+    degree d <= D is at most that of D: the base of d's envelope is at
+    most D's (the tighter one, N - center, holds for d wherever it holds
+    for D), and both bases are at least 2.  So the cutoff
+    ``truncation_index`` finds for D serves every lower degree.
+    """
+    mv = as_mean(m)
+    degs = [as_index(d, "degree") for d in degrees]
+    c = float(require_finite(center, "center a"))
+    n = as_index(cutoff, "cutoff")
+    if degs and n < 2.0 * (mv + max(degs)):
+        raise ValueError(f"cutoff {n} is below 2 (m + degree) = "
+                         f"{2.0 * (mv + max(degs))!r}")
+    log_p = log_pmf(n, mv)
+    return [_envelope_bound(log_p, n, mv, d, c) for d in degs]

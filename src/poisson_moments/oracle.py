@@ -19,10 +19,12 @@ a term adds exactly or with its bits below that unit dropped.  The sums
 are copied at j = ceil(a) - 1 and at each floor(b).  An odd absolute sum
 is then S_r - 2 S_r(j < a) (an even one is S_r) and a signed sum
 S_r - 2 S_r(j <= floor b), and each entry is rounded into floating point
-once, times e^-m.  The cutoff N is the largest any entry needs.  An
-entry's certified error is the tail bound of its own order past N plus a
-rounding bound for the pass; the mantissa width starts at 192 bits and is
-raised until every rounding bound is below a tenth of eps.
+once, times e^-m.  The cutoff N is the top order's, from one search, and
+the largest any entry needs.  An entry's certified error is the tail bound
+of its own order past that N plus a rounding bound for the pass; the
+mantissa width starts at 192 bits and is raised until every rounding
+bound is below a tenth of eps.  A mean above ``core.MAX_ORACLE_MEAN`` is
+refused before the search.
 ``expectation`` runs the same pass for a single weight, advancing only
 its order; custom weights multiply each term by the exact value of f(j).
 
@@ -44,8 +46,9 @@ from mpmath.libmp import (fone, from_float, from_man_exp, mpf_abs, mpf_add,
                           mpf_div, mpf_le, mpf_mul, mpf_sub, round_nearest,
                           to_float)
 
-from .core import (DiscreteFunction, as_index, as_mean, exact_ratio,
-                   require_finite, truncation_index)
+from .core import (MAX_ORACLE_MEAN, DiscreteFunction, MeanTooLargeError,
+                   as_index, as_mean, exact_ratio, require_finite, tail_bounds,
+                   truncation_index)
 
 __all__ = [
     "WeightSpec",
@@ -234,24 +237,25 @@ def _plan(mv: float, a: float, orders: tuple, eps: float,
           f: Optional[DiscreteFunction] = None):
     """(cutoff, certified tail per order), budgeting 90% of eps.
 
-    The cutoff is the largest any order needs.  Each order keeps the bound
-    from its own cutoff, which also covers the smaller tail past any later
-    one; a lower order's tail is not bounded by a higher order's, since
-    |j - a|^r grows with r only where |j - a| >= 1.
+    One search, for the top order R, gives the cutoff N; every order's
+    tail is its envelope bound at that same N (``core.tail_bounds``).  As
+    N >= 2 (m + R) and every envelope base is at least 2 there, a lower
+    order's bound at N is at most R's, itself <= 0.9 eps: so N is also the
+    largest cutoff any order's own search would give, and each order's
+    tail is at most the bound at its own cutoff.
     """
     if f is not None and f.degree is None:
         return f.support_end, [0.0] * len(orders)
     if f is None:
-        plans = [truncation_index(mv, r, a, 0.9 * eps) for r in orders]
-        scale = 1.0
+        degrees, center, scale = orders, a, 1.0
     else:
         # |(j-a)^r f(j)| <= coeff (j + A)^(r + degree) with A = max(1, |a|),
         # since |j - a| <= j + A and 1 + j <= j + A.
-        amp = max(1.0, abs(a))
-        plans = [truncation_index(mv, r + f.degree, -amp, 0.9 * eps / f.coeff)
-                 for r in orders]
-        scale = f.coeff
-    return max(tb.cutoff for tb in plans), [scale * tb.bound for tb in plans]
+        degrees = [r + f.degree for r in orders]
+        center, scale = -max(1.0, abs(a)), f.coeff
+    top = truncation_index(mv, degrees[-1], center, 0.9 * eps / scale)
+    tails = tail_bounds(mv, degrees, center, top.cutoff)
+    return top.cutoff, [scale * t for t in tails]
 
 
 def _certify(mv: float, a: float, orders: tuple, eps: float,
@@ -341,12 +345,24 @@ def _check_eps(eps: float) -> None:
         raise ValueError("eps must be positive")
 
 
+def _oracle_mean(m) -> float:
+    """The validated mean, or MeanTooLargeError above MAX_ORACLE_MEAN,
+    before any cutoff search: the pass sums over 2m terms."""
+    mv = as_mean(m)
+    if mv > MAX_ORACLE_MEAN:
+        raise MeanTooLargeError(
+            f"mean m = {mv!r} is above {MAX_ORACLE_MEAN:g}, the largest the "
+            f"oracle sums")
+    return mv
+
+
 def expectation_table(m, a, r_max: int, eps: float,
                       thresholds=()) -> OracleTable:
     """E (X - a)^r, E |X - a|^r and E (X - a)^r sign(X - b) for every
     r <= r_max and every threshold b, from one certified pass; each entry's
-    certified_error is <= eps."""
-    mv = as_mean(m)
+    certified_error is <= eps.  A mean above ``core.MAX_ORACLE_MEAN``
+    raises :class:`~poisson_moments.core.MeanTooLargeError`."""
+    mv = _oracle_mean(m)
     a = float(require_finite(a, "center a"))
     thresholds = [float(require_finite(b, "threshold b")) for b in thresholds]
     r_max = as_index(r_max, "r_max")
@@ -356,8 +372,9 @@ def expectation_table(m, a, r_max: int, eps: float,
 
 def expectation(m, w: WeightSpec, eps: float) -> OracleResult:
     """E w(X) with certified_error <= eps, always in extended precision:
-    the pass of :func:`expectation_table` for the one order of ``w``."""
-    mv = as_mean(m)
+    the pass of :func:`expectation_table` for the one order of ``w``, with
+    its mean ceiling."""
+    mv = _oracle_mean(m)
     a = float(require_finite(w.a, "center a"))
     _check_eps(eps)
     if w.form == "custom":

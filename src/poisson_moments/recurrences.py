@@ -37,6 +37,7 @@ preserved for reporting.  All functions are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import comb
@@ -44,8 +45,8 @@ from typing import Optional
 
 from mpmath import mp
 
-from .core import (DiscreteFunction, as_index, as_mean, cdf, log_pmf,
-                   pmf_series, require_finite, truncation_index)
+from .core import (_LATTICE_CACHE_SIZE, DiscreteFunction, as_index, as_mean,
+                   cdf, log_pmf, pmf_series, require_finite, truncation_index)
 from .precision import NATIVE, PrecisionSpec
 
 __all__ = [
@@ -85,8 +86,20 @@ def threshold_pmf_factor(k, m, prec: PrecisionSpec = NATIVE):
     is delivered correctly rounded even for native callers (a plain
     double log-pmf route would inject ~|log pmf| * eps relative noise,
     which the center-shift identity then amplifies).
+
+    Memoised on (k, m, prec), in a bounded least-recently-used cache of
+    ``_LATTICE_CACHE_SIZE`` entries: the signed tables, the closed forms
+    and the Kummer route at one floor(b) share one evaluation.
     """
     mv = as_mean(m)
+    return _pmf_factor(as_index(k), mv, prec)
+
+
+@functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
+def _pmf_factor(k: int, mv: float, prec: PrecisionSpec):
+    """The value of :func:`threshold_pmf_factor`.  It pins its own working
+    width and rounds into ``prec``, so its value does not depend on the
+    caller's ``mp.prec``."""
     bits = max(128, prec.bits)
     with mp.workprec(bits):
         v = mp.exp(log_pmf(k, mv, PrecisionSpec.extended(bits)) + mp.log(mv))

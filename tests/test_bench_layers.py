@@ -38,3 +38,19 @@ def test_layer_measures_every_case(monkeypatch, layer):
     for row in rows:
         assert row["calls_per_work"] is not None, f"{row['case']} is missing"
         assert row["median_us"] > 0
+
+
+def test_each_repetition_starts_with_empty_memos():
+    # a repeated cdf call would otherwise time the hit its first
+    # repetition left behind
+    memos = (pm.core._cdf_at, pm.recurrences._pmf_factor)
+    sizes = []
+
+    def work():
+        sizes.append([memo.cache_info().currsize for memo in memos])
+        pm.signed_moment_table(3.0, 3.0, 3.0, 4)
+
+    bench_layers.time_work([work], 3, 5.0,
+                           lambda: bench_layers._clear_memos(pm))
+    assert sizes == [[0, 0]] * 3
+    assert [memo.cache_info().currsize for memo in memos] == [1, 1]

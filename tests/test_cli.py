@@ -188,6 +188,29 @@ class TestExitCodes:
         assert err.startswith(f"error: mean m = {float(argv[2])!r} is above")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["moment", "--mean", "1e7", "--order", "2", "--center", "1e7",
+         "--method", "oracle"],
+        ["moment", "--mean", "1e12", "--order", "2", "--center", "1e12",
+         "--method", "oracle"],
+        ["table", "--mean-grid", "1e7", "--methods", "oracle"],
+        ["verify", "--mean-grid", "1e7"],
+        ["verify", "--mean-grid", "1e7", "--precision-bits", "256",
+         "--tol", "1e-18"],
+        ["bench", "--mean", "1e7", "--max-order", "3"],
+    ], ids=["moment", "moment-1e12", "table", "verify", "verify-256",
+            "bench"])
+    def test_mean_above_the_oracle_ceiling_is_usage_error(self, argv):
+        # the oracle's pass sums over 2m terms: at m = 1e12 the first ran
+        # past a 15 s timeout, and verify's series route at a = 0 and
+        # m = 1e7 does not finish either
+        t0 = time.perf_counter()
+        code, out, err = run(argv)
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 2 and out == ""
+        assert err == (f"error: mean m = {float(argv[2])!r} is above 1e+06, "
+                       f"the largest the oracle sums\n")
+
     def test_other_library_value_error_is_not_a_usage_error(self, monkeypatch):
         # only the named domain errors map to exit 2; anything else is a
         # fault and keeps its traceback

@@ -13,7 +13,7 @@ from poisson_moments import (DiscreteFunction, GrowthBoundError, PoissonMean,
                              PrecisionSpec, TailBound, cdf, log_pmf, pmf,
                              pmf_series, sign, truncation_index)
 from poisson_moments.core import (MAX_CDF_MEAN, MIN_CERTIFIABLE_EPS,
-                                  MeanTooLargeError)
+                                  MeanTooLargeError, tail_bounds)
 
 from helpers import brute_expectation, rel_err
 
@@ -349,6 +349,32 @@ class TestTruncationIndex:
         extra = self._tail_mass_past_cutoff(m, degree, center, tb.cutoff,
                                             11 * tb.cutoff)
         assert extra < tb.bound <= eps
+
+
+class TestTailBounds:
+    @pytest.mark.parametrize("m,center,eps", [
+        (0.2, 7.5, 1e-2), (2.0, 2.0, 1e-24), (50.0, -40.0, 1e-12),
+        (3.0, 1e100, 1e-20), (0.01, 0.0, 1e-40)])
+    def test_each_degree_at_a_shared_cutoff(self, m, center, eps):
+        # truncation_index's own bound at its cutoff, and at a common later
+        # one at most that, each certified against the summed tail
+        own = [truncation_index(m, d, center, eps) for d in range(9)]
+        shared = tail_bounds(m, range(9), center, own[8].cutoff)
+        for d, (tb, bound) in enumerate(zip(own, shared)):
+            assert tail_bounds(m, [d], center, tb.cutoff) == [tb.bound]
+            assert 0 < bound <= tb.bound
+            if center < 1e6:
+                assert self._tail(m, d, center, own[8].cutoff) < bound
+
+    @staticmethod
+    def _tail(m, degree, center, cutoff):
+        return TestTruncationIndex._tail_mass_past_cutoff(
+            m, degree, center, cutoff, 11 * cutoff + 50)
+
+    def test_cutoff_below_the_envelope_start_is_refused(self):
+        with pytest.raises(ValueError, match="below 2"):
+            tail_bounds(2.0, [0, 3], 0.0, 9)
+        assert len(tail_bounds(2.0, [0, 3], 0.0, 10)) == 2
 
 
 class TestSignConvention:

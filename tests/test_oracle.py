@@ -4,14 +4,17 @@ import ast
 import inspect
 import math
 import random
+import re
 
 import pytest
 from mpmath import mp
 
 import poisson_moments.oracle as oracle_mod
-from poisson_moments import (DiscreteFunction, GrowthBoundError, OracleResult,
-                             WeightSpec, expectation, expectation_table, sign,
-                             verify_against, verify_rows)
+from poisson_moments import (DiscreteFunction, GrowthBoundError,
+                             MeanTooLargeError, OracleResult, WeightSpec,
+                             expectation, expectation_table, sign,
+                             truncation_index, verify_against, verify_rows)
+from poisson_moments.core import MAX_ORACLE_MEAN
 
 from helpers import brute_expectation, rel_err, weight_of
 
@@ -181,6 +184,77 @@ class TestExpectationTable:
             expectation_table(2.0, 1.0, 2, 1e-12, (math.inf,))
         with pytest.raises(ValueError, match="eps"):
             expectation_table(2.0, 1.0, 2, 0.0)
+
+
+class TestSinglePlan:
+    """One cutoff search per pass, for the top order, and every order's
+    tail at that cutoff."""
+
+    @staticmethod
+    def _cases():
+        """Seeded (m, a, r_max, eps): the center just past the cutoff, far
+        centers on either side, and r <= 30."""
+        yield 0.2, 7.5, 3, 1e-2
+        rng = random.Random(31415)
+        for i in range(24):
+            m = 10.0 ** rng.uniform(-2.0, 2.0)
+            a = (m + rng.uniform(-2.0, 2.0) * math.sqrt(m),
+                 -rng.uniform(0.1, 60.0), m + rng.uniform(30.0, 300.0),
+                 10.0 ** rng.uniform(3.0, 100.0))[i % 4]
+            yield m, a, rng.randrange(0, 31), rng.choice(
+                (1e-2, 1e-12, 1e-24, 1e-40))
+
+    def test_shared_cutoff_serves_every_order(self):
+        for m, a, r_max, eps in self._cases():
+            orders = tuple(range(r_max + 1))
+            cutoff, tails = oracle_mod._plan(m, a, orders, eps)
+            own = [truncation_index(m, r, a, 0.9 * eps) for r in orders]
+            assert cutoff == max(tb.cutoff for tb in own), (m, a, r_max)
+            assert tails[-1] == own[-1].bound
+            for r, tail, tb in zip(orders, tails, own):
+                assert 0 < tail <= tb.bound <= 0.9 * eps, (m, a, r)
+
+    def test_custom_weight_plan(self):
+        f = DiscreteFunction(lambda j: 1.0, degree=2, coeff=3.0)
+        for m, a, r_max, eps in self._cases():
+            orders = tuple(range(r_max + 1))
+            cutoff, tails = oracle_mod._plan(m, a, orders, eps, f)
+            own = [truncation_index(m, r + 2, -max(1.0, abs(a)),
+                                    0.9 * eps / 3.0) for r in orders]
+            assert cutoff == max(tb.cutoff for tb in own)
+            for tail, tb in zip(tails, own):
+                assert 0 < tail <= 3.0 * tb.bound
+
+    def test_one_search_per_pass(self, monkeypatch):
+        searches = []
+        real = oracle_mod.truncation_index
+        monkeypatch.setattr(oracle_mod, "truncation_index",
+                            lambda *args: searches.append(args) or real(*args))
+        table = expectation_table(2.0, 2.0, 10, 1e-24, (2.0, 0.0))
+        assert len(searches) == 1 and searches[0][1] == 10
+        for entries in (table.power, table.absolute, *table.signed.values()):
+            assert all(0 < e.certified_error <= 1e-24 for e in entries)
+
+
+class TestMeanCeiling:
+    @pytest.mark.parametrize("m", [math.nextafter(MAX_ORACLE_MEAN, math.inf),
+                                   1e7, 1e12, 1e300])
+    def test_mean_above_the_ceiling_is_refused_before_the_search(
+            self, monkeypatch, m):
+        # the pass sums over 2m terms: m = 1e12 ran past a 15 s timeout
+        def no_search(*args):
+            raise AssertionError("searched for a cutoff")
+
+        monkeypatch.setattr(oracle_mod, "_plan", no_search)
+        message = re.escape(f"mean m = {m!r} is above")
+        with pytest.raises(MeanTooLargeError, match=message):
+            expectation_table(m, m, 2, 1e-12, (m,))
+        for w in (WeightSpec.power(2, m), WeightSpec.abs_power(1, 0.0),
+                  WeightSpec.signed_power(1, m, m),
+                  WeightSpec.custom(DiscreteFunction(abs, degree=1, coeff=1.0),
+                                    1, m)):
+            with pytest.raises(MeanTooLargeError, match=message):
+                expectation(m, w, 1e-12)
 
 
 class TestCustomWeights:

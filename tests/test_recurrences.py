@@ -18,7 +18,10 @@ from poisson_moments import (NATIVE, DiscreteFunction, GrowthBoundError,
                              mean_deviation, sign,
                              signed_moment_shifted, signed_moment_table,
                              truncation_index)
-from poisson_moments.recurrences import _shift_down, shift_identity
+from poisson_moments.core import _LATTICE_CACHE_SIZE, _cdf_at
+from poisson_moments.recurrences import (_pmf_factor, _shift_down,
+                                         shift_identity,
+                                         threshold_pmf_factor)
 
 from helpers import brute_expectation, grid_centers, rel_err
 
@@ -353,6 +356,79 @@ class TestClosedForms:
                           (abs_moment_5_closed, 5)):
             want = abs_central_moment(m, m, r)
             assert abs(closed(m) - want) <= 1e-12 * (abs(want) + 1)
+
+
+# (public function, its memoised helper): both take (floor(b) or b, m, prec)
+LATTICE = [(cdf, _cdf_at), (threshold_pmf_factor, _pmf_factor)]
+
+
+def _bits(x):
+    return x.hex() if isinstance(x, float) else x._mpf_
+
+
+class TestLatticeMemo:
+    @pytest.fixture(autouse=True)
+    def empty_caches(self):
+        for _, helper in LATTICE:
+            helper.cache_clear()
+
+    @pytest.mark.parametrize("public,helper", LATTICE, ids=["cdf", "factor"])
+    @pytest.mark.parametrize("prec", [NATIVE, PrecisionSpec.extended(128),
+                                      EXT], ids=["native", "128", "256"])
+    def test_cached_value_is_the_uncached_one(self, public, helper, prec):
+        # a miss under a narrow caller context, then a hit under a wide one,
+        # each equal bit for bit to the helper recomputed from scratch
+        for m in (0.1, 2.0, 50.0, 1e3, 1e5):
+            fl = math.floor(m)
+            for k in {0, 1, fl, fl + 3, 2 * math.ceil(m)}:
+                want = helper.__wrapped__(k, m, prec)
+                for caller in (40, 2 * prec.bits + 64):
+                    with mp.workprec(caller):
+                        got = public(k + 0.5 if public is cdf else k, m,
+                                     prec)
+                        assert _bits(helper.__wrapped__(k, m, prec)) == \
+                            _bits(want)
+                    assert type(got) is type(want)
+                    assert _bits(got) == _bits(want), (public, m, k, caller)
+
+    def test_thresholds_with_one_floor_share_an_entry(self):
+        tables = [signed_moment_table(3.0, 1.5, b, 4) for b in (2.1, 2.9)]
+        assert tables[0].values[0] == tables[1].values[0]
+        for _, helper in LATTICE:
+            info = helper.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_native_and_extended_keys_never_share(self):
+        for public, helper in LATTICE:
+            native = public(2, 3.0)
+            wide = public(2, 3.0, EXT)
+            assert isinstance(native, float) and not isinstance(wide, float)
+            assert helper.cache_info().currsize == 2
+            assert public(2, 3.0, EXT) is wide
+            assert public(2, 3.0) is native
+
+    def test_bad_or_negative_thresholds_never_reach_the_cache(self):
+        assert cdf(-0.5, 3.0) == 0.0 and cdf(-1e300, 3.0, EXT) == 0
+        for b in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="threshold b"):
+                cdf(b, 3.0)
+        for k in (-1, 2.5, math.nan):
+            with pytest.raises(ValueError, match="must be a nonnegative"):
+                threshold_pmf_factor(k, 3.0)
+        with pytest.raises(ValueError, match="mean"):
+            cdf(1.0, 1e11)
+        # b < 0 degenerates to the central table without a lattice constant
+        signed_moment_table(3.0, 1.5, -0.5, 4)
+        for _, helper in LATTICE:
+            assert helper.cache_info().misses == 0
+
+    def test_caches_are_bounded(self):
+        assert _LATTICE_CACHE_SIZE <= 128
+        for public, helper in LATTICE:
+            for k in range(_LATTICE_CACHE_SIZE + 10):
+                public(k, 2.0)
+            info = helper.cache_info()
+            assert info.maxsize == info.currsize == _LATTICE_CACHE_SIZE
 
 
 def _const_one():

@@ -29,10 +29,13 @@ seconds, falls on both trees alike, and no unit's work runs in the same
 process as another's.  A case's work is a list of calls, repeated up to
 REPEATS times within BUDGET_S seconds (``time_work``, which also says when
 a case is ``capped``); no call is left untimed as a warm-up, since the
-median drops a cold first repetition.  A row's figure is the median over
-rounds of its per-round median; a case whose function a tree lacks has a
-null median on that tree.  Standard library only, apart from the package
-under test and its mpmath dependency.
+median drops a cold first repetition.  Each repetition starts with the
+lattice memos of ``cdf`` and ``threshold_pmf_factor`` empty, where the
+tree has them, so that a repeated call is timed as a caller meets it
+first, not as a hit left by the repetition before.  A row's figure is the
+median over rounds of its per-round median; a case whose function a tree
+lacks has a null median on that tree.  Standard library only, apart from
+the package under test and its mpmath dependency.
 """
 
 from __future__ import annotations
@@ -188,19 +191,32 @@ CASES = [
 LAYERS = tuple(dict.fromkeys(layer for layer, *_ in CASES))
 
 
-def time_work(calls: list, repeats: int, budget_s: float) -> tuple:
+def _clear_memos(pm) -> None:
+    """Empty the lattice memos of ``cdf`` and ``threshold_pmf_factor``, on
+    a tree that has them, so that no repetition times a value an earlier
+    one left behind."""
+    for module, name in ((pm.core, "_cdf_at"),
+                         (pm.recurrences, "_pmf_factor")):
+        memo = getattr(module, name, None)
+        if memo is not None:
+            memo.cache_clear()
+
+
+def time_work(calls: list, repeats: int, budget_s: float, reset) -> tuple:
     """(median ns of the whole work, capped).
 
     The work is the list of zero-argument ``calls``, made in order.  It is
-    repeated up to ``repeats`` times and stops once it has used
-    ``budget_s`` seconds.  Work that does not fit in the budget even once
-    is timed on the calls that fit, scaled to the whole work by the share
-    of calls made, and is capped.
+    repeated up to ``repeats`` times, each repetition after an untimed
+    ``reset()``, and stops once it has used ``budget_s`` seconds.  Work
+    that does not fit in the budget even once is timed on the calls that
+    fit, scaled to the whole work by the share of calls made, and is
+    capped.
     """
     budget = budget_s * 1e9
     times = []
     spent = 0
     while len(times) < repeats and spent < budget:
+        reset()
         total = 0
         for done, call in enumerate(calls, 1):
             t0 = perf_counter_ns()
@@ -236,7 +252,8 @@ def measure(src: str, unit: tuple) -> dict:
         calls = work(pm, m, r)
     except AttributeError:  # the tree lacks the function
         return dict(key, calls_per_work=None, median_us=None, capped=False)
-    ns, capped = time_work(calls, REPEATS, BUDGET_S)
+    ns, capped = time_work(calls, REPEATS, BUDGET_S,
+                           partial(_clear_memos, pm))
     return dict(key, calls_per_work=len(calls), median_us=ns / 1e3,
                 capped=capped)
 
