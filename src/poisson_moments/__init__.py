@@ -8,11 +8,10 @@ brute-force oracle.
 """
 
 from .core import (DiscreteFunction, GrowthBoundError, MeanTooLargeError,
-                   PoissonMean, TailBound, cdf, log_pmf, pmf, pmf_series, sign,
+                   PoissonMean, TailBound, cdf, log_pmf, pmf, sign,
                    truncation_index)
 from .hypergeom import (GTable, Hyp1F1Params, g_table, hyp1f1,
-                        katti_abs_moment, katti_abs_moment_table,
-                        katti_abs_moment_with_condition)
+                        katti_abs_moment, katti_abs_moment_table)
 from .oracle import (OracleResult, OracleTable, VerifyReport, WeightSpec,
                      expectation, expectation_table, verify_against,
                      verify_rows)
@@ -22,9 +21,9 @@ from .precision import NATIVE, PrecisionSpec
 from .recurrences import (CONDITION_FLAG_THRESHOLD, MomentTable,
                           OrderOverflowError, abs_central_moment, abs_moment_3_closed,
                           abs_moment_5_closed, b_expectation,
-                          central_moment_shifted, central_moment_table,
-                          mean_deviation, signed_moment_shifted,
-                          signed_moment_table)
+                          b_expectation_table, central_moment_shifted,
+                          central_moment_table, mean_deviation,
+                          signed_moment_shifted, signed_moment_table)
 
 __version__ = "0.1.0"
 
@@ -50,6 +49,7 @@ __all__ = [
     "abs_moment_3_closed",
     "abs_moment_5_closed",
     "b_expectation",
+    "b_expectation_table",
     "cdf",
     "central_moment_shifted",
     "central_moment_table",
@@ -61,12 +61,10 @@ __all__ = [
     "hyp1f1",
     "katti_abs_moment",
     "katti_abs_moment_table",
-    "katti_abs_moment_with_condition",
     "log_pmf",
     "mean_deviation",
     "moment_polynomials",
     "pmf",
-    "pmf_series",
     "sign",
     "signed_moment_shifted",
     "signed_moment_table",

@@ -6,8 +6,8 @@ or JSON), ``verify`` (cross-method sweep against the oracle), ``bench``
 coefficients).
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/validation (an order
-too large for binary64 and a mean above the cdf or oracle ceiling
-included), 3 method precondition violation.
+too large for binary64 and a mean above the cdf, oracle or Kummer-series
+ceiling included), 3 method precondition violation.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from . import oracle as oracle_mod
 from .core import MIN_CERTIFIABLE_EPS, MeanTooLargeError, as_mean
-from .hypergeom import katti_abs_moment_table, katti_abs_moment_with_condition
+from .hypergeom import _check_odd_order, katti_abs_moment_table
 from .polynomials import moment_polynomials
 from .precision import PrecisionSpec
 from .recurrences import (CONDITION_FLAG_THRESHOLD, OrderOverflowError,
@@ -244,9 +244,9 @@ def _compute_value(method: str, mv: float, a: float, b: Optional[float],
     Without a threshold the target is E |X - a|^r; with one it is the
     signed moment E (X - a)^r sign(X - b).  A ValueError from the shifted
     or series route, other than an order too large for binary64 or a mean
-    above the cdf or oracle ceiling, is a precondition violation.  A value
-    beyond the double range of the output records (an extended or oracle
-    value, say, about a far center) is a usage error.
+    above the cdf, oracle or Kummer-series ceiling, is a precondition
+    violation.  A value beyond the double range of the output records (an
+    extended or oracle value, say, about a far center) is a usage error.
     """
     try:
         value, cond, cert = _route(method, mv, a, b, r, prec)
@@ -305,7 +305,7 @@ def _route(method: str, mv: float, a: float, b: Optional[float], r: int,
         if b is not None:
             raise PreconditionError("the series route covers absolute moments "
                                     "only (drop --threshold)")
-        v, cond = katti_abs_moment_with_condition(mv, a, r, prec)
+        v, cond = katti_abs_moment_table(mv, a, _check_odd_order(r), prec)[r]
         return float(v), cond, None
 
     if method == "oracle":

@@ -30,7 +30,9 @@ _LOG_BOUND_MAX = 709.0
 
 class MeanTooLargeError(ValueError):
     """A mean above a route's ceiling: MAX_CDF_MEAN, the largest :func:`cdf`
-    sums, or MAX_ORACLE_MEAN, the largest the oracle's pass sums."""
+    sums, MAX_ORACLE_MEAN, the largest the oracle's pass sums, or
+    ``hypergeom.MAX_KUMMER_MEAN``, the largest the Kummer series route
+    sums."""
 
 
 class GrowthBoundError(ValueError):
@@ -165,26 +167,6 @@ def pmf(k, m, prec: PrecisionSpec = NATIVE):
     """P(X = k), evaluated as exp(log_pmf) to avoid factorial overflow."""
     with prec.working():
         return prec.exp(log_pmf(k, m, prec))
-
-
-def pmf_series(m, n, prec: PrecisionSpec = NATIVE) -> list:
-    """[P(X=0), ..., P(X=n)].
-
-    Extended mode uses the term recursion p_{j+1} = p_j m / (j+1) (mpmath
-    never underflows); native mode evaluates each term from the log-space
-    pmf so large means cannot flush the whole series to zero.
-    """
-    mv = as_mean(m)
-    ni = as_index(n)
-    if prec.is_extended:
-        with prec.working():
-            p = mp.exp(-mp.mpf(mv))
-            out = [p]
-            for j in range(ni):
-                p = p * mv / (j + 1)
-                out.append(p)
-            return out
-    return [math.exp(log_pmf(j, mv)) for j in range(ni + 1)]
 
 
 # Below this many terms the plain upward sum from p_0 = e^-m is cheaper than

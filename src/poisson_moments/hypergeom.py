@@ -47,7 +47,8 @@ from typing import Tuple
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .core import as_index, as_mean, exact_ratio, require_finite
+from .core import (MeanTooLargeError, as_index, as_mean, exact_ratio,
+                   require_finite)
 from .precision import NATIVE, PrecisionSpec
 from .recurrences import (_UPGRADE_PREC, _condition, central_moment_table,
                           threshold_pmf_factor)
@@ -59,8 +60,14 @@ __all__ = [
     "g_table",
     "katti_abs_moment",
     "katti_abs_moment_table",
-    "katti_abs_moment_with_condition",
 ]
+
+# The largest mean the Kummer route accepts.  Its value row is summed from
+# n = 0 and its terms rise until n is about m - floor(a), so a small center
+# costs about m terms per value: at this mean and a = 0, a 256-bit order-3
+# entry takes about 0.6 s and an order-15 table about 1.8 s on a 2-CPU x86
+# machine.
+MAX_KUMMER_MEAN = 1e5
 
 
 @dataclass(frozen=True)
@@ -228,6 +235,17 @@ class GTable:
         return self.entries[self.r][0]
 
 
+def _kummer_mean(m) -> float:
+    """The validated mean, or MeanTooLargeError above MAX_KUMMER_MEAN,
+    before any series: the value row sums about m - floor(a) terms."""
+    mv = as_mean(m)
+    if mv > MAX_KUMMER_MEAN:
+        raise MeanTooLargeError(
+            f"mean m = {mv!r} is above {MAX_KUMMER_MEAN:g}, the largest the "
+            f"Kummer series route sums")
+    return mv
+
+
 def _check_odd_order(r) -> int:
     ri = as_index(r, "order")
     if ri % 2 == 0:
@@ -249,8 +267,11 @@ def g_table(a, m, r, prec: PrecisionSpec = NATIVE) -> GTable:
     entry is rounded into the working precision once, at the end, and so
     lies within 2^-(bits-8) relative (indeed 2^-(bits-1)) of the exact
     recursion on the value row.
+
+    A mean above ``MAX_KUMMER_MEAN`` raises
+    :class:`~poisson_moments.core.MeanTooLargeError`.
     """
-    mv = as_mean(m)
+    mv = _kummer_mean(m)
     ri = _check_odd_order(r)
     require_finite(a, "center a")
     if a < 0:
@@ -382,22 +403,19 @@ def katti_abs_moment_table(m, a, r_max, prec: PrecisionSpec = NATIVE,
     Native entries equal :func:`katti_abs_moment` bit for bit, unless the
     central table of order r_max was rebuilt at 256 bits for a cancellation
     that the table of a lower order does not have; extended entries agree
-    with it within 2^-(bits-8) relative.
+    with it within 2^-(bits-8) relative.  A mean above ``MAX_KUMMER_MEAN``
+    raises :class:`~poisson_moments.core.MeanTooLargeError`.
     """
-    mv = as_mean(m)
+    mv = _kummer_mean(m)
     ri = as_index(r_max, "r_max")
     orders = tuple(range(1, ri + 1, 2))
     return _katti_entries(mv, a, orders, prec, central) if orders else {}
 
 
-def katti_abs_moment_with_condition(m, a, r, prec: PrecisionSpec = NATIVE):
-    """(E |X - a|^r, condition estimate) for one odd order r: the entry of
-    :func:`katti_abs_moment_table`, built for that order alone."""
-    mv = as_mean(m)
-    ri = _check_odd_order(r)
-    return _katti_entries(mv, a, (ri,), prec)[ri]
-
-
 def katti_abs_moment(m, a, r, prec: PrecisionSpec = NATIVE):
-    """E |X - a|^r for odd r, a >= 0, assembled from the derivative table."""
-    return katti_abs_moment_with_condition(m, a, r, prec)[0]
+    """E |X - a|^r for odd r, a >= 0, assembled from the derivative table
+    of order r; a mean above ``MAX_KUMMER_MEAN`` raises
+    :class:`~poisson_moments.core.MeanTooLargeError`."""
+    mv = _kummer_mean(m)
+    ri = _check_odd_order(r)
+    return _katti_entries(mv, a, (ri,), prec)[ri][0]

@@ -46,7 +46,7 @@ from typing import Optional
 from mpmath import mp
 
 from .core import (_LATTICE_CACHE_SIZE, DiscreteFunction, as_index, as_mean,
-                   cdf, log_pmf, pmf_series, require_finite, truncation_index)
+                   cdf, log_pmf, require_finite, truncation_index)
 from .precision import NATIVE, PrecisionSpec
 
 __all__ = [
@@ -62,6 +62,7 @@ __all__ = [
     "abs_moment_3_closed",
     "abs_moment_5_closed",
     "b_expectation",
+    "b_expectation_table",
     "shift_identity",
 ]
 
@@ -333,8 +334,10 @@ def abs_moment_5_closed(m, prec: PrecisionSpec = NATIVE):
         ) * pb
 
 
-def b_expectation(m, a, r, f: DiscreteFunction, prec: PrecisionSpec = NATIVE):
-    """E (X - a)^r f(X) by the weighted recurrence over forward differences.
+def b_expectation_table(m, a, r_max, f: DiscreteFunction,
+                        prec: PrecisionSpec = NATIVE) -> tuple:
+    """E (X - a)^r f(X) for every r = 0..r_max, by the weighted recurrence
+    over forward differences.
 
     The recurrence lowers the order while raising the difference depth,
 
@@ -342,10 +345,22 @@ def b_expectation(m, a, r, f: DiscreteFunction, prec: PrecisionSpec = NATIVE):
                      + m sum_{k<=r-2} binom(r-1, k) B(k, a, f)
                      + m sum_{k<=r-1} binom(r-1, k) B(k, a, Df),
 
-    with Df(j) = f(j+1) - f(j), down to the base cases B(0, a, D^j f)
-    = E (D^j f)(X), each evaluated by certified truncated summation using
-    the declared envelope |D^j f| <= 2^j coeff (1 + j + x)^degree (or the
-    finite support).  Intermediate results are memoized over (depth, order).
+    with Df(j) = f(j+1) - f(j), down to the base cases B(0, a, D^d f)
+    = E (D^d f)(X), each evaluated by certified truncated summation using
+    the declared envelope |D^d f| <= 2^d coeff (1 + d + x)^degree (or the
+    finite support).  One pass fills B(k, a, D^d f) for every depth d and
+    order k with d + k <= r_max; the entries of depth 0 are returned.
+
+    The differences come in rows: row 0 holds f on 0..max_d(N_d + d), N_d
+    the cutoff of depth d, and row d is row d-1 differenced once, so
+    D^d f(x) = D^(d-1) f(x+1) - D^(d-1) f(x), O(r_max N) subtractions in
+    all (a constant f gives exact zeros at every depth).
+
+    Entry r rests only on the depths and orders up to r, each depth's
+    cutoff depends on that depth alone, and the pmf prefix does not depend
+    on the length of the series, so entry r is :func:`b_expectation` of
+    order r bit for bit.  In native mode an entry that overflows binary64
+    raises :class:`OrderOverflowError`.
 
     The caller's growth declaration is what guarantees all the expectations
     are finite; it is checked opportunistically and a violation raises
@@ -353,60 +368,85 @@ def b_expectation(m, a, r, f: DiscreteFunction, prec: PrecisionSpec = NATIVE):
     """
     mv = as_mean(m)
     require_finite(a, "center a")
-    r = as_index(r, "order")
+    r_max = as_index(r_max, "r_max")
     if not isinstance(f, DiscreteFunction):
         raise ValueError("f must be a DiscreteFunction with declared growth")
+    try:
+        out = _weighted(mv, a, r_max, f, prec)
+    except OverflowError as exc:  # math.fsum, or a binomial as a double
+        if prec.is_extended:
+            raise
+        cause = str(exc)
+    else:
+        if prec.is_extended or all(map(math.isfinite, out)):
+            return out
+        cause = "an entry is not finite"
+    raise OrderOverflowError(
+        f"r_max = {r_max} is too large for binary64 at m = {mv!r}, "
+        f"a = {a!r} ({cause}); use extended precision") from None
+
+
+def _weighted(mv: float, a, r_max: int, f: DiscreteFunction,
+              prec: PrecisionSpec) -> tuple:
+    """The entries of :func:`b_expectation_table`, arguments checked."""
     # Base-sum tails far below the working precision's own resolution needs;
     # capped by rel_tol so a looser caller tolerance still wins.
     tail_eps = min(prec.rel_tol, 2.0 ** (-(prec.bits // 2)))
+    if f.support_end is not None:
+        # D^d f vanishes beyond the support of f itself.
+        cutoffs = [f.support_end] * (r_max + 1)
+    else:
+        cutoffs = [
+            truncation_index(mv, f.degree, -(1.0 + d),
+                             tail_eps / ((2.0 ** d) * f.coeff)).cutoff
+            for d in range(r_max + 1)
+        ]
+    n = max(cutoffs)
 
     with prec.working():
         mm = prec.real(mv)
         aa = prec.real(a)
-        fmemo: dict = {}
-
-        def fval(x: int):
-            v = fmemo.get(x)
-            if v is None:
-                raw = f.func(x)
-                f.check_growth(x, raw)
-                v = prec.real(raw)
-                fmemo[x] = v
-            return v
-
-        def delta(depth: int, x: int):
-            if depth == 0:
-                return fval(x)
-            return prec.fsum(
-                comb(depth, i) * (-1 if (depth - i) % 2 else 1) * fval(x + i)
-                for i in range(depth + 1)
-            )
-
-        if f.support_end is not None:
-            # D^depth f vanishes beyond the support of f itself.
-            cutoffs = [f.support_end] * (r + 1)
+        # [P(X=0), ..., P(X=n)]: in extended mode by the term recursion
+        # p_{j+1} = p_j m / (j+1) (mpmath never underflows); in native mode
+        # each from the log-space pmf, so a large mean cannot flush the
+        # whole series to zero
+        if prec.is_extended:
+            pmfs = [mp.exp(-mm)]
+            for j in range(n):
+                pmfs.append(pmfs[-1] * mv / (j + 1))
         else:
-            cutoffs = [
-                truncation_index(mv, f.degree, -(1.0 + depth),
-                                 tail_eps / ((2.0 ** depth) * f.coeff)).cutoff
-                for depth in range(r + 1)
-            ]
-        pmfs = pmf_series(mv, max(cutoffs), prec)
+            pmfs = [math.exp(log_pmf(j, mv)) for j in range(n + 1)]
+        row = []
+        for x in range(max(c + d for d, c in enumerate(cutoffs)) + 1):
+            raw = f.func(x)
+            f.check_growth(x, raw)
+            row.append(prec.real(raw))
+        bases = []  # E (D^d f)(X) with a certified tail
+        for d, cutoff in enumerate(cutoffs):
+            if d:
+                row = [hi - lo for lo, hi in zip(row, row[1:])]
+            bases.append(prec.fsum(row[x] * pmfs[x] for x in range(cutoff + 1)))
 
-        def base(depth: int):
-            # E (D^depth f)(X) with a certified tail.
-            return prec.fsum(
-                delta(depth, x) * pmfs[x] for x in range(cutoffs[depth] + 1)
-            )
-
-        table: dict = {}
-        for depth in range(r, -1, -1):
-            table[depth, 0] = base(depth)
-            for k in range(1, r - depth + 1):
-                acc = (mm - aa) * table[depth, k - 1]
+        # m binom(k-1, i), shared by every depth
+        coeffs = [[mm * comb(k - 1, i) for i in range(k)]
+                  for k in range(r_max + 1)]
+        upper: list = []  # B(k, a, D^(d+1) f) for k <= r_max - d - 1
+        for d in range(r_max, -1, -1):
+            cur = [bases[d]]
+            for k in range(1, r_max - d + 1):
+                acc = (mm - aa) * cur[k - 1]
                 for i in range(k - 1):
-                    acc = acc + mm * comb(k - 1, i) * table[depth, i]
+                    acc = acc + coeffs[k][i] * cur[i]
                 for i in range(k):
-                    acc = acc + mm * comb(k - 1, i) * table[depth + 1, i]
-                table[depth, k] = acc
-        return table[0, r]
+                    acc = acc + coeffs[k][i] * upper[i]
+                cur.append(acc)
+            upper = cur
+        return tuple(upper)
+
+
+def b_expectation(m, a, r, f: DiscreteFunction, prec: PrecisionSpec = NATIVE):
+    """E (X - a)^r f(X): entry r of :func:`b_expectation_table`."""
+    mv = as_mean(m)
+    require_finite(a, "center a")
+    r = as_index(r, "order")
+    return b_expectation_table(mv, a, r, f, prec)[r]

@@ -15,7 +15,7 @@ from mpmath import mp
 import poisson_moments.oracle as om
 from poisson_moments import (DiscreteFunction, PrecisionSpec,
                              abs_central_moment, abs_moment_3_closed,
-                             abs_moment_5_closed, b_expectation,
+                             abs_moment_5_closed, b_expectation_table,
                              central_moment_shifted, central_moment_table,
                              check_derivative_identity, evaluate_polynomial,
                              katti_abs_moment, mean_deviation,
@@ -161,23 +161,24 @@ def test_criterion_5_series_route_cross_validation():
 
 
 def test_criterion_6_weighted_recurrence_reductions():
-    """b_expectation vs C (f = 1, 1e-20) and vs D (f = sign, 1e-15), r <= 6."""
+    """b_expectation_table vs C (f = 1, 1e-20) and vs D (f = sign, 1e-15),
+    r <= 6."""
     failures = []
     for m in SWEEP_MEANS:
         for a in grid_centers(m):
             const_one = DiscreteFunction(lambda j: 1.0, degree=0, coeff=1.0)
             ct = central_moment_table(m, a, 6, EXT)
+            got = b_expectation_table(m, a, 6, const_one, EXT)
             for r in range(7):
-                got = b_expectation(m, a, r, const_one, EXT)
-                if rel_err(got, ct.values[r]) > 1e-20:
+                if rel_err(got[r], ct.values[r]) > 1e-20:
                     failures.append(("const", m, a, None, r))
             for b in grid_thresholds(m, a):
                 sgn = DiscreteFunction(
                     lambda j, _b=b: float(sign(j - _b)), degree=0, coeff=1.0)
                 st_ = signed_moment_table(m, a, b, 6, EXT)
+                got = b_expectation_table(m, a, 6, sgn, EXT)
                 for r in range(7):
-                    got = b_expectation(m, a, r, sgn, EXT)
-                    if rel_err(got, st_.values[r]) > 1e-15:
+                    if rel_err(got[r], st_.values[r]) > 1e-15:
                         failures.append(("sign", m, a, b, r))
     _report(6, "weighted recurrence reduces to C and D (extended)",
             not failures)

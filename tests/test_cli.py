@@ -211,6 +211,19 @@ class TestExitCodes:
         assert err == (f"error: mean m = {float(argv[2])!r} is above 1e+06, "
                        f"the largest the oracle sums\n")
 
+    @pytest.mark.parametrize("flags", [[], ["--precision-bits", "256"]],
+                             ids=["native", "256"])
+    def test_mean_above_the_kummer_ceiling_is_usage_error(self, flags):
+        # the series route summed about m terms per value: at m = 1e7 and
+        # a = 0 this did not finish within 30 s
+        t0 = time.perf_counter()
+        code, out, err = run(["moment", "--mean", "1e7", "--order", "3",
+                              "--center", "0", "--method", "katti"] + flags)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err == ("error: mean m = 10000000.0 is above 100000, the "
+                       "largest the Kummer series route sums\n")
+
     def test_other_library_value_error_is_not_a_usage_error(self, monkeypatch):
         # only the named domain errors map to exit 2; anything else is a
         # fault and keeps its traceback

@@ -11,7 +11,7 @@ from mpmath import mp
 
 from poisson_moments import (DiscreteFunction, GrowthBoundError, PoissonMean,
                              PrecisionSpec, TailBound, cdf, log_pmf, pmf,
-                             pmf_series, sign, truncation_index)
+                             sign, truncation_index)
 from poisson_moments.core import (MAX_CDF_MEAN, MIN_CERTIFIABLE_EPS,
                                   MeanTooLargeError, tail_bounds)
 
@@ -80,18 +80,6 @@ class TestLogPmf:
 
     def test_pmf_matches_exp(self):
         assert pmf(3, 2.0) == pytest.approx(math.exp(log_pmf(3, 2.0)), rel=1e-15)
-
-
-class TestPmfSeries:
-    def test_native_matches_pmf(self):
-        series = pmf_series(2.5, 20)
-        for k, p in enumerate(series):
-            assert p == pytest.approx(pmf(k, 2.5), rel=1e-12)
-
-    def test_extended_matches_pmf(self):
-        series = pmf_series(2.5, 20, EXT)
-        for k, p in enumerate(series):
-            assert rel_err(p, pmf(k, 2.5, EXT)) < 1e-60
 
 
 class TestCdf:

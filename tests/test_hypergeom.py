@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import poisson_moments.hypergeom as hg
-from poisson_moments import (Hyp1F1Params, PrecisionSpec,
+from poisson_moments import (Hyp1F1Params, MeanTooLargeError, PrecisionSpec,
                              abs_central_moment, abs_moment_3_closed,
                              central_moment_table, g_table, hyp1f1,
                              katti_abs_moment, katti_abs_moment_table,
-                             katti_abs_moment_with_condition, mean_deviation)
+                             mean_deviation)
 
 from helpers import rel_err
 
@@ -284,7 +285,7 @@ class TestAssembly:
             katti_abs_moment(1.0, -0.2, 1)
 
     def test_condition_reported(self):
-        value, cond = katti_abs_moment_with_condition(2.0, 1.3, 3)
+        value, cond = katti_abs_moment_table(2.0, 1.3, 3)[3]
         assert value >= 0 and cond >= 1.0
 
     def test_native_values_are_pinned(self):
@@ -309,7 +310,7 @@ class TestAssembly:
     def test_native_value_row_overflow_redoes_at_256_bits(self, m, a, r):
         # e^m overflows the native top entry, or e^-m underflows the
         # prefactor; the assembly is redone at 256 bits and rounded back
-        value, cond = katti_abs_moment_with_condition(m, a, r)
+        value, cond = katti_abs_moment_table(m, a, r)[r]
         assert isinstance(value, float)
         assert value == pytest.approx(abs_central_moment(m, a, r), rel=1e-12)
         assert 1.0 <= cond < 10.0
@@ -334,7 +335,7 @@ class TestKattiTable:
         table = katti_abs_moment_table(m, a, r_max)
         assert list(table) == list(range(1, r_max + 1, 2))
         for r, (value, cond) in table.items():
-            want, want_cond = katti_abs_moment_with_condition(m, a, r)
+            want, want_cond = katti_abs_moment_table(m, a, r)[r]
             assert value.hex() == want.hex() and cond == want_cond, r
             assert value == katti_abs_moment(m, a, r)
 
@@ -371,10 +372,10 @@ class TestKattiTable:
                                                                (7, 256)]
         wide = hg._UPGRADE_PREC
         for r in (1, 3):
-            assert table[r] == katti_abs_moment_with_condition(690.0, 0.5, r)
+            assert table[r] == katti_abs_moment_table(690.0, 0.5, r)[r]
             assert table[r][0] != float(katti_abs_moment(690.0, 0.5, r, wide))
         for r in (5, 7):
-            value, cond = katti_abs_moment_with_condition(690.0, 0.5, r, wide)
+            value, cond = katti_abs_moment_table(690.0, 0.5, r, wide)[r]
             assert table[r] == (float(value), cond)
 
     def test_passed_central_values_are_used(self):
@@ -397,3 +398,21 @@ class TestKattiTable:
     def test_rejects_bad_arguments(self, args, match):
         with pytest.raises(ValueError, match=match):
             katti_abs_moment_table(*args)
+
+
+class TestKummerMeanCeiling:
+    @pytest.mark.parametrize("m", [math.nextafter(hg.MAX_KUMMER_MEAN, math.inf),
+                                   1e7, 1e300])
+    @pytest.mark.parametrize("call", [
+        lambda m: g_table(0.0, m, 3),
+        lambda m: katti_abs_moment_table(m, 0.0, 10),
+        lambda m: katti_abs_moment(m, 0.0, 3, EXT),
+    ], ids=["g_table", "table", "scalar"])
+    def test_mean_above_the_ceiling_is_refused_at_once(self, call, m):
+        # the value row sums about m terms: katti_abs_moment_table(1e7, 0,
+        # 10) did not end within 60 s
+        t0 = time.perf_counter()
+        with pytest.raises(MeanTooLargeError,
+                           match="above 100000, the largest the Kummer"):
+            call(m)
+        assert time.perf_counter() - t0 < 1.0

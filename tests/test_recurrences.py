@@ -13,7 +13,8 @@ from poisson_moments import (NATIVE, DiscreteFunction, GrowthBoundError,
                              OrderOverflowError, PrecisionSpec,
                              abs_central_moment,
                              abs_moment_3_closed, abs_moment_5_closed,
-                             b_expectation, cdf, central_moment_shifted,
+                             b_expectation, b_expectation_table, cdf,
+                             central_moment_shifted,
                              central_moment_table, g_table, katti_abs_moment,
                              mean_deviation, sign,
                              signed_moment_shifted, signed_moment_table,
@@ -488,6 +489,59 @@ class TestBExpectation:
         f = _const_one()
         got = b_expectation(2.0, 1.0, 0, f, EXT)
         assert rel_err(got, 1.0) < 1e-30
+
+
+def weighted_grid():
+    """Seeded (m, a, r_max, weight) cases with m <= 30 and r_max <= 8, over
+    a constant, a sign, a finite-support and a growth-declared weight."""
+    weights = [
+        ("one", _const_one()),
+        ("sign", _sign_at(1.5)),
+        ("support", DiscreteFunction(lambda j: (3.0 - j) / 4.0 if j <= 3
+                                     else 0.0, support_end=3)),
+        ("linear", DiscreteFunction(lambda j: 0.5 * j - 1.0, degree=1,
+                                    coeff=1.0)),
+    ]
+    rng = random.Random(20261018)
+    cases = []
+    for name, f in weights:
+        for _ in range(3):
+            m = 10 ** rng.uniform(-1, 1.5)
+            a = rng.choice([0.0, m, rng.uniform(-2.0, 2.0 * m)])
+            cases.append(pytest.param(m, a, rng.randint(0, 8), f,
+                                      id=f"{name}-{m:.3g}-{a:.3g}"))
+    return cases
+
+
+class TestBExpectationTable:
+    @pytest.mark.parametrize("prec", [NATIVE, EXT], ids=["native", "256"])
+    @pytest.mark.parametrize("m,a,r_max,f", weighted_grid())
+    def test_entries_are_the_scalar_bit_for_bit(self, m, a, r_max, f, prec):
+        table = b_expectation_table(m, a, r_max, f, prec)
+        assert len(table) == r_max + 1
+        for r, value in enumerate(table):
+            want = b_expectation(m, a, r, f, prec)
+            assert type(value) is type(want)
+            assert value == want, r
+
+    def test_constant_weight_has_exact_zero_differences(self):
+        # binomial difference sums of f = 1 rounded once comb(d, i) passed
+        # 2^53, and the native value at r = 150 was 1.82e206 for 6.89e202
+        got = b_expectation(2.0, 2.0, 150, _const_one())
+        want = central_moment_table(2.0, 2.0, 150).values[150]
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_overflowing_native_entry_is_rejected(self):
+        # an entry of about (1e10)^40 used to come back as inf
+        with pytest.raises(OrderOverflowError,
+                           match=r"r_max = 40 .* m = 50\.0"):
+            b_expectation(50.0, -1e10, 40, _const_one())
+        assert mp.isfinite(b_expectation(50.0, -1e10, 40, _const_one(), EXT))
+
+    @pytest.mark.parametrize("r_max", [2.5, -1, math.nan])
+    def test_order_is_named_r_max(self, r_max):
+        with pytest.raises(ValueError, match="r_max"):
+            b_expectation_table(2.0, 0.0, r_max, _const_one())
 
 
 class TestGridAgreement:

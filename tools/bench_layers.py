@@ -10,6 +10,9 @@ One case table, ``CASES``, covers the layers:
   ``katti_abs_moment_table`` next to a ``katti_abs_moment`` call per order;
 * ``oracle``: ``expectation`` and ``expectation_table``, eps = 1e-24 unless
   the case says otherwise;
+* ``weighted``: the weighted recurrence at a = m and 256 bits, with the
+  weight sign(j - m): every order up to r by ``b_expectation_table`` next
+  to a ``b_expectation`` call per order;
 * ``cli``: ``verify`` requests shaped like the benchmark's ``verify_sweep``,
   each one in-process ``cli.main`` call, and the wall time of a whole
   ``python -m poisson_moments`` process.
@@ -104,6 +107,12 @@ def _per_entry(pm, m, r) -> list:
     return [partial(pm.expectation, m, x, EPS) for x in weights]
 
 
+def _sign_weight(pm, m):
+    """sign(j - m) as a declared-growth weight."""
+    return pm.DiscreteFunction(lambda j: float(pm.sign(j - m)), degree=0,
+                               coeff=1.0)
+
+
 def _in_process(pm, *argv):
     """One ``cli.main`` call in this interpreter, its output discarded; an
     exit code other than 0 is an error."""
@@ -175,6 +184,12 @@ CASES = [
     ("oracle", "single eps=1e-12", None, (3,),
      lambda pm, m, r: [partial(pm.expectation, m,
                                pm.WeightSpec.abs_power(r, m), 1e-12)]),
+    ("weighted", "b_expectation per order 0..r", (2.0, 50.0, 1e3), (ORDER,),
+     lambda pm, m, r: [partial(pm.b_expectation, m, m, k, _sign_weight(pm, m),
+                               _ext(pm)) for k in range(r + 1)]),
+    ("weighted", "b_expectation_table", (2.0, 50.0, 1e3), (ORDER,),
+     lambda pm, m, r: [partial(pm.b_expectation_table, m, m, r,
+                               _sign_weight(pm, m), _ext(pm))]),
     ("cli", "verify", (2.0, 50.0), (8,),
      lambda pm, m, r: [_in_process(pm, "verify", "--mean-grid", f"{m:g}",
                                    "--max-order", str(r))]),
