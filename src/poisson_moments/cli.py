@@ -25,8 +25,10 @@ from statistics import median
 from typing import List, Optional
 
 from . import oracle as oracle_mod
-from .core import MIN_CERTIFIABLE_EPS, MeanTooLargeError, as_mean
-from .hypergeom import _check_odd_order, katti_abs_moment_table
+from .core import (MAX_ORACLE_MEAN, MIN_CERTIFIABLE_EPS, MeanTooLargeError,
+                   _capped_mean, as_mean)
+from .hypergeom import (MAX_KUMMER_MEAN, _KUMMER_ROUTE, _check_odd_order,
+                        katti_abs_moment_table)
 from .polynomials import moment_polynomials
 from .precision import PrecisionSpec
 from .recurrences import (CONDITION_FLAG_THRESHOLD, OrderOverflowError,
@@ -441,8 +443,11 @@ def _cmd_verify(args, out, err) -> int:
                     signed_moment_table(mv, a_lo, b - 1, top, prec))
                    for b in thresholds]
         # one certified pass, and one block of row checks, per center; the
-        # pass refuses a mean above its ceiling before the series route
-        # would sum its O(m) terms
+        # series route's mean ceiling is checked before the pass, so that a
+        # refused mean costs no O(m) sum; above the pass's own ceiling the
+        # pass refuses it first, with its own message
+        if a >= 0 and mv <= MAX_ORACLE_MEAN:
+            _capped_mean(mv, MAX_KUMMER_MEAN, _KUMMER_ROUTE)
         oracle = oracle_mod.expectation_table(mv, a, top, eps, thresholds)
         katti = (katti_abs_moment_table(mv, a, top, prec, central.values)
                  if a >= 0 else {})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import to_rational
+from mpmath.libmp import finf, fninf, to_rational
 
 from .precision import NATIVE, PrecisionSpec
 
@@ -57,6 +57,16 @@ def as_mean(m) -> float:
     if isinstance(m, PoissonMean):
         return m.value
     return PoissonMean(float(m)).value
+
+
+def _capped_mean(m, ceiling: float, route: str) -> float:
+    """The validated mean, or MeanTooLargeError above ``ceiling``, naming
+    the ``route`` whose cost the ceiling bounds."""
+    mv = as_mean(m)
+    if mv > ceiling:
+        raise MeanTooLargeError(
+            f"mean m = {mv!r} is above {ceiling:g}, the largest {route}")
+    return mv
 
 
 @dataclass(frozen=True)
@@ -139,8 +149,11 @@ def require_finite(x, name: str):
 
 def exact_ratio(x) -> Tuple[int, int]:
     """(num, den) with x = num / den exactly, for a double, an integer or
-    an mpf; den is a power of two."""
+    an mpf; den is a power of two.  As ``float.as_integer_ratio`` does, a
+    NaN raises ValueError and an infinity OverflowError."""
     if isinstance(x, mpf):
+        if x._mpf_ in (finf, fninf):
+            raise OverflowError("cannot convert an infinity to a ratio")
         return to_rational(x._mpf_)
     if isinstance(x, int):
         return x, 1
@@ -222,11 +235,7 @@ def cdf(b, m, prec: PrecisionSpec = NATIVE):
     cache of ``_LATTICE_CACHE_SIZE`` entries, so the tables of one request
     at thresholds with the same floor share one sum.
     """
-    mv = as_mean(m)
-    if mv > MAX_CDF_MEAN:
-        raise MeanTooLargeError(
-            f"mean m = {mv!r} is above {MAX_CDF_MEAN:g}, the largest the "
-            f"cdf sum accepts")
+    mv = _capped_mean(m, MAX_CDF_MEAN, "the cdf sum accepts")
     n = math.floor(require_finite(b, "threshold b"))
     if n < 0:
         return prec.real(0.0)

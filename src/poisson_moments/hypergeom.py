@@ -47,8 +47,7 @@ from typing import Tuple
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .core import (MeanTooLargeError, as_index, as_mean, exact_ratio,
-                   require_finite)
+from .core import _capped_mean, as_index, exact_ratio, require_finite
 from .precision import NATIVE, PrecisionSpec
 from .recurrences import (_UPGRADE_PREC, _condition, central_moment_table,
                           threshold_pmf_factor)
@@ -68,6 +67,8 @@ __all__ = [
 # entry takes about 0.6 s and an order-15 table about 1.8 s on a 2-CPU x86
 # machine.
 MAX_KUMMER_MEAN = 1e5
+# named by the MeanTooLargeError a mean above it raises, before any series
+_KUMMER_ROUTE = "the Kummer series route sums"
 
 
 @dataclass(frozen=True)
@@ -235,17 +236,6 @@ class GTable:
         return self.entries[self.r][0]
 
 
-def _kummer_mean(m) -> float:
-    """The validated mean, or MeanTooLargeError above MAX_KUMMER_MEAN,
-    before any series: the value row sums about m - floor(a) terms."""
-    mv = as_mean(m)
-    if mv > MAX_KUMMER_MEAN:
-        raise MeanTooLargeError(
-            f"mean m = {mv!r} is above {MAX_KUMMER_MEAN:g}, the largest the "
-            f"Kummer series route sums")
-    return mv
-
-
 def _check_odd_order(r) -> int:
     ri = as_index(r, "order")
     if ri % 2 == 0:
@@ -271,7 +261,7 @@ def g_table(a, m, r, prec: PrecisionSpec = NATIVE) -> GTable:
     A mean above ``MAX_KUMMER_MEAN`` raises
     :class:`~poisson_moments.core.MeanTooLargeError`.
     """
-    mv = _kummer_mean(m)
+    mv = _capped_mean(m, MAX_KUMMER_MEAN, _KUMMER_ROUTE)
     ri = _check_odd_order(r)
     require_finite(a, "center a")
     if a < 0:
@@ -400,13 +390,12 @@ def katti_abs_moment_table(m, a, r_max, prec: PrecisionSpec = NATIVE,
     :class:`~poisson_moments.recurrences.OrderOverflowError` before a
     result would leave the double range.
 
-    Native entries equal :func:`katti_abs_moment` bit for bit, unless the
-    central table of order r_max was rebuilt at 256 bits for a cancellation
-    that the table of a lower order does not have; extended entries agree
-    with it within 2^-(bits-8) relative.  A mean above ``MAX_KUMMER_MEAN``
-    raises :class:`~poisson_moments.core.MeanTooLargeError`.
+    Native entries equal :func:`katti_abs_moment` bit for bit; extended
+    entries agree with it within 2^-(bits-8) relative.  A mean above
+    ``MAX_KUMMER_MEAN`` raises
+    :class:`~poisson_moments.core.MeanTooLargeError`.
     """
-    mv = _kummer_mean(m)
+    mv = _capped_mean(m, MAX_KUMMER_MEAN, _KUMMER_ROUTE)
     ri = as_index(r_max, "r_max")
     orders = tuple(range(1, ri + 1, 2))
     return _katti_entries(mv, a, orders, prec, central) if orders else {}
@@ -416,6 +405,6 @@ def katti_abs_moment(m, a, r, prec: PrecisionSpec = NATIVE):
     """E |X - a|^r for odd r, a >= 0, assembled from the derivative table
     of order r; a mean above ``MAX_KUMMER_MEAN`` raises
     :class:`~poisson_moments.core.MeanTooLargeError`."""
-    mv = _kummer_mean(m)
+    mv = _capped_mean(m, MAX_KUMMER_MEAN, _KUMMER_ROUTE)
     ri = _check_odd_order(r)
     return _katti_entries(mv, a, (ri,), prec)[ri][0]

@@ -42,13 +42,10 @@ from operator import add, lshift, mul, rshift
 from typing import NamedTuple, Optional
 
 from mpmath import mp
-from mpmath.libmp import (fone, from_float, from_man_exp, mpf_abs, mpf_add,
-                          mpf_div, mpf_le, mpf_mul, mpf_sub, round_nearest,
-                          to_float)
+from mpmath.libmp import from_man_exp, round_nearest
 
-from .core import (MAX_ORACLE_MEAN, DiscreteFunction, MeanTooLargeError,
-                   as_index, as_mean, exact_ratio, require_finite, tail_bounds,
-                   truncation_index)
+from .core import (MAX_ORACLE_MEAN, DiscreteFunction, _capped_mean, as_index,
+                   exact_ratio, require_finite, tail_bounds, truncation_index)
 
 __all__ = [
     "WeightSpec",
@@ -65,6 +62,10 @@ _START_BITS = 192   # usually enough that no second pass is needed
 _ROUND_SAFETY = 1.0 + 1e-9  # covers M computed a hair low and float rounding
 
 _FORMS = ("power", "signed_power", "abs_power", "custom")
+
+# named by the MeanTooLargeError a mean above MAX_ORACLE_MEAN raises, before
+# any cutoff search: the pass sums over 2m terms
+_ORACLE_ROUTE = "the oracle sums"
 
 
 @dataclass(frozen=True)
@@ -345,24 +346,13 @@ def _check_eps(eps: float) -> None:
         raise ValueError("eps must be positive")
 
 
-def _oracle_mean(m) -> float:
-    """The validated mean, or MeanTooLargeError above MAX_ORACLE_MEAN,
-    before any cutoff search: the pass sums over 2m terms."""
-    mv = as_mean(m)
-    if mv > MAX_ORACLE_MEAN:
-        raise MeanTooLargeError(
-            f"mean m = {mv!r} is above {MAX_ORACLE_MEAN:g}, the largest the "
-            f"oracle sums")
-    return mv
-
-
 def expectation_table(m, a, r_max: int, eps: float,
                       thresholds=()) -> OracleTable:
     """E (X - a)^r, E |X - a|^r and E (X - a)^r sign(X - b) for every
     r <= r_max and every threshold b, from one certified pass; each entry's
     certified_error is <= eps.  A mean above ``core.MAX_ORACLE_MEAN``
     raises :class:`~poisson_moments.core.MeanTooLargeError`."""
-    mv = _oracle_mean(m)
+    mv = _capped_mean(m, MAX_ORACLE_MEAN, _ORACLE_ROUTE)
     a = float(require_finite(a, "center a"))
     thresholds = [float(require_finite(b, "threshold b")) for b in thresholds]
     r_max = as_index(r_max, "r_max")
@@ -374,7 +364,7 @@ def expectation(m, w: WeightSpec, eps: float) -> OracleResult:
     """E w(X) with certified_error <= eps, always in extended precision:
     the pass of :func:`expectation_table` for the one order of ``w``, with
     its mean ceiling."""
-    mv = _oracle_mean(m)
+    mv = _capped_mean(m, MAX_ORACLE_MEAN, _ORACLE_ROUTE)
     a = float(require_finite(w.a, "center a"))
     _check_eps(eps)
     if w.form == "custom":
@@ -394,33 +384,38 @@ def verify_rows(rows, tol: float) -> list:
     """A :class:`VerifyReport` for each (candidate, OracleResult) pair in
     ``rows``, in order: pass when |candidate - oracle| <= tol (|oracle| + 1).
 
-    Every row is compared at 256 bits, with tol converted once.  The
-    arithmetic calls mpmath's own rounding functions on raw values, which
-    gives the bits that mpf arithmetic in a 256-bit context gives, for
-    about half the interpreter work per row.  Each oracle's certified
-    error must sit strictly below tol.
+    The test is decided exactly.  A candidate (a double, an integer or an
+    mpf), the oracle value and tol are binary fractions, so with c = cn/cd
+    and v = vn/vd it reads |cn vd - vn cd| td <= tn (|vn| + vd) cd in
+    Python integers, and ``rel_err`` = |c - v| / (|v| + 1) is one integer
+    division, correctly rounded to a double (inf past the double range).
+    A NaN or infinite candidate fails its row, with ``rel_err`` NaN or
+    inf.  Each oracle's certified error must sit strictly below tol.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    bits, rnd = 256, round_nearest
-    bound = from_float(tol)
+    # tol = tn / td; an infinite tol (td = 0) passes every finite candidate
+    tn, td = exact_ratio(tol) if math.isfinite(tol) else (1, 0)
     reports = []
-    with mp.workprec(bits):  # the width mp.mpf(candidate) rounds to
-        for candidate, res in rows:
-            if not tol > res.certified_error:
-                raise ValueError(
-                    "tolerance must exceed the oracle's certified error")
-            if isinstance(candidate, float):
-                c = from_float(candidate)
-            else:
-                c = mp.mpf(candidate)._mpf_
-            value = res.value._mpf_
-            scale = mpf_add(mpf_abs(value, bits, rnd), fone, bits, rnd)
-            diff = mpf_abs(mpf_sub(c, value, bits, rnd))
-            reports.append(VerifyReport(
-                mpf_le(diff, mpf_mul(bound, scale, bits, rnd)),
-                to_float(value, rnd=rnd), res.certified_error,
-                to_float(mpf_div(diff, scale, bits, rnd), rnd=rnd)))
+    for candidate, res in rows:
+        if not tol > res.certified_error:
+            raise ValueError(
+                "tolerance must exceed the oracle's certified error")
+        vn, vd = exact_ratio(res.value)
+        try:
+            cn, cd = exact_ratio(candidate)
+        except (ValueError, OverflowError):  # a NaN or an infinity
+            passed, rel_err = False, abs(float(candidate))
+        else:
+            diff = abs(cn * vd - vn * cd)  # |c - v| = diff / (cd vd)
+            scale = abs(vn) + vd           # |v| + 1 = scale / vd
+            passed = diff * td <= tn * scale * cd
+            try:
+                rel_err = diff / (scale * cd)
+            except OverflowError:
+                rel_err = math.inf
+        reports.append(VerifyReport(passed, float(res.value),
+                                    res.certified_error, rel_err))
     return reports
 
 

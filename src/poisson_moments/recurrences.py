@@ -29,10 +29,11 @@ zero base and zero exponent appears, 0^0 = 1.
 
 Tables are built bottom-up in O(r^2) arithmetic operations.  Each entry
 carries a condition estimate (largest intermediate partial sum over the
-final magnitude); in native mode a table whose estimate exceeds
-:data:`CONDITION_FLAG_THRESHOLD` is transparently recomputed in extended
-precision so the returned values remain trustworthy, while the flag is
-preserved for reporting.  All functions are pure.
+final magnitude); in native mode the entries of a table from the first
+order whose estimate exceeds :data:`CONDITION_FLAG_THRESHOLD` on are
+transparently recomputed in extended precision so the returned values
+remain trustworthy, while the flag is preserved for reporting.  All
+functions are pure.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ class MomentTable:
     ``values[r]`` is C(r, a) for the central kind and D(r, a, b) for the
     signed kind; ``condition[r]`` is that entry's condition estimate.
     ``upgraded`` records that a native build tripped the cancellation flag
-    and the values were recomputed in extended precision.  ``a`` is a
+    and the entries from the first flagged order on were recomputed at 256
+    bits; the entries below it keep their native bits.  ``a`` is a
     double in native mode and the center as given in extended mode.
     """
 
@@ -203,8 +205,12 @@ def _finish(kind: str, mv: float, a: float, b: Optional[float], r_max: int,
             f"a = {a!r} ({exc}); use extended precision") from None
     upgraded = False
     if not prec.is_extended and max(conds) > CONDITION_FLAG_THRESHOLD:
+        # the entries below the first flagged order keep their native bits,
+        # so that entry r is the same in a table of any order >= r
+        first = next(r for r, c in enumerate(conds)
+                     if c > CONDITION_FLAG_THRESHOLD)
         ext_values, _ = _build(build_kind, mv, a, b, r_max, _UPGRADE_PREC)
-        values = [float(v) for v in ext_values]
+        values[first:] = [float(v) for v in ext_values[first:]]
         upgraded = True
     return MomentTable(kind, mv, a, b, tuple(values), tuple(conds),
                        prec, upgraded)

@@ -224,6 +224,19 @@ class TestExitCodes:
         assert err == ("error: mean m = 10000000.0 is above 100000, the "
                        "largest the Kummer series route sums\n")
 
+    @pytest.mark.parametrize("mean", ["1e6", "2e5"])
+    def test_verify_refuses_the_kummer_ceiling_before_the_oracle_pass(
+            self, mean):
+        # a center >= 0 summed its whole oracle pass before the series route
+        # refused the mean: 9.1 s at m = 1e6 and 2.2 s at m = 2e5
+        t0 = time.perf_counter()
+        code, out, err = run(["verify", "--mean-grid", mean,
+                              "--max-order", "4"])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err == (f"error: mean m = {float(mean)!r} is above 100000, "
+                       f"the largest the Kummer series route sums\n")
+
     def test_other_library_value_error_is_not_a_usage_error(self, monkeypatch):
         # only the named domain errors map to exit 2; anything else is a
         # fault and keeps its traceback

@@ -100,6 +100,13 @@ CASES = {
                           "--tol", "1e-18"],
     "verify-flagged": ["verify", "--mean-grid", "2",
                        "--centers", "2.3274800020733264", "--max-order", "6"],
+    # a near-root center: order 7 is flagged and rebuilt at 256 bits, while
+    # the entries below it keep the native bits the order-r tables print
+    "verify-near-root": ["verify", "--mean-grid", "0.5",
+                         "--centers", "1.3238626510460685", "--max-order", "7"],
+    "table-near-root": ["table", "--mean-grid", "0.5",
+                        "--centers", "1.3238626510460685", "--max-order", "7",
+                        "--methods", _ALL_METHODS],
     "verify-negative-center-threshold-128": [
         "verify", "--mean-grid", "0.5,3", "--centers", "0,m,-0.5",
         "--thresholds", "a,-1,m/2", "--max-order", "5",

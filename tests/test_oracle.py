@@ -5,6 +5,7 @@ import inspect
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -452,8 +453,8 @@ class TestVerifyAgainst:
 
 
 def row_check(candidate, res, tol):
-    """(passed, rel_err) of one row, each in its own 256-bit context: the
-    per-row check that verify_rows batches."""
+    """(passed, rel_err) of one row, each in its own 256-bit context: on
+    rows this far from the bound it agrees with the exact decision."""
     with mp.workprec(256):
         scale = abs(mp.mpf(res.value)) + 1
         diff = abs(mp.mpf(candidate) - res.value)
@@ -508,6 +509,115 @@ class TestVerifyRows:
     def test_rejects_nonpositive_tolerance(self, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             verify_rows([], tol)
+
+
+def as_fraction(x) -> Fraction:
+    """A double or an mpf as the exact Fraction it stands for."""
+    if isinstance(x, mp.mpf):
+        man, exp = x.man_exp
+        return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+    return Fraction(x)
+
+
+def exact_check(candidate, res, tol):
+    """(passed, rel_err) of one row in Fraction arithmetic: the test
+    |c - v| <= tol (|v| + 1) decided exactly, and the correctly rounded
+    ratio |c - v| / (|v| + 1), inf past the double range."""
+    c, v = as_fraction(candidate), as_fraction(res.value)
+    diff, scale = abs(c - v), abs(v) + 1
+    try:
+        rel = float(diff / scale)
+    except OverflowError:
+        rel = math.inf
+    return diff <= Fraction(tol) * scale, rel
+
+
+def on_the_bound(res, tol, past=0):
+    """A 1024-bit candidate exactly tol (|v| + 1) (1 + past) above the
+    oracle value v; the test checks that it is exact."""
+    with mp.workprec(1024):
+        v = mp.mpf(res.value)
+        c = v + mp.mpf(tol) * (abs(v) + 1) * (1 + mp.mpf(past))
+    want = as_fraction(v) + Fraction(tol) * (abs(as_fraction(v)) + 1) * (
+        1 + as_fraction(mp.mpf(past)))
+    assert as_fraction(c) == want
+    return c
+
+
+class TestExactRowDecision:
+    """verify_rows against a Fraction reference: the decision and rel_err
+    are exact, not a 256-bit approximation of them."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-15])
+    def test_seeded_rows_match_the_fraction_reference(self, tol):
+        rows = seeded_rows(tol)
+        for (candidate, res), rep in zip(rows, verify_rows(rows, tol)):
+            assert (rep.passed, rep.rel_err) == exact_check(candidate, res,
+                                                            tol)
+
+    @pytest.mark.parametrize("tol", [1e-9, 3e-13])
+    def test_candidates_on_and_just_past_the_bound(self, tol):
+        # a 256-bit comparison rounded the 2^-400 excess away and passed
+        # nearly every candidate past the bound
+        table = expectation_table(4.0, 4.3, 6, 1e-20, (4.3, 2.0))
+        entries = table.power + table.absolute + table.signed[2.0]
+        rows = [(on_the_bound(res, tol), res) for res in entries]
+        past = [(on_the_bound(res, tol, 2.0 ** -400), res) for res in entries]
+        below = [(on_the_bound(res, tol, -(2.0 ** -400)), res)
+                 for res in entries]
+        for block, passed in ((rows, True), (past, False), (below, True)):
+            for (candidate, res), rep in zip(block, verify_rows(block, tol)):
+                assert rep.passed is passed
+                assert (rep.passed, rep.rel_err) == exact_check(candidate,
+                                                                res, tol)
+
+    @pytest.mark.parametrize("value,candidate", [
+        (mp.mpf(0), 1e-10),
+        (mp.mpf(0), 0.0),
+        (mp.mpf(0), -mp.ldexp(3, -1100)),
+        (mp.ldexp(mp.mpf(3) / 7, 1500), mp.ldexp(mp.mpf(3) / 7, 1500)),
+        (mp.ldexp(mp.mpf(3) / 7, 1500), mp.ldexp(1, 1500)),
+        (mp.ldexp(mp.mpf(5) / 3, -1200), 2.0 ** -1000),
+        (mp.ldexp(mp.mpf(5) / 3, -1200), mp.ldexp(mp.mpf(5) / 3, -1200)),
+        (mp.ldexp(-mp.mpf(5) / 3, 1024), -1.7e308),
+        (mp.mpf(0), -mp.ldexp(1, 5000)),
+    ], ids=["zero-value", "zero-both", "zero-value-tiny-candidate",
+            "exponent-1500-equal", "exponent-1500-apart",
+            "exponent-minus-1200", "exponent-minus-1200-equal",
+            "exponent-1024", "ratio-far-past-double-range"])
+    def test_extreme_values(self, value, candidate):
+        res = OracleResult(value, 1e-30, 0, 0)
+        rep = verify_rows([(candidate, res)], 1e-9)[0]
+        assert (rep.passed, rep.rel_err) == exact_check(candidate, res, 1e-9)
+        assert rep.oracle_value == float(value)
+
+    def test_infinite_tolerance_passes_every_finite_candidate(self):
+        res = OracleResult(mp.mpf(2.5), 1e-30, 0, 0)
+        reports = verify_rows([(1e300, res), (math.nan, res)], math.inf)
+        assert [rep.passed for rep in reports] == [True, False]
+        assert reports[0].rel_err == exact_check(1e300, res, 1e-9)[1]
+
+    def test_ratio_past_the_double_range_reads_inf(self):
+        res = OracleResult(mp.mpf(0), 1e-30, 0, 0)
+        rep = verify_rows([(mp.ldexp(1, 1100), res)], 1e-9)[0]
+        assert not rep.passed and rep.rel_err == math.inf
+
+    @pytest.mark.parametrize("candidate", [
+        math.nan, math.inf, -math.inf,
+        mp.mpf("nan"), mp.mpf("inf"), mp.mpf("-inf")],
+        ids=["nan", "inf", "-inf", "mpf-nan", "mpf-inf", "mpf-inf-neg"])
+    def test_nonfinite_candidate_fails_its_row(self, candidate):
+        res = expectation(4.0, WeightSpec.power(2, 4.0), 1e-15)
+        good = (float(res.value), res)
+        reports = verify_rows([good, (candidate, res), good], 1e-9)
+        assert reports[0] == reports[2] and reports[0].passed
+        rep = reports[1]
+        assert not rep.passed
+        assert rep.oracle_value == float(res.value)
+        if math.isnan(candidate):
+            assert math.isnan(rep.rel_err)
+        else:
+            assert rep.rel_err == math.inf
 
 
 class TestIndependence:

@@ -1,5 +1,6 @@
 """Moment recurrences: tables, shift identities, closed forms, weighted sums."""
 
+import itertools
 import math
 import random
 
@@ -85,6 +86,49 @@ class TestCancellationPolicy:
     def test_benign_table_not_flagged(self):
         t = central_moment_table(2.0, 2.0, 10)
         assert not t.flagged and not t.upgraded
+
+    @pytest.mark.parametrize("m", [0.5, 2.0, 7.5, 20.0])
+    @pytest.mark.parametrize("kind", ["central", "signed"])
+    def test_entries_do_not_depend_on_the_table_order(self, m, kind):
+        # entry r of a flagged table of order R is the order-r table's, bit
+        # for bit: before, the whole table of order R was rebuilt at 256
+        # bits, so an entry below the first flagged order could differ
+        top = 14
+        rng = random.Random(f"{m}-{kind}")
+
+        def build(a, b, r, prec=NATIVE):
+            if b is None:
+                return central_moment_table(m, a, r, prec)
+            return signed_moment_table(m, a, b, r, prec)
+
+        def near_root(b, r):
+            # Newton on a -> T(r, a) at 256 bits: dT(r, a)/da = -r T(r-1, a)
+            a = mp.mpf(m + rng.uniform(-1.0, 1.0))
+            for _ in range(40):
+                values = build(a, b, r, EXT).values
+                if values[r - 1] == 0:
+                    return None
+                step = values[r] / (r * values[r - 1])
+                a += step
+                if abs(step) < 1e-30:
+                    break
+            return float(a)
+
+        thresholds = ([None] if kind == "central"
+                      else [m / 2.0, rng.uniform(0.0, 2.0 * m)])
+        upgraded = 0
+        for r, b in itertools.product(range(3, top + 1, 2), thresholds):
+            a = near_root(b, r)
+            if a is None or not abs(a) < 1e3:
+                continue
+            big = build(a, b, top)
+            upgraded += big.upgraded
+            for k in range(top + 1):
+                small = build(a, b, k)
+                assert small.values == big.values[:k + 1], (a, b, k)
+                assert ([small.condition_at(j) for j in range(k + 1)]
+                        == [big.condition_at(j) for j in range(k + 1)])
+        assert upgraded, "no near-root table was flagged"
 
 
 class TestCentralShifted:

@@ -9,7 +9,8 @@ One case table, ``CASES``, covers the layers:
   recursion alone, ``katti_abs_moment``, and every odd order up to r by
   ``katti_abs_moment_table`` next to a ``katti_abs_moment`` call per order;
 * ``oracle``: ``expectation`` and ``expectation_table``, eps = 1e-24 unless
-  the case says otherwise;
+  the case says otherwise, and ``verify_rows`` on the rows of one
+  ``verify`` center;
 * ``weighted``: the weighted recurrence at a = m and 256 bits, with the
   weight sign(j - m): every order up to r by ``b_expectation_table`` next
   to a ``b_expectation`` call per order;
@@ -107,6 +108,25 @@ def _per_entry(pm, m, r) -> list:
     return [partial(pm.expectation, m, x, EPS) for x in weights]
 
 
+def _verify_rows(pm, m, r) -> list:
+    """One ``verify_rows`` call on the rows ``verify`` checks about the
+    center m, built here and so untimed: the central and signed (b in {m,
+    0, m/2}) table entries and the odd Kummer-route entries up to order r,
+    native and at 256 bits, each against its ``expectation_table`` entry."""
+    thresholds = (m, 0.0, m / 2)
+    oracle = pm.expectation_table(m, m, r, EPS, thresholds)
+    rows = []
+    for prec in (pm.NATIVE, _ext(pm)):
+        rows += zip(pm.central_moment_table(m, m, r, prec).values,
+                    oracle.power)
+        for b in thresholds:
+            rows += zip(pm.signed_moment_table(m, m, b, r, prec).values,
+                        oracle.signed[b])
+        katti = pm.katti_abs_moment_table(m, m, r, prec)
+        rows += [(katti[k][0], oracle.absolute[k]) for k in katti]
+    return [partial(pm.verify_rows, rows, 1e-9)]
+
+
 def _sign_weight(pm, m):
     """sign(j - m) as a declared-growth weight."""
     return pm.DiscreteFunction(lambda j: float(pm.sign(j - m)), degree=0,
@@ -184,6 +204,7 @@ CASES = [
     ("oracle", "single eps=1e-12", None, (3,),
      lambda pm, m, r: [partial(pm.expectation, m,
                                pm.WeightSpec.abs_power(r, m), 1e-12)]),
+    ("oracle", "verify_rows", (2.0, 50.0), (8,), _verify_rows),
     ("weighted", "b_expectation per order 0..r", (2.0, 50.0, 1e3), (ORDER,),
      lambda pm, m, r: [partial(pm.b_expectation, m, m, k, _sign_weight(pm, m),
                                _ext(pm)) for k in range(r + 1)]),
