@@ -45,9 +45,9 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest
 
-from .core import _capped_mean, as_index, exact_ratio, require_finite
+from .core import (_capped_mean, _rounded, as_index, exact_ratio,
+                   require_finite)
 from .precision import NATIVE, PrecisionSpec
 from .recurrences import (_UPGRADE_PREC, _condition, central_moment_table,
                           threshold_pmf_factor)
@@ -160,12 +160,6 @@ def _hyp1f1_fixed(p: Hyp1F1Params, prec: PrecisionSpec):
         value = mp.exp(mp.mpf(zn) / zd) * mp.ldexp(mp.mpf(total), e)
     with prec.working():
         return +value
-
-
-def _rounded(man: int, e: int, prec: PrecisionSpec):
-    """man * 2^e rounded to nearest at the working precision, as
-    ``mp.ldexp(mp.mpf(man), e)`` would give it, at half the cost."""
-    return mp.make_mpf(from_man_exp(man, e, prec.bits, round_nearest))
 
 
 def _kummer_sum(alpha, beta, z, rel_tol: float, cap: int, width: int):

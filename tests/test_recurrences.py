@@ -1,8 +1,11 @@
 """Moment recurrences: tables, shift identities, closed forms, weighted sums."""
 
+import functools
 import itertools
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +23,9 @@ from poisson_moments import (NATIVE, DiscreteFunction, GrowthBoundError,
                              mean_deviation, sign,
                              signed_moment_shifted, signed_moment_table,
                              truncation_index)
-from poisson_moments.core import _LATTICE_CACHE_SIZE, _cdf_at
-from poisson_moments.recurrences import (_pmf_factor, _shift_down,
+from poisson_moments.core import _LATTICE_CACHE_SIZE, _cdf_at, exact_ratio
+from poisson_moments.recurrences import (CONDITION_FLAG_THRESHOLD, _condition,
+                                         _pmf_factor, _shift_down,
                                          shift_identity,
                                          threshold_pmf_factor)
 
@@ -129,6 +133,127 @@ class TestCancellationPolicy:
                 assert ([small.condition_at(j) for j in range(k + 1)]
                         == [big.condition_at(j) for j in range(k + 1)])
         assert upgraded, "no near-root table was flagged"
+
+
+# The centers of the CLI golden fixture's flagged cases: at each, the native
+# central table trips the cancellation flag and is rebuilt at 256 bits.
+NEAR_ROOTS = [(0.5, 1.3238626510460685), (2.0, CANCEL_CENTER)]
+
+
+def lattice_grid():
+    """Seeded (m, a, thresholds, r_max) cases: m log-uniform in [0.1, 1e3],
+    centers in m +- 3 sqrt(m) plus the near-root centers, thresholds a, 0,
+    m/2 and a random point."""
+    rng = random.Random("integer-route")
+    pairs = []
+    for _ in range(6):
+        m = 10 ** rng.uniform(-1.0, 3.0)
+        spread = 3.0 * math.sqrt(m)
+        pairs += [(m, m + rng.uniform(-spread, spread)) for _ in range(2)]
+    cases = []
+    for m, a in pairs + NEAR_ROOTS:
+        spread = 3.0 * math.sqrt(m)
+        thresholds = (a, 0.0, m / 2.0, m + rng.uniform(-spread, spread))
+        cases.append((m, a, thresholds, rng.randint(8, 30)))
+    return cases
+
+
+def to_fraction(x) -> Fraction:
+    return Fraction(*exact_ratio(x))
+
+
+@functools.lru_cache(maxsize=None)
+def fraction_reference(m, a, b, r_max):
+    """The table about a (at threshold b, None for a central table) with C
+    and K as Fractions and v0 and pb at 1024 bits: (entries, conditions),
+    the conditions by the in-order double walk of the entries' terms."""
+    mm, aa = Fraction(m), Fraction(a)
+    signed = b is not None and b >= 0
+    if signed:
+        wide = PrecisionSpec.extended(1024)
+        fb = math.floor(b)
+        v0 = 1 - 2 * to_fraction(cdf(b, m, wide))
+        pb = to_fraction(threshold_pmf_factor(fb, m, wide))
+        base = fb + 1 - aa
+    else:
+        v0, pb, base = Fraction(1), Fraction(0), Fraction(0)
+    c_vals, k_vals, d_vals = [Fraction(1)], [Fraction(0)], [v0]
+    conds = [1.0]
+
+    def terms(xs, r):
+        return [(mm - aa) * xs[r - 1]] + [mm * math.comb(r - 1, k) * xs[k]
+                                          for k in range(r - 1)]
+
+    for r in range(1, r_max + 1):
+        corr = 2 * base ** (r - 1) if signed else Fraction(0)
+        c_vals.append(sum(terms(c_vals, r)))
+        k_vals.append(sum(terms(k_vals, r)) + corr)
+        d_vals.append(c_vals[r] * v0 + k_vals[r] * pb)
+        walk = terms(d_vals, r) + ([corr * pb] if signed else [])
+        partial = max_partial = 0.0
+        for t in walk:
+            partial += float(t)
+            max_partial = max(max_partial, abs(partial))
+        conds.append(_condition(max_partial, float(d_vals[r])))
+    return d_vals, conds
+
+
+def lattice_tables(prec):
+    """(reference, table) for every central and signed table of the grid."""
+    for m, a, thresholds, r_max in lattice_grid():
+        yield (fraction_reference(m, a, None, r_max),
+               central_moment_table(m, a, r_max, prec))
+        for b in thresholds:
+            yield (fraction_reference(m, a, b, r_max),
+                   signed_moment_table(m, a, b, r_max, prec))
+
+
+class TestIntegerRoute:
+    """Extended tables and the native rebuild from the exact lattice
+    recurrences, against a Fraction reference."""
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_extended_entries_and_conditions_match_the_reference(self, bits):
+        bar = Fraction(1, 2 ** (bits - 1))
+        for (want, want_conds), table in lattice_tables(
+                PrecisionSpec.extended(bits)):
+            for r, (got, ref) in enumerate(zip(table.values, want)):
+                assert abs(to_fraction(got) - ref) <= bar * abs(ref), (
+                    table.m, table.a, table.b, r)
+            assert list(table.condition) == want_conds, (
+                table.m, table.a, table.b)
+
+    def test_rebuilt_native_entries_are_correctly_rounded(self):
+        rebuilt = set()
+        for (want, _), table in lattice_tables(NATIVE):
+            if not table.upgraded:
+                continue
+            first = next(r for r, c in enumerate(table.condition)
+                         if c > CONDITION_FLAG_THRESHOLD)
+            assert list(table.values[first:]) == [
+                float(x) for x in want[first:]], (table.a, table.b)
+            rebuilt.add((table.m, table.a))
+        assert set(NEAR_ROOTS) <= rebuilt
+
+    @pytest.mark.parametrize("m,a,b", [
+        (2.0, 5e-324, 2.0),
+        (2.0, mp.mpf(2) ** -200000, 2.0),
+        (5e-324, 1.0, 1.0),
+        (2.0, 1e300, 1e200),
+    ], ids=["a=5e-324", "a=2^-200000", "m=5e-324", "a=1e300,b=1e200"])
+    @pytest.mark.parametrize("kind", ["central", "signed"])
+    def test_cost_does_not_grow_with_the_exponents(self, kind, m, a, b):
+        # every sum is truncated past 320 bits, so neither the binary
+        # exponent of a or m nor floor(b) lengthens the integers
+        _cdf_at.cache_clear()
+        _pmf_factor.cache_clear()
+        start = time.perf_counter()
+        if kind == "central":
+            table = central_moment_table(m, a, 30, EXT)
+        else:
+            table = signed_moment_table(m, a, b, 30, EXT)
+        assert time.perf_counter() - start < 0.1
+        assert all(mp.isfinite(v) for v in table.values)
 
 
 class TestCentralShifted:
@@ -581,6 +706,15 @@ class TestBExpectationTable:
                            match=r"r_max = 40 .* m = 50\.0"):
             b_expectation(50.0, -1e10, 40, _const_one())
         assert mp.isfinite(b_expectation(50.0, -1e10, 40, _const_one(), EXT))
+
+    def test_extended_pass_holds_where_the_native_one_drifts(self):
+        # the weighted pass has no cancellation guard: with this weight the
+        # native entry 60 is off by about 5e-8 relative, unflagged, while
+        # the 256-bit entry matches the 512-bit signed table
+        got = b_expectation_table(2.0, 2.0, 60, _sign_at(2.5), EXT)[60]
+        want = signed_moment_table(2.0, 2.0, 2.5, 60,
+                                   PrecisionSpec.extended(512)).values[60]
+        assert rel_err(got, want) < 1e-30
 
     @pytest.mark.parametrize("r_max", [2.5, -1, math.nan])
     def test_order_is_named_r_max(self, r_max):

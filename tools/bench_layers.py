@@ -3,7 +3,9 @@
 One case table, ``CASES``, covers the layers:
 
 * ``primitives``: ``cdf``, extended ``log_pmf`` and ``threshold_pmf_factor``;
-* ``tables``: the table recurrence, native and at 256 bits;
+* ``tables``: the table recurrence, native and at 256 bits, and the
+  native table at a near-root center, whose flagged orders are rebuilt at
+  256 bits;
 * ``hypergeom``: the Kummer route at a = m and 256 bits unless the case
   says otherwise: ``hyp1f1``'s value row, ``g_table``'s derivative
   recursion alone, ``katti_abs_moment``, and every odd order up to r by
@@ -62,6 +64,10 @@ import mpmath
 MEANS = (2.0, 50.0, 1e3, 1e5)
 ORDER = 10
 HYP_ORDERS = (3, 15)
+# Centers near a root of E (X - a)^7 at m = 0.5 and of E (X - a)^3 at
+# m = 2: the native table's condition estimate passes the flag there and
+# the table is rebuilt from that order on.
+NEAR_ROOTS = {0.5: 1.3238626510460685, 2.0: 2.3274800020733264}
 EPS = 1e-24
 ROUNDS = 5
 REPEATS = 21
@@ -172,8 +178,16 @@ CASES = [
      lambda pm, m, r: [partial(pm.central_moment_table, m, m, r)]),
     ("tables", "signed_moment_table a=b=m", None, (ORDER,),
      lambda pm, m, r: [partial(pm.signed_moment_table, m, m, m, r)]),
-    ("tables", "signed_moment_table a=b=m, 256 bits", None, (ORDER,),
+    ("tables", "signed_moment_table a=b=m, 256 bits", None, (ORDER, 30),
      lambda pm, m, r: [partial(pm.signed_moment_table, m, m, m, r, _ext(pm))]),
+    ("tables", "central_moment_table a=m, 256 bits", None, (ORDER, 30),
+     lambda pm, m, r: [partial(pm.central_moment_table, m, m, r, _ext(pm))]),
+    ("tables", "central_moment_table a=5e-324, 256 bits", (2.0,), (30,),
+     lambda pm, m, r: [partial(pm.central_moment_table, m, 5e-324, r,
+                               _ext(pm))]),
+    ("tables", "central_moment_table near root, native rebuild",
+     tuple(NEAR_ROOTS), (14,),
+     lambda pm, m, r: [partial(pm.central_moment_table, m, NEAR_ROOTS[m], r)]),
     ("hypergeom", "katti native", None, HYP_ORDERS,
      lambda pm, m, r: [partial(pm.katti_abs_moment, m, m, r)]),
     ("hypergeom", "value_row", None, HYP_ORDERS,
