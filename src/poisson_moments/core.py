@@ -15,7 +15,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import finf, fninf, from_man_exp, round_nearest, to_rational
+from mpmath.libmp import (finf, fninf, from_float, from_int, from_man_exp,
+                          mpf_div, mpf_exp, mpf_log, mpf_loggamma,
+                          mpf_mul_int, mpf_neg, mpf_shift, mpf_sub,
+                          round_nearest, to_rational)
 
 from .precision import NATIVE, PrecisionSpec
 
@@ -224,13 +227,17 @@ def cdf(b, m, prec: PrecisionSpec = NATIVE):
     * at or below the mode, p_n + p_{n-1} + ... with p_{j-1} = p_j j / m;
     * above it, 1 - (p_{n+1} + p_{n+2} + ...) with p_{j+1} = p_j m / (j+1).
 
-    The anchor p_n is one log-space evaluation (``mp.loggamma(n + 1)``);
-    for n < 64 the sum instead runs up from p_0 = e^-m and needs no anchor.
-    The term ratios are exact rationals (``m.as_integer_ratio()``), so the
-    sum itself is Python-integer fixed point.  It stops once a geometric
-    bound on the remaining terms (every later ratio is at most the current
-    one, as in :func:`truncation_index`) falls 8 bits below the working
-    width W = max(128, prec.bits); a threshold far past the bulk therefore
+    The anchor p_n comes from :func:`_pmf_anchor`, the memo the pmf factor
+    of ``recurrences.threshold_pmf_factor`` shares, so a threshold pays for
+    one anchor however many of the two constants it needs; for n < 64 the
+    sum instead runs up from p_0 = e^-m, that memo's n = 0 entry.  The term
+    ratios are exact rationals (``m.as_integer_ratio()``), so the sum itself
+    is Python-integer fixed point, and each term costs one multiply and one
+    floor division: j den and the stopping bound's right-hand side are
+    running sums.  It stops once a geometric bound on the remaining terms
+    (every later ratio is at most the current one, as in
+    :func:`truncation_index`) falls 8 bits below the working width
+    W = max(128, prec.bits); a threshold far past the bulk therefore
     returns 1 without adding a term.  The result carries a relative error
     below 2^-(W+6) before it is rounded into the working arithmetic, so
     native callers receive the correctly rounded double of the sum.
@@ -249,6 +256,42 @@ def cdf(b, m, prec: PrecisionSpec = NATIVE):
 
 
 @functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
+def _pmf_anchor(n: int, mv: float, width: int):
+    """p_n = e^-m m^n / n! at width + 24 + bitlen(n + floor(m) + 1) bits:
+    the anchor of :func:`cdf`'s sum at a working width W = ``width`` and
+    the pmf factor's p_n.  It calls mpmath's low-level functions at that
+    width, so it opens no working context and its value does not depend
+    on the caller's ``mp.prec``.
+
+    e^-m is the n = 0 entry, taken at width + 24 + bitlen(64 + floor(m))
+    bits, as wide as the upward sum from p_0 of any n < 64 needs; for
+    0 < n < 64, p_n is that entry times the exact rational num^n / (den^n
+    n!), m = num / den, and otherwise one log-space evaluation.  The log
+    adds terms up to (n + m + 1) * 2^10 in size (|log m| < 745 for a double
+    m); its absolute error stays below 2^-(W+12).  Memoised in a bounded
+    least-recently-used cache of ``_LATTICE_CACHE_SIZE`` entries.
+    """
+    fm = int(mv)
+    m = from_float(mv)
+    if n == 0:
+        wp = width + 24 + (_DIRECT_TERMS + fm).bit_length()
+        return mp.make_mpf(mpf_exp(mpf_neg(m), wp, round_nearest))
+    wp = width + 24 + (n + fm + 1).bit_length()
+    if n < _DIRECT_TERMS:
+        num, den = mv.as_integer_ratio()  # den is a power of two
+        e_m = _pmf_anchor(0, mv, width)._mpf_
+        power = mpf_shift(mpf_mul_int(e_m, num ** n, wp, round_nearest),
+                          (1 - den.bit_length()) * n)
+        return mp.make_mpf(mpf_div(power, from_int(math.factorial(n)), wp,
+                                   round_nearest))
+    log_p = mpf_mul_int(mpf_log(m, wp, round_nearest), n, wp, round_nearest)
+    log_p = mpf_sub(log_p, m, wp, round_nearest)
+    log_p = mpf_sub(log_p, mpf_loggamma(from_int(n + 1), wp, round_nearest),
+                    wp, round_nearest)
+    return mp.make_mpf(mpf_exp(log_p, wp, round_nearest))
+
+
+@functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def _cdf_at(n: int, mv: float, prec: PrecisionSpec):
     """P(X <= n) for an integer n >= 0: the sum of :func:`cdf`.  It pins
     its own working width and rounds into ``prec``, so its value does not
@@ -256,48 +299,53 @@ def _cdf_at(n: int, mv: float, prec: PrecisionSpec):
     width = max(128, prec.bits)
     scale = width + 8 + _CDF_GUARD  # p_anchor is 2^scale units
     num, den = mv.as_integer_ratio()  # m = num / den exactly
-    # The anchor's log adds terms up to (n + m + 1) * 2^10 in size (|log m|
-    # < 745 for a double m); its absolute error stays below 2^-(W+12).
     with mp.workprec(width + 24 + (n + int(mv) + 1).bit_length()):
         one = 1 << scale
         if n < _DIRECT_TERMS:
             t = total = one
-            for j in range(n):
-                t = t * num // ((j + 1) * den)
+            step = den  # (j + 1) den
+            for _ in range(n):
+                t = t * num // step
                 total += t
-            return _cdf_round(mp.ldexp(mp.exp(-mp.mpf(mv)) * total, -scale), prec)
-        mm = mp.mpf(mv)
-        anchor = mp.exp(n * mp.log(mm) - mm - mp.loggamma(n + 1))
+                step += den
+            e_m = _pmf_anchor(0, mv, width)  # p_0
+            return _cdf_round(mp.ldexp(e_m * total, -scale), prec)
+        anchor = _pmf_anchor(n, mv, width)
         t = one
-        j = n
-        if n * den <= num:
+        jd = n * den  # j den
+        if jd <= num:
             # at or below the mode: terms fall toward 0; total >= one
-            tol = 1 << _CDF_GUARD
+            near = num << _CDF_GUARD
             total = t
-            while j > 0:
-                # the remaining terms sum to at most t * j / (m - j)
-                tjd = t * j * den
-                if tjd <= tol * (num - j * den):
+            while jd:
+                # the remaining terms sum to at most t j / (m - j), so the
+                # sum stops once t j den <= 2^guard (num - j den), which
+                # needs t j den < 2^guard num first
+                tjd = t * jd
+                if tjd < near and tjd <= (num - jd) << _CDF_GUARD:
                     break
                 t = tjd // num
                 total += t
-                j -= 1
+                jd -= den
             return _cdf_round(mp.ldexp(anchor * total, -scale), prec)
         # above the mode P(X <= n) >= 1/2 (the median is below m + 1/3), so
         # an absolute bound on the upper tail is a relative one on the result
+        mm = mp.mpf(mv)
         if anchor * mm / (n + 1 - mm) <= mp.ldexp(1, -(width + 8)):
             return _cdf_round(mp.one, prec)  # past the bulk: no term counts
         tol = int(mp.ldexp(1, _CDF_GUARD) / anchor)  # < 2^scale m here
         tail = 0
+        step = jd + den  # (j + 1) den
+        bound, rise = tol * (step - num), tol * den
         while True:
-            # the remaining terms sum to at most t * m / (j + 1 - m)
-            step = (j + 1) * den
+            # the remaining terms sum to at most t m / (j + 1 - m)
             tn = t * num
-            if tn <= tol * (step - num):
+            if tn <= bound:  # tol ((j + 1) den - num)
                 break
             t = tn // step
             tail += t
-            j += 1
+            step += den
+            bound += rise
         return _cdf_round(1 - mp.ldexp(anchor * tail, -scale), prec)
 
 

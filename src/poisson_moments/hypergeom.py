@@ -49,8 +49,8 @@ from mpmath import mp, mpf
 from .core import (_capped_mean, _rounded, as_index, exact_ratio,
                    require_finite)
 from .precision import NATIVE, PrecisionSpec
-from .recurrences import (_UPGRADE_PREC, _condition, central_moment_table,
-                          threshold_pmf_factor)
+from .recurrences import (_UPGRADE_PREC, _condition, _lattice_constant,
+                          central_moment_table, threshold_pmf_factor)
 
 __all__ = [
     "Hyp1F1Params",
@@ -333,7 +333,7 @@ def _katti_entries(mv: float, a, orders, prec: PrecisionSpec, central=None):
         central = central_moment_table(mv, a, top_order, prec).values
     entries = g_table(a, mv, top_order, prec).entries
     fl = math.floor(a)
-    pmf_factor = threshold_pmf_factor(fl, mv, prec)
+    pmf_factor = _lattice_constant(threshold_pmf_factor, fl, mv, prec)
     out = {}
     redo = []
     with prec.working():

@@ -54,9 +54,9 @@ from typing import Optional
 
 from mpmath import mp, mpf
 
-from .core import (_LATTICE_CACHE_SIZE, DiscreteFunction, _rounded, as_index,
-                   as_mean, cdf, exact_ratio, log_pmf, require_finite,
-                   truncation_index)
+from .core import (_LATTICE_CACHE_SIZE, DiscreteFunction, _pmf_anchor,
+                   _rounded, as_index, as_mean, cdf, exact_ratio, log_pmf,
+                   require_finite, truncation_index)
 from .precision import NATIVE, PrecisionSpec
 
 __all__ = [
@@ -92,11 +92,14 @@ def threshold_pmf_factor(k, m, prec: PrecisionSpec = NATIVE):
     """e^-m m^(k+1) / k!, the lattice-point mass factor of the signed
     recurrences and the closed forms.
 
-    Evaluated in log space at >= 128 bits and rounded into the working
-    arithmetic: the factor is an input constant of the recurrences, so it
-    is delivered correctly rounded even for native callers (a plain
-    double log-pmf route would inject ~|log pmf| * eps relative noise,
-    which the center-shift identity then amplifies).
+    m times p_k, the anchor :func:`~poisson_moments.core.cdf` sums from
+    (``core._pmf_anchor``, at W = max(128, prec.bits) plus at least 24 bits
+    of guard), rounded once into the working arithmetic: the factor is an
+    input constant of the recurrences, so it is delivered correctly rounded
+    at every width, native included (a plain double log-pmf route would
+    inject ~|log pmf| * eps relative noise, which the center-shift
+    identity then amplifies).  A threshold's cdf and factor share that
+    anchor, and below k = 64 both rest on one e^-m.
 
     Memoised on (k, m, prec), in a bounded least-recently-used cache of
     ``_LATTICE_CACHE_SIZE`` entries: the signed tables, the closed forms
@@ -108,14 +111,33 @@ def threshold_pmf_factor(k, m, prec: PrecisionSpec = NATIVE):
 
 @functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def _pmf_factor(k: int, mv: float, prec: PrecisionSpec):
-    """The value of :func:`threshold_pmf_factor`.  It pins its own working
-    width and rounds into ``prec``, so its value does not depend on the
-    caller's ``mp.prec``."""
-    bits = max(128, prec.bits)
-    with mp.workprec(bits):
-        v = mp.exp(log_pmf(k, mv, PrecisionSpec.extended(bits)) + mp.log(mv))
+    """The value of :func:`threshold_pmf_factor`: the exact product of m
+    and the anchor, rounded once at ``prec.bits``, so its value does not
+    depend on the caller's ``mp.prec``."""
+    _, man, e, _ = _pmf_anchor(k, mv, max(128, prec.bits))._mpf_
+    num, den = mv.as_integer_ratio()
+    v = _rounded(man * num, e + 1 - den.bit_length(), prec)
+    return v if prec.is_extended else float(v)
+
+
+def _lattice_spec(bits: int) -> PrecisionSpec:
+    """The spec of the lattice constants behind an extended result of
+    ``bits`` bits: W + _GUARD bits, W = max(128, bits), the width every
+    sum of :func:`_lattice_build` keeps.  The closed forms and the Kummer
+    route take their constants there too, so that one request fills each
+    lattice memo at one width."""
+    return PrecisionSpec.extended(max(128, bits) + _GUARD)
+
+
+def _lattice_constant(constant, x, mv: float, prec: PrecisionSpec):
+    """``constant(x, m)``, :func:`~poisson_moments.core.cdf` or
+    :func:`threshold_pmf_factor`, in ``prec``: natively, or for an extended
+    result taken at :func:`_lattice_spec` and rounded into ``prec``."""
+    if not prec.is_extended:
+        return constant(x, mv, prec)
+    value = constant(x, mv, _lattice_spec(prec.bits))
     with prec.working():
-        return prec.real(v)
+        return prec.real(value)
 
 
 @dataclass(frozen=True)
@@ -307,7 +329,7 @@ def _lattice_build(kind: str, mv: float, a, b: Optional[float], r_max: int,
     if kind == "central":
         entries = central
     else:
-        wide = PrecisionSpec.extended(keep)
+        wide = _lattice_spec(bits)  # keep bits
         fb = math.floor(b)
         with mp.workprec(keep):
             v0 = _man_exp(1 - 2 * cdf(b, mv, wide))
@@ -396,8 +418,9 @@ def signed_moment_table(m, a, b, r_max, prec: PrecisionSpec = NATIVE) -> MomentT
     """Table of E (X - a)^r sign(X - b) for r = 0..r_max.
 
     Base entry is 1 - 2 P(X <= b); each step adds the threshold-correction
-    term with its pmf factor computed in log space.  For b < 0 the sign is
-    +1 everywhere and the central values are returned.
+    term with its pmf factor at floor(b), which shares the cdf's memoised
+    anchor p_floor(b).  For b < 0 the sign is +1 everywhere and the central
+    values are returned.
     """
     mv = as_mean(m)
     a = _center(a, prec)
@@ -464,31 +487,33 @@ def abs_central_moment(m, a, r, prec: PrecisionSpec = NATIVE):
 def mean_deviation(m, prec: PrecisionSpec = NATIVE):
     """E |X - m| in closed form: 2 e^-m m^(floor(m)+1) / floor(m)!."""
     mv = as_mean(m)
-    pb = threshold_pmf_factor(math.floor(mv), mv, prec)
+    pb = _lattice_constant(threshold_pmf_factor, math.floor(mv), mv, prec)
     with prec.working():
         return 2 * pb
 
 
 def abs_moment_3_closed(m, prec: PrecisionSpec = NATIVE):
-    """E |X - m|^3 in closed form (cdf plus one log-space pmf factor)."""
+    """E |X - m|^3 in closed form (the cdf at m and the pmf factor at
+    floor(m), both from one memoised anchor)."""
     mv = as_mean(m)
     fl = math.floor(mv)
-    pb = threshold_pmf_factor(fl, mv, prec)
+    pb = _lattice_constant(threshold_pmf_factor, fl, mv, prec)
+    f = _lattice_constant(cdf, mv, mv, prec)
     with prec.working():
         mm = prec.real(mv)
-        f = cdf(mv, mv, prec)
         u = mm - fl
         return mm * (1 - 2 * f) + 2 * (u * u + 2 * fl + 1) * pb
 
 
 def abs_moment_5_closed(m, prec: PrecisionSpec = NATIVE):
-    """E |X - m|^5 in closed form (cdf plus one log-space pmf factor)."""
+    """E |X - m|^5 in closed form (the cdf at m and the pmf factor at
+    floor(m), both from one memoised anchor)."""
     mv = as_mean(m)
     fl = math.floor(mv)
-    pb = threshold_pmf_factor(fl, mv, prec)
+    pb = _lattice_constant(threshold_pmf_factor, fl, mv, prec)
+    f = _lattice_constant(cdf, mv, mv, prec)
     with prec.working():
         mm = prec.real(mv)
-        f = cdf(mv, mv, prec)
         u = mm - fl
         return (10 * mm ** 2 + mm) * (1 - 2 * f) + 2 * (
             (fl + 1 - mm) ** 4 + 2 * mm * (2 * u * u + 7 * fl + 7 - 3 * mm)

@@ -43,7 +43,7 @@ def test_layer_measures_every_case(monkeypatch, layer):
 def test_each_repetition_starts_with_empty_memos():
     # a repeated cdf call would otherwise time the hit its first
     # repetition left behind
-    memos = (pm.core._cdf_at, pm.recurrences._pmf_factor)
+    memos = (pm.core._cdf_at, pm.core._pmf_anchor, pm.recurrences._pmf_factor)
     sizes = []
 
     def work():
@@ -52,5 +52,7 @@ def test_each_repetition_starts_with_empty_memos():
 
     bench_layers.time_work([work], 3, 5.0,
                            lambda: bench_layers._clear_memos(pm))
-    assert sizes == [[0, 0]] * 3
-    assert [memo.cache_info().currsize for memo in memos] == [1, 1]
+    assert sizes == [[0, 0, 0]] * 3
+    # the cdf at floor(b) = 3 < 64 sums up from e^-m, the anchor's n = 0
+    # entry, and the factor takes p_3, itself from that entry
+    assert [memo.cache_info().currsize for memo in memos] == [1, 2, 1]

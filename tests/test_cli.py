@@ -13,7 +13,8 @@ from unittest import mock
 
 import pytest
 
-from poisson_moments import WeightSpec, expectation, verify_rows
+from poisson_moments import (WeightSpec, core, expectation, recurrences,
+                             verify_rows)
 from poisson_moments.cli import (CSV_HEADER, UsageError, _parse_float_grid,
                                  _prec_from, build_parser, main)
 
@@ -436,6 +437,22 @@ class TestVerify:
                               "--tol", "1e-18"])
         assert code == 0, err
         assert "result: PASS" in out and err == ""
+
+    def test_extended_lattice_constants_take_one_width(self, monkeypatch):
+        # the tables, the closed forms and the Kummer route all take cdf and
+        # the pmf factor at W + 64 = 320 bits; none keys a memo at 256
+        widths = {}
+        for module, name in ((core, "_cdf_at"), (recurrences, "_pmf_factor")):
+            memo = getattr(module, name)
+
+            def spy(k, mv, prec, memo=memo, name=name):
+                widths.setdefault(name, set()).add(prec.bits)
+                return memo(k, mv, prec)
+            monkeypatch.setattr(module, name, spy)
+        code, out, _ = run(["verify", "--mean-grid", "2", "--max-order", "6",
+                            "--precision-bits", "256"])
+        assert code == 0, out
+        assert widths == {"_cdf_at": {320}, "_pmf_factor": {320}}
 
     def test_rel_tol_default_follows_precision_mode(self):
         native = build_parser().parse_args(["verify"])

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+import poisson_moments.core as core
 import poisson_moments.oracle as om
 from poisson_moments import (NATIVE, DiscreteFunction, GrowthBoundError,
                              OrderOverflowError, PrecisionSpec,
@@ -23,7 +24,8 @@ from poisson_moments import (NATIVE, DiscreteFunction, GrowthBoundError,
                              mean_deviation, sign,
                              signed_moment_shifted, signed_moment_table,
                              truncation_index)
-from poisson_moments.core import _LATTICE_CACHE_SIZE, _cdf_at, exact_ratio
+from poisson_moments.core import (_LATTICE_CACHE_SIZE, _cdf_at, _pmf_anchor,
+                                  exact_ratio)
 from poisson_moments.recurrences import (CONDITION_FLAG_THRESHOLD, _condition,
                                          _pmf_factor, _shift_down,
                                          shift_identity,
@@ -599,6 +601,141 @@ class TestLatticeMemo:
                 public(k, 2.0)
             info = helper.cache_info()
             assert info.maxsize == info.currsize == _LATTICE_CACHE_SIZE
+
+
+class TestPmfAnchorMemo:
+    @pytest.fixture(autouse=True)
+    def empty_caches(self):
+        for memo in (_pmf_anchor, _cdf_at, _pmf_factor):
+            memo.cache_clear()
+
+    def test_cache_is_bounded(self):
+        for n in range(_LATTICE_CACHE_SIZE + 10):
+            _pmf_anchor(n, 2.0, 128)
+        info = _pmf_anchor.cache_info()
+        assert info.maxsize == info.currsize == _LATTICE_CACHE_SIZE
+
+    @pytest.mark.parametrize("width", [128, 256, 320])
+    def test_cached_value_is_the_uncached_one(self, width):
+        # a miss under a narrow caller context, then a hit under a wide one,
+        # each equal bit for bit to the anchor recomputed from scratch
+        for m in (0.1, 3.0, 50.0, 3000.0, 1e5):
+            fl = math.floor(m)
+            for n in {0, 1, 63, 64, fl, fl + 3}:
+                want = _pmf_anchor.__wrapped__(n, m, width)
+                for caller in (40, 2 * width + 64):
+                    with mp.workprec(caller):
+                        got = _pmf_anchor(n, m, width)
+                        assert _bits(_pmf_anchor.__wrapped__(n, m, width)) \
+                            == _bits(want)
+                    assert _bits(got) == _bits(want), (m, n, caller)
+
+    def test_cdf_and_factor_at_one_floor_share_one_anchor(self):
+        # floor(b) = 3000 >= 64: the cdf sums from p_3000 and the factor is
+        # m p_3000, one log-gamma evaluation between them
+        table = signed_moment_table(3000.0, 3000.0, 3000.5, 10)
+        assert not table.upgraded
+        info = _pmf_anchor.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_one_exp_serves_both_constants_below_64(self, monkeypatch):
+        # floor(b) = 3 < 64: the cdf sums up from e^-m, and the factor's p_3
+        # is that same e^-m times an exact rational
+        calls = []
+        exp = core.mpf_exp
+        monkeypatch.setattr(core, "mpf_exp",
+                            lambda *args: calls.append(args) or exp(*args))
+        cdf(3.5, 3.0)
+        threshold_pmf_factor(3, 3.0)
+        assert len(calls) == 1
+        info = _pmf_anchor.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+
+
+def _plain_cdf(m, ks, bits=1024):
+    """{k: P(X <= k)} for X ~ Poisson(m), the plain upward sum of m^j / j!
+    from j = 0 times e^-m: integers keep bits + 64 bits below the running
+    total's top, so each of the k steps errs by under 2^-(bits+64)."""
+    num, den = m.as_integer_ratio()
+    keep = bits + 64
+    t = total = 1 << keep
+    e = -keep  # the sum is total 2^e
+    wanted = set(ks)
+    out = {}
+    for j in range(max(ks) + 1):
+        if j:
+            t = t * num // (j * den)
+            total += t
+            excess = total.bit_length() - keep - 64
+            if excess > 0:
+                t >>= excess
+                total >>= excess
+                e += excess
+        if j in wanted:
+            out[j] = (total, e)
+    with mp.workprec(keep + 64):
+        e_m = mp.exp(-mp.mpf(m))
+        return {k: min(mp.ldexp(e_m * n, x), mp.one)
+                for k, (n, x) in out.items()}
+
+
+def _factor_reference(k, m):
+    """e^-m m^(k+1) / k! at 1200 bits."""
+    with mp.workprec(1200):
+        mm = mp.mpf(m)
+        return mp.exp(-mm) * mm ** (k + 1) / mp.factorial(k)
+
+
+def _nearest_double(x) -> float:
+    """The double nearest the mpf x (int / int division rounds once)."""
+    n, d = exact_ratio(x)
+    return n / d
+
+
+def reference_grid(rng_seed=15):
+    """Seeded (m, sorted k): m log-uniform in [0.05, 1e6] and k in {0, 1,
+    63, 64, floor(m), floor(m) +- 4 sqrt(m)}."""
+    rng = random.Random(rng_seed)
+    out = []
+    for _ in range(12):
+        m = math.exp(rng.uniform(math.log(0.05), math.log(1e6)))
+        fl, w = math.floor(m), math.floor(4 * math.sqrt(m))
+        out.append((m, sorted({0, 1, 63, 64, fl, max(fl - w, 0), fl + w})))
+    return out
+
+
+class TestLatticeConstantsReference:
+    WIDTHS = (128, 256, 320)
+
+    def test_pmf_factor_is_correctly_rounded(self):
+        for m, ks in reference_grid():
+            for k in ks:
+                want = _factor_reference(k, m)
+                assert threshold_pmf_factor(k, m) == _nearest_double(want), \
+                    (m, k)
+                for bits in self.WIDTHS:
+                    got = threshold_pmf_factor(k, m,
+                                               PrecisionSpec.extended(bits))
+                    with mp.workprec(1200):
+                        assert abs(got - want) <= mp.ldexp(want, 1 - bits), \
+                            (m, k, bits)
+
+    def test_cdf_matches_the_plain_sum(self):
+        below = above = 0  # the outward sum's two branches past k = 63
+        for m, ks in reference_grid():
+            if m > 1e5:
+                continue
+            want = _plain_cdf(m, ks)
+            for k in ks:
+                below += 64 <= k <= m
+                above += k >= 64 and k > m
+                assert cdf(k, m) == _nearest_double(want[k]), (m, k)
+                for bits in self.WIDTHS[:2]:
+                    got = cdf(k, m, PrecisionSpec.extended(bits))
+                    with mp.workprec(1200):
+                        assert abs(got - want[k]) <= \
+                            mp.ldexp(want[k], 1 - bits), (m, k, bits)
+        assert below and above
 
 
 def _const_one():

@@ -36,12 +36,13 @@ process as another's.  A case's work is a list of calls, repeated up to
 REPEATS times within BUDGET_S seconds (``time_work``, which also says when
 a case is ``capped``); no call is left untimed as a warm-up, since the
 median drops a cold first repetition.  Each repetition starts with the
-lattice memos of ``cdf`` and ``threshold_pmf_factor`` empty, where the
-tree has them, so that a repeated call is timed as a caller meets it
-first, not as a hit left by the repetition before.  A row's figure is the
-median over rounds of its per-round median; a case whose function a tree
-lacks has a null median on that tree.  Standard library only, apart from
-the package under test and its mpmath dependency.
+lattice memos of ``cdf`` and ``threshold_pmf_factor``, and the pmf anchor
+they share, empty, where the tree has them, so that a repeated call is
+timed as a caller meets it first, not as a hit left by the repetition
+before.  A row's figure is the median over rounds of its per-round median;
+a case whose function a tree lacks has a null median on that tree.
+Standard library only, apart from the package under test and its mpmath
+dependency.
 """
 
 from __future__ import annotations
@@ -165,6 +166,8 @@ def _process(pm, *argv):
 CASES = [
     ("primitives", "cdf b=m", None, (None,),
      lambda pm, m, r: [partial(pm.cdf, m, m)]),
+    ("primitives", "cdf b=m+3sqrt(m)", None, (None,),
+     lambda pm, m, r: [partial(pm.cdf, m + 3 * math.sqrt(m), m)]),
     ("primitives", "cdf b=1e7", (1e3,), (None,),
      lambda pm, m, r: [partial(pm.cdf, 1e7, m)]),
     ("primitives", "log_pmf_extended k=m, 128 bits", None, (None,),
@@ -174,6 +177,9 @@ CASES = [
     ("primitives", "threshold_pmf_factor k=floor(m)", None, (None,),
      lambda pm, m, r: [partial(pm.recurrences.threshold_pmf_factor,
                                math.floor(m), m)]),
+    ("primitives", "threshold_pmf_factor k=floor(m), 256 bits", None, (None,),
+     lambda pm, m, r: [partial(pm.recurrences.threshold_pmf_factor,
+                               math.floor(m), m, _ext(pm))]),
     ("tables", "central_moment_table a=m", None, (ORDER,),
      lambda pm, m, r: [partial(pm.central_moment_table, m, m, r)]),
     ("tables", "signed_moment_table a=b=m", None, (ORDER,),
@@ -242,10 +248,10 @@ LAYERS = tuple(dict.fromkeys(layer for layer, *_ in CASES))
 
 
 def _clear_memos(pm) -> None:
-    """Empty the lattice memos of ``cdf`` and ``threshold_pmf_factor``, on
-    a tree that has them, so that no repetition times a value an earlier
-    one left behind."""
-    for module, name in ((pm.core, "_cdf_at"),
+    """Empty the lattice memos of ``cdf`` and ``threshold_pmf_factor`` and
+    the pmf anchor they share, on a tree that has them, so that no
+    repetition times a value an earlier one left behind."""
+    for module, name in ((pm.core, "_cdf_at"), (pm.core, "_pmf_anchor"),
                          (pm.recurrences, "_pmf_factor")):
         memo = getattr(module, name, None)
         if memo is not None:
