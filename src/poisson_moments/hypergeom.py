@@ -16,15 +16,19 @@ recursion
 
 starting from the value row g[0][beta] = 1F1(beta+1, beta+fl+2, m).  (The
 recursion necessarily starts at s = 0: the first derivative can only come
-from the value row.)  Since E |X - a|^r = 2 E (X - a)^r 1{X > a}
-- E (X - a)^r for odd r, the assembled result is
+from the value row.)  The value row itself takes a few series and a
+three-term recurrence in beta (``_value_row``), not one series per entry.
+Since E |X - a|^r = 2 E (X - a)^r 1{X > a} - E (X - a)^r for odd r, the
+assembled result is
 
     E |X - a|^r = -E (X - a)^r
                   + 2 e^-m m^(fl+1) / (fl+1)! * g[r][0].
 
 All series terms and recursion coefficients are positive in the parameter
-ranges used here, so the table itself is cancellation-free; the final
-subtraction is monitored with a condition estimate.
+ranges used here, so the table itself is cancellation-free.  Nor does the
+final subtraction cancel: its result E |X - a|^r is at least |E (X - a)^r|
+and at least half the series term, so the condition estimate it reports is
+at most 2, up to the error of the addends.
 
 Native mode runs the series and the recursion in doubles.  Extended mode
 runs both in Python-integer fixed point, as ``core.cdf`` does: every
@@ -61,11 +65,10 @@ __all__ = [
     "katti_abs_moment_table",
 ]
 
-# The largest mean the Kummer route accepts.  Its value row is summed from
-# n = 0 and its terms rise until n is about m - floor(a), so a small center
-# costs about m terms per value: at this mean and a = 0, a 256-bit order-3
-# entry takes about 0.6 s and an order-15 table about 1.8 s on a 2-CPU x86
-# machine.
+# The largest mean the Kummer route accepts.  Its value row rests on series
+# summed from n = 0 whose terms rise until n is about m - floor(a), so a
+# small center costs about m terms per series: at this mean and a = 0, a
+# 256-bit entry of order 3 or 15 takes about 0.3 s on a 2-CPU x86 machine.
 MAX_KUMMER_MEAN = 1e5
 # named by the MeanTooLargeError a mean above it raises, before any series
 _KUMMER_ROUTE = "the Kummer series route sums"
@@ -216,7 +219,8 @@ class GTable:
     """Triangular table of generating-function derivatives.
 
     entries[s][beta] holds the s-th derivative for beta = 0..r-s; the value
-    row entries[0] consists of plain Kummer series values.
+    row entries[0] holds the Kummer function values 1F1(beta + 1,
+    beta + floor(a) + 2, m).
     """
 
     a: float
@@ -240,17 +244,17 @@ def _check_odd_order(r) -> int:
 def g_table(a, m, r, prec: PrecisionSpec = NATIVE) -> GTable:
     """Build the derivative table for center a >= 0, mean m, odd order r.
 
-    Native mode runs the recursion in doubles.  Extended mode runs it on
-    integers: the value row enters as the exact binary fractions that
-    :func:`hyp1f1` returns, brought to one exponent, and the coefficients
-    are exact rationals, fl + 1 + beta - a and m (beta + 1) / (beta + fl
-    + 2), so each entry costs one floor division.  All of them are
-    positive; a row is shifted up (exactly) whenever its smallest entry
-    would keep fewer than W + 64 bits, W = max(128, bits), so an entry
-    carries a relative error below (s + 1) 2^-(W+64) after s rows.  Each
-    entry is rounded into the working precision once, at the end, and so
-    lies within 2^-(bits-8) relative (indeed 2^-(bits-1)) of the exact
-    recursion on the value row.
+    The value row comes from :func:`_value_row`.  Native mode runs the
+    recursion in doubles.  Extended mode runs it on integers: the value
+    row enters at one exponent, unrounded, and the coefficients are exact
+    rationals, fl + 1 + beta - a and m (beta + 1) / (beta + fl + 2), so
+    each entry costs one floor division.  All of them are positive; a row
+    is shifted up (exactly) whenever its smallest entry would keep fewer
+    than W + 64 bits, W = max(128, bits), so an entry carries a relative
+    error below (s + 1) 2^-(W+64) after s rows, on top of the value row's.
+    Each entry is rounded into the working precision once, at the end, and
+    so lies within 2^-(bits-8) relative of the exact recursion on the
+    exact series values (the truncation that ``rel_tol`` governs aside).
 
     A mean above ``MAX_KUMMER_MEAN`` raises
     :class:`~poisson_moments.core.MeanTooLargeError`.
@@ -260,29 +264,33 @@ def g_table(a, m, r, prec: PrecisionSpec = NATIVE) -> GTable:
     require_finite(a, "center a")
     if a < 0:
         raise ValueError("the series route requires a nonnegative center")
-    fl = math.floor(a)
+    rows = _g_rows(a, mv, ri, prec)
     if prec.is_extended:
-        return GTable(float(a), mv, ri, _g_rows_fixed(a, fl, mv, ri, prec))
+        rows = [[_rounded(x, e, prec) for x in row] for row, e in rows]
+    return GTable(float(a), mv, ri, tuple(map(tuple, rows)))
+
+
+def _g_rows(a, mv: float, ri: int, prec: PrecisionSpec):
+    """The rows of ``g_table(a, mv, ri, prec)``, unrounded: lists of
+    doubles in native mode, and pairs (ints, e) in extended mode, each
+    int x standing for x 2^e."""
+    fl = math.floor(a)
+    row = _value_row(fl, mv, ri, prec)
+    if prec.is_extended:
+        return _g_rows_fixed(a, fl, mv, ri, prec, *row)
     offset = float(fl) - float(a) + 1  # in (0, 1]
-    rows = [
-        tuple(
-            hyp1f1(Hyp1F1Params(beta + 1, beta + fl + 2, mv), prec)
-            for beta in range(ri + 1)
-        )
-    ]
-    for s in range(ri):
-        prev = rows[-1]
-        rows.append(
-            tuple(
-                (offset + beta) * prev[beta]
-                + mv * (beta + 1) / (beta + fl + 2) * prev[beta + 1]
-                for beta in range(ri - s)
-            )
-        )
-    return GTable(float(a), mv, ri, tuple(rows))
+    # g[s+1][beta] = P[beta] g[s][beta] + Q[beta] g[s][beta+1]
+    P = [offset + beta for beta in range(ri)]
+    Q = [mv * (beta + 1) / (beta + fl + 2) for beta in range(ri)]
+    rows = [row]
+    for _ in range(ri):
+        row = [p * x + q * y for p, q, x, y in zip(P, Q, row, row[1:])]
+        rows.append(row)
+    return rows
 
 
-def _g_rows_fixed(a, fl: int, mv: float, ri: int, prec: PrecisionSpec):
+def _g_rows_fixed(a, fl: int, mv: float, ri: int, prec: PrecisionSpec,
+                  row: list, e: int):
     lo = max(128, prec.bits) + 64
     an, ad = exact_ratio(a)
     mn, md = mv.as_integer_ratio()
@@ -290,10 +298,6 @@ def _g_rows_fixed(a, fl: int, mv: float, ri: int, prec: PrecisionSpec):
     P = [((fl + 1 + beta) * ad - an) * md * (beta + fl + 2) for beta in range(ri)]
     Q = [ad * mn * (beta + 1) for beta in range(ri)]
     D = [ad * md * (beta + fl + 2) for beta in range(ri)]
-    values = [hyp1f1(Hyp1F1Params(beta + 1, beta + fl + 2, mv), prec).man_exp
-              for beta in range(ri + 1)]  # all >= 1
-    e = min(exp + man.bit_length() for man, exp in values) - lo - 1
-    row = [man << (exp - e) for man, exp in values]
     rows = [(row, e)]
     for s in range(ri):
         nums = [P[b] * row[b] + Q[b] * row[b + 1] for b in range(ri - s)]
@@ -304,7 +308,84 @@ def _g_rows_fixed(a, fl: int, mv: float, ri: int, prec: PrecisionSpec):
             e -= k
         row = [x // D[b] for b, x in enumerate(nums)]
         rows.append((row, e))
-    return tuple(tuple(_rounded(x, e, prec) for x in row) for row, e in rows)
+    return rows
+
+
+# The value row's entries above the upward part come in segments of this
+# many, each summed downward from two series at its top.
+_SEGMENT = 16
+
+
+def _value_row(fl: int, mv: float, ri: int, prec: PrecisionSpec):
+    """f(beta) = 1F1(beta + 1, beta + c, m), c = fl + 2, for beta = 0..ri,
+    from a few series and the three-term relation that Kummer's equation
+    and d/dz M(a, b, z) = (a/b) M(a + 1, b + 1, z) give (DLMF 13.2.1,
+    13.3.15),
+
+        (beta + c)(beta + c + 1) f(beta)
+            = (beta + c - m)(beta + c + 1) f(beta + 1) + m (beta + 2) f(beta + 2).
+
+    Where m > c, the series f(0) and f(1) start an upward recurrence,
+    solved for f(beta + 2), which runs while beta + c < m.  Every entry
+    past that point (every entry, where m <= c) is recurred downward, in
+    segments of ``_SEGMENT`` entries, each started from the series at its
+    top two entries.  Each step, either
+    way, is a sum of positive terms, so it adds no more than its own
+    rounding to the relative error of the entries it rests on (Gil,
+    Segura and Temme, Numerical Methods for Special Functions, ch. 4, on
+    which direction of a three-term recurrence is stable).  Where the
+    segments start depends on m and fl only, so an entry does not depend
+    on ri: an order-15 row sums at most four series.
+
+    Native mode returns a list of doubles.  Extended mode returns (ints,
+    e), e = -(W + 64), W = max(128, bits): each series enters from
+    :func:`_kummer_sum` unrounded, each step is one floor division with
+    exact rational coefficients, and every entry is at least 1, so a step
+    adds under 2^-(W+64) to the relative error.
+    """
+    c = fl + 2
+    n_up = max(0, math.ceil(mv - c))  # the steps with beta + c < m
+    if prec.is_extended:
+        lo = max(128, prec.bits) + 64
+        z = mn, md = mv.as_integer_ratio()
+
+        def series(beta):
+            p = Hyp1F1Params(beta + 1, beta + c, mv)
+            total, e = _kummer_sum((beta + 1, 1), (beta + c, 1), z,
+                                   prec.rel_tol, _iteration_cap(p), lo - 64)
+            return total << (e + lo) if e + lo >= 0 else total >> -(e + lo)
+
+        def up(b, f0, f1):
+            q = (b + c) * md
+            return (b + c + 1) * (q * f0 + (mn - q) * f1) // (mn * (b + 2))
+
+        def down(b, f1, f2):
+            q = (b + c) * md
+            return (((q - mn) * (b + c + 1) * f1 + mn * (b + 2) * f2)
+                    // (q * (b + c + 1)))
+    else:
+        def series(beta):
+            return hyp1f1(Hyp1F1Params(beta + 1, beta + c, mv), prec)
+
+        def up(b, f0, f1):
+            return ((b + c + 1) * ((b + c) * f0 + (mv - b - c) * f1)
+                    / (mv * (b + 2)))
+
+        def down(b, f1, f2):
+            return (((b + c - mv) * (b + c + 1) * f1 + mv * (b + 2) * f2)
+                    / ((b + c) * (b + c + 1)))
+
+    f = [series(0), series(1)] if n_up else []
+    for b in range(min(n_up, ri - 1)):
+        f.append(up(b, f[b], f[b + 1]))
+    for bottom in range(n_up + 2 if n_up else 0, ri + 1, _SEGMENT):
+        top = bottom + _SEGMENT - 1
+        seg = [series(top), series(top - 1)]  # f(top), f(top - 1), ...
+        for b in range(top - 2, bottom - 1, -1):
+            seg.append(down(b, seg[-1], seg[-2]))
+        f += reversed(seg)
+    del f[ri + 1:]
+    return (f, -lo) if prec.is_extended else f
 
 
 def _in_double_range(x) -> bool:
@@ -319,7 +400,8 @@ def _katti_entries(mv: float, a, orders, prec: PrecisionSpec, central=None):
     ``central`` is a sequence of E (X - a)^r indexed by r, covering the
     largest order; None builds the central table here.  The top entry of
     order r is ``g_table(...).entries[r][0]``, which rests only on the
-    value-row entries with beta <= r, so one table serves every order.
+    value-row entries with beta <= r, so one table serves every order; in
+    extended mode only those corner entries are rounded.
     """
     require_finite(a, "center a")
     if a < 0:
@@ -331,25 +413,31 @@ def _katti_entries(mv: float, a, orders, prec: PrecisionSpec, central=None):
     top_order = orders[-1]
     if central is None:
         central = central_moment_table(mv, a, top_order, prec).values
-    entries = g_table(a, mv, top_order, prec).entries
+    rows = _g_rows(a, mv, top_order, prec)
     fl = math.floor(a)
     pmf_factor = _lattice_constant(threshold_pmf_factor, fl, mv, prec)
     out = {}
     redo = []
+    extended = prec.is_extended
     with prec.working():
         # e^-m m^(fl+1) / (fl+1)!
         prefactor = pmf_factor / (fl + 1)
         zero = prec.real(0.0)
+        prefactor_in_range = extended or _in_double_range(prefactor)
         for r in orders:
-            top = entries[r][0]
+            if extended:
+                row, e = rows[r]
+                top = _rounded(row[0], e, prec)
+            else:
+                top = rows[r][0]
             series_term = 2 * prefactor * top
-            in_range = map(_in_double_range, (top, prefactor, series_term))
-            if not prec.is_extended and not all(in_range):
+            if not (extended or prefactor_in_range and _in_double_range(top)
+                    and _in_double_range(series_term)):
                 redo.append(r)
                 continue
-            raw = series_term - central[r]
-            cond = _condition(max(abs(float(central[r])), abs(float(series_term))),
-                              raw)
+            c = central[r]
+            raw = series_term - c
+            cond = _condition(max(abs(float(c)), abs(float(series_term))), raw)
             out[r] = (raw if raw > zero else zero, cond)
     if redo:
         wide = _katti_entries(mv, a, redo, _UPGRADE_PREC)
@@ -368,8 +456,9 @@ def katti_abs_moment_table(m, a, r_max, prec: PrecisionSpec = NATIVE,
     the same precision), so that table is not built again.
 
     The condition estimate is the larger addend's magnitude over the result
-    magnitude: the central moment and the series term can be large and of
-    opposite sign.
+    magnitude.  It is at most 2, up to the addends' errors: the result
+    E |X - a|^r is at least |E (X - a)^r| and at least half the series
+    term.
 
     In native mode the derivative table's top entry grows like e^m while
     the prefactor e^-m m^(fl+1) / (fl+1)! shrinks like it: at m of about

@@ -463,6 +463,18 @@ class TestVerify:
                                            "--rel-tol", "1e-30"])
         assert _prec_from(given).rel_tol == 1e-30
 
+    def test_native_katti_rows_are_gated_when_the_series_stops_inside_tol(self):
+        # four centers >= 0 (0, m, fl+0.3, m+1) and orders 1 and 3: eight
+        # katti rows, gated at rel_tol 1e-12 <= tol / 100 and only
+        # reported at rel_tol 1e-10
+        argv = ["verify", "--mean-grid", "2", "--max-order", "4"]
+        counts = []
+        for extra in ([], ["--rel-tol", "1e-10"]):
+            code, out, _ = run(argv + extra)
+            assert code == 0 and "katti" in out, out
+            counts.append(int(re.search(r"gated_rows=(\d+)", out)[1]))
+        assert counts[0] - counts[1] == 8
+
     def test_reports_worst_error_per_method(self):
         code, out, _ = run(["verify", "--mean-grid", "1", "--max-order", "2",
                             "--tol", "1e-6"])

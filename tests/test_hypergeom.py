@@ -12,8 +12,8 @@ from mpmath import mp
 import poisson_moments.hypergeom as hg
 from poisson_moments import (Hyp1F1Params, MeanTooLargeError, PrecisionSpec,
                              abs_central_moment, abs_moment_3_closed,
-                             central_moment_table, g_table, hyp1f1,
-                             katti_abs_moment, katti_abs_moment_table,
+                             central_moment_table, expectation_table, g_table,
+                             hyp1f1, katti_abs_moment, katti_abs_moment_table,
                              mean_deviation)
 
 from helpers import rel_err
@@ -39,14 +39,14 @@ def mpf_series(alpha, beta, z, rel_tol, bits=512):
         return total
 
 
-def reference_g_rows(a, m, r, rel_tol, bits=512):
-    """The derivative table by the mpf recursion, at 512 bits."""
+def reference_g_rows(a, m, r, bits=512):
+    """The derivative table by the mpf recursion on mpmath's value row, at
+    512 bits."""
     fl = math.floor(a)
     with mp.workprec(bits):
         mm = mp.mpf(m)
         offset = fl - mp.mpf(a) + 1
-        rows = [[mpf_series(b + 1, b + fl + 2, m, rel_tol, bits)
-                 for b in range(r + 1)]]
+        rows = [[mp.hyp1f1(b + 1, b + fl + 2, m) for b in range(r + 1)]]
         for s in range(r):
             prev = rows[-1]
             rows.append([(offset + b) * prev[b]
@@ -201,13 +201,18 @@ class TestHyp1F1NegativeArgument:
 
 
 class TestGTable:
-    def test_value_row_is_kummer(self):
-        a, m, r = 1.3, 2.0, 3
+    @pytest.mark.parametrize("a,m,r", [
+        (1.3, 2.0, 3), (0.0, 30.0, 21), (50.0, 50.0, 33), (7.5, 0.1, 19),
+    ])
+    def test_value_row_is_kummer(self, a, m, r):
+        # series anchors stop at rel_tol; the recurrence between them
+        # adds a few units of rounding
         t = g_table(a, m, r)
         fl = math.floor(a)
         for beta in range(r + 1):
-            want = hyp1f1(Hyp1F1Params(beta + 1, beta + fl + 2, m))
-            assert t.entries[0][beta] == want
+            with mp.workprec(200):
+                want = mp.hyp1f1(beta + 1, beta + fl + 2, m)
+                assert abs(t.entries[0][beta] - want) <= 4e-12 * want, beta
 
     def test_shape_is_triangular(self):
         t = g_table(0.5, 1.0, 5)
@@ -231,8 +236,8 @@ class TestGTable:
             g_table(-0.5, 1.0, 1)
 
     def test_native_entries_are_pinned(self):
-        assert g_table(4.9999, 1e-3, 5).top.hex() == "0x1.5f4cc4d15f8d6p-13"
-        assert g_table(2.3, 7.5, 7).entries[3][2].hex() == "0x1.245843ced4423p+16"
+        assert g_table(4.9999, 1e-3, 5).top.hex() == "0x1.5f4cc4d15f8dap-13"
+        assert g_table(2.3, 7.5, 7).entries[3][2].hex() == "0x1.245843ced443cp+16"
 
     @pytest.mark.parametrize("a,m,r", [
         (0.999, 1e-3, 15), (4.9999, 1e-3, 9), (4.9999, 2.0, 15),
@@ -240,8 +245,8 @@ class TestGTable:
         (0.999999999999, 1e-30, 5),  # entries shrink by ~100 bits a row
     ])
     def test_extended_entries_against_mpf_recursion(self, a, m, r):
-        got = g_table(a, m, r, EXT).entries
-        want = reference_g_rows(a, m, r, EXT.rel_tol)
+        got = g_table(a, m, r, EXT_TIGHT).entries
+        want = reference_g_rows(a, m, r)
         for s, (got_row, want_row) in enumerate(zip(got, want)):
             assert len(got_row) == len(want_row) == r + 1 - s
             for beta, (g, w) in enumerate(zip(got_row, want_row)):
@@ -250,8 +255,66 @@ class TestGTable:
     def test_extended_center_is_taken_exactly(self):
         with mp.workprec(256):
             a = mp.mpf(7) / 3  # not a double
-        got = g_table(a, 2.0, 5, EXT).top
-        assert within_bar(got, reference_g_rows(a, 2.0, 5, EXT.rel_tol)[5][0])
+        got = g_table(a, 2.0, 5, EXT_TIGHT).top
+        assert within_bar(got, reference_g_rows(a, 2.0, 5)[5][0])
+
+
+def value_row_grid():
+    """Seeded (a, m, r) cases at m up to 1e4, with centers far below the
+    mean (the upward recurrence) and near it (downward segments, several
+    of them at r = 45), led by fixed cases at m = 1e4."""
+    cases = [(0.0, 1e4, 45), (1e4, 1e4, 45), (9980.5, 1e4, 45),
+             (0.3, 0.1, 45)]
+    rng = random.Random(4242)
+    for _ in range(10):
+        m = 10 ** rng.uniform(-1, 3)
+        a = rng.choice([rng.uniform(0, m / 10),
+                        max(0.0, m + rng.uniform(-3, 3) * math.sqrt(m))])
+        cases.append((a, m, rng.choice([15, 31, 45])))
+    return cases
+
+
+class TestValueRow:
+    """The value row from a few series and the three-term recurrence."""
+
+    @pytest.mark.parametrize("a,m,r", value_row_grid())
+    def test_extended_row_against_mpmath(self, a, m, r):
+        prec = PrecisionSpec.extended(512, rel_tol=1e-160)
+        row = g_table(a, m, r, prec).entries[0]
+        fl = math.floor(a)
+        with mp.workprec(1100):
+            bar = mp.mpf(2) ** -(prec.bits - 8)
+            for beta, got in enumerate(row):
+                want = mp.hyp1f1(beta + 1, beta + fl + 2, m)
+                assert abs(got - want) <= bar * want, beta
+
+    @pytest.mark.parametrize("prec,name", [(PrecisionSpec.native(), "hyp1f1"),
+                                           (EXT, "_kummer_sum")])
+    @pytest.mark.parametrize("a,m", [(0.0, 2.0), (2.0, 2.0), (0.0, 50.0),
+                                     (50.0, 50.0), (44.5, 50.0), (0.5, 1e3),
+                                     (990.0, 1e3)])
+    def test_order_15_row_sums_at_most_four_series(self, monkeypatch, prec,
+                                                   name, a, m):
+        summed = []
+        real = getattr(hg, name)
+        monkeypatch.setattr(hg, name,
+                            lambda *args: summed.append(args) or real(*args))
+        for r in range(1, 16, 2):
+            summed.clear()
+            g_table(a, m, r, prec)
+            assert len(summed) <= (2 if r == 1 else 4), r
+
+    @pytest.mark.parametrize("r", [15, 31])
+    def test_extended_assembly_rounds_one_entry_per_order(self, monkeypatch, r):
+        rounded = []
+        real = hg._rounded
+        monkeypatch.setattr(hg, "_rounded",
+                            lambda *args: rounded.append(args) or real(*args))
+        katti_abs_moment(7.5, 3.2, r, EXT)
+        assert len(rounded) == 1
+        rounded.clear()
+        katti_abs_moment_table(7.5, 3.2, r, EXT)
+        assert len(rounded) == (r + 1) // 2
 
 
 class TestAssembly:
@@ -289,7 +352,7 @@ class TestAssembly:
         assert value >= 0 and cond >= 1.0
 
     def test_native_values_are_pinned(self):
-        assert katti_abs_moment(10.0, 10.5, 7).hex() == "0x1.014dc13ad448fp+17"
+        assert katti_abs_moment(10.0, 10.5, 7).hex() == "0x1.014dc13ad449ap+17"
         assert katti_abs_moment(0.001, 0.999, 3).hex() == "0x1.fdf4a10a97e03p-1"
 
     def test_native_smoke(self):
@@ -346,8 +409,8 @@ class TestKattiTable:
 
     def test_one_derivative_table_per_call(self, monkeypatch):
         built = []
-        real = hg.g_table
-        monkeypatch.setattr(hg, "g_table",
+        real = hg._g_rows
+        monkeypatch.setattr(hg, "_g_rows",
                             lambda *args: built.append(args) or real(*args))
         katti_abs_moment_table(50.0, 50.0, 10)
         assert [args[2] for args in built] == [9]
@@ -363,8 +426,8 @@ class TestKattiTable:
         # 5 and 7 come from one 256-bit table of order 7, orders 1 and 3
         # keep their native bits (689.4999999976194, not 689.5)
         built = []
-        real = hg.g_table
-        monkeypatch.setattr(hg, "g_table",
+        real = hg._g_rows
+        monkeypatch.setattr(hg, "_g_rows",
                             lambda *args: built.append(args) or real(*args))
         table = katti_abs_moment_table(690.0, 0.5, 7)
         monkeypatch.undo()
@@ -398,6 +461,41 @@ class TestKattiTable:
     def test_rejects_bad_arguments(self, args, match):
         with pytest.raises(ValueError, match=match):
             katti_abs_moment_table(*args)
+
+
+def oracle_grid():
+    """Seeded (m, a, r_max) cases with m up to 600, centers within
+    m +- 5 sqrt(m), integer centers and a = 0."""
+    rng = random.Random(31)
+    cases = []
+    for _ in range(12):
+        m = 10 ** rng.uniform(-1, math.log10(600))
+        a = rng.choice([max(0.0, m + rng.uniform(-5, 5) * math.sqrt(m)),
+                        float(math.floor(m)), 0.0])
+        cases.append((m, a, rng.choice([9, 15, 29])))
+    return cases
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("m,a,r_max", oracle_grid())
+    def test_native_entries_agree_with_the_oracle(self, m, a, r_max):
+        oracle = expectation_table(m, a, r_max, 1e-18)
+        for r, (value, _) in katti_abs_moment_table(m, a, r_max).items():
+            assert rel_err(value, oracle.absolute[r].value) <= 1e-11, r
+
+    @pytest.mark.parametrize("prec,slack", [
+        (PrecisionSpec.native(), 16e-12),  # the series stop at rel_tol
+        (EXT, 2.0 ** -50),                  # the estimate is formed in doubles
+    ], ids=["native", "256"])
+    def test_condition_is_at_most_two(self, prec, slack):
+        # odd r: the result 2U - C, U = E (X - a)^r 1{X > a} >= 0 and
+        # C = E (X - a)^r, is E |X - a|^r >= |C|, so max(|C|, 2U) is at
+        # most twice the result
+        worst = 0.0
+        for m, a, r_max in oracle_grid() + katti_grid()[5::4]:
+            for _, cond in katti_abs_moment_table(m, a, r_max, prec).values():
+                worst = max(worst, cond)
+        assert 1.9 < worst <= 2 + slack
 
 
 class TestKummerMeanCeiling:

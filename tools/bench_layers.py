@@ -7,8 +7,8 @@ One case table, ``CASES``, covers the layers:
   native table at a near-root center, whose flagged orders are rebuilt at
   256 bits;
 * ``hypergeom``: the Kummer route at a = m and 256 bits unless the case
-  says otherwise: ``hyp1f1``'s value row, ``g_table``'s derivative
-  recursion alone, ``katti_abs_moment``, and every odd order up to r by
+  says otherwise: the value row, ``g_table``'s derivative recursion
+  alone, ``katti_abs_moment``, and every odd order up to r by
   ``katti_abs_moment_table`` next to a ``katti_abs_moment`` call per order;
 * ``oracle``: ``expectation`` and ``expectation_table``, eps = 1e-24 unless
   the case says otherwise, and ``verify_rows`` on the rows of one
@@ -87,20 +87,38 @@ def _row_params(pm, m, r) -> list:
     return [pm.Hyp1F1Params(beta + 1, beta + fl + 2, m) for beta in range(r + 1)]
 
 
+def _value_row(pm, m, r) -> list:
+    """The value row of ``g_table(m, m, r)`` at 256 bits as the tree builds
+    it: one ``hypergeom._value_row`` call (a few series and the three-term
+    recurrence), or, on a tree without it, one ``hyp1f1`` call per entry."""
+    ext = _ext(pm)
+    build = getattr(pm.hypergeom, "_value_row", None)
+    if build is None:
+        return [partial(pm.hyp1f1, p, ext) for p in _row_params(pm, m, r)]
+    return [partial(build, math.floor(m), m, r, ext)]
+
+
 def _g_recursion(pm, m, r) -> list:
-    """One ``g_table(m, m, r)`` at 256 bits whose value row ``hyp1f1``
-    answers from values computed beforehand: the derivative recursion and
-    its conversions alone."""
+    """One ``g_table(m, m, r)`` at 256 bits whose value row is served from
+    values computed beforehand: the derivative recursion and its
+    conversions alone.  The tree's ``hypergeom._value_row`` is stubbed
+    where it has one, and ``hyp1f1`` otherwise."""
     hg, g_table, ext = pm.hypergeom, pm.g_table, _ext(pm)
-    row = {p: pm.hyp1f1(p, ext) for p in _row_params(pm, m, r)}
+    if hasattr(hg, "_value_row"):
+        name, row = "_value_row", hg._value_row(math.floor(m), m, r, ext)
+        stub = lambda fl, mv, ri, prec: row
+    else:
+        name = "hyp1f1"
+        values = {p: pm.hyp1f1(p, ext) for p in _row_params(pm, m, r)}
+        stub = lambda p, prec: values[p]
 
     def run():
-        real = hg.hyp1f1
-        hg.hyp1f1 = lambda p, prec: row[p]
+        real = getattr(hg, name)
+        setattr(hg, name, stub)
         try:
             g_table(m, m, r, ext)
         finally:
-            hg.hyp1f1 = real
+            setattr(hg, name, real)
     return [run]
 
 
@@ -196,13 +214,13 @@ CASES = [
      lambda pm, m, r: [partial(pm.central_moment_table, m, NEAR_ROOTS[m], r)]),
     ("hypergeom", "katti native", None, HYP_ORDERS,
      lambda pm, m, r: [partial(pm.katti_abs_moment, m, m, r)]),
-    ("hypergeom", "value_row", None, HYP_ORDERS,
-     lambda pm, m, r: [partial(pm.hyp1f1, p, _ext(pm))
-                       for p in _row_params(pm, m, r)]),
+    ("hypergeom", "value_row", None, HYP_ORDERS, _value_row),
     ("hypergeom", "g_table recursion", None, HYP_ORDERS, _g_recursion),
     ("hypergeom", "katti", None, HYP_ORDERS,
      lambda pm, m, r: [partial(pm.katti_abs_moment, m, m, r, _ext(pm))]),
     ("hypergeom", "katti a=0", None, (3,),
+     lambda pm, m, r: [partial(pm.katti_abs_moment, m, 0.0, r, _ext(pm))]),
+    ("hypergeom", "katti a=0", (1e4,), (15,),
      lambda pm, m, r: [partial(pm.katti_abs_moment, m, 0.0, r, _ext(pm))]),
     ("hypergeom", "katti per order 1..r native", (2.0, 50.0, 1e3), (9,),
      lambda pm, m, r: [partial(pm.katti_abs_moment, m, m, k)
