@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -195,10 +196,17 @@ def pmf(k, m, prec: PrecisionSpec = NATIVE):
 # the log-gamma evaluation that anchors the outward sum at p_floor(b).
 _DIRECT_TERMS = 64
 
+# The working width of a native lattice constant's first attempt.  The cdf
+# sum then stops 2^-72 below its result: within 3 sqrt(m) of the mean about
+# 8.6 sqrt(m) terms, where the 128-bit sum an undecided rounding falls back
+# to takes about 12.3 sqrt(m).
+_NATIVE_WIDTH = 64
+
 # The largest mean cdf accepts.  Its sum runs over about
 # sqrt(2 m (W + 72) ln 2) terms around the bulk, W the working width: at
-# this mean and W = 128 under 2e6 terms, about a second of Python-integer
-# arithmetic on a 2-CPU x86 machine.
+# this mean and the native W = 64 about 1.4e6 terms, half a second of
+# Python-integer arithmetic on a 2-CPU x86 machine (W = 128, which an
+# extended result or an undecided native rounding sums at, takes 0.7 s).
 MAX_CDF_MEAN = 1e10
 
 # The largest mean the oracle's pass accepts.  The pass sums every j from 0
@@ -236,11 +244,18 @@ def cdf(b, m, prec: PrecisionSpec = NATIVE):
     floor division: j den and the stopping bound's right-hand side are
     running sums.  It stops once a geometric bound on the remaining terms
     (every later ratio is at most the current one, as in
-    :func:`truncation_index`) falls 8 bits below the working width
-    W = max(128, prec.bits); a threshold far past the bulk therefore
-    returns 1 without adding a term.  The result carries a relative error
-    below 2^-(W+6) before it is rounded into the working arithmetic, so
-    native callers receive the correctly rounded double of the sum.
+    :func:`truncation_index`) falls 8 bits below a working width W; a
+    threshold far past the bulk therefore returns 1 without adding a term.
+    The unrounded sum lies within 2^-(W+6) relative of the cdf
+    (:func:`_cdf_sum`) and is rounded once:
+
+    * natively the sum runs at W = 64 and its double is kept when both
+      ends of that error interval round to the same normal double (Ziv's
+      rounding test, :func:`_decided_double`); otherwise, and that is rare,
+      it runs again at W = 128, so the result is the correctly rounded
+      double of the cdf either way, up to the 128-bit sum's own 2^-134;
+    * an extended result sums at W = max(128, prec.bits) and rounds once
+      at prec.bits.
 
     A mean above ``MAX_CDF_MEAN`` raises :class:`MeanTooLargeError`.  The
     sum depends on b only through floor(b): past the checks above it is
@@ -259,17 +274,23 @@ def cdf(b, m, prec: PrecisionSpec = NATIVE):
 def _pmf_anchor(n: int, mv: float, width: int):
     """p_n = e^-m m^n / n! at width + 24 + bitlen(n + floor(m) + 1) bits:
     the anchor of :func:`cdf`'s sum at a working width W = ``width`` and
-    the pmf factor's p_n.  It calls mpmath's low-level functions at that
-    width, so it opens no working context and its value does not depend
-    on the caller's ``mp.prec``.
+    the pmf factor's p_n, within 2^-(W+11) relative of p_n and of itself.
+    Native constants take it at W = 64 first and at 128 only when that
+    leaves their rounding undecided; extended ones at W = max(128, bits).
+    It calls mpmath's low-level functions at that width, so it opens no
+    working context and its value does not depend on the caller's
+    ``mp.prec``.
 
     e^-m is the n = 0 entry, taken at width + 24 + bitlen(64 + floor(m))
     bits, as wide as the upward sum from p_0 of any n < 64 needs; for
     0 < n < 64, p_n is that entry times the exact rational num^n / (den^n
-    n!), m = num / den, and otherwise one log-space evaluation.  The log
-    adds terms up to (n + m + 1) * 2^10 in size (|log m| < 745 for a double
-    m); its absolute error stays below 2^-(W+12).  Memoised in a bounded
-    least-recently-used cache of ``_LATTICE_CACHE_SIZE`` entries.
+    n!), m = num / den, three roundings at W + 24 bits or more.  Otherwise
+    it is one log-space evaluation: the log adds terms up to (n + m + 1)
+    * 2^10 in size (|log m| < 745 for a double m), each rounded at
+    wp >= W + 24 + log2(n + m + 1) bits, so its absolute error stays below
+    2^-(W+12), and the exponential's relative error below 2^-(W+11).
+    Memoised in a bounded least-recently-used cache of
+    ``_LATTICE_CACHE_SIZE`` entries.
     """
     fm = int(mv)
     m = from_float(mv)
@@ -291,68 +312,120 @@ def _pmf_anchor(n: int, mv: float, width: int):
     return mp.make_mpf(mpf_exp(log_p, wp, round_nearest))
 
 
+def _decided_double(x: int, e: int, k: int) -> Optional[float]:
+    """The double nearest x 2^e, for a value known within a relative 2^-k
+    of x 2^e, when both ends of that interval, x (1 -+ 2^-k) 2^e, round to
+    the same normal double (Ziv's rounding test); None otherwise, and the
+    value must be computed again at a wider width.  Rounding is monotone,
+    so every value inside the interval rounds to the same double.  The
+    test is integer arithmetic and two ``math.ldexp`` calls: an int
+    converts to its nearest double, and a scaling into the normal range is
+    exact.  An x too long to convert (an anchor past n = 2^800) is left
+    undecided."""
+    wide = x << k
+    if wide.bit_length() > 1000:
+        return None
+    lo = math.ldexp(wide - x, e - k)
+    if lo == math.ldexp(wide + x, e - k) and lo >= sys.float_info.min:
+        return lo
+    return None
+
+
 @functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def _cdf_at(n: int, mv: float, prec: PrecisionSpec):
-    """P(X <= n) for an integer n >= 0: the sum of :func:`cdf`.  It pins
-    its own working width and rounds into ``prec``, so its value does not
-    depend on the caller's ``mp.prec``."""
-    width = max(128, prec.bits)
+    """P(X <= n) for an integer n >= 0, the value of :func:`cdf`: natively
+    the 64-bit sum's double when its rounding is decided, and otherwise the
+    sum at W = max(128, prec.bits) rounded once at prec.bits, clamped to
+    1.  Its value does not depend on the caller's ``mp.prec``."""
+    if not prec.is_extended:
+        value = _decided_double(*_cdf_sum(n, mv, _NATIVE_WIDTH),
+                                _NATIVE_WIDTH + 6)
+        if value is not None:
+            return value
+    x, e = _cdf_sum(n, mv, max(128, prec.bits))
+    if x >> -e:  # x 2^e >= 1
+        x, e = 1, 0
+    value = _rounded(x, e, prec)
+    return value if prec.is_extended else float(value)
+
+
+def _cdf_sum(n: int, mv: float, width: int) -> Tuple[int, int]:
+    """The sum of :func:`cdf` at working width W = ``width``, unrounded: an
+    exact pair (x, e), x > 0, standing for x 2^e, within 2^-(W+6) relative
+    of P(X <= n) and of x 2^e itself.
+
+    The anchor p_n is 2^scale units, scale = W + 8 + _CDF_GUARD, so x is
+    its mantissa times the integer total below the mode, and 2^(scale-a)
+    minus its mantissa times the tail above it, 2^a the anchor's
+    exponent; past the bulk, where a bit-length test shows the whole tail
+    below 2^-(W+8), it is (1, 0).  The error has three parts:
+
+    * truncation: the sum stops once its geometric bound on the remaining
+      terms is at most 2^_CDF_GUARD units, 2^-(W+8) of the anchor: of the
+      total at or below the mode (the total is at least the anchor), and
+      in absolute terms above it;
+    * arithmetic: each floor division errs by under a unit and the terms
+      it feeds shrink, so k terms err by under k^2 / 2 < 2^62 units,
+      another 2^-(W+10);
+    * the anchor's own 2^-(W+11) relative, on the total below the mode and
+      on a tail below 1/2 above it.
+
+    Below the mode the three add to under 2^-(W+7) relative.  Above it
+    P(X <= n) >= 1/2, so the absolute errors there, under 2^-(W+7)
+    together, are under 2^-(W+6) relative.  The upward sum from p_0
+    (n < 64) adds every term and has only e^-m's rounding and the
+    arithmetic's, far below either.
+    """
     scale = width + 8 + _CDF_GUARD  # p_anchor is 2^scale units
     num, den = mv.as_integer_ratio()  # m = num / den exactly
-    with mp.workprec(width + 24 + (n + int(mv) + 1).bit_length()):
-        one = 1 << scale
-        if n < _DIRECT_TERMS:
-            t = total = one
-            step = den  # (j + 1) den
-            for _ in range(n):
-                t = t * num // step
-                total += t
-                step += den
-            e_m = _pmf_anchor(0, mv, width)  # p_0
-            return _cdf_round(mp.ldexp(e_m * total, -scale), prec)
-        anchor = _pmf_anchor(n, mv, width)
-        t = one
-        jd = n * den  # j den
-        if jd <= num:
-            # at or below the mode: terms fall toward 0; total >= one
-            near = num << _CDF_GUARD
-            total = t
-            while jd:
-                # the remaining terms sum to at most t j / (m - j), so the
-                # sum stops once t j den <= 2^guard (num - j den), which
-                # needs t j den < 2^guard num first
-                tjd = t * jd
-                if tjd < near and tjd <= (num - jd) << _CDF_GUARD:
-                    break
-                t = tjd // num
-                total += t
-                jd -= den
-            return _cdf_round(mp.ldexp(anchor * total, -scale), prec)
-        # above the mode P(X <= n) >= 1/2 (the median is below m + 1/3), so
-        # an absolute bound on the upper tail is a relative one on the result
-        mm = mp.mpf(mv)
-        if anchor * mm / (n + 1 - mm) <= mp.ldexp(1, -(width + 8)):
-            return _cdf_round(mp.one, prec)  # past the bulk: no term counts
-        tol = int(mp.ldexp(1, _CDF_GUARD) / anchor)  # < 2^scale m here
-        tail = 0
-        step = jd + den  # (j + 1) den
-        bound, rise = tol * (step - num), tol * den
-        while True:
-            # the remaining terms sum to at most t m / (j + 1 - m)
-            tn = t * num
-            if tn <= bound:  # tol ((j + 1) den - num)
-                break
-            t = tn // step
-            tail += t
+    one = 1 << scale
+    if n < _DIRECT_TERMS:
+        t = total = one
+        step = den  # (j + 1) den
+        for _ in range(n):
+            t = t * num // step
+            total += t
             step += den
-            bound += rise
-        return _cdf_round(1 - mp.ldexp(anchor * tail, -scale), prec)
-
-
-def _cdf_round(total, prec: PrecisionSpec):
-    total = min(max(total, mp.zero), mp.one)
-    with prec.working():
-        return prec.real(total)
+        _, man, e, _ = _pmf_anchor(0, mv, width)._mpf_  # p_0
+        return man * total, e - scale
+    _, man, e, _ = _pmf_anchor(n, mv, width)._mpf_
+    t = one
+    jd = n * den  # j den
+    if jd <= num:
+        # at or below the mode: terms fall toward 0; total >= one
+        near = num << _CDF_GUARD
+        total = t
+        while jd:
+            # the remaining terms sum to at most t j / (m - j), so the
+            # sum stops once t j den <= 2^guard (num - j den), which
+            # needs t j den < 2^guard num first
+            tjd = t * jd
+            if tjd < near and tjd <= (num - jd) << _CDF_GUARD:
+                break
+            t = tjd // num
+            total += t
+            jd -= den
+        return man * total, e - scale
+    # above the mode P(X <= n) >= 1/2 (the median is below m + 1/3), so
+    # an absolute bound on the upper tail is a relative one on the result
+    step = jd + den  # (j + 1) den
+    if ((man * num).bit_length() + e + width + 8
+            < (step - num).bit_length()):
+        # past the bulk: p_n m / (n + 1 - m) < 2^-(W+8), and no term counts
+        return 1, 0
+    tol = (1 << (_CDF_GUARD - e)) // man  # 2^guard / p_n < 2^(scale+2) m
+    tail = 0
+    bound, rise = tol * (step - num), tol * den
+    while True:
+        # the remaining terms sum to at most t m / (j + 1 - m)
+        tn = t * num
+        if tn <= bound:  # tol ((j + 1) den - num)
+            break
+        t = tn // step
+        tail += t
+        step += den
+        bound += rise
+    return (1 << (scale - e)) - man * tail, e - scale
 
 
 def truncation_index(m, degree, center, eps) -> TailBound:

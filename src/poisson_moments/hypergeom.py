@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Tuple
 
 from mpmath import mp, mpf
@@ -119,19 +120,30 @@ def hyp1f1(p: Hyp1F1Params, prec: PrecisionSpec = NATIVE):
     = e^z 1F1(beta - alpha, beta, -z), whose series has no alternating
     terms of size e^|z| to cancel.
 
-    Native mode sums in doubles.  Extended mode sums in Python-integer
-    fixed point (:func:`_kummer_sum`) on the exact rational values of the
-    parameters, tests the stopping rule exactly on those integers, and
-    rounds the sum into the working precision once; for z < 0 the factor
-    e^z is applied at W + 64 bits first, W = max(128, bits).  Apart from
-    the truncation that ``rel_tol`` governs, an extended result whose
-    terms are all positive lies within 2^-(bits-1) relative of the sum of
-    the terms it used.
+    Native mode sums in doubles, and raises a ValueError naming z when the
+    sum (for z < 0, the transformed one) leaves the double range.  Extended
+    mode sums in Python-integer fixed point (:func:`_kummer_sum`) on the
+    exact rational values of the parameters, tests the stopping rule
+    exactly on those integers, and rounds the sum into the working
+    precision once; for z < 0 the factor e^z is applied at W + 64 bits
+    first, W = max(128, bits).  Apart from the truncation that ``rel_tol``
+    governs, an extended result whose terms are all positive lies within
+    2^-(bits-1) relative of the sum of the terms it used.
     """
     if prec.is_extended:
         return _hyp1f1_fixed(p, prec)
+    value = _hyp1f1_native(p, prec.rel_tol)
+    if not math.isfinite(value):
+        raise ValueError(f"1F1 at z = {p.z!r} leaves the double range; "
+                         f"use extended precision")
+    return value
+
+
+def _hyp1f1_native(p: Hyp1F1Params, rel_tol: float) -> float:
+    """The native sum of :func:`hyp1f1`, unchecked: inf (or NaN, for
+    z < 0) once it leaves the double range."""
     if p.z < 0:
-        return math.exp(p.z) * hyp1f1(_mirrored(p), prec)
+        return math.exp(p.z) * _hyp1f1_native(_mirrored(p), rel_tol)
     alpha = float(p.alpha)
     beta = float(p.beta)
     z = float(p.z)
@@ -140,7 +152,7 @@ def hyp1f1(p: Hyp1F1Params, prec: PrecisionSpec = NATIVE):
     for n in range(_iteration_cap(p)):
         term = term * z * (alpha + n) / ((beta + n) * (n + 1))
         total = total + term
-        if abs(term) <= prec.rel_tol * abs(total):
+        if abs(term) <= rel_tol * abs(total):
             small += 1
             if small >= 3:
                 return total
@@ -256,7 +268,9 @@ def g_table(a, m, r, prec: PrecisionSpec = NATIVE) -> GTable:
     so lies within 2^-(bits-8) relative of the exact recursion on the
     exact series values (the truncation that ``rel_tol`` governs aside).
 
-    A mean above ``MAX_KUMMER_MEAN`` raises
+    A native table with an entry outside the double range (the value row
+    grows like e^m, so from m of about 700 at a small center) raises a
+    ValueError naming m.  A mean above ``MAX_KUMMER_MEAN`` raises
     :class:`~poisson_moments.core.MeanTooLargeError`.
     """
     mv = _capped_mean(m, MAX_KUMMER_MEAN, _KUMMER_ROUTE)
@@ -267,6 +281,9 @@ def g_table(a, m, r, prec: PrecisionSpec = NATIVE) -> GTable:
     rows = _g_rows(a, mv, ri, prec)
     if prec.is_extended:
         rows = [[_rounded(x, e, prec) for x in row] for row, e in rows]
+    elif not all(map(math.isfinite, chain.from_iterable(rows))):
+        raise ValueError(f"the derivative table at m = {mv!r} leaves the "
+                         f"double range; use extended precision")
     return GTable(float(a), mv, ri, tuple(map(tuple, rows)))
 
 
@@ -365,7 +382,8 @@ def _value_row(fl: int, mv: float, ri: int, prec: PrecisionSpec):
                     // (q * (b + c + 1)))
     else:
         def series(beta):
-            return hyp1f1(Hyp1F1Params(beta + 1, beta + c, mv), prec)
+            return _hyp1f1_native(Hyp1F1Params(beta + 1, beta + c, mv),
+                                  prec.rel_tol)
 
         def up(b, f0, f1):
             return ((b + c + 1) * ((b + c) * f0 + (mv - b - c) * f1)

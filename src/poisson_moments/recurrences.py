@@ -54,9 +54,10 @@ from typing import Optional
 
 from mpmath import mp, mpf
 
-from .core import (_LATTICE_CACHE_SIZE, DiscreteFunction, _pmf_anchor,
-                   _rounded, as_index, as_mean, cdf, exact_ratio, log_pmf,
-                   require_finite, truncation_index)
+from .core import (_LATTICE_CACHE_SIZE, _NATIVE_WIDTH, DiscreteFunction,
+                   _decided_double, _pmf_anchor, _rounded, as_index, as_mean,
+                   cdf, exact_ratio, log_pmf, require_finite,
+                   truncation_index)
 from .precision import NATIVE, PrecisionSpec
 
 __all__ = [
@@ -92,14 +93,19 @@ def threshold_pmf_factor(k, m, prec: PrecisionSpec = NATIVE):
     """e^-m m^(k+1) / k!, the lattice-point mass factor of the signed
     recurrences and the closed forms.
 
-    m times p_k, the anchor :func:`~poisson_moments.core.cdf` sums from
-    (``core._pmf_anchor``, at W = max(128, prec.bits) plus at least 24 bits
-    of guard), rounded once into the working arithmetic: the factor is an
-    input constant of the recurrences, so it is delivered correctly rounded
-    at every width, native included (a plain double log-pmf route would
-    inject ~|log pmf| * eps relative noise, which the center-shift
-    identity then amplifies).  A threshold's cdf and factor share that
-    anchor, and below k = 64 both rest on one e^-m.
+    The exact product of m and p_k, the anchor
+    :func:`~poisson_moments.core.cdf` sums from (``core._pmf_anchor``,
+    within 2^-(W+11) relative at a working width W), rounded once: the
+    factor is an input constant of the recurrences, so it is delivered
+    correctly rounded at every width, native included (a plain double
+    log-pmf route would inject ~|log pmf| * eps relative noise, which the
+    center-shift identity then amplifies).  Natively the anchor is taken
+    at W = 64, and the product's double is kept when both ends of its
+    error interval round to the same normal double
+    (``core._decided_double``); otherwise the anchor is taken again at
+    W = 128.  An extended factor takes it at W = max(128, prec.bits) and
+    rounds at prec.bits.  A threshold's cdf and factor share the anchor at
+    each width, and below k = 64 both rest on one e^-m.
 
     Memoised on (k, m, prec), in a bounded least-recently-used cache of
     ``_LATTICE_CACHE_SIZE`` entries: the signed tables, the closed forms
@@ -112,12 +118,20 @@ def threshold_pmf_factor(k, m, prec: PrecisionSpec = NATIVE):
 @functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def _pmf_factor(k: int, mv: float, prec: PrecisionSpec):
     """The value of :func:`threshold_pmf_factor`: the exact product of m
-    and the anchor, rounded once at ``prec.bits``, so its value does not
-    depend on the caller's ``mp.prec``."""
-    _, man, e, _ = _pmf_anchor(k, mv, max(128, prec.bits))._mpf_
+    and the anchor, natively the 64-bit anchor's double when its rounding
+    is decided, and otherwise rounded once at ``prec.bits`` from the
+    anchor at W = max(128, prec.bits), so its value does not depend on the
+    caller's ``mp.prec``."""
     num, den = mv.as_integer_ratio()
-    v = _rounded(man * num, e + 1 - den.bit_length(), prec)
-    return v if prec.is_extended else float(v)
+    shift = 1 - den.bit_length()  # m = num 2^shift
+    if not prec.is_extended:
+        _, man, e, _ = _pmf_anchor(k, mv, _NATIVE_WIDTH)._mpf_
+        value = _decided_double(man * num, e + shift, _NATIVE_WIDTH + 11)
+        if value is not None:
+            return value
+    _, man, e, _ = _pmf_anchor(k, mv, max(128, prec.bits))._mpf_
+    value = _rounded(man * num, e + shift, prec)
+    return value if prec.is_extended else float(value)
 
 
 def _lattice_spec(bits: int) -> PrecisionSpec:

@@ -200,6 +200,26 @@ class TestHyp1F1NegativeArgument:
             assert abs(got - want) <= mp.mpf("1e-18") * abs(want)
 
 
+class TestNativeDoubleRange:
+    # the native sums leave binary64 from m of about 700 at a small center
+
+    @pytest.mark.parametrize("z", [1000.0, -1000.0])
+    def test_hyp1f1_raises_naming_z(self, z):
+        with pytest.raises(ValueError,
+                           match=f"z = {z!r} .*extended precision"):
+            hyp1f1(Hyp1F1Params(1, 2, z))
+        assert mp.isfinite(hyp1f1(Hyp1F1Params(1, 2, z), EXT))
+
+    def test_g_table_raises_naming_m(self):
+        with pytest.raises(ValueError,
+                           match="m = 1000.0 .*extended precision"):
+            g_table(0.5, 1000.0, 3)
+        assert mp.isfinite(g_table(0.5, 1000.0, 3, EXT).top)
+
+    def test_katti_keeps_its_256_bit_redo(self):
+        assert katti_abs_moment(1000.0, 0.5, 3) == 1001500249.875
+
+
 class TestGTable:
     @pytest.mark.parametrize("a,m,r", [
         (1.3, 2.0, 3), (0.0, 30.0, 21), (50.0, 50.0, 33), (7.5, 0.1, 19),
@@ -288,20 +308,22 @@ class TestValueRow:
                 want = mp.hyp1f1(beta + 1, beta + fl + 2, m)
                 assert abs(got - want) <= bar * want, beta
 
-    @pytest.mark.parametrize("prec,name", [(PrecisionSpec.native(), "hyp1f1"),
-                                           (EXT, "_kummer_sum")])
+    @pytest.mark.parametrize("prec,name", [
+        (PrecisionSpec.native(), "_hyp1f1_native"), (EXT, "_kummer_sum")])
     @pytest.mark.parametrize("a,m", [(0.0, 2.0), (2.0, 2.0), (0.0, 50.0),
                                      (50.0, 50.0), (44.5, 50.0), (0.5, 1e3),
                                      (990.0, 1e3)])
     def test_order_15_row_sums_at_most_four_series(self, monkeypatch, prec,
                                                    name, a, m):
+        # the value row alone: a native g_table at m = 1e3, a = 0.5 leaves
+        # the double range and raises
         summed = []
         real = getattr(hg, name)
         monkeypatch.setattr(hg, name,
                             lambda *args: summed.append(args) or real(*args))
         for r in range(1, 16, 2):
             summed.clear()
-            g_table(a, m, r, prec)
+            hg._value_row(math.floor(a), m, r, prec)
             assert len(summed) <= (2 if r == 1 else 4), r
 
     @pytest.mark.parametrize("r", [15, 31])

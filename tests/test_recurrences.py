@@ -14,6 +14,7 @@ from mpmath import mp
 
 import poisson_moments.core as core
 import poisson_moments.oracle as om
+import poisson_moments.recurrences as recurrences
 from poisson_moments import (NATIVE, DiscreteFunction, GrowthBoundError,
                              OrderOverflowError, PrecisionSpec,
                              abs_central_moment,
@@ -24,8 +25,8 @@ from poisson_moments import (NATIVE, DiscreteFunction, GrowthBoundError,
                              mean_deviation, sign,
                              signed_moment_shifted, signed_moment_table,
                              truncation_index)
-from poisson_moments.core import (_LATTICE_CACHE_SIZE, _cdf_at, _pmf_anchor,
-                                  exact_ratio)
+from poisson_moments.core import (_LATTICE_CACHE_SIZE, _NATIVE_WIDTH, _cdf_at,
+                                  _cdf_sum, _pmf_anchor, exact_ratio)
 from poisson_moments.recurrences import (CONDITION_FLAG_THRESHOLD, _condition,
                                          _pmf_factor, _shift_down,
                                          shift_identity,
@@ -637,6 +638,34 @@ class TestPmfAnchorMemo:
         assert not table.upgraded
         info = _pmf_anchor.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        # and that anchor is the native width's, 64 bits
+        assert _NATIVE_WIDTH == 64
+        _pmf_anchor(3000, 3000.0, 64)
+        assert _pmf_anchor.cache_info().misses == 1
+
+    @pytest.mark.parametrize("k,m", [(3, 10.0), (40, 10.0), (900, 1000.0),
+                                     (1100, 1000.0), (5000, 1000.0)],
+                             ids=["k<64 below", "k<64 above", "below",
+                                  "above", "past the bulk"])
+    def test_undecided_rounding_sums_again_at_128_bits(self, monkeypatch,
+                                                       k, m):
+        for module in (core, recurrences):
+            monkeypatch.setattr(module, "_decided_double",
+                                lambda x, e, k: None)
+        calls = []
+        exp = core.mpf_exp
+        monkeypatch.setattr(core, "mpf_exp",
+                            lambda *args: calls.append(args) or exp(*args))
+        got = cdf(k + 0.5, m), threshold_pmf_factor(k, m)
+        # one anchor at each width, 64 and 128: p_k, or below 64 the e^-m
+        # that p_k rests on
+        assert len(calls) == 2
+        assert _pmf_anchor.cache_info().misses == (2 if k >= 64 else 4)
+        for width in (64, 128):
+            _pmf_anchor(0 if k < 64 else k, m, width)
+        assert _pmf_anchor.cache_info().misses == (2 if k >= 64 else 4)
+        assert got[0].hex() == _cdf_double(k, m, 128).hex()
+        assert got[1].hex() == _factor_double(k, m, 128).hex()
 
     def test_one_exp_serves_both_constants_below_64(self, monkeypatch):
         # floor(b) = 3 < 64: the cdf sums up from e^-m, and the factor's p_3
@@ -702,6 +731,53 @@ def reference_grid(rng_seed=15):
         fl, w = math.floor(m), math.floor(4 * math.sqrt(m))
         out.append((m, sorted({0, 1, 63, 64, fl, max(fl - w, 0), fl + w})))
     return out
+
+
+def _double(x: int, e: int) -> float:
+    """x 2^e correctly rounded to a double (int / int rounds once)."""
+    return x / (1 << -e) if e < 0 else float(x << e)
+
+
+def _cdf_double(k, m, width):
+    """The double of the cdf sum at ``width``, clamped to 1."""
+    return min(_double(*_cdf_sum(k, m, width)), 1.0)
+
+
+def _factor_double(k, m, width):
+    """The double of m times the pmf anchor at ``width``."""
+    _, man, e, _ = _pmf_anchor(k, m, width)._mpf_
+    num, den = m.as_integer_ratio()
+    return _double(man * num, e + 1 - den.bit_length())
+
+
+def native_grid(seed=17):
+    """Seeded (k, m), 300 pairs: 50 means log-uniform in [0.1, 3e4], each
+    with k at 0, 63, 64, the mode and the mode +- 4 sqrt(m)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(50):
+        m = math.exp(rng.uniform(math.log(0.1), math.log(3e4)))
+        fl, w = math.floor(m), math.floor(4 * math.sqrt(m))
+        out += [(k, m) for k in (0, 63, 64, fl, max(fl - w, 0), fl + w)]
+    return out
+
+
+class TestNativeWidth:
+    @pytest.fixture(autouse=True)
+    def empty_caches(self):
+        for memo in (_pmf_anchor, _cdf_at, _pmf_factor):
+            memo.cache_clear()
+
+    def test_native_constants_are_the_128_bit_sums_doubles(self):
+        # the 64-bit first attempt decides the same double the 128-bit sum
+        # rounds to
+        start = time.perf_counter()
+        for k, m in native_grid():
+            assert cdf(k + 0.5, m).hex() == _cdf_double(k, m, 128).hex(), \
+                (k, m)
+            assert threshold_pmf_factor(k, m).hex() == \
+                _factor_double(k, m, 128).hex(), (k, m)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestLatticeConstantsReference:

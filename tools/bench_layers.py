@@ -186,6 +186,8 @@ CASES = [
      lambda pm, m, r: [partial(pm.cdf, m, m)]),
     ("primitives", "cdf b=m+3sqrt(m)", None, (None,),
      lambda pm, m, r: [partial(pm.cdf, m + 3 * math.sqrt(m), m)]),
+    ("primitives", "cdf b=m-3sqrt(m)", None, (None,),
+     lambda pm, m, r: [partial(pm.cdf, m - 3 * math.sqrt(m), m)]),
     ("primitives", "cdf b=1e7", (1e3,), (None,),
      lambda pm, m, r: [partial(pm.cdf, 1e7, m)]),
     ("primitives", "log_pmf_extended k=m, 128 bits", None, (None,),
