@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import (finf, fninf, from_float, from_int, from_man_exp,
-                          mpf_div, mpf_exp, mpf_log, mpf_loggamma,
-                          mpf_mul_int, mpf_neg, mpf_shift, mpf_sub,
-                          round_nearest, to_rational)
+from mpmath.libmp import (finf, fninf, from_float, from_int, mpf_div,
+                          mpf_exp, mpf_log, mpf_loggamma, mpf_mul_int,
+                          mpf_neg, mpf_shift, mpf_sub, round_nearest,
+                          to_rational)
 
-from .precision import NATIVE, PrecisionSpec
+from .precision import NATIVE, PrecisionSpec, _rounded
 
 # Below ~1e-290 the double log-space certificate machinery would sit on the
 # underflow floor; certified bounds are refused rather than silently wrong.
@@ -164,12 +164,6 @@ def exact_ratio(x) -> Tuple[int, int]:
     return float(x).as_integer_ratio()
 
 
-def _rounded(man: int, e: int, prec: PrecisionSpec):
-    """man * 2^e rounded to nearest at the working precision, as
-    ``mp.ldexp(mp.mpf(man), e)`` would give it, at half the cost."""
-    return mp.make_mpf(from_man_exp(man, e, prec.bits, round_nearest))
-
-
 def log_pmf(k, m, prec: PrecisionSpec = NATIVE):
     """log P(X = k) = -m + k log m - log k! for X ~ Poisson(m).
 
@@ -192,8 +186,13 @@ def pmf(k, m, prec: PrecisionSpec = NATIVE):
         return prec.exp(log_pmf(k, m, prec))
 
 
-# Below this many terms the plain upward sum from p_0 = e^-m is cheaper than
-# the log-gamma evaluation that anchors the outward sum at p_floor(b).
+# Below this many terms the cdf sums up from p_0 = e^-m, n terms, and the
+# anchor p_n is e^-m times an exact rational, with no log-gamma in it.  The
+# upward sum pays for itself: above the mode at a small mean the outward
+# tail sum from p_n, even at 64 bits, runs longer than n terms.  Summed
+# outward instead, a cold native cdf and pmf factor at 3000 seeded
+# thresholds within 3 sqrt(m) of m in [0.1, 20] took 38-41 us a threshold
+# instead of 23-34 us (2-CPU x86 Xeon).
 _DIRECT_TERMS = 64
 
 # The working width of a native lattice constant's first attempt.  The cdf
@@ -203,20 +202,21 @@ _DIRECT_TERMS = 64
 _NATIVE_WIDTH = 64
 
 # The largest mean cdf accepts.  Its sum runs over about
-# sqrt(2 m (W + 72) ln 2) terms around the bulk, W the working width: at
-# this mean and the native W = 64 about 1.4e6 terms, half a second of
-# Python-integer arithmetic on a 2-CPU x86 machine (W = 128, which an
-# extended result or an undecided native rounding sums at, takes 0.7 s).
+# sqrt(2 m (W + 72) ln 2) terms around the bulk, W the working width:
+# ``cdf(1e10, 1e10)`` sums about 1.4e6 terms in 0.35 s natively (W = 64),
+# and 2.3e6 terms in 0.9 s at 256 bits (W = 320, the extended width), of
+# Python-integer arithmetic on a 2-CPU x86 Xeon.
 MAX_CDF_MEAN = 1e10
+_CDF_ROUTE = "the cdf sum accepts"  # named by the error above the ceiling
 
 # The largest mean the oracle's pass accepts.  The pass sums every j from 0
 # to a cutoff past 2m, so at this mean about 2e6 terms: an order-2
 # ``expectation`` takes several seconds on a 2-CPU x86 machine.
 MAX_ORACLE_MEAN = 1e6
 
-# Entries kept by each lattice memo (``cdf`` here, the pmf factor in
-# ``recurrences``): a ``verify`` request needs a few dozen, and a bound this
-# small keeps the memos out of the peak resident size.
+# Entries kept by each lattice memo, the pmf anchor and the cdf pair: a
+# ``verify`` request needs a few dozen, and a bound this small keeps the
+# memos out of the peak resident size.
 _LATTICE_CACHE_SIZE = 128
 
 # Fixed-point guard bits of the cdf sum: k truncated integer divisions err
@@ -235,39 +235,96 @@ def cdf(b, m, prec: PrecisionSpec = NATIVE):
     * at or below the mode, p_n + p_{n-1} + ... with p_{j-1} = p_j j / m;
     * above it, 1 - (p_{n+1} + p_{n+2} + ...) with p_{j+1} = p_j m / (j+1).
 
-    The anchor p_n comes from :func:`_pmf_anchor`, the memo the pmf factor
-    of ``recurrences.threshold_pmf_factor`` shares, so a threshold pays for
-    one anchor however many of the two constants it needs; for n < 64 the
-    sum instead runs up from p_0 = e^-m, that memo's n = 0 entry.  The term
-    ratios are exact rationals (``m.as_integer_ratio()``), so the sum itself
-    is Python-integer fixed point, and each term costs one multiply and one
+    The anchor p_n comes from :func:`_pmf_anchor`, the memo
+    :func:`threshold_pmf_factor` shares, so a threshold pays for one anchor
+    however many of the two constants it needs; for n < 64 the sum instead
+    runs up from p_0 = e^-m, that memo's n = 0 entry.  The term ratios are
+    exact rationals (``m.as_integer_ratio()``), so the sum itself is
+    Python-integer fixed point, and each term costs one multiply and one
     floor division: j den and the stopping bound's right-hand side are
     running sums.  It stops once a geometric bound on the remaining terms
     (every later ratio is at most the current one, as in
     :func:`truncation_index`) falls 8 bits below a working width W; a
     threshold far past the bulk therefore returns 1 without adding a term.
-    The unrounded sum lies within 2^-(W+6) relative of the cdf
-    (:func:`_cdf_sum`) and is rounded once:
-
-    * natively the sum runs at W = 64 and its double is kept when both
-      ends of that error interval round to the same normal double (Ziv's
-      rounding test, :func:`_decided_double`); otherwise, and that is rare,
-      it runs again at W = 128, so the result is the correctly rounded
-      double of the cdf either way, up to the 128-bit sum's own 2^-134;
-    * an extended result sums at W = max(128, prec.bits) and rounds once
-      at prec.bits.
+    The unrounded sum, clamped to 1, is an exact pair within 2^-(W+6)
+    relative of the cdf (:func:`_cdf_sum`), and :func:`_lattice_value`
+    rounds it once: natively the correctly rounded double, up to the
+    128-bit sum's own 2^-134, and for an extended result the sum at
+    :func:`_extended_width` rounded at prec.bits.
 
     A mean above ``MAX_CDF_MEAN`` raises :class:`MeanTooLargeError`.  The
-    sum depends on b only through floor(b): past the checks above it is
-    memoised on (floor(b), m, prec), in a bounded least-recently-used
-    cache of ``_LATTICE_CACHE_SIZE`` entries, so the tables of one request
-    at thresholds with the same floor share one sum.
+    pair depends on b only through floor(b), and is memoised on (floor(b),
+    m, W), so the tables of one request at thresholds with the same floor
+    share one sum.
     """
-    mv = _capped_mean(m, MAX_CDF_MEAN, "the cdf sum accepts")
+    mv = _capped_mean(m, MAX_CDF_MEAN, _CDF_ROUTE)
     n = math.floor(require_finite(b, "threshold b"))
     if n < 0:
         return prec.real(0.0)
-    return _cdf_at(n, mv, prec)
+    return _lattice_value(_cdf_sum, n, mv, prec)
+
+
+def threshold_pmf_factor(k, m, prec: PrecisionSpec = NATIVE):
+    """e^-m m^(k+1) / k!, the lattice-point mass factor of the signed
+    recurrences and the closed forms.
+
+    The exact product of m and the anchor p_k that :func:`cdf` sums from
+    (:func:`_pmf_anchor`, within 2^-(W+11) relative at a working width W),
+    rounded once by :func:`_lattice_value`, as the cdf is: the factor is
+    an input constant of the recurrences, so it is delivered correctly
+    rounded at every width, native included (a plain double log-pmf route
+    would inject ~|log pmf| * eps relative noise, which the center-shift
+    identity then amplifies).  A threshold's cdf and factor share the
+    anchor at each width, and below k = 64 both rest on one e^-m, so the
+    signed tables, the closed forms and the Kummer route at one floor(b)
+    pay for one anchor.
+    """
+    mv = as_mean(m)
+    return _lattice_value(_factor_pair, as_index(k), mv, prec)
+
+
+def _lattice_pairs(n: int, m, width: int):
+    """P(X <= n) and the pmf factor at n >= 0 as exact pairs (x, e), x 2^e,
+    unrounded, at working width ``width``: :func:`_cdf_sum` and
+    :func:`_factor_pair`, the entry of the integer tables.  A mean above
+    ``MAX_CDF_MEAN`` raises :class:`MeanTooLargeError`, as :func:`cdf`
+    does."""
+    mv = _capped_mean(m, MAX_CDF_MEAN, _CDF_ROUTE)
+    return _cdf_sum(n, mv, width), _factor_pair(n, mv, width)
+
+
+def _extended_width(bits: int) -> int:
+    """W + 64, W = max(128, bits): the width of the lattice constants behind
+    an extended result of ``bits`` bits, and the bits every integer sum of
+    the tables and the Kummer route keeps."""
+    return max(128, bits) + 64
+
+
+def _lattice_value(pair, n: int, mv: float, prec: PrecisionSpec):
+    """The constant ``pair(n, m, W)`` stands for, an exact pair within
+    2^-(W+6) relative of it, rounded once into ``prec``.
+
+    Natively the pair is taken at W = 64, and its double is kept when both
+    ends of that error interval round to the same normal double (Ziv's
+    rounding test, :func:`_decided_double`); otherwise, and that is rare,
+    the pair at W = 128 is rounded.  An extended result rounds the pair at
+    :func:`_extended_width` once at prec.bits.  The value does not depend
+    on the caller's ``mp.prec``.
+    """
+    if prec.is_extended:
+        return _rounded(*pair(n, mv, _extended_width(prec.bits)), prec)
+    value = _decided_double(*pair(n, mv, _NATIVE_WIDTH), _NATIVE_WIDTH + 6)
+    if value is None:
+        value = float(_rounded(*pair(n, mv, 128), prec))
+    return value
+
+
+def _factor_pair(k: int, mv: float, width: int) -> Tuple[int, int]:
+    """e^-m m^(k+1) / k! as the exact product of m and the memoised anchor
+    p_k at ``width``, within 2^-(width+11) relative."""
+    _, man, e, _ = _pmf_anchor(k, mv, width)._mpf_
+    num, den = mv.as_integer_ratio()  # den is a power of two
+    return man * num, e + 1 - den.bit_length()
 
 
 @functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
@@ -276,10 +333,10 @@ def _pmf_anchor(n: int, mv: float, width: int):
     the anchor of :func:`cdf`'s sum at a working width W = ``width`` and
     the pmf factor's p_n, within 2^-(W+11) relative of p_n and of itself.
     Native constants take it at W = 64 first and at 128 only when that
-    leaves their rounding undecided; extended ones at W = max(128, bits).
-    It calls mpmath's low-level functions at that width, so it opens no
-    working context and its value does not depend on the caller's
-    ``mp.prec``.
+    leaves their rounding undecided; extended ones at
+    :func:`_extended_width`.  It calls mpmath's low-level functions at that
+    width, so it opens no working context and its value does not depend on
+    the caller's ``mp.prec``.
 
     e^-m is the n = 0 entry, taken at width + 24 + bitlen(64 + floor(m))
     bits, as wide as the upward sum from p_0 of any n < 64 needs; for
@@ -332,27 +389,12 @@ def _decided_double(x: int, e: int, k: int) -> Optional[float]:
 
 
 @functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
-def _cdf_at(n: int, mv: float, prec: PrecisionSpec):
-    """P(X <= n) for an integer n >= 0, the value of :func:`cdf`: natively
-    the 64-bit sum's double when its rounding is decided, and otherwise the
-    sum at W = max(128, prec.bits) rounded once at prec.bits, clamped to
-    1.  Its value does not depend on the caller's ``mp.prec``."""
-    if not prec.is_extended:
-        value = _decided_double(*_cdf_sum(n, mv, _NATIVE_WIDTH),
-                                _NATIVE_WIDTH + 6)
-        if value is not None:
-            return value
-    x, e = _cdf_sum(n, mv, max(128, prec.bits))
-    if x >> -e:  # x 2^e >= 1
-        x, e = 1, 0
-    value = _rounded(x, e, prec)
-    return value if prec.is_extended else float(value)
-
-
 def _cdf_sum(n: int, mv: float, width: int) -> Tuple[int, int]:
     """The sum of :func:`cdf` at working width W = ``width``, unrounded: an
-    exact pair (x, e), x > 0, standing for x 2^e, within 2^-(W+6) relative
-    of P(X <= n) and of x 2^e itself.
+    exact pair (x, e), x > 0, standing for x 2^e, at most 1, within
+    2^-(W+6) relative of P(X <= n) and of x 2^e itself.  Memoised on
+    (n, m, W) in a bounded least-recently-used cache of
+    ``_LATTICE_CACHE_SIZE`` entries.
 
     The anchor p_n is 2^scale units, scale = W + 8 + _CDF_GUARD, so x is
     its mantissa times the integer total below the mode, and 2^(scale-a)
@@ -387,7 +429,9 @@ def _cdf_sum(n: int, mv: float, width: int) -> Tuple[int, int]:
             total += t
             step += den
         _, man, e, _ = _pmf_anchor(0, mv, width)._mpf_  # p_0
-        return man * total, e - scale
+        x, e = man * total, e - scale
+        # p_0's rounding can carry a sum past the mode over 1
+        return (1, 0) if x >> -e else (x, e)
     _, man, e, _ = _pmf_anchor(n, mv, width)._mpf_
     t = one
     jd = n * den  # j den

@@ -51,11 +51,10 @@ from typing import Tuple
 
 from mpmath import mp, mpf
 
-from .core import (_capped_mean, _rounded, as_index, exact_ratio,
-                   require_finite)
-from .precision import NATIVE, PrecisionSpec
-from .recurrences import (_UPGRADE_PREC, _condition, _lattice_constant,
-                          central_moment_table, threshold_pmf_factor)
+from .core import (_capped_mean, _extended_width, as_index, exact_ratio,
+                   require_finite, threshold_pmf_factor)
+from .precision import NATIVE, PrecisionSpec, _rounded
+from .recurrences import _UPGRADE_PREC, _condition, central_moment_table
 
 __all__ = [
     "Hyp1F1Params",
@@ -94,6 +93,14 @@ class Hyp1F1Params:
             raise ValueError("beta must not be a nonpositive integer (series poles)")
 
 
+# The native transformed series (z < 0) divides its sum by 2^_RESCALE
+# whenever the total passes that, and applies e^z in factors of at least
+# e^-_PIECE, so that neither leaves the double range on the way to a
+# result that is in it.
+_RESCALE = 512
+_BIG = 2.0 ** _RESCALE
+_PIECE = 700.0
+
 _NOT_SETTLED = ("hypergeometric series failed to settle within the "
                 "iteration cap (internal fault)")
 
@@ -120,8 +127,15 @@ def hyp1f1(p: Hyp1F1Params, prec: PrecisionSpec = NATIVE):
     = e^z 1F1(beta - alpha, beta, -z), whose series has no alternating
     terms of size e^|z| to cancel.
 
-    Native mode sums in doubles, and raises a ValueError naming z when the
-    sum (for z < 0, the transformed one) leaves the double range.  Extended
+    Native mode sums in doubles (:func:`_hyp1f1_native`), and raises a
+    ValueError naming z where the result is not a normal double (a series
+    that sums to exactly 0 aside): for z >= 0 once the sum overflows, for
+    z < 0 only where e^z times the transformed sum lies outside the
+    normal range, however large that sum grows.  For z < 0 the native
+    result lies within rel_tol relative of the series, plus about
+    |z| 2^-53 of rounding: with (alpha, beta) = (1, 2) or (1/2, 7/2) and
+    z from -700 to -1e5, under 1e-12 off at the default rel_tol 1e-12,
+    and under 6e-15 off at rel_tol 1e-16 and z = -1e4.  Extended
     mode sums in Python-integer fixed point (:func:`_kummer_sum`) on the
     exact rational values of the parameters, tests the stopping rule
     exactly on those integers, and rounds the sum into the working
@@ -133,51 +147,85 @@ def hyp1f1(p: Hyp1F1Params, prec: PrecisionSpec = NATIVE):
     if prec.is_extended:
         return _hyp1f1_fixed(p, prec)
     value = _hyp1f1_native(p, prec.rel_tol)
-    if not math.isfinite(value):
+    if math.isnan(value):
         raise ValueError(f"1F1 at z = {p.z!r} leaves the double range; "
                          f"use extended precision")
     return value
 
 
 def _hyp1f1_native(p: Hyp1F1Params, rel_tol: float) -> float:
-    """The native sum of :func:`hyp1f1`, unchecked: inf (or NaN, for
-    z < 0) once it leaves the double range."""
+    """The native sum of :func:`hyp1f1`, unchecked: NaN where it is
+    nonzero but outside the normal double range.
+
+    For z >= 0 the terms are summed as they come.  For z < 0 the
+    transformed series carries a running power-of-two scale: whenever its
+    total passes 2^_RESCALE, the total and the term are divided by
+    2^_RESCALE, exactly, so every step rounds as the unscaled sum's
+    would.  Its stopping rule also waits for the geometric bound on the
+    remaining terms (:func:`_tail_below`) to fall under rel_tol of the
+    total, since the three-term rule alone leaves a tail of about
+    rel_tol sqrt(|z|) / 7 near n = |z|.  e^z then enters at most e^-_PIECE
+    at a time, each factor multiplying a mantissa in [1/2, 1), so no
+    partial product leaves the normal range.
+    """
+    shift = 0.0  # the sum is multiplied by e^shift
     if p.z < 0:
-        return math.exp(p.z) * _hyp1f1_native(_mirrored(p), rel_tol)
-    alpha = float(p.alpha)
-    beta = float(p.beta)
-    z = float(p.z)
+        shift, p = p.z, _mirrored(p)
+    alpha, beta, z = (float(x) for x in (p.alpha, p.beta, p.z))
     term = total = 1.0
-    small = 0
+    scale = small = 0  # the sum is total 2^scale
     for n in range(_iteration_cap(p)):
         term = term * z * (alpha + n) / ((beta + n) * (n + 1))
         total = total + term
-        if abs(term) <= rel_tol * abs(total):
-            small += 1
-            if small >= 3:
-                return total
-        else:
+        if shift and abs(total) > _BIG:
+            term, total, scale = term / _BIG, total / _BIG, scale + _RESCALE
+        if abs(term) > rel_tol * abs(total):
             small = 0
-    raise RuntimeError(_NOT_SETTLED)
+            continue
+        small += 1
+        if small >= 3 and (not shift or _tail_below(
+                term, z * (alpha + n + 1) / ((beta + n + 1) * (n + 2)),
+                rel_tol * abs(total))):
+            break
+    else:
+        raise RuntimeError(_NOT_SETTLED)
+    while shift < 0:
+        total, e = math.frexp(total)
+        total *= math.exp(max(shift, -_PIECE))
+        scale += e
+        shift += _PIECE
+    try:
+        value = math.ldexp(total, scale)
+    except OverflowError:
+        value = math.inf
+    return value if not total or _in_double_range(value) else math.nan
+
+
+def _tail_below(term: float, ratio: float, bar: float) -> bool:
+    """Whether the terms after ``term`` add at most ``bar`` in magnitude
+    by their geometric bound |term| q / (1 - q), q = |ratio| the next
+    term's ratio, which past the series' peak only falls."""
+    q = abs(ratio)
+    return q < 1.0 and abs(term) * q <= bar * (1.0 - q)
 
 
 def _hyp1f1_fixed(p: Hyp1F1Params, prec: PrecisionSpec):
     (an, ad), beta, (zn, zd) = (exact_ratio(x) for x in (p.alpha, p.beta, p.z))
-    width = max(128, prec.bits)
+    keep = _extended_width(prec.bits)
     if zn >= 0:
         total, e = _kummer_sum((an, ad), beta, (zn, zd), prec.rel_tol,
-                               _iteration_cap(p), width)
+                               _iteration_cap(p), keep)
         return _rounded(total, e, prec)
     bn, bd = beta
     total, e = _kummer_sum((bn * ad - an * bd, bd * ad), beta, (-zn, zd),
-                           prec.rel_tol, _iteration_cap(_mirrored(p)), width)
-    with mp.workprec(width + 64):
+                           prec.rel_tol, _iteration_cap(_mirrored(p)), keep)
+    with mp.workprec(keep):
         value = mp.exp(mp.mpf(zn) / zd) * mp.ldexp(mp.mpf(total), e)
     with prec.working():
         return +value
 
 
-def _kummer_sum(alpha, beta, z, rel_tol: float, cap: int, width: int):
+def _kummer_sum(alpha, beta, z, rel_tol: float, cap: int, lo: int):
     """(total, e) with total * 2^e the Kummer series 1F1(alpha, beta, z)
     summed to the stopping rule; alpha, beta and z are exact (num, den).
 
@@ -185,14 +233,12 @@ def _kummer_sum(alpha, beta, z, rel_tol: float, cap: int, width: int):
     division.  Before the division the term's numerator and the running
     total are rescaled together, exactly when the term shrinks and by a
     truncation of under one unit when it grows, so that every quotient
-    is at least 2^(width+64) units and below 2^(width+129).  Each term
-    therefore carries a relative error below 2 (n + 1) 2^-(width+64)
-    after n steps, and for positive terms the sum is within
-    3 N 2^-(width+64) relative, N the number of terms: below 2^-(width+2)
-    for any N < 2^60.
+    is at least 2^lo units and below 2^(lo+65).  Each term therefore
+    carries a relative error below 2 (n + 1) 2^-lo after n steps, and for
+    positive terms the sum is within 3 N 2^-lo relative, N the number of
+    terms: below 2^-(lo-62) for any N < 2^60.
     """
     (an, ad), (bn, bd), (zn, zd) = alpha, beta, z
-    lo = width + 64
     tol_num, tol_den = rel_tol.as_integer_ratio()
     up = zn * bd  # t_{n+1} = t_n up (an + n ad) / (down (bn + n bd) (n + 1))
     down = zd * ad
@@ -308,7 +354,7 @@ def _g_rows(a, mv: float, ri: int, prec: PrecisionSpec):
 
 def _g_rows_fixed(a, fl: int, mv: float, ri: int, prec: PrecisionSpec,
                   row: list, e: int):
-    lo = max(128, prec.bits) + 64
+    lo = _extended_width(prec.bits)
     an, ad = exact_ratio(a)
     mn, md = mv.as_integer_ratio()
     # g[s+1][beta] = (P[beta] g[s][beta] + Q[beta] g[s][beta+1]) / D[beta]
@@ -363,13 +409,13 @@ def _value_row(fl: int, mv: float, ri: int, prec: PrecisionSpec):
     c = fl + 2
     n_up = max(0, math.ceil(mv - c))  # the steps with beta + c < m
     if prec.is_extended:
-        lo = max(128, prec.bits) + 64
+        lo = _extended_width(prec.bits)
         z = mn, md = mv.as_integer_ratio()
 
         def series(beta):
             p = Hyp1F1Params(beta + 1, beta + c, mv)
             total, e = _kummer_sum((beta + 1, 1), (beta + c, 1), z,
-                                   prec.rel_tol, _iteration_cap(p), lo - 64)
+                                   prec.rel_tol, _iteration_cap(p), lo)
             return total << (e + lo) if e + lo >= 0 else total >> -(e + lo)
 
         def up(b, f0, f1):
@@ -433,7 +479,7 @@ def _katti_entries(mv: float, a, orders, prec: PrecisionSpec, central=None):
         central = central_moment_table(mv, a, top_order, prec).values
     rows = _g_rows(a, mv, top_order, prec)
     fl = math.floor(a)
-    pmf_factor = _lattice_constant(threshold_pmf_factor, fl, mv, prec)
+    pmf_factor = threshold_pmf_factor(fl, mv, prec)
     out = {}
     redo = []
     extended = prec.is_extended

@@ -19,6 +19,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 _NATIVE_BITS = 53
 
@@ -85,3 +86,10 @@ class PrecisionSpec:
 
 
 NATIVE = PrecisionSpec.native()
+
+
+def _rounded(man: int, e: int, prec: PrecisionSpec):
+    """man * 2^e rounded to nearest at ``prec.bits``, as
+    ``mp.ldexp(mp.mpf(man), e)`` would give it in ``prec.working()``, at
+    half the cost: the one rounding of an exact integer result."""
+    return mp.make_mpf(from_man_exp(man, e, prec.bits, round_nearest))

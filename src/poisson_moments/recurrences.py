@@ -44,7 +44,6 @@ All functions are pure.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -54,11 +53,10 @@ from typing import Optional
 
 from mpmath import mp, mpf
 
-from .core import (_LATTICE_CACHE_SIZE, _NATIVE_WIDTH, DiscreteFunction,
-                   _decided_double, _pmf_anchor, _rounded, as_index, as_mean,
-                   cdf, exact_ratio, log_pmf, require_finite,
-                   truncation_index)
-from .precision import NATIVE, PrecisionSpec
+from .core import (DiscreteFunction, _extended_width, _lattice_pairs,
+                   as_index, as_mean, cdf, exact_ratio, log_pmf,
+                   require_finite, threshold_pmf_factor, truncation_index)
+from .precision import NATIVE, PrecisionSpec, _rounded
 
 __all__ = [
     "CONDITION_FLAG_THRESHOLD",
@@ -87,71 +85,6 @@ _UPGRADE_PREC = PrecisionSpec.extended(bits=256)
 class OrderOverflowError(ValueError):
     """A native table whose order is too large for binary64: a term or a
     binomial coefficient overflows the double range."""
-
-
-def threshold_pmf_factor(k, m, prec: PrecisionSpec = NATIVE):
-    """e^-m m^(k+1) / k!, the lattice-point mass factor of the signed
-    recurrences and the closed forms.
-
-    The exact product of m and p_k, the anchor
-    :func:`~poisson_moments.core.cdf` sums from (``core._pmf_anchor``,
-    within 2^-(W+11) relative at a working width W), rounded once: the
-    factor is an input constant of the recurrences, so it is delivered
-    correctly rounded at every width, native included (a plain double
-    log-pmf route would inject ~|log pmf| * eps relative noise, which the
-    center-shift identity then amplifies).  Natively the anchor is taken
-    at W = 64, and the product's double is kept when both ends of its
-    error interval round to the same normal double
-    (``core._decided_double``); otherwise the anchor is taken again at
-    W = 128.  An extended factor takes it at W = max(128, prec.bits) and
-    rounds at prec.bits.  A threshold's cdf and factor share the anchor at
-    each width, and below k = 64 both rest on one e^-m.
-
-    Memoised on (k, m, prec), in a bounded least-recently-used cache of
-    ``_LATTICE_CACHE_SIZE`` entries: the signed tables, the closed forms
-    and the Kummer route at one floor(b) share one evaluation.
-    """
-    mv = as_mean(m)
-    return _pmf_factor(as_index(k), mv, prec)
-
-
-@functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
-def _pmf_factor(k: int, mv: float, prec: PrecisionSpec):
-    """The value of :func:`threshold_pmf_factor`: the exact product of m
-    and the anchor, natively the 64-bit anchor's double when its rounding
-    is decided, and otherwise rounded once at ``prec.bits`` from the
-    anchor at W = max(128, prec.bits), so its value does not depend on the
-    caller's ``mp.prec``."""
-    num, den = mv.as_integer_ratio()
-    shift = 1 - den.bit_length()  # m = num 2^shift
-    if not prec.is_extended:
-        _, man, e, _ = _pmf_anchor(k, mv, _NATIVE_WIDTH)._mpf_
-        value = _decided_double(man * num, e + shift, _NATIVE_WIDTH + 11)
-        if value is not None:
-            return value
-    _, man, e, _ = _pmf_anchor(k, mv, max(128, prec.bits))._mpf_
-    value = _rounded(man * num, e + shift, prec)
-    return value if prec.is_extended else float(value)
-
-
-def _lattice_spec(bits: int) -> PrecisionSpec:
-    """The spec of the lattice constants behind an extended result of
-    ``bits`` bits: W + _GUARD bits, W = max(128, bits), the width every
-    sum of :func:`_lattice_build` keeps.  The closed forms and the Kummer
-    route take their constants there too, so that one request fills each
-    lattice memo at one width."""
-    return PrecisionSpec.extended(max(128, bits) + _GUARD)
-
-
-def _lattice_constant(constant, x, mv: float, prec: PrecisionSpec):
-    """``constant(x, m)``, :func:`~poisson_moments.core.cdf` or
-    :func:`threshold_pmf_factor`, in ``prec``: natively, or for an extended
-    result taken at :func:`_lattice_spec` and rounded into ``prec``."""
-    if not prec.is_extended:
-        return constant(x, mv, prec)
-    value = constant(x, mv, _lattice_spec(prec.bits))
-    with prec.working():
-        return prec.real(value)
 
 
 @dataclass(frozen=True)
@@ -231,11 +164,6 @@ def _build(kind: str, mv: float, a: float, b: Optional[float], r_max: int):
         values.append(acc)
         conds.append(_condition(max_partial, acc))
     return values, conds
-
-
-# Guard bits of the integer route: every sum of :func:`_lattice_build`
-# keeps W + _GUARD bits below its largest term, W = max(128, bits).
-_GUARD = 64
 
 
 def _man_exp(x) -> tuple:
@@ -323,11 +251,15 @@ def _lattice_build(kind: str, mv: float, a, b: Optional[float], r_max: int,
     C(0) = 1 in integers.  A signed entry is C(r) v0 + K(r) pb, with
     v0 = 1 - 2 F(b), pb the pmf factor at floor(b), and K the same
     recurrence from K(0) = 0 plus 2 (floor(b) + 1 - a)^(r-1) at each
-    order, so only v0 and pb are inexact: both come from the memoised
-    ``cdf`` and ``threshold_pmf_factor`` at W + 64 bits, W = max(128,
-    bits).  Every sum stays exact while it is short and is truncated
-    ``_GUARD`` bits past W once it is not (:func:`_trimmed`), so the cost
-    does not grow with the binary exponent of m or a, or with floor(b).
+    order, so only v0 and pb are inexact.  Both come from
+    ``core._lattice_pairs`` unrounded, as exact pairs at W + 64 bits, W =
+    max(128, bits) (``core._extended_width``), within 2^-(W+70) relative
+    of the cdf and of the factor: pb is the factor's pair, and v0 is
+    formed from the cdf's pair in integers, so nothing is rounded between
+    the constants and the table.  Every sum stays exact while it is short
+    and is truncated at W + 64 bits once it is not (:func:`_trimmed`), so
+    the cost does not grow with the binary exponent of m or a, or with
+    floor(b).
 
     The condition estimate walks the terms of the recurrence on the
     entries themselves, m - a times the last entry, then each binomial
@@ -335,7 +267,7 @@ def _lattice_build(kind: str, mv: float, a, b: Optional[float], r_max: int,
     correctly rounded from its integer, exactly as :func:`_build` walks
     its double terms.
     """
-    keep = max(128, bits) + _GUARD
+    keep = _extended_width(bits)
     mn, me = _man_exp(mv)
     an, ae = _man_exp(a)
     diff = _trimmed(((mn, me), (-an, ae)), keep)  # m - a
@@ -343,11 +275,9 @@ def _lattice_build(kind: str, mv: float, a, b: Optional[float], r_max: int,
     if kind == "central":
         entries = central
     else:
-        wide = _lattice_spec(bits)  # keep bits
         fb = math.floor(b)
-        with mp.workprec(keep):
-            v0 = _man_exp(1 - 2 * cdf(b, mv, wide))
-        pb = _man_exp(threshold_pmf_factor(fb, mv, wide))
+        (fx, fe), pb = _lattice_pairs(fb, mv, keep)
+        v0 = (1 << -fe) - 2 * fx, fe  # 1 - 2 F(b); fe <= 0
         corr_base = _trimmed(((fb + 1, 0), (-an, ae)), keep)
         corr = (2, 0)  # 2 (floor(b) + 1 - a)^(r-1)
         lattice = [(0, 0)]
@@ -501,7 +431,7 @@ def abs_central_moment(m, a, r, prec: PrecisionSpec = NATIVE):
 def mean_deviation(m, prec: PrecisionSpec = NATIVE):
     """E |X - m| in closed form: 2 e^-m m^(floor(m)+1) / floor(m)!."""
     mv = as_mean(m)
-    pb = _lattice_constant(threshold_pmf_factor, math.floor(mv), mv, prec)
+    pb = threshold_pmf_factor(math.floor(mv), mv, prec)
     with prec.working():
         return 2 * pb
 
@@ -511,8 +441,8 @@ def abs_moment_3_closed(m, prec: PrecisionSpec = NATIVE):
     floor(m), both from one memoised anchor)."""
     mv = as_mean(m)
     fl = math.floor(mv)
-    pb = _lattice_constant(threshold_pmf_factor, fl, mv, prec)
-    f = _lattice_constant(cdf, mv, mv, prec)
+    pb = threshold_pmf_factor(fl, mv, prec)
+    f = cdf(mv, mv, prec)
     with prec.working():
         mm = prec.real(mv)
         u = mm - fl
@@ -524,8 +454,8 @@ def abs_moment_5_closed(m, prec: PrecisionSpec = NATIVE):
     floor(m), both from one memoised anchor)."""
     mv = as_mean(m)
     fl = math.floor(mv)
-    pb = _lattice_constant(threshold_pmf_factor, fl, mv, prec)
-    f = _lattice_constant(cdf, mv, mv, prec)
+    pb = threshold_pmf_factor(fl, mv, prec)
+    f = cdf(mv, mv, prec)
     with prec.working():
         mm = prec.real(mv)
         u = mm - fl

@@ -13,8 +13,7 @@ from unittest import mock
 
 import pytest
 
-from poisson_moments import (WeightSpec, core, expectation, recurrences,
-                             verify_rows)
+from poisson_moments import WeightSpec, core, expectation, verify_rows
 from poisson_moments.cli import (CSV_HEADER, UsageError, _parse_float_grid,
                                  _prec_from, build_parser, main)
 
@@ -442,17 +441,17 @@ class TestVerify:
         # the tables, the closed forms and the Kummer route all take cdf and
         # the pmf factor at W + 64 = 320 bits; none keys a memo at 256
         widths = {}
-        for module, name in ((core, "_cdf_at"), (recurrences, "_pmf_factor")):
-            memo = getattr(module, name)
+        for name in ("_cdf_sum", "_pmf_anchor"):
+            memo = getattr(core, name)
 
-            def spy(k, mv, prec, memo=memo, name=name):
-                widths.setdefault(name, set()).add(prec.bits)
-                return memo(k, mv, prec)
-            monkeypatch.setattr(module, name, spy)
+            def spy(k, mv, width, memo=memo, name=name):
+                widths.setdefault(name, set()).add(width)
+                return memo(k, mv, width)
+            monkeypatch.setattr(core, name, spy)
         code, out, _ = run(["verify", "--mean-grid", "2", "--max-order", "6",
                             "--precision-bits", "256"])
         assert code == 0, out
-        assert widths == {"_cdf_at": {320}, "_pmf_factor": {320}}
+        assert widths == {"_cdf_sum": {320}, "_pmf_anchor": {320}}
 
     def test_rel_tol_default_follows_precision_mode(self):
         native = build_parser().parse_args(["verify"])

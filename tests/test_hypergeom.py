@@ -203,12 +203,28 @@ class TestHyp1F1NegativeArgument:
 class TestNativeDoubleRange:
     # the native sums leave binary64 from m of about 700 at a small center
 
-    @pytest.mark.parametrize("z", [1000.0, -1000.0])
-    def test_hyp1f1_raises_naming_z(self, z):
+    @pytest.mark.parametrize("alpha,beta,z", [(1, 2, 1000.0), (1, 1, -1000.0),
+                                              (2.5, 1.5, -1e4)])
+    def test_hyp1f1_raises_naming_z(self, alpha, beta, z):
+        # values past the double range: e^1000 / 1000, e^-1000 and about
+        # -6700 e^-10000
         with pytest.raises(ValueError,
                            match=f"z = {z!r} .*extended precision"):
-            hyp1f1(Hyp1F1Params(1, 2, z))
-        assert mp.isfinite(hyp1f1(Hyp1F1Params(1, 2, z), EXT))
+            hyp1f1(Hyp1F1Params(alpha, beta, z))
+        assert mp.isfinite(hyp1f1(Hyp1F1Params(alpha, beta, z), EXT))
+
+    @pytest.mark.parametrize("alpha,beta", [(1, 2), (0.5, 3.5)])
+    @pytest.mark.parametrize("z", [-710.0, -1000.0, -1e4])
+    def test_hyp1f1_answers_where_only_its_parts_leave_the_range(
+            self, alpha, beta, z):
+        # e^z underflows and the transformed series 1F1(beta - alpha,
+        # beta, -z) overflows binary64, but the value itself is a normal
+        # double: 1F1(1, 2, z) = (1 - e^z) / -z
+        got = hyp1f1(Hyp1F1Params(alpha, beta, z))
+        want = hyp1f1(Hyp1F1Params(alpha, beta, z), EXT)
+        assert abs(got - want) <= 1e-11 * want
+        if alpha == 1:
+            assert got == pytest.approx(-1 / z, rel=1e-11)
 
     def test_g_table_raises_naming_m(self):
         with pytest.raises(ValueError,

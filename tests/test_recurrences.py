@@ -14,7 +14,6 @@ from mpmath import mp
 
 import poisson_moments.core as core
 import poisson_moments.oracle as om
-import poisson_moments.recurrences as recurrences
 from poisson_moments import (NATIVE, DiscreteFunction, GrowthBoundError,
                              OrderOverflowError, PrecisionSpec,
                              abs_central_moment,
@@ -25,11 +24,11 @@ from poisson_moments import (NATIVE, DiscreteFunction, GrowthBoundError,
                              mean_deviation, sign,
                              signed_moment_shifted, signed_moment_table,
                              truncation_index)
-from poisson_moments.core import (_LATTICE_CACHE_SIZE, _NATIVE_WIDTH, _cdf_at,
-                                  _cdf_sum, _pmf_anchor, exact_ratio)
+from poisson_moments.core import (_LATTICE_CACHE_SIZE, _NATIVE_WIDTH,
+                                  MAX_CDF_MEAN, MeanTooLargeError, _cdf_sum,
+                                  _pmf_anchor, exact_ratio)
 from poisson_moments.recurrences import (CONDITION_FLAG_THRESHOLD, _condition,
-                                         _pmf_factor, _shift_down,
-                                         shift_identity,
+                                         _shift_down, shift_identity,
                                          threshold_pmf_factor)
 
 from helpers import brute_expectation, grid_centers, rel_err
@@ -248,8 +247,7 @@ class TestIntegerRoute:
     def test_cost_does_not_grow_with_the_exponents(self, kind, m, a, b):
         # every sum is truncated past 320 bits, so neither the binary
         # exponent of a or m nor floor(b) lengthens the integers
-        _cdf_at.cache_clear()
-        _pmf_factor.cache_clear()
+        _cdf_sum.cache_clear()
         start = time.perf_counter()
         if kind == "central":
             table = central_moment_table(m, a, 30, EXT)
@@ -531,35 +529,45 @@ class TestClosedForms:
             assert abs(closed(m) - want) <= 1e-12 * (abs(want) + 1)
 
 
-# (public function, its memoised helper): both take (floor(b) or b, m, prec)
-LATTICE = [(cdf, _cdf_at), (threshold_pmf_factor, _pmf_factor)]
+# (public function, the memo it reads): the cdf its pair, keyed on
+# (floor(b), m, width), and the factor the pmf anchor, keyed on (k, m, width)
+LATTICE = [(cdf, _cdf_sum), (threshold_pmf_factor, _pmf_anchor)]
 
 
 def _bits(x):
     return x.hex() if isinstance(x, float) else x._mpf_
 
 
+def _uncached(public, *args):
+    """``public(*args)`` with every lattice memo bypassed."""
+    with pytest.MonkeyPatch.context() as patch:
+        for memo in (_cdf_sum, _pmf_anchor):
+            patch.setattr(core, memo.__name__, memo.__wrapped__)
+        return public(*args)
+
+
 class TestLatticeMemo:
     @pytest.fixture(autouse=True)
     def empty_caches(self):
-        for _, helper in LATTICE:
-            helper.cache_clear()
+        for _, memo in LATTICE:
+            memo.cache_clear()
 
-    @pytest.mark.parametrize("public,helper", LATTICE, ids=["cdf", "factor"])
+    @pytest.mark.parametrize("public", [cdf, threshold_pmf_factor],
+                             ids=["cdf", "factor"])
     @pytest.mark.parametrize("prec", [NATIVE, PrecisionSpec.extended(128),
                                       EXT], ids=["native", "128", "256"])
-    def test_cached_value_is_the_uncached_one(self, public, helper, prec):
+    def test_cached_value_is_the_uncached_one(self, public, prec):
         # a miss under a narrow caller context, then a hit under a wide one,
-        # each equal bit for bit to the helper recomputed from scratch
+        # each equal bit for bit to the value recomputed from scratch
         for m in (0.1, 2.0, 50.0, 1e3, 1e5):
             fl = math.floor(m)
             for k in {0, 1, fl, fl + 3, 2 * math.ceil(m)}:
-                want = helper.__wrapped__(k, m, prec)
+                x = k + 0.5 if public is cdf else k
+                want = _uncached(public, x, m, prec)
                 for caller in (40, 2 * prec.bits + 64):
                     with mp.workprec(caller):
-                        got = public(k + 0.5 if public is cdf else k, m,
-                                     prec)
-                        assert _bits(helper.__wrapped__(k, m, prec)) == \
+                        got = public(x, m, prec)
+                        assert _bits(_uncached(public, x, m, prec)) == \
                             _bits(want)
                     assert type(got) is type(want)
                     assert _bits(got) == _bits(want), (public, m, k, caller)
@@ -567,18 +575,26 @@ class TestLatticeMemo:
     def test_thresholds_with_one_floor_share_an_entry(self):
         tables = [signed_moment_table(3.0, 1.5, b, 4) for b in (2.1, 2.9)]
         assert tables[0].values[0] == tables[1].values[0]
-        for _, helper in LATTICE:
-            info = helper.cache_info()
-            assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        info = _cdf_sum.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        # the anchor: e^-m, which the cdf sums up from, and the factor's
+        # p_2, each taken once
+        info = _pmf_anchor.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
 
     def test_native_and_extended_keys_never_share(self):
-        for public, helper in LATTICE:
+        for public, memo in LATTICE:
+            for _, each in LATTICE:
+                each.cache_clear()
             native = public(2, 3.0)
+            entries = memo.cache_info().currsize
             wide = public(2, 3.0, EXT)
             assert isinstance(native, float) and not isinstance(wide, float)
-            assert helper.cache_info().currsize == 2
-            assert public(2, 3.0, EXT) is wide
-            assert public(2, 3.0) is native
+            assert memo.cache_info().currsize == 2 * entries
+            misses = memo.cache_info().misses
+            assert _bits(public(2, 3.0, EXT)) == _bits(wide)
+            assert _bits(public(2, 3.0)) == _bits(native)
+            assert memo.cache_info().misses == misses
 
     def test_bad_or_negative_thresholds_never_reach_the_cache(self):
         assert cdf(-0.5, 3.0) == 0.0 and cdf(-1e300, 3.0, EXT) == 0
@@ -592,22 +608,22 @@ class TestLatticeMemo:
             cdf(1.0, 1e11)
         # b < 0 degenerates to the central table without a lattice constant
         signed_moment_table(3.0, 1.5, -0.5, 4)
-        for _, helper in LATTICE:
-            assert helper.cache_info().misses == 0
+        for _, memo in LATTICE:
+            assert memo.cache_info().misses == 0
 
     def test_caches_are_bounded(self):
         assert _LATTICE_CACHE_SIZE <= 128
-        for public, helper in LATTICE:
+        for public, memo in LATTICE:
             for k in range(_LATTICE_CACHE_SIZE + 10):
                 public(k, 2.0)
-            info = helper.cache_info()
+            info = memo.cache_info()
             assert info.maxsize == info.currsize == _LATTICE_CACHE_SIZE
 
 
 class TestPmfAnchorMemo:
     @pytest.fixture(autouse=True)
     def empty_caches(self):
-        for memo in (_pmf_anchor, _cdf_at, _pmf_factor):
+        for memo in (_pmf_anchor, _cdf_sum):
             memo.cache_clear()
 
     def test_cache_is_bounded(self):
@@ -649,9 +665,7 @@ class TestPmfAnchorMemo:
                                   "above", "past the bulk"])
     def test_undecided_rounding_sums_again_at_128_bits(self, monkeypatch,
                                                        k, m):
-        for module in (core, recurrences):
-            monkeypatch.setattr(module, "_decided_double",
-                                lambda x, e, k: None)
+        monkeypatch.setattr(core, "_decided_double", lambda x, e, k: None)
         calls = []
         exp = core.mpf_exp
         monkeypatch.setattr(core, "mpf_exp",
@@ -765,7 +779,7 @@ def native_grid(seed=17):
 class TestNativeWidth:
     @pytest.fixture(autouse=True)
     def empty_caches(self):
-        for memo in (_pmf_anchor, _cdf_at, _pmf_factor):
+        for memo in (_pmf_anchor, _cdf_sum):
             memo.cache_clear()
 
     def test_native_constants_are_the_128_bit_sums_doubles(self):
@@ -812,6 +826,91 @@ class TestLatticeConstantsReference:
                         assert abs(got - want[k]) <= \
                             mp.ldexp(want[k], 1 - bits), (m, k, bits)
         assert below and above
+
+
+def _nearest(q: Fraction, bits: int) -> Fraction:
+    """The positive Fraction q rounded to nearest, ties to even, at
+    ``bits`` bits."""
+    e = q.numerator.bit_length() - q.denominator.bit_length() - bits + 1
+    if q < Fraction(2) ** (e + bits - 1):
+        e -= 1  # now 2^(bits-1) <= q 2^-e < 2^bits
+    return round(q / Fraction(2) ** e) * Fraction(2) ** e
+
+
+def width_grid(seed=18):
+    """Seeded (m, sorted k): m log-uniform in [0.1, 1e5], the ends
+    included, with k below 64 and from 64 on, 3 sqrt(m) below, at and
+    above the mode, and past the bulk."""
+    rng = random.Random(seed)
+    means = [0.1, 1e5] + [math.exp(rng.uniform(math.log(0.1), math.log(1e5)))
+                          for _ in range(6)]
+    out = []
+    for m in means:
+        fl, w = math.floor(m), math.ceil(3 * math.sqrt(m))
+        past = fl + 12 * w + 40
+        out.append((m, sorted({rng.randrange(64), 64, max(fl - w, 0), fl,
+                               fl + w, past})))
+    return out
+
+
+class TestExtendedWidth:
+    """An extended cdf or pmf factor of ``bits`` bits is its pair at
+    W + 64 bits, W = max(128, bits), rounded once: the correctly rounded
+    value on the grid."""
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_public_calls_sum_at_the_extended_width(self, monkeypatch, bits):
+        widths = set()
+        for name in ("_cdf_sum", "_pmf_anchor"):
+            real = getattr(core, name)
+            monkeypatch.setattr(core, name, lambda n, m, width, real=real:
+                                widths.add(width) or real(n, m, width))
+        for k in (3, 70):
+            cdf(k, 50.0, PrecisionSpec.extended(bits))
+            threshold_pmf_factor(k, 50.0, PrecisionSpec.extended(bits))
+        assert widths == {max(128, bits) + 64}
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_constants_are_correctly_rounded(self, bits):
+        prec = PrecisionSpec.extended(bits)
+        grid = width_grid()
+        assert any(k < 64 for _, ks in grid for k in ks)
+        for m, ks in grid:
+            plain = _plain_cdf(m, ks)
+            for k in ks:
+                want = _nearest(to_fraction(plain[k]), bits)
+                assert to_fraction(cdf(k, m, prec)) == want, (m, k, bits)
+                want = _nearest(to_fraction(_factor_reference(k, m)), bits)
+                assert to_fraction(threshold_pmf_factor(k, m, prec)) == \
+                    want, (m, k, bits)
+
+
+CEILING_CONSUMERS = [
+    ("signed_moment_table", lambda m, p: signed_moment_table(m, m, m, 5, p)),
+    ("abs_central_moment", lambda m, p: abs_central_moment(m, m, 3, p)),
+    ("signed_moment_shifted",
+     lambda m, p: signed_moment_shifted(m, m, m, 3, p)),
+    ("abs_moment_3_closed", abs_moment_3_closed),
+    ("abs_moment_5_closed", abs_moment_5_closed),
+]
+
+
+class TestCdfCeiling:
+    @pytest.mark.parametrize("prec", [NATIVE, EXT], ids=["native", "256"])
+    @pytest.mark.parametrize("consumer", [c for _, c in CEILING_CONSUMERS],
+                             ids=[name for name, _ in CEILING_CONSUMERS])
+    def test_every_cdf_consumer_refuses_a_mean_above_it(self, consumer,
+                                                        prec):
+        # the integer tables read the cdf's pair, not cdf itself, and must
+        # refuse the mean as cdf does, before any sum
+        m = math.nextafter(MAX_CDF_MEAN, math.inf)
+        start = time.perf_counter()
+        with pytest.raises(MeanTooLargeError) as err:
+            consumer(m, prec)
+        assert time.perf_counter() - start < 0.1
+        with pytest.raises(MeanTooLargeError) as want:
+            cdf(m, m, prec)
+        assert str(err.value) == str(want.value)
 
 
 def _const_one():

@@ -36,10 +36,9 @@ process as another's.  A case's work is a list of calls, repeated up to
 REPEATS times within BUDGET_S seconds (``time_work``, which also says when
 a case is ``capped``); no call is left untimed as a warm-up, since the
 median drops a cold first repetition.  Each repetition starts with the
-lattice memos of ``cdf`` and ``threshold_pmf_factor``, and the pmf anchor
-they share, empty, where the tree has them, so that a repeated call is
-timed as a caller meets it first, not as a hit left by the repetition
-before.  A row's figure is the median over rounds of its per-round median;
+memos of ``core`` and ``recurrences`` empty, whatever the tree names
+them, so that a repeated call is timed as a caller meets it first, not as
+a hit left by the repetition before.  A row's figure is the median over rounds of its per-round median;
 a case whose function a tree lacks has a null median on that tree.
 Standard library only, apart from the package under test and its mpmath
 dependency.
@@ -268,14 +267,13 @@ LAYERS = tuple(dict.fromkeys(layer for layer, *_ in CASES))
 
 
 def _clear_memos(pm) -> None:
-    """Empty the lattice memos of ``cdf`` and ``threshold_pmf_factor`` and
-    the pmf anchor they share, on a tree that has them, so that no
-    repetition times a value an earlier one left behind."""
-    for module, name in ((pm.core, "_cdf_at"), (pm.core, "_pmf_anchor"),
-                         (pm.recurrences, "_pmf_factor")):
-        memo = getattr(module, name, None)
-        if memo is not None:
-            memo.cache_clear()
+    """Empty every module-level ``functools.lru_cache`` of the tree's
+    ``core`` and ``recurrences``, whatever its name, so that no repetition
+    times a value an earlier one left behind."""
+    for module in (pm.core, pm.recurrences):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):  # an lru_cache wrapper
+                value.cache_clear()
 
 
 def time_work(calls: list, repeats: int, budget_s: float, reset) -> tuple:
