@@ -293,6 +293,15 @@ def _lattice_pairs(n: int, m, width: int):
     return _cdf_sum(n, mv, width), _factor_pair(n, mv, width)
 
 
+def _factor_at(k: int, mv: float, prec: PrecisionSpec) -> Tuple[int, int]:
+    """The pmf factor e^-m m^(k+1) / k! as the unrounded exact pair of
+    :func:`_factor_pair`, at the width ``prec``'s lattice constants take
+    first: 64 natively, :func:`_extended_width` extended; within
+    2^-(W+11) relative at that width W."""
+    width = _extended_width(prec.bits) if prec.is_extended else _NATIVE_WIDTH
+    return _factor_pair(k, mv, width)
+
+
 def _extended_width(bits: int) -> int:
     """W + 64, W = max(128, bits): the width of the lattice constants behind
     an extended result of ``bits`` bits, and the bits every integer sum of

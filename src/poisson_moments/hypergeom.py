@@ -30,6 +30,10 @@ final subtraction cancel: its result E |X - a|^r is at least |E (X - a)^r|
 and at least half the series term, so the condition estimate it reports is
 at most 2, up to the error of the addends.
 
+Every Kummer sum stops once three consecutive terms are at most rel_tol
+of the total and the geometric bound on the remaining terms is too, so
+past the series' peak its truncation is at most rel_tol relative.
+
 Native mode runs the series and the recursion in doubles.  Extended mode
 runs both in Python-integer fixed point, as ``core.cdf`` does: every
 parameter enters as an exact rational (a double's ``as_integer_ratio``, an
@@ -39,6 +43,14 @@ working precision once.  Each step keeps at least W + 64 bits, W =
 max(128, bits), so the integer arithmetic leaves every value within
 2^-(bits-1) relative of the exact sum or recursion it stands for (the
 series truncation, which ``rel_tol`` governs, aside).
+
+The assembly is one integer sum at either precision: the top entry g[r][0]
+(a native double's own bits, or the integer row and its exponent), the pmf
+factor e^-m m^(fl+1) / fl! (``core``'s memoised anchor, unrounded) and
+E (X - a)^r all enter as exact pairs (n, e), n 2^e, and each result is
+rounded once, to a double or at ``bits``.  A pair cannot overflow, so a
+native order goes to 256 bits only for its top entry, where that entry is
+not a normal double.
 """
 
 from __future__ import annotations
@@ -50,11 +62,13 @@ from itertools import chain
 from typing import Tuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, mpf_exp, round_nearest
 
-from .core import (_capped_mean, _extended_width, as_index, exact_ratio,
-                   require_finite, threshold_pmf_factor)
-from .precision import NATIVE, PrecisionSpec, _rounded
-from .recurrences import _UPGRADE_PREC, _condition, central_moment_table
+from .core import (_capped_mean, _extended_width, _factor_at, as_index,
+                   exact_ratio, require_finite)
+from .precision import NATIVE, PrecisionSpec, _double, _rounded
+from .recurrences import (_UPGRADE_PREC, _condition, _man_exp, _trimmed,
+                          central_moment_table)
 
 __all__ = [
     "Hyp1F1Params",
@@ -120,12 +134,16 @@ def _mirrored(p: Hyp1F1Params) -> Hyp1F1Params:
 def hyp1f1(p: Hyp1F1Params, prec: PrecisionSpec = NATIVE):
     """Kummer series by term recursion t_{n+1} = t_n z (alpha+n) / ((beta+n)(n+1)).
 
-    Stops once three consecutive terms fall below rel_tol times the partial
-    sum.  For the positive-parameter cases used by the moment assembly all
-    terms are positive, so the summation is cancellation-free.  A negative
-    z goes through Kummer's transformation 1F1(alpha, beta, z)
-    = e^z 1F1(beta - alpha, beta, -z), whose series has no alternating
-    terms of size e^|z| to cancel.
+    Stops once three consecutive terms are at most rel_tol times the
+    partial sum and the geometric bound |t| q / (1 - q) on the remaining
+    terms, q < 1 the next term's ratio, is too (:func:`_tail_below`): past
+    the series' peak the ratios only fall, so the truncation is at most
+    rel_tol relative (three small terms alone can leave about
+    rel_tol sqrt(|z|) / 7 near n = |z|).  For the positive-parameter cases
+    used by the moment assembly all terms are positive, so the summation
+    is cancellation-free.  A negative z goes through Kummer's
+    transformation 1F1(alpha, beta, z) = e^z 1F1(beta - alpha, beta, -z),
+    whose series has no alternating terms of size e^|z| to cancel.
 
     Native mode sums in doubles (:func:`_hyp1f1_native`), and raises a
     ValueError naming z where the result is not a normal double (a series
@@ -139,8 +157,9 @@ def hyp1f1(p: Hyp1F1Params, prec: PrecisionSpec = NATIVE):
     mode sums in Python-integer fixed point (:func:`_kummer_sum`) on the
     exact rational values of the parameters, tests the stopping rule
     exactly on those integers, and rounds the sum into the working
-    precision once; for z < 0 the factor e^z is applied at W + 64 bits
-    first, W = max(128, bits).  Apart from the truncation that ``rel_tol``
+    precision once; for z < 0 it first multiplies the integer sum by the
+    mantissa of e^z, taken at W + 64 bits, W = max(128, bits), so that
+    result too is rounded once.  Apart from the truncation that ``rel_tol``
     governs, an extended result whose terms are all positive lies within
     2^-(bits-1) relative of the sum of the terms it used.
     """
@@ -161,12 +180,9 @@ def _hyp1f1_native(p: Hyp1F1Params, rel_tol: float) -> float:
     transformed series carries a running power-of-two scale: whenever its
     total passes 2^_RESCALE, the total and the term are divided by
     2^_RESCALE, exactly, so every step rounds as the unscaled sum's
-    would.  Its stopping rule also waits for the geometric bound on the
-    remaining terms (:func:`_tail_below`) to fall under rel_tol of the
-    total, since the three-term rule alone leaves a tail of about
-    rel_tol sqrt(|z|) / 7 near n = |z|.  e^z then enters at most e^-_PIECE
-    at a time, each factor multiplying a mantissa in [1/2, 1), so no
-    partial product leaves the normal range.
+    would.  Either way the sum stops by the rule :func:`hyp1f1` states.
+    e^z then enters at most e^-_PIECE at a time, each factor multiplying a
+    mantissa in [1/2, 1), so no partial product leaves the normal range.
     """
     shift = 0.0  # the sum is multiplied by e^shift
     if p.z < 0:
@@ -183,7 +199,8 @@ def _hyp1f1_native(p: Hyp1F1Params, rel_tol: float) -> float:
             small = 0
             continue
         small += 1
-        if small >= 3 and (not shift or _tail_below(
+        # a sum that overflowed (z >= 0) is out of range however it ends
+        if small >= 3 and (not math.isfinite(total) or _tail_below(
                 term, z * (alpha + n + 1) / ((beta + n + 1) * (n + 2)),
                 rel_tol * abs(total))):
             break
@@ -219,15 +236,21 @@ def _hyp1f1_fixed(p: Hyp1F1Params, prec: PrecisionSpec):
     bn, bd = beta
     total, e = _kummer_sum((bn * ad - an * bd, bd * ad), beta, (-zn, zd),
                            prec.rel_tol, _iteration_cap(_mirrored(p)), keep)
-    with mp.workprec(keep):
-        value = mp.exp(mp.mpf(zn) / zd) * mp.ldexp(mp.mpf(total), e)
-    with prec.working():
-        return +value
+    # e^z at W + 64 bits, z = zn / zd exactly (zd is a power of two)
+    _, man, ez, _ = mpf_exp(from_man_exp(zn, 1 - zd.bit_length()), keep,
+                            round_nearest)
+    return _rounded(man * total, ez + e, prec)
 
 
 def _kummer_sum(alpha, beta, z, rel_tol: float, cap: int, lo: int):
     """(total, e) with total * 2^e the Kummer series 1F1(alpha, beta, z)
-    summed to the stopping rule; alpha, beta and z are exact (num, den).
+    summed to the stopping rule of :func:`hyp1f1`; alpha, beta and z are
+    exact (num, den).
+
+    The rule is tested exactly on the integers, rel_tol = tol_num /
+    tol_den: three consecutive terms with |t| tol_den <= tol_num |total|,
+    and then |t| qn tol_den <= tol_num (qd - qn) |total|, qn / qd < 1 the
+    next term's ratio.
 
     Each term is the previous one times the exact ratio, one floor
     division.  Before the division the term's numerator and the running
@@ -263,12 +286,15 @@ def _kummer_sum(alpha, beta, z, rel_tol: float, cap: int, lo: int):
                 e += k
         t = num // den
         total += t
-        if abs(t) * tol_den <= tol_num * abs(total):
-            small += 1
-            if small >= 3:
+        bar = tol_num * abs(total)  # rel_tol |total|, times tol_den
+        small = small + 1 if abs(t) * tol_den <= bar else 0
+        if small >= 3:
+            # the geometric bound |t| q / (1 - q) on the rest, q = qn / qd
+            # the next term's ratio
+            qn = abs(up * (an + (n + 1) * ad))
+            qd = abs(down * (bn + (n + 1) * bd) * (n + 2))
+            if qn < qd and abs(t) * qn * tol_den <= bar * (qd - qn):
                 return total, e
-        else:
-            small = 0
     raise RuntimeError(_NOT_SETTLED)
 
 
@@ -456,16 +482,38 @@ def _in_double_range(x) -> bool:
     return sys.float_info.min <= abs(x) <= sys.float_info.max  # NaN fails
 
 
+def _top_pairs(a, mv: float, orders, prec: PrecisionSpec) -> dict:
+    """{r: (n, e)}, n 2^e the top entry g[r][0] of each of the ``orders``
+    (ascending, nonempty), exact, from one derivative table of the largest:
+    extended, the integer row's entry and its exponent; native, the
+    double's own bits.  The entry of order r rests only on the value-row
+    entries with beta <= r, so one table serves every order.  A native top
+    entry that is not a normal double (the value row grows like e^m, so
+    from m of about 700 at a small center) is taken instead from one
+    256-bit table of the largest such order."""
+    rows = _g_rows(a, mv, orders[-1], prec)
+    if prec.is_extended:
+        return {r: (rows[r][0][0], rows[r][1]) for r in orders}
+    redo = [r for r in orders if not _in_double_range(rows[r][0])]
+    wide = _top_pairs(a, mv, redo, _UPGRADE_PREC) if redo else {}
+    return {r: wide[r] if r in wide else _man_exp(rows[r][0]) for r in orders}
+
+
 def _katti_entries(mv: float, a, orders, prec: PrecisionSpec, central=None):
     """{r: (E |X - a|^r, condition estimate)} for the odd ``orders``
-    (ascending, nonempty), assembled from one central table, one
-    derivative table of the largest order and one pmf factor.
+    (ascending, nonempty), assembled from one central table, the top
+    entries of :func:`_top_pairs` and one pmf factor.
 
     ``central`` is a sequence of E (X - a)^r indexed by r, covering the
-    largest order; None builds the central table here.  The top entry of
-    order r is ``g_table(...).entries[r][0]``, which rests only on the
-    value-row entries with beta <= r, so one table serves every order; in
-    extended mode only those corner entries are rounded.
+    largest order; None builds the central table here.  Every entry,
+    native or extended, is formed from exact pairs (n, e), n 2^e: the top
+    entry, the factor e^-m m^(fl+1) / fl! unrounded from ``core``'s
+    memoised anchor (:func:`~poisson_moments.core._factor_at`), and the
+    central moment.  2 factor top / (fl + 1) - E (X - a)^r is one integer
+    sum, truncated at W + 64 bits, W = max(128, bits)
+    (:func:`~poisson_moments.recurrences._trimmed`), so a far center costs
+    no more than a near one, and it is rounded once: by ``_double``
+    natively, by ``_rounded`` extended.
     """
     require_finite(a, "center a")
     if a < 0:
@@ -474,39 +522,25 @@ def _katti_entries(mv: float, a, orders, prec: PrecisionSpec, central=None):
             "floor(a)+1 must be a nonnegative integer); use the recurrence "
             "path for negative centers"
         )
-    top_order = orders[-1]
     if central is None:
-        central = central_moment_table(mv, a, top_order, prec).values
-    rows = _g_rows(a, mv, top_order, prec)
+        central = central_moment_table(mv, a, orders[-1], prec).values
     fl = math.floor(a)
-    pmf_factor = threshold_pmf_factor(fl, mv, prec)
+    fn, fe = _factor_at(fl, mv, prec)
+    keep = _extended_width(prec.bits)
+    shift = keep + (fl + 1).bit_length()
+    # 2 e^-m m^(fl+1) / (fl+1)!, to at least keep bits
+    pn, pe = (2 * fn << shift) // (fl + 1), fe - shift
     out = {}
-    redo = []
-    extended = prec.is_extended
-    with prec.working():
-        # e^-m m^(fl+1) / (fl+1)!
-        prefactor = pmf_factor / (fl + 1)
-        zero = prec.real(0.0)
-        prefactor_in_range = extended or _in_double_range(prefactor)
-        for r in orders:
-            if extended:
-                row, e = rows[r]
-                top = _rounded(row[0], e, prec)
-            else:
-                top = rows[r][0]
-            series_term = 2 * prefactor * top
-            if not (extended or prefactor_in_range and _in_double_range(top)
-                    and _in_double_range(series_term)):
-                redo.append(r)
-                continue
-            c = central[r]
-            raw = series_term - c
-            cond = _condition(max(abs(float(c)), abs(float(series_term))), raw)
-            out[r] = (raw if raw > zero else zero, cond)
-    if redo:
-        wide = _katti_entries(mv, a, redo, _UPGRADE_PREC)
-        out.update((r, (float(v), cond)) for r, (v, cond) in wide.items())
-    return {r: out[r] for r in orders}
+    for r, (tn, te) in _top_pairs(a, mv, orders, prec).items():
+        series = pn * tn, pe + te
+        cn, ce = _man_exp(central[r])
+        n, e = _trimmed((series, (-cn, ce)), keep)
+        raw = _double(n, e)
+        cond = _condition(max(abs(float(central[r])), abs(_double(*series))),
+                          raw)
+        out[r] = (_rounded(max(n, 0), e, prec) if prec.is_extended
+                  else max(0.0, raw), cond)
+    return out
 
 
 def katti_abs_moment_table(m, a, r_max, prec: PrecisionSpec = NATIVE,
@@ -524,16 +558,16 @@ def katti_abs_moment_table(m, a, r_max, prec: PrecisionSpec = NATIVE,
     E |X - a|^r is at least |E (X - a)^r| and at least half the series
     term.
 
-    In native mode the derivative table's top entry grows like e^m while
-    the prefactor e^-m m^(fl+1) / (fl+1)! shrinks like it: at m of about
-    700 and a small center one overflows or the other underflows.  The
-    orders whose top entry, prefactor or product leaves the normal double
-    range are assembled again from one 256-bit table of the largest such
-    order and rounded back, with that assembly's condition estimate (the
-    policy the tables follow for an ill-conditioned build); the other
-    orders keep their native values.  The results themselves are not
-    checked: in probes up to m = 1e6 the native central table of the same
-    order, built first, raises
+    Each entry is one integer sum of exact pairs rounded once, so the
+    prefactor e^-m m^(fl+1) / (fl+1)! may lie far outside the double range
+    (it underflows at m = 2, a = 400) without sending a native entry to
+    extended precision.  The one native fallback is the derivative table's
+    top entry, which grows like e^m and overflows from m of about 700 at
+    a small center: the orders whose top entry is not a normal double take
+    it from one 256-bit derivative table of the largest such order, and
+    keep the native central table and the native pmf factor.  The results
+    themselves are not checked: in probes up to m = 1e6 the native central
+    table of the same order, built first, raises
     :class:`~poisson_moments.recurrences.OrderOverflowError` before a
     result would leave the double range.
 

@@ -10,11 +10,17 @@ Extended mode relies on the (correctly rounded) global mpmath context;
 ``working()`` pins the precision for the duration of a computation and
 restores it afterwards.  Mixing different extended widths across threads
 is therefore not supported; everything else is pure and reentrant.
+
+The integer routes of the package (the lattice tables, the Kummer series
+and its assembly) end in exact pairs (n, e), standing for n 2^e; this
+module rounds such a pair into either backend once: :func:`_double`
+natively, :func:`_rounded` at ``prec.bits``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -93,3 +99,22 @@ def _rounded(man: int, e: int, prec: PrecisionSpec):
     ``mp.ldexp(mp.mpf(man), e)`` would give it in ``prec.working()``, at
     half the cost: the one rounding of an exact integer result."""
     return mp.make_mpf(from_man_exp(man, e, prec.bits, round_nearest))
+
+
+def _double(n: int, e: int) -> float:
+    """n 2^e correctly rounded to a double; +-inf past the double range."""
+    try:
+        x = math.ldexp(n, e)  # float(n) rounds once; exact if x is normal
+    except OverflowError:  # n or the result past the double range
+        x = 0.0
+    if abs(x) >= sys.float_info.min or not n:
+        return x
+    size = n.bit_length()
+    if e + size < -1075:
+        return 0.0
+    if e + size > 1024:
+        return math.copysign(math.inf, n)
+    try:
+        return n / (1 << -e) if e < 0 else float(n << e)
+    except OverflowError:
+        return math.copysign(math.inf, n)

@@ -56,7 +56,7 @@ from mpmath import mp, mpf
 from .core import (DiscreteFunction, _extended_width, _lattice_pairs,
                    as_index, as_mean, cdf, exact_ratio, log_pmf,
                    require_finite, threshold_pmf_factor, truncation_index)
-from .precision import NATIVE, PrecisionSpec, _rounded
+from .precision import NATIVE, PrecisionSpec, _double, _rounded
 
 __all__ = [
     "CONDITION_FLAG_THRESHOLD",
@@ -198,25 +198,6 @@ def _trimmed(terms, keep: int) -> tuple:
     for n, e in terms:
         total += n << (e - base) if e >= base else n >> (base - e)
     return total, base
-
-
-def _double(n: int, e: int) -> float:
-    """n 2^e correctly rounded to a double; +-inf past the double range."""
-    try:
-        x = math.ldexp(n, e)  # float(n) rounds once; exact if x is normal
-    except OverflowError:  # n or the result past the double range
-        x = 0.0
-    if abs(x) >= sys.float_info.min or not n:
-        return x
-    size = n.bit_length()
-    if e + size < -1075:
-        return 0.0
-    if e + size > 1024:
-        return math.copysign(math.inf, n)
-    try:
-        return n / (1 << -e) if e < 0 else float(n << e)
-    except OverflowError:
-        return math.copysign(math.inf, n)
 
 
 def _doubles(terms: list) -> list:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+import poisson_moments.core as core
 import poisson_moments.hypergeom as hg
 from poisson_moments import (Hyp1F1Params, MeanTooLargeError, PrecisionSpec,
                              abs_central_moment, abs_moment_3_closed,
@@ -26,17 +27,22 @@ BAR = mp.mpf(2) ** -(256 - 8)
 
 def mpf_series(alpha, beta, z, rel_tol, bits=512):
     """1F1 by the mpf term loop with the extended route's stopping rule
-    (three consecutive terms <= rel_tol |sum|), at 512 bits."""
+    (three consecutive terms <= rel_tol |sum|, and the geometric bound
+    |term| q / (1 - q) on the rest <= rel_tol |sum|, q the next term's
+    ratio), at 512 bits."""
     with mp.workprec(bits):
         alpha, beta, z = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
         term = total = mp.mpf(1)
         n = small = 0
-        while small < 3:
+        while True:
             term = term * z * (alpha + n) / ((beta + n) * (n + 1))
             total += term
             small = small + 1 if abs(term) <= rel_tol * abs(total) else 0
+            q = abs(z * (alpha + n + 1) / ((beta + n + 1) * (n + 2)))
+            if small >= 3 and q < 1 and \
+                    abs(term) * q <= rel_tol * abs(total) * (1 - q):
+                return total
             n += 1
-        return total
 
 
 def reference_g_rows(a, m, r, bits=512):
@@ -212,6 +218,13 @@ class TestNativeDoubleRange:
                            match=f"z = {z!r} .*extended precision"):
             hyp1f1(Hyp1F1Params(alpha, beta, z))
         assert mp.isfinite(hyp1f1(Hyp1F1Params(alpha, beta, z), EXT))
+
+    def test_an_overflowed_sum_stops_at_once(self, monkeypatch):
+        # the terms of 1F1(1, 2, 1e5) overflow binary64 near n = 90, and
+        # the sum stops there rather than summing on toward n = 1e5
+        monkeypatch.setattr(hg, "_iteration_cap", lambda p: 200)
+        with pytest.raises(ValueError, match="leaves the double range"):
+            hyp1f1(Hyp1F1Params(1, 2, 1e5))
 
     @pytest.mark.parametrize("alpha,beta", [(1, 2), (0.5, 3.5)])
     @pytest.mark.parametrize("z", [-710.0, -1000.0, -1e4])
@@ -390,7 +403,8 @@ class TestAssembly:
         assert value >= 0 and cond >= 1.0
 
     def test_native_values_are_pinned(self):
-        assert katti_abs_moment(10.0, 10.5, 7).hex() == "0x1.014dc13ad449ap+17"
+        # 6.1e-15 relative below the exact sum
+        assert katti_abs_moment(10.0, 10.5, 7).hex() == "0x1.014dc13ad4499p+17"
         assert katti_abs_moment(0.001, 0.999, 3).hex() == "0x1.fdf4a10a97e03p-1"
 
     def test_native_smoke(self):
@@ -409,8 +423,8 @@ class TestAssembly:
         (1e4, 1e4, 109),  # the top entry overflows; the moment, 1.09e306, fits
     ])
     def test_native_value_row_overflow_redoes_at_256_bits(self, m, a, r):
-        # e^m overflows the native top entry, or e^-m underflows the
-        # prefactor; the assembly is redone at 256 bits and rounded back
+        # e^m overflows the native top entry: it is taken from 256-bit
+        # derivative rows instead, and the entry is rounded once to a double
         value, cond = katti_abs_moment_table(m, a, r)[r]
         assert isinstance(value, float)
         assert value == pytest.approx(abs_central_moment(m, a, r), rel=1e-12)
@@ -479,6 +493,38 @@ class TestKattiTable:
             value, cond = katti_abs_moment_table(690.0, 0.5, r, wide)[r]
             assert table[r] == (float(value), cond)
 
+    def test_far_center_answers_in_doubles(self, monkeypatch):
+        # the pmf factor e^-2 2^401 / 400! underflows binary64, but the
+        # assembly forms it as an exact pair: no 256-bit table is built
+        rows, tables = [], []
+        real_rows, real_table = hg._g_rows, hg.central_moment_table
+        monkeypatch.setattr(hg, "_g_rows", lambda *args: rows.append(
+            args[2:]) or real_rows(*args))
+        monkeypatch.setattr(hg, "central_moment_table", lambda *args: (
+            tables.append(args[3].bits) or real_table(*args)))
+        value, cond = katti_abs_moment_table(2.0, 400.0, 3)[3]
+        monkeypatch.undo()
+        assert [(r, prec.bits) for r, prec in rows] == [(3, 53)]
+        assert tables == [53]
+        want = katti_abs_moment_table(2.0, 400.0, 3, hg._UPGRADE_PREC)[3][0]
+        assert isinstance(value, float)
+        assert rel_err(value, want) <= 1e-15 and cond == 1.0
+
+    def test_redo_rebuilds_only_the_derivative_rows(self, monkeypatch):
+        # every native top entry overflows at m = 1e3: the orders take
+        # their top entries from one 256-bit derivative table (as
+        # test_one_derivative_table_per_call counts), and keep the native
+        # central table and the native pmf factor, whose anchor is taken
+        # at the native width 64 only
+        tables, widths = [], []
+        real_table, real_anchor = hg.central_moment_table, core._pmf_anchor
+        monkeypatch.setattr(hg, "central_moment_table", lambda *args: (
+            tables.append(args) or real_table(*args)))
+        monkeypatch.setattr(core, "_pmf_anchor", lambda *args: (
+            widths.append(args[2]) or real_anchor(*args)))
+        katti_abs_moment_table(1e3, 0.5, 15)
+        assert len(tables) == 1 and set(widths) == {64}
+
     def test_passed_central_values_are_used(self):
         central = central_moment_table(7.5, 3.2, 12).values
         assert katti_abs_moment_table(7.5, 3.2, 11, central=central) == \
@@ -534,6 +580,35 @@ class TestAgainstOracle:
             for _, cond in katti_abs_moment_table(m, a, r_max, prec).values():
                 worst = max(worst, cond)
         assert 1.9 < worst <= 2 + slack
+
+
+def large_mean_grid():
+    """Seeded (m, a, r) cases shaped like the native katti requests of the
+    large-mean benchmark workload: m log-uniform in [1e3, 3e4], a within
+    m -+ 3 sqrt(m), odd r <= 15; led by the case where the three-term
+    stopping rule alone left 4.4e-11."""
+    cases = [(28208.79950108583, 28029.72260147953, 15)]
+    rng = random.Random(19)
+    for _ in range(40):
+        m = 1e3 * 30 ** rng.random()
+        spread = 3 * math.sqrt(m)
+        cases.append((m, rng.uniform(m - spread, m + spread),
+                      2 * rng.randint(0, 7) + 1))
+    return cases
+
+
+class TestLargeMeanAccuracy:
+    def test_native_entries_against_a_tight_192_bit_entry(self):
+        # every Kummer sum stops only once the geometric bound on its
+        # remaining terms is below rel_tol of its total, so the native
+        # entries are not off by several times rel_tol (1e-12)
+        tight = PrecisionSpec.extended(192, rel_tol=1e-40)
+        worst = 0.0
+        for m, a, r in large_mean_grid():
+            got = katti_abs_moment_table(m, a, r)
+            want = katti_abs_moment_table(m, a, r, tight)
+            worst = max(worst, *(rel_err(got[k][0], want[k][0]) for k in got))
+        assert worst <= 4e-12
 
 
 class TestKummerMeanCeiling:

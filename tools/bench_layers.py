@@ -80,44 +80,27 @@ def _ext(pm, bits: int = 256):
     return pm.PrecisionSpec.extended(bits)
 
 
-def _row_params(pm, m, r) -> list:
-    """The r + 1 parameter sets of ``g_table(m, m, r)``'s value row."""
-    fl = math.floor(m)
-    return [pm.Hyp1F1Params(beta + 1, beta + fl + 2, m) for beta in range(r + 1)]
-
-
 def _value_row(pm, m, r) -> list:
-    """The value row of ``g_table(m, m, r)`` at 256 bits as the tree builds
-    it: one ``hypergeom._value_row`` call (a few series and the three-term
-    recurrence), or, on a tree without it, one ``hyp1f1`` call per entry."""
-    ext = _ext(pm)
-    build = getattr(pm.hypergeom, "_value_row", None)
-    if build is None:
-        return [partial(pm.hyp1f1, p, ext) for p in _row_params(pm, m, r)]
-    return [partial(build, math.floor(m), m, r, ext)]
+    """The value row of ``g_table(m, m, r)`` at 256 bits: one
+    ``hypergeom._value_row`` call (a few series and the three-term
+    recurrence)."""
+    return [partial(pm.hypergeom._value_row, math.floor(m), m, r, _ext(pm))]
 
 
 def _g_recursion(pm, m, r) -> list:
     """One ``g_table(m, m, r)`` at 256 bits whose value row is served from
-    values computed beforehand: the derivative recursion and its
-    conversions alone.  The tree's ``hypergeom._value_row`` is stubbed
-    where it has one, and ``hyp1f1`` otherwise."""
+    values computed beforehand, ``hypergeom._value_row`` stubbed: the
+    derivative recursion and its conversions alone."""
     hg, g_table, ext = pm.hypergeom, pm.g_table, _ext(pm)
-    if hasattr(hg, "_value_row"):
-        name, row = "_value_row", hg._value_row(math.floor(m), m, r, ext)
-        stub = lambda fl, mv, ri, prec: row
-    else:
-        name = "hyp1f1"
-        values = {p: pm.hyp1f1(p, ext) for p in _row_params(pm, m, r)}
-        stub = lambda p, prec: values[p]
+    real = hg._value_row
+    row = real(math.floor(m), m, r, ext)
 
     def run():
-        real = getattr(hg, name)
-        setattr(hg, name, stub)
+        hg._value_row = lambda fl, mv, ri, prec: row
         try:
             g_table(m, m, r, ext)
         finally:
-            setattr(hg, name, real)
+            hg._value_row = real
     return [run]
 
 
@@ -215,6 +198,12 @@ CASES = [
      lambda pm, m, r: [partial(pm.central_moment_table, m, NEAR_ROOTS[m], r)]),
     ("hypergeom", "katti native", None, HYP_ORDERS,
      lambda pm, m, r: [partial(pm.katti_abs_moment, m, m, r)]),
+    # every native top entry overflows: the derivative rows at 256 bits
+    ("hypergeom", "katti native a=0.5", (1e3,), (15,),
+     lambda pm, m, r: [partial(pm.katti_abs_moment, m, 0.5, r)]),
+    # the pmf factor underflows binary64
+    ("hypergeom", "katti native a=400", (2.0,), (3,),
+     lambda pm, m, r: [partial(pm.katti_abs_moment, m, 400.0, r)]),
     ("hypergeom", "value_row", None, HYP_ORDERS, _value_row),
     ("hypergeom", "g_table recursion", None, HYP_ORDERS, _g_recursion),
     ("hypergeom", "katti", None, HYP_ORDERS,
