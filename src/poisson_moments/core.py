@@ -21,7 +21,7 @@ from mpmath.libmp import (finf, fninf, from_float, from_int, mpf_div,
                           mpf_neg, mpf_shift, mpf_sub, round_nearest,
                           to_rational)
 
-from .precision import NATIVE, PrecisionSpec, _rounded
+from .precision import NATIVE, PrecisionSpec, _double, _rounded
 
 # Below ~1e-290 the double log-space certificate machinery would sit on the
 # underflow floor; certified bounds are refused rather than silently wrong.
@@ -316,7 +316,8 @@ def _lattice_value(pair, n: int, mv: float, prec: PrecisionSpec):
     Natively the pair is taken at W = 64, and its double is kept when both
     ends of that error interval round to the same normal double (Ziv's
     rounding test, :func:`_decided_double`); otherwise, and that is rare,
-    the pair at W = 128 is rounded.  An extended result rounds the pair at
+    the pair at W = 128 is rounded once by :func:`_double`, subnormal
+    results included.  An extended result rounds the pair at
     :func:`_extended_width` once at prec.bits.  The value does not depend
     on the caller's ``mp.prec``.
     """
@@ -324,7 +325,7 @@ def _lattice_value(pair, n: int, mv: float, prec: PrecisionSpec):
         return _rounded(*pair(n, mv, _extended_width(prec.bits)), prec)
     value = _decided_double(*pair(n, mv, _NATIVE_WIDTH), _NATIVE_WIDTH + 6)
     if value is None:
-        value = float(_rounded(*pair(n, mv, 128), prec))
+        value = _double(*pair(n, mv, 128))
     return value
 
 

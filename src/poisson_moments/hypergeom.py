@@ -34,8 +34,9 @@ Every Kummer sum stops once three consecutive terms are at most rel_tol
 of the total and the geometric bound on the remaining terms is too, so
 past the series' peak its truncation is at most rel_tol relative.
 
-Native mode runs the series and the recursion in doubles.  Extended mode
-runs both in Python-integer fixed point, as ``core.cdf`` does: every
+Native mode runs the series at z >= 0 and the recursion in doubles.
+Extended mode, and the native series at z < 0, run in Python-integer
+fixed point, as ``core.cdf`` does: every
 parameter enters as an exact rational (a double's ``as_integer_ratio``, an
 mpf's own mantissa and exponent), each series term costs one floor
 division, each table entry one more, and a result is rounded into the
@@ -107,14 +108,6 @@ class Hyp1F1Params:
             raise ValueError("beta must not be a nonpositive integer (series poles)")
 
 
-# The native transformed series (z < 0) divides its sum by 2^_RESCALE
-# whenever the total passes that, and applies e^z in factors of at least
-# e^-_PIECE, so that neither leaves the double range on the way to a
-# result that is in it.
-_RESCALE = 512
-_BIG = 2.0 ** _RESCALE
-_PIECE = 700.0
-
 _NOT_SETTLED = ("hypergeometric series failed to settle within the "
                 "iteration cap (internal fault)")
 
@@ -145,77 +138,52 @@ def hyp1f1(p: Hyp1F1Params, prec: PrecisionSpec = NATIVE):
     transformation 1F1(alpha, beta, z) = e^z 1F1(beta - alpha, beta, -z),
     whose series has no alternating terms of size e^|z| to cancel.
 
-    Native mode sums in doubles (:func:`_hyp1f1_native`), and raises a
-    ValueError naming z where the result is not a normal double (a series
-    that sums to exactly 0 aside): for z >= 0 once the sum overflows, for
-    z < 0 only where e^z times the transformed sum lies outside the
-    normal range, however large that sum grows.  For z < 0 the native
-    result lies within rel_tol relative of the series, plus about
-    |z| 2^-53 of rounding: with (alpha, beta) = (1, 2) or (1/2, 7/2) and
-    z from -700 to -1e5, under 1e-12 off at the default rel_tol 1e-12,
-    and under 6e-15 off at rel_tol 1e-16 and z = -1e4.  Extended
-    mode sums in Python-integer fixed point (:func:`_kummer_sum`) on the
-    exact rational values of the parameters, tests the stopping rule
-    exactly on those integers, and rounds the sum into the working
-    precision once; for z < 0 it first multiplies the integer sum by the
-    mantissa of e^z, taken at W + 64 bits, W = max(128, bits), so that
-    result too is rounded once.  Apart from the truncation that ``rel_tol``
-    governs, an extended result whose terms are all positive lies within
-    2^-(bits-1) relative of the sum of the terms it used.
+    Extended mode, and native mode at z < 0, take the exact pair of
+    :func:`_hyp1f1_pair`, the series in Python-integer fixed point on the
+    exact rational values of the parameters, times the mantissa of e^z
+    for z < 0, and round it once: at the working precision, or to a
+    double.  Apart from the truncation that ``rel_tol`` governs, a result
+    whose terms are all positive lies within 2^-(bits-1) relative of the
+    sum of the terms it used.  Native mode at z >= 0 sums in doubles
+    (:func:`_hyp1f1_native`).  A native result that is nonzero but not a
+    normal double raises a ValueError naming z: for z >= 0 once the sum
+    overflows, for z < 0 only where the value itself lies outside the
+    normal range, however far e^z and the transformed sum lie outside it.
     """
     if prec.is_extended:
-        return _hyp1f1_fixed(p, prec)
-    value = _hyp1f1_native(p, prec.rel_tol)
-    if math.isnan(value):
+        return _rounded(*_hyp1f1_pair(p, prec), prec)
+    if p.z < 0:
+        n, e = _hyp1f1_pair(p, prec)
+        value = _double(n, e)
+    else:
+        value = n = _hyp1f1_native(p, prec.rel_tol)
+    if n and not _in_double_range(value):
         raise ValueError(f"1F1 at z = {p.z!r} leaves the double range; "
                          f"use extended precision")
     return value
 
 
 def _hyp1f1_native(p: Hyp1F1Params, rel_tol: float) -> float:
-    """The native sum of :func:`hyp1f1`, unchecked: NaN where it is
-    nonzero but outside the normal double range.
-
-    For z >= 0 the terms are summed as they come.  For z < 0 the
-    transformed series carries a running power-of-two scale: whenever its
-    total passes 2^_RESCALE, the total and the term are divided by
-    2^_RESCALE, exactly, so every step rounds as the unscaled sum's
-    would.  Either way the sum stops by the rule :func:`hyp1f1` states.
-    e^z then enters at most e^-_PIECE at a time, each factor multiplying a
-    mantissa in [1/2, 1), so no partial product leaves the normal range.
-    """
-    shift = 0.0  # the sum is multiplied by e^shift
-    if p.z < 0:
-        shift, p = p.z, _mirrored(p)
+    """The native sum of :func:`hyp1f1` for z >= 0, unchecked: the terms
+    summed in doubles as they come, to the stopping rule :func:`hyp1f1`
+    states.  A sum that overflows stops three terms later and returns
+    its non-finite total."""
     alpha, beta, z = (float(x) for x in (p.alpha, p.beta, p.z))
     term = total = 1.0
-    scale = small = 0  # the sum is total 2^scale
+    small = 0
     for n in range(_iteration_cap(p)):
         term = term * z * (alpha + n) / ((beta + n) * (n + 1))
         total = total + term
-        if shift and abs(total) > _BIG:
-            term, total, scale = term / _BIG, total / _BIG, scale + _RESCALE
         if abs(term) > rel_tol * abs(total):
             small = 0
             continue
         small += 1
-        # a sum that overflowed (z >= 0) is out of range however it ends
+        # a sum that overflowed is out of range however it ends
         if small >= 3 and (not math.isfinite(total) or _tail_below(
                 term, z * (alpha + n + 1) / ((beta + n + 1) * (n + 2)),
                 rel_tol * abs(total))):
-            break
-    else:
-        raise RuntimeError(_NOT_SETTLED)
-    while shift < 0:
-        total, e = math.frexp(total)
-        total *= math.exp(max(shift, -_PIECE))
-        scale += e
-        shift += _PIECE
-    try:
-        value = math.ldexp(total, scale)
-    except OverflowError:
-        value = math.inf
-    return value if not total or _in_double_range(value) else math.nan
+            return total
+    raise RuntimeError(_NOT_SETTLED)
 
 
 def _tail_below(term: float, ratio: float, bar: float) -> bool:
@@ -226,20 +194,23 @@ def _tail_below(term: float, ratio: float, bar: float) -> bool:
     return q < 1.0 and abs(term) * q <= bar * (1.0 - q)
 
 
-def _hyp1f1_fixed(p: Hyp1F1Params, prec: PrecisionSpec):
+def _hyp1f1_pair(p: Hyp1F1Params, prec: PrecisionSpec) -> Tuple[int, int]:
+    """(n, e), n 2^e the value of :func:`hyp1f1`, unrounded: the
+    :func:`_kummer_sum` total at W + 64 bits, W = max(128, bits) (192
+    natively), and for z < 0 the transformed series' total times the
+    mantissa of e^z, taken at that width too."""
     (an, ad), beta, (zn, zd) = (exact_ratio(x) for x in (p.alpha, p.beta, p.z))
     keep = _extended_width(prec.bits)
     if zn >= 0:
-        total, e = _kummer_sum((an, ad), beta, (zn, zd), prec.rel_tol,
-                               _iteration_cap(p), keep)
-        return _rounded(total, e, prec)
+        return _kummer_sum((an, ad), beta, (zn, zd), prec.rel_tol,
+                           _iteration_cap(p), keep)
     bn, bd = beta
     total, e = _kummer_sum((bn * ad - an * bd, bd * ad), beta, (-zn, zd),
                            prec.rel_tol, _iteration_cap(_mirrored(p)), keep)
-    # e^z at W + 64 bits, z = zn / zd exactly (zd is a power of two)
+    # e^z, z = zn / zd exactly (zd is a power of two)
     _, man, ez, _ = mpf_exp(from_man_exp(zn, 1 - zd.bit_length()), keep,
                             round_nearest)
-    return _rounded(man * total, ez + e, prec)
+    return man * total, ez + e
 
 
 def _kummer_sum(alpha, beta, z, rel_tol: float, cap: int, lo: int):
@@ -426,11 +397,13 @@ def _value_row(fl: int, mv: float, ri: int, prec: PrecisionSpec):
     segments start depends on m and fl only, so an entry does not depend
     on ri: an order-15 row sums at most four series.
 
-    Native mode returns a list of doubles.  Extended mode returns (ints,
-    e), e = -(W + 64), W = max(128, bits): each series enters from
-    :func:`_kummer_sum` unrounded, each step is one floor division with
-    exact rational coefficients, and every entry is at least 1, so a step
-    adds under 2^-(W+64) to the relative error.
+    Native mode returns a list of doubles, non-finite where the row or a
+    step's coefficient (c^2, from floor(a) of about 1.3e154) leaves the
+    double range.  Extended mode returns (ints, e), e = -(W + 64), W =
+    max(128, bits): each series enters from :func:`_kummer_sum`
+    unrounded, each step is one floor division with exact rational
+    coefficients, and every entry is at least 1, so a step adds under
+    2^-(W+64) to the relative error.
     """
     c = fl + 2
     n_up = max(0, math.ceil(mv - c))  # the steps with beta + c < m
@@ -453,6 +426,10 @@ def _value_row(fl: int, mv: float, ri: int, prec: PrecisionSpec):
             return (((q - mn) * (b + c + 1) * f1 + mn * (b + 2) * f2)
                     // (q * (b + c + 1)))
     else:
+        # every operand is exact below 2^53, and a product past the double
+        # range makes the row non-finite instead of raising
+        c = float(c)
+
         def series(beta):
             return _hyp1f1_native(Hyp1F1Params(beta + 1, beta + c, mv),
                                   prec.rel_tol)

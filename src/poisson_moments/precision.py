@@ -102,7 +102,8 @@ def _rounded(man: int, e: int, prec: PrecisionSpec):
 
 
 def _double(n: int, e: int) -> float:
-    """n 2^e correctly rounded to a double; +-inf past the double range."""
+    """n 2^e correctly rounded to a double, however long n is; +-inf past
+    the double range."""
     try:
         x = math.ldexp(n, e)  # float(n) rounds once; exact if x is normal
     except OverflowError:  # n or the result past the double range
@@ -113,8 +114,8 @@ def _double(n: int, e: int) -> float:
     if e + size < -1075:
         return 0.0
     if e + size > 1024:
-        return math.copysign(math.inf, n)
+        return math.inf if n > 0 else -math.inf
     try:
         return n / (1 << -e) if e < 0 else float(n << e)
     except OverflowError:
-        return math.copysign(math.inf, n)
+        return math.inf if n > 0 else -math.inf

@@ -237,10 +237,11 @@ def _lattice_build(kind: str, mv: float, a, b: Optional[float], r_max: int,
     max(128, bits) (``core._extended_width``), within 2^-(W+70) relative
     of the cdf and of the factor: pb is the factor's pair, and v0 is
     formed from the cdf's pair in integers, so nothing is rounded between
-    the constants and the table.  Every sum stays exact while it is short
-    and is truncated at W + 64 bits once it is not (:func:`_trimmed`), so
-    the cost does not grow with the binary exponent of m or a, or with
-    floor(b).
+    the constants and the table.  Every sum, v0 included, stays exact
+    while it is short and is truncated at W + 64 bits once it is not
+    (:func:`_trimmed`), so the cost does not grow with the binary exponent
+    of m or a, with floor(b), or with m at a threshold far below the mean,
+    where F(b) is about e^-m.
 
     The condition estimate walks the terms of the recurrence on the
     entries themselves, m - a times the last entry, then each binomial
@@ -258,7 +259,7 @@ def _lattice_build(kind: str, mv: float, a, b: Optional[float], r_max: int,
     else:
         fb = math.floor(b)
         (fx, fe), pb = _lattice_pairs(fb, mv, keep)
-        v0 = (1 << -fe) - 2 * fx, fe  # 1 - 2 F(b); fe <= 0
+        v0 = _trimmed(((1, 0), (-2 * fx, fe)), keep)  # 1 - 2 F(b)
         corr_base = _trimmed(((fb + 1, 0), (-an, ae)), keep)
         corr = (2, 0)  # 2 (floor(b) + 1 - a)^(r-1)
         lattice = [(0, 0)]

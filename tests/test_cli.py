@@ -315,6 +315,19 @@ class TestExitCodes:
         assert code == 0, err
         assert "result: PASS" in out
 
+    @pytest.mark.parametrize("argv", [
+        "moment --mean 1e5 --order 151 --center 700 --method katti "
+        "--precision-bits 256",
+        "moment --mean 1e300 --order 151 --center 0 --method shifted "
+        "--precision-bits 128",
+        "verify --mean-grid 2 --centers 1e300 --max-order 1",
+    ], ids=["katti-256", "shifted-128", "verify-far-center"])
+    def test_values_past_the_double_range_end_in_an_exit_code(self, argv):
+        # each meets an integer past 2^1024 or a coefficient past the
+        # double range, which must not end in a traceback
+        code, _, err = run(argv.split())
+        assert code in (0, 2), err
+
     def test_far_center_verify_runs_in_extended_precision(self):
         code, out, _ = run(["verify", "--mean-grid", "2", "--centers", "1e300",
                             "--max-order", "2", "--precision-bits", "256",

@@ -14,6 +14,7 @@ from poisson_moments import (DiscreteFunction, GrowthBoundError, PoissonMean,
                              sign, truncation_index)
 from poisson_moments.core import (MAX_CDF_MEAN, MIN_CERTIFIABLE_EPS,
                                   MeanTooLargeError, tail_bounds)
+from poisson_moments.precision import _double
 
 from helpers import brute_expectation, rel_err
 
@@ -51,6 +52,19 @@ class TestPrecisionSpec:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             PrecisionSpec("quad")
+
+
+class TestDouble:
+    @pytest.mark.parametrize("n,e,want", [
+        (1 << 2000, 0, math.inf),
+        (-(1 << 2000), 0, -math.inf),
+        (1 << 2000, -977, 2.0 ** 1023),
+        ((1 << 2000) + 1, -3074, 5e-324),
+        (-3, -1076, -5e-324),
+    ], ids=["inf", "-inf", "max-binade", "subnormal", "-subnormal"])
+    def test_rounds_any_integer(self, n, e, want):
+        # an integer past 2^1024 does not convert to a double on its own
+        assert _double(n, e) == want
 
 
 class TestLogPmf:

@@ -16,6 +16,7 @@ from poisson_moments import (Hyp1F1Params, MeanTooLargeError, PrecisionSpec,
                              central_moment_table, expectation_table, g_table,
                              hyp1f1, katti_abs_moment, katti_abs_moment_table,
                              mean_deviation)
+from poisson_moments.precision import _double
 
 from helpers import rel_err
 
@@ -132,10 +133,11 @@ class TestHyp1F1:
         ((1.0, 2.0, 2.0), "0x1.98e64b8d4dda8p+1"),
         ((2.5, 1.5, 7.3), "0x1.0f6368f179e80p+13"),
         ((1, 9, 37.5), "0x1.7bf706d905c31p+27"),
-        ((0.5, 4.25, -120.0), "0x1.5a3c038c46d35p-3"),
+        ((0.5, 4.25, -120.0), "0x1.5a3c038c46d40p-3"),
     ])
     def test_native_values_are_pinned(self, params, want):
-        # the double loop is kept bit for bit
+        # z >= 0: the double loop, kept bit for bit; z < 0: the integer
+        # sum rounded once
         assert hyp1f1(Hyp1F1Params(*params)).hex() == want
 
 
@@ -239,6 +241,21 @@ class TestNativeDoubleRange:
         if alpha == 1:
             assert got == pytest.approx(-1 / z, rel=1e-11)
 
+    @pytest.mark.parametrize("alpha,beta", [(1, 2), (0.5, 3.5)])
+    @pytest.mark.parametrize("z", [-710.0, -1e3, -1e4, -1e5])
+    def test_negative_argument_is_the_integer_sum_rounded_once(
+            self, alpha, beta, z):
+        # one Kummer transformation: the pair an extended call rounds at
+        # its bits, rounded to a double, within rel_tol of the value
+        p = Hyp1F1Params(alpha, beta, z)
+        got = hyp1f1(p)
+        assert got == _double(*hg._hyp1f1_pair(p, PrecisionSpec.native()))
+        with mp.workprec(256):
+            want = mp.hyp1f1(alpha, beta, z)
+            assert abs(got - want) <= 1e-12 * want
+        assert not any(hasattr(hg, name)
+                       for name in ("_RESCALE", "_BIG", "_PIECE"))
+
     def test_g_table_raises_naming_m(self):
         with pytest.raises(ValueError,
                            match="m = 1000.0 .*extended precision"):
@@ -247,6 +264,15 @@ class TestNativeDoubleRange:
 
     def test_katti_keeps_its_256_bit_redo(self):
         assert katti_abs_moment(1000.0, 0.5, 3) == 1001500249.875
+
+    def test_far_center_leaves_a_non_finite_native_row(self):
+        # past floor(a) of about 1.3e154 the row's coefficient (beta + c)^2
+        # overflows binary64: g_table raises, and katti redoes the top
+        # entry at 256 bits
+        with pytest.raises(ValueError,
+                           match="m = 2.0 .*extended precision"):
+            g_table(1e300, 2.0, 3)
+        assert katti_abs_moment(2.0, 1e300, 1) == 1e300
 
 
 class TestGTable:

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -255,6 +256,26 @@ class TestIntegerRoute:
             table = signed_moment_table(m, a, b, 30, EXT)
         assert time.perf_counter() - start < 0.1
         assert all(mp.isfinite(v) for v in table.values)
+
+    def test_cost_does_not_grow_with_the_mean_below_the_bulk(self):
+        # F(0) = e^-m: 1 - 2 F(b) is truncated past 320 bits too, not
+        # formed as an integer of m / ln 2 bits
+        _cdf_sum.cache_clear()
+        start = time.perf_counter()
+        table = signed_moment_table(1e8, 1e8, 0.0, 10, EXT)
+        assert time.perf_counter() - start < 0.2
+        # the signed correction, about e^-m, lies far below the 256th bit
+        # of every central entry but E (X - m) = 0
+        central = central_moment_table(1e8, 1e8, 10, EXT).values
+        assert table.values[:1] + table.values[2:] == central[:1] + central[2:]
+        assert 0 < table.values[1] < mp.mpf(10) ** -43000000
+
+    def test_entries_past_the_double_range_are_finite(self):
+        # their condition estimates round integers past 2^1024 to doubles
+        table = central_moment_table(1e300, 0, 151,
+                                     PrecisionSpec.extended(128))
+        assert all(mp.isfinite(v) for v in table.values)
+        assert table.values[-1] > mp.mpf(10) ** 45000
 
 
 class TestCentralShifted:
@@ -792,6 +813,71 @@ class TestNativeWidth:
             assert threshold_pmf_factor(k, m).hex() == \
                 _factor_double(k, m, 128).hex(), (k, m)
         assert time.perf_counter() - start < 2.0
+
+
+def subnormal_factor_grid(seed=19):
+    """Seeded (k, m), 400 pairs whose pmf factor is subnormal: m uniform in
+    [0.5, 200], and k up to 3 past the first index above the mode whose
+    factor falls below 2^-1022."""
+    rng = random.Random(seed)
+    normal = -1022 * math.log(2)
+    out = []
+    for _ in range(400):
+        m = rng.uniform(0.5, 200.0)
+        k = math.floor(m)
+        while -m + (k + 1) * math.log(m) - math.lgamma(k + 1) > normal:
+            k += 1
+        out.append((k + rng.randrange(4), m))
+    return out
+
+
+def subnormal_cdf_grid(seed=19):
+    """Seeded (k, m), 300 pairs whose cdf is subnormal: m uniform in
+    [709, 1000], and k the first index whose pmf factor passes 2^-1022
+    e^-0.5."""
+    rng = random.Random(seed)
+    bar = -1022 * math.log(2) - 0.5
+    out = []
+    for _ in range(300):
+        m = rng.uniform(709.0, 1000.0)
+        k = 0
+        while -m + (k + 1) * math.log(m) - math.lgamma(k + 2) < bar:
+            k += 1
+        out.append((k, m))
+    return out
+
+
+class TestSubnormalConstants:
+    """A native constant below the normal range, which the 64-bit rounding
+    test always leaves undecided, is its 128-bit pair rounded once: the
+    subnormal nearest the constant."""
+
+    def test_pmf_factors_are_rounded_once(self):
+        for k, m in subnormal_factor_grid():
+            want = _factor_double(k, m, 400)
+            assert 0 < want < sys.float_info.min, (k, m)
+            assert threshold_pmf_factor(k, m) == want, (k, m)
+
+    def test_cdf_values_are_rounded_once(self):
+        for k, m in subnormal_cdf_grid():
+            want = _cdf_double(k, m, 400)
+            assert 0 < want < sys.float_info.min, (k, m)
+            assert cdf(k, m) == want, (k, m)
+
+    @pytest.mark.parametrize("k,m", [(397, 26.211810219905253),
+                                     (887, 179.491687987428),
+                                     (470, 41.81302545665344)])
+    def test_pmf_factor_against_a_3000_bit_value(self, k, m):
+        with mp.workprec(3000):
+            mm = mp.mpf(m)
+            want = mp.exp(-mm) * mm ** (k + 1) / mp.factorial(k)
+        assert threshold_pmf_factor(k, m) == _nearest_double(want)
+
+    @pytest.mark.parametrize("k,m", [(21, 804.2638013488818),
+                                     (6, 742.0745281849745)])
+    def test_cdf_against_a_3000_bit_value(self, k, m):
+        want = _plain_cdf(m, [k], bits=3000)[k]
+        assert cdf(k, m) == _nearest_double(want)
 
 
 class TestLatticeConstantsReference:

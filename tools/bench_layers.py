@@ -3,13 +3,14 @@
 One case table, ``CASES``, covers the layers:
 
 * ``primitives``: ``cdf``, extended ``log_pmf`` and ``threshold_pmf_factor``;
-* ``tables``: the table recurrence, native and at 256 bits, and the
-  native table at a near-root center, whose flagged orders are rebuilt at
-  256 bits;
+* ``tables``: the table recurrence, native and at 256 bits (a signed
+  table also at b = 0, far below a large mean), and the native table at a
+  near-root center, whose flagged orders are rebuilt at 256 bits;
 * ``hypergeom``: the Kummer route at a = m and 256 bits unless the case
   says otherwise: the value row, ``g_table``'s derivative recursion
   alone, ``katti_abs_moment``, and every odd order up to r by
   ``katti_abs_moment_table`` next to a ``katti_abs_moment`` call per order;
+  and native ``hyp1f1`` at z = -m, Kummer's transformation;
 * ``oracle``: ``expectation`` and ``expectation_table``, eps = 1e-24 unless
   the case says otherwise, and ``verify_rows`` on the rows of one
   ``verify`` center;
@@ -190,6 +191,9 @@ CASES = [
      lambda pm, m, r: [partial(pm.signed_moment_table, m, m, m, r, _ext(pm))]),
     ("tables", "central_moment_table a=m, 256 bits", None, (ORDER, 30),
      lambda pm, m, r: [partial(pm.central_moment_table, m, m, r, _ext(pm))]),
+    ("tables", "signed_moment_table a=m b=0, 256 bits", (1e3, 1e5), (ORDER,),
+     lambda pm, m, r: [partial(pm.signed_moment_table, m, m, 0.0, r,
+                               _ext(pm))]),
     ("tables", "central_moment_table a=5e-324, 256 bits", (2.0,), (30,),
      lambda pm, m, r: [partial(pm.central_moment_table, m, 5e-324, r,
                                _ext(pm))]),
@@ -204,6 +208,8 @@ CASES = [
     # the pmf factor underflows binary64
     ("hypergeom", "katti native a=400", (2.0,), (3,),
      lambda pm, m, r: [partial(pm.katti_abs_moment, m, 400.0, r)]),
+    ("hypergeom", "hyp1f1 native (1, 2, -m)", None, (None,),
+     lambda pm, m, r: [partial(pm.hyp1f1, pm.Hyp1F1Params(1.0, 2.0, -m))]),
     ("hypergeom", "value_row", None, HYP_ORDERS, _value_row),
     ("hypergeom", "g_table recursion", None, HYP_ORDERS, _g_recursion),
     ("hypergeom", "katti", None, HYP_ORDERS,
