@@ -287,7 +287,7 @@ def _route(method: str, mv: float, a: float, b: Optional[float], r: int,
                 v = central_moment_shifted(mv, a, r, prec)
             else:
                 v = signed_moment_shifted(mv, a, a, r, prec)
-            v = v if v > 0 else prec.real(0.0)
+            v = v if v > 0 else 0.0
         else:
             v = signed_moment_shifted(mv, a, b, r, prec)
         return float(v), None, None

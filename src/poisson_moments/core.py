@@ -18,10 +18,10 @@ from typing import Callable, Optional, Tuple
 from mpmath import mp, mpf
 from mpmath.libmp import (finf, fninf, from_float, from_int, mpf_div,
                           mpf_exp, mpf_log, mpf_loggamma, mpf_mul_int,
-                          mpf_neg, mpf_shift, mpf_sub, round_nearest,
+                          mpf_pos, mpf_shift, mpf_sub, round_nearest,
                           to_rational)
 
-from .precision import NATIVE, PrecisionSpec, _double, _rounded
+from .precision import NATIVE, PrecisionSpec, _double, _round, _rounded
 
 # Below ~1e-290 the double log-space certificate machinery would sit on the
 # underflow floor; certified bounds are refused rather than silently wrong.
@@ -167,23 +167,30 @@ def exact_ratio(x) -> Tuple[int, int]:
 def log_pmf(k, m, prec: PrecisionSpec = NATIVE):
     """log P(X = k) = -m + k log m - log k! for X ~ Poisson(m).
 
-    Native mode uses ``math.lgamma`` (Lanczos class); extended mode uses
-    ``mp.loggamma(k + 1)`` at the working precision, which forms no
-    factorial, so its cost does not grow with k.  Stays finite for k up to
-    1e6 and m up to 1e4 in either mode.
+    Native mode uses ``math.lgamma`` (Lanczos class).  Extended mode takes
+    the log-space evaluation of :func:`_pmf_anchor`, libmp's ``mpf_log``
+    and ``mpf_loggamma`` at bits + 24 + bitlen(k + floor(m) + 1) bits, and
+    rounds it once at prec.bits; it forms no factorial, so its cost does
+    not grow with k, and it does not depend on the caller's ``mp.prec``.
+    Stays finite for k up to 1e6 and m up to 1e4 in either mode.
     """
     ki = as_index(k)
     mv = as_mean(m)
     if prec.is_extended:
-        with prec.working():
-            return -mp.mpf(mv) + ki * mp.log(mv) - mp.loggamma(ki + 1)
+        log_p, _ = _log_pmf_at(ki, mv, prec.bits)
+        return mp.make_mpf(mpf_pos(log_p, prec.bits, round_nearest))
     return -mv + ki * math.log(mv) - math.lgamma(ki + 1)
 
 
 def pmf(k, m, prec: PrecisionSpec = NATIVE):
-    """P(X = k), evaluated as exp(log_pmf) to avoid factorial overflow."""
-    with prec.working():
-        return prec.exp(log_pmf(k, m, prec))
+    """P(X = k): natively exp(log_pmf), which forms no factorial to
+    overflow; extended, the memoised anchor p_k of :func:`cdf` at
+    :func:`_extended_width`, within 2^-(W+11) relative, rounded once at
+    prec.bits."""
+    if not prec.is_extended:
+        return math.exp(log_pmf(k, m))
+    anchor = _pmf_anchor(as_index(k), as_mean(m), _extended_width(prec.bits))
+    return mp.make_mpf(mpf_pos(anchor._mpf_, prec.bits, round_nearest))
 
 
 # Below this many terms the cdf sums up from p_0 = e^-m, n terms, and the
@@ -260,7 +267,7 @@ def cdf(b, m, prec: PrecisionSpec = NATIVE):
     mv = _capped_mean(m, MAX_CDF_MEAN, _CDF_ROUTE)
     n = math.floor(require_finite(b, "threshold b"))
     if n < 0:
-        return prec.real(0.0)
+        return _round(0, 0, prec)
     return _lattice_value(_cdf_sum, n, mv, prec)
 
 
@@ -359,24 +366,29 @@ def _pmf_anchor(n: int, mv: float, width: int):
     Memoised in a bounded least-recently-used cache of
     ``_LATTICE_CACHE_SIZE`` entries.
     """
-    fm = int(mv)
-    m = from_float(mv)
     if n == 0:
-        wp = width + 24 + (_DIRECT_TERMS + fm).bit_length()
-        return mp.make_mpf(mpf_exp(mpf_neg(m), wp, round_nearest))
-    wp = width + 24 + (n + fm + 1).bit_length()
+        wp = width + 24 + (_DIRECT_TERMS + int(mv)).bit_length()
+        return mp.make_mpf(mpf_exp(from_float(-mv), wp, round_nearest))
     if n < _DIRECT_TERMS:
+        wp = width + 24 + (n + int(mv) + 1).bit_length()
         num, den = mv.as_integer_ratio()  # den is a power of two
         e_m = _pmf_anchor(0, mv, width)._mpf_
         power = mpf_shift(mpf_mul_int(e_m, num ** n, wp, round_nearest),
                           (1 - den.bit_length()) * n)
         return mp.make_mpf(mpf_div(power, from_int(math.factorial(n)), wp,
                                    round_nearest))
-    log_p = mpf_mul_int(mpf_log(m, wp, round_nearest), n, wp, round_nearest)
-    log_p = mpf_sub(log_p, m, wp, round_nearest)
-    log_p = mpf_sub(log_p, mpf_loggamma(from_int(n + 1), wp, round_nearest),
-                    wp, round_nearest)
+    log_p, wp = _log_pmf_at(n, mv, width)
     return mp.make_mpf(mpf_exp(log_p, wp, round_nearest))
+
+
+def _log_pmf_at(n: int, mv: float, width: int):
+    """(log p_n, wp): n log m - m - log n! as an mpf tuple, each operation
+    rounded at wp = width + 24 + bitlen(n + floor(m) + 1) bits, so within
+    2^-(width+12) absolutely."""
+    m, rnd = from_float(mv), round_nearest
+    wp = width + 24 + (n + int(mv) + 1).bit_length()
+    log_p = mpf_sub(mpf_mul_int(mpf_log(m, wp, rnd), n, wp, rnd), m, wp, rnd)
+    return mpf_sub(log_p, mpf_loggamma(from_int(n + 1), wp, rnd), wp, rnd), wp
 
 
 def _decided_double(x: int, e: int, k: int) -> Optional[float]:

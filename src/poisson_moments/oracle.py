@@ -42,7 +42,9 @@ from operator import add, lshift, mul, rshift
 from typing import NamedTuple, Optional
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_abs,
+                          mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
+                          mpf_mul_int, mpf_shift, round_nearest, to_float)
 
 from .core import (MAX_ORACLE_MEAN, DiscreteFunction, _capped_mean, as_index,
                    exact_ratio, require_finite, tail_bounds, truncation_index)
@@ -223,8 +225,7 @@ def _pass(mv: float, a: float, orders: tuple, cutoff: int, bits: int,
     e = 0 if e is None else e
     for k, (prefix, at) in prefixes.items():
         prefixes[k] = _aligned(prefix, 0 if at is None else at, e)
-    with mp.workprec(bits + 64):
-        _, man, exp, _ = mp.exp(-mp.mpf(mv))._mpf_
+    _, man, exp, _ = mpf_exp(from_float(-mv), bits + 64, round_nearest)
 
     def rounded(totals):
         return [mp.make_mpf(from_man_exp(
@@ -319,18 +320,27 @@ def _certify(mv: float, a: float, orders: tuple, eps: float,
             absolute, signed = [], {}
             mags = rounded(mags)
         sums = rounded(sums)
-        with mp.workprec(bits):
-            units = [mp.ldexp(abs(mg) * _ROUND_SAFETY, -bits) for mg in mags]
-            plain = [(3 * cutoff + 3 * r + 8) * u for r, u in zip(orders, units)]
-            derived = [3 * pl + u for pl, u in zip(plain, units)]
-            worst = max(derived if f is None else plain)
-            if worst <= 0.1 * eps:
-                break
-            deficit = float(mp.log(10 * worst / eps, 2))
+        # the bounds as mpf tuples, each operation rounded at ``bits``
+        rnd, safety = round_nearest, from_float(_ROUND_SAFETY)
+        units = [mpf_shift(mpf_mul(mpf_abs(mg._mpf_), safety, bits, rnd),
+                           -bits) for mg in mags]
+        plain = [mpf_mul_int(u, 3 * cutoff + 3 * r + 8, bits, rnd)
+                 for r, u in zip(orders, units)]
+        derived = [mpf_add(mpf_mul_int(pl, 3, bits, rnd), u, bits, rnd)
+                   for pl, u in zip(plain, units)]
+        worst = max(map(mp.make_mpf, derived if f is None else plain))
+        if worst <= 0.1 * eps:
+            break
+        ratio = mpf_div(mpf_mul_int(worst._mpf_, 10, bits, rnd),
+                        from_float(eps), bits, rnd)
+        # log2 of the ratio as mpmath's two-argument log forms it
+        deficit = to_float(mpf_div(mpf_log(ratio, bits + 20, rnd),
+                                   mpf_log(from_int(2), bits + 20, rnd),
+                                   bits, rnd), rnd=rnd)
         bits += max(32, int(math.ceil(deficit)) + 16)
 
     def entries(values, rounding):
-        return tuple(OracleResult(v, t + float(e), cutoff, bits)
+        return tuple(OracleResult(v, t + to_float(e, rnd=rnd), cutoff, bits)
                      for v, e, t in zip(values, rounding, tails))
 
     abs_rounding = [p if r % 2 == 0 else d

@@ -1,27 +1,20 @@
 """Arithmetic backends: IEEE-754 doubles or mpmath extended precision.
 
-Every numerical routine in this package accepts a :class:`PrecisionSpec`
-and runs its arithmetic either on native ``float`` values or on mpmath
-floats with a configurable mantissa width.  The object doubles as a tiny
-facade (``real``/``exp``/``fsum``/``working``) so the algorithms
-are written once and execute under either backend.
-
-Extended mode relies on the (correctly rounded) global mpmath context;
-``working()`` pins the precision for the duration of a computation and
-restores it afterwards.  Mixing different extended widths across threads
-is therefore not supported; everything else is pure and reentrant.
-
-The integer routes of the package (the lattice tables, the Kummer series
-and its assembly) end in exact pairs (n, e), standing for n 2^e; this
-module rounds such a pair into either backend once: :func:`_double`
-natively, :func:`_rounded` at ``prec.bits``.
+Every numerical routine in this package accepts a :class:`PrecisionSpec`,
+a plain record of the arithmetic mode, the mantissa width and the series
+tolerance.  A native result is a ``float``; an extended one is an mpmath
+float of ``bits`` bits.  No routine reads or sets mpmath's global
+precision: an extended result is formed exactly, as pairs (n, e) standing
+for n 2^e, or by mpmath's low-level functions at an explicit width, and
+this module rounds such a pair into either backend once: :func:`_double`
+natively, :func:`_rounded` at ``prec.bits``.  So a result does not depend
+on the caller's ``mp.prec`` or on other threads.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -46,6 +39,8 @@ class PrecisionSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("native", "extended"):
             raise ValueError(f"unknown arithmetic mode: {self.mode!r}")
+        if not isinstance(self.bits, int):
+            raise ValueError(f"bits must be an integer, got {self.bits!r}")
         if self.mode == "extended" and self.bits < 64:
             raise ValueError("extended mode requires at least 64 mantissa bits")
         if self.mode == "native" and self.bits != _NATIVE_BITS:
@@ -65,39 +60,13 @@ class PrecisionSpec:
     def is_extended(self) -> bool:
         return self.mode == "extended"
 
-    # -- arithmetic facade -------------------------------------------------
-
-    def working(self):
-        """Context manager pinning the working precision (no-op for native)."""
-        if self.is_extended:
-            return mp.workprec(self.bits)
-        return nullcontext()
-
-    def real(self, x):
-        """Convert ``x`` to this backend's real type."""
-        if self.is_extended:
-            return mp.mpf(x)
-        return float(x)
-
-    def exp(self, x):
-        if self.is_extended:
-            return mp.exp(x)
-        return math.exp(x)
-
-    def fsum(self, terms):
-        """Accurate sum: ``math.fsum`` for doubles, ``mp.fsum`` for mpmath."""
-        if self.is_extended:
-            return mp.fsum(terms)
-        return math.fsum(terms)
-
 
 NATIVE = PrecisionSpec.native()
 
 
 def _rounded(man: int, e: int, prec: PrecisionSpec):
-    """man * 2^e rounded to nearest at ``prec.bits``, as
-    ``mp.ldexp(mp.mpf(man), e)`` would give it in ``prec.working()``, at
-    half the cost: the one rounding of an exact integer result."""
+    """man * 2^e rounded to nearest at ``prec.bits``: the one rounding of
+    an exact integer result."""
     return mp.make_mpf(from_man_exp(man, e, prec.bits, round_nearest))
 
 
@@ -119,3 +88,9 @@ def _double(n: int, e: int) -> float:
         return n / (1 << -e) if e < 0 else float(n << e)
     except OverflowError:
         return math.inf if n > 0 else -math.inf
+
+
+def _round(n: int, e: int, prec: PrecisionSpec):
+    """n 2^e rounded once into ``prec``: :func:`_double` natively,
+    :func:`_rounded` extended."""
+    return _rounded(n, e, prec) if prec.is_extended else _double(n, e)

@@ -51,12 +51,13 @@ from itertools import accumulate
 from math import comb
 from typing import Optional
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
-from .core import (DiscreteFunction, _extended_width, _lattice_pairs,
-                   as_index, as_mean, cdf, exact_ratio, log_pmf,
-                   require_finite, threshold_pmf_factor, truncation_index)
-from .precision import NATIVE, PrecisionSpec, _double, _rounded
+from .core import (_CDF_ROUTE, MAX_CDF_MEAN, DiscreteFunction, _capped_mean,
+                   _extended_width, _factor_at, _lattice_pairs, as_index,
+                   as_mean, cdf, exact_ratio, require_finite,
+                   threshold_pmf_factor, truncation_index)
+from .precision import NATIVE, PrecisionSpec, _double, _round, _rounded
 
 __all__ = [
     "CONDITION_FLAG_THRESHOLD",
@@ -201,14 +202,18 @@ def _trimmed(terms, keep: int) -> tuple:
 
 
 def _doubles(terms: list) -> list:
-    """:func:`_double` of each nonzero term (n, e), by one ``ldexp`` each
-    while every result is a normal double."""
+    """Each term (n, e) as a double, all scaled by one power of two, so
+    that a ratio of two results is kept: by one ``ldexp`` each, unscaled,
+    while every result is a normal double, and otherwise :func:`_double`
+    of each scaled so that the largest term is near 1, where none leaves
+    the double range unless it is 2^1074 times smaller."""
     try:
         out = [math.ldexp(n, e) for n, e in terms]
     except OverflowError:
         out = None
     if out is None or min(map(abs, out), default=1.0) < sys.float_info.min:
-        out = [_double(n, e) for n, e in terms]
+        top = max((e + n.bit_length() for n, e in terms if n), default=0)
+        out = [_double(n, e - top) for n, e in terms]
     return out
 
 
@@ -281,10 +286,12 @@ def _lattice_build(kind: str, mv: float, a, b: Optional[float], r_max: int,
             corr = _trimmed(((corr[0] * corr_base[0],
                               corr[1] + corr_base[1]),), keep)
         if walk:
-            # the largest partial sum, in order, as _build's loop finds it
-            partials = accumulate(_doubles(terms), initial=0.0)
-            conds.append(_condition(max(map(abs, partials)),
-                                    _double(*entries[r])))
+            # the largest partial sum, in order, as _build's loop finds it;
+            # the terms and the entry take one scale, so that an entry past
+            # the double range keeps its ratio to them
+            scaled = _doubles(terms + [entries[r]])
+            partials = accumulate(scaled[:-1], initial=0.0)
+            conds.append(_condition(max(map(abs, partials)), scaled[-1]))
     return entries, conds
 
 
@@ -321,16 +328,21 @@ def _finish(kind: str, mv: float, a, b: Optional[float], r_max: int,
 
 def _center(a, prec: PrecisionSpec):
     """The center as the tables use it: a double in native mode; in
-    extended mode kept unrounded (say a - 1 formed at the working width)."""
+    extended mode kept as given (say the a - 1 of :func:`_shift_down`, an
+    mpf of prec.bits bits)."""
     require_finite(a, "center a")
     return a if prec.is_extended else float(a)
 
 
 def _shift_down(a, prec: PrecisionSpec):
-    """a - 1 for the center-shift identity, formed at the working width: in
-    binary64 it is inexact for a center like 0.1, at 256 bits it is exact."""
-    with prec.working():
-        return prec.real(a) - 1
+    """a - 1 for the center-shift identity: natively in binary64, where it
+    is inexact for a center like 0.1; extended, the exact a - 1 rounded
+    once at prec.bits, which is exact at 256 bits for such a center."""
+    if not prec.is_extended:
+        return float(a) - 1
+    an, ae = _man_exp(require_finite(a, "center a"))
+    e = min(ae, 0)
+    return _rounded((an << (ae - e)) - (1 << -e), e, prec)
 
 
 def central_moment_table(m, a, r_max, prec: PrecisionSpec = NATIVE) -> MomentTable:
@@ -357,12 +369,21 @@ def signed_moment_table(m, a, b, r_max, prec: PrecisionSpec = NATIVE) -> MomentT
 def shift_identity(shifted: MomentTable, table: MomentTable) -> list:
     """Every order of the center-shift identity, m T(r-1, a-1) - a T(r-1, a),
     from ``shifted`` (the table about a - 1, and b - 1) and ``table`` (the
-    table about a, and b), in one working context: index r - 1 holds order
-    r, for r = 1 up to one more than the shorter table's order."""
+    table about a, and b): index r - 1 holds order r, for r = 1 up to one
+    more than the shorter table's order.  Natively each order is that
+    expression in doubles; extended, it is formed from the exact pairs of
+    m, a and the two entries, summed by :func:`_trimmed` and rounded once
+    at prec.bits."""
     prec = table.prec
-    with prec.working():
-        mm, aa = prec.real(table.m), prec.real(table.a)
-        return [mm * s - aa * t for s, t in zip(shifted.values, table.values)]
+    if not prec.is_extended:  # m and a are doubles here
+        return [table.m * s - table.a * t
+                for s, t in zip(shifted.values, table.values)]
+    keep = _extended_width(prec.bits)
+    (mn, me), (an, ae) = _man_exp(table.m), _man_exp(table.a)
+    return [_rounded(*_trimmed(((mn * sn, me + se), (-an * tn, ae + te)),
+                               keep), prec)
+            for (sn, se), (tn, te) in zip(map(_man_exp, shifted.values),
+                                          map(_man_exp, table.values))]
 
 
 def central_moment_shifted(m, a, r, prec: PrecisionSpec = NATIVE):
@@ -406,44 +427,63 @@ def abs_central_moment(m, a, r, prec: PrecisionSpec = NATIVE):
         value = central_moment_table(mv, a, r, prec).values[r]
     else:
         value = signed_moment_table(mv, a, a, r, prec).values[r]
-    zero = prec.real(0.0)
-    return value if value > zero else zero
+    return value if value > 0 else _round(0, 0, prec)
+
+
+def _closed(mv: float, native: tuple, exact: tuple, prec: PrecisionSpec):
+    """A (1 - 2F) + B pb, F the cdf at m and pb the pmf factor at
+    fl = floor(m), both from one memoised anchor.  Natively ``native`` is
+    (A, B) as doubles, and the expression is evaluated in doubles.
+    Extended, ``exact`` is (a, b, k), A = a / den^k and B = b / den^k
+    exactly for m = num / den, den a power of two, and the result is one
+    sum of ``core``'s unrounded lattice pairs, rounded once at prec.bits.
+    F is summed only when A != 0."""
+    fl = math.floor(mv)
+    if not prec.is_extended:
+        pb = threshold_pmf_factor(fl, mv)
+        a, b = native
+        return a * (1 - 2 * cdf(mv, mv)) + b * pb if a else b * pb
+    (a, b, k), keep = exact, _extended_width(prec.bits)
+    s = k * _man_exp(mv)[1]  # den^-k = 2^s
+    pn, pe = _factor_at(fl, mv, prec)
+    terms = [(b * pn, pe + s)]
+    if a:
+        fn, fe = _lattice_pairs(fl, mv, keep)[0]
+        terms += [(a, s), (-2 * a * fn, fe + s)]
+    return _rounded(*_trimmed(terms, keep), prec)
 
 
 def mean_deviation(m, prec: PrecisionSpec = NATIVE):
     """E |X - m| in closed form: 2 e^-m m^(floor(m)+1) / floor(m)!."""
-    mv = as_mean(m)
-    pb = threshold_pmf_factor(math.floor(mv), mv, prec)
-    with prec.working():
-        return 2 * pb
+    return _closed(as_mean(m), (0, 2), (0, 2, 0), prec)
 
 
 def abs_moment_3_closed(m, prec: PrecisionSpec = NATIVE):
-    """E |X - m|^3 in closed form (the cdf at m and the pmf factor at
-    floor(m), both from one memoised anchor)."""
-    mv = as_mean(m)
+    """E |X - m|^3 in closed form, m (1 - 2F) + 2 (u^2 + 2 fl + 1) pb with
+    fl = floor(m) and u = m - fl (:func:`_closed`).  A mean above
+    ``core.MAX_CDF_MEAN`` raises the cdf's
+    :class:`~poisson_moments.core.MeanTooLargeError`."""
+    mv = _capped_mean(m, MAX_CDF_MEAN, _CDF_ROUTE)
     fl = math.floor(mv)
-    pb = threshold_pmf_factor(fl, mv, prec)
-    f = cdf(mv, mv, prec)
-    with prec.working():
-        mm = prec.real(mv)
-        u = mm - fl
-        return mm * (1 - 2 * f) + 2 * (u * u + 2 * fl + 1) * pb
+    u, (n, d) = mv - fl, mv.as_integer_ratio()
+    return _closed(mv, (mv, 2 * (u * u + 2 * fl + 1)),
+                   (n * d, 2 * ((n - fl * d) ** 2 + (2 * fl + 1) * d * d),
+                    2), prec)
 
 
 def abs_moment_5_closed(m, prec: PrecisionSpec = NATIVE):
-    """E |X - m|^5 in closed form (the cdf at m and the pmf factor at
-    floor(m), both from one memoised anchor)."""
-    mv = as_mean(m)
+    """E |X - m|^5 in closed form, (10 m^2 + m) (1 - 2F) + 2 ((fl + 1 - m)^4
+    + 2 m (2 u^2 + 7 fl + 7 - 3 m)) pb, in the terms of
+    :func:`abs_moment_3_closed`, with its mean ceiling."""
+    mv = _capped_mean(m, MAX_CDF_MEAN, _CDF_ROUTE)
     fl = math.floor(mv)
-    pb = threshold_pmf_factor(fl, mv, prec)
-    f = cdf(mv, mv, prec)
-    with prec.working():
-        mm = prec.real(mv)
-        u = mm - fl
-        return (10 * mm ** 2 + mm) * (1 - 2 * f) + 2 * (
-            (fl + 1 - mm) ** 4 + 2 * mm * (2 * u * u + 7 * fl + 7 - 3 * mm)
-        ) * pb
+    u, (n, d) = mv - fl, mv.as_integer_ratio()
+    native = (10 * mv ** 2 + mv, 2 * (
+        (fl + 1 - mv) ** 4 + 2 * mv * (2 * u * u + 7 * fl + 7 - 3 * mv)))
+    exact = ((10 * n * n + n * d) * d * d, 2 * (
+        ((fl + 1) * d - n) ** 4
+        + 2 * n * d * (2 * (n - fl * d) ** 2 + (7 * fl + 7) * d * d - 3 * n * d)), 4)
+    return _closed(mv, native, exact, prec)
 
 
 def b_expectation_table(m, a, r_max, f: DiscreteFunction,
@@ -474,99 +514,87 @@ def b_expectation_table(m, a, r_max, f: DiscreteFunction,
     order r bit for bit.  In native mode an entry that overflows binary64
     raises :class:`OrderOverflowError`.
 
-    The pass has no condition estimate and no cancellation guard: unlike
-    the moment tables, a native entry that loses digits to cancellation is
-    neither flagged nor rebuilt.  With the weight sign(j - 2.5) at
-    m = a = 2, native entry 60 is off by 4.9e-8 relative and entry 100 by
-    2.7e-4, while the 256-bit entries match the 512-bit
-    :func:`signed_moment_table` to 2e-41 at order 60; high orders need
-    extended precision.
+    The pass runs in Python integers at both precisions, W = max(128,
+    bits) + 64 bits (``core._extended_width``) at every step.  The pmf row
+    starts from ``core``'s memoised e^-m at W and steps by the exact ratio
+    m / (j + 1), one floor division per term, keeping about W + 32 bits.
+    f's values (doubles natively) are exact binary fractions at one shared
+    exponent, so every difference row is exact integers.  Each base sum
+    and each step of the recurrence is a :func:`_trimmed` sum of exact
+    pairs, and each entry is rounded once: natively to a double, where an
+    entry past the double range raises :class:`OrderOverflowError`, and
+    extended at prec.bits.  With the weight sign(j - 2.5) at m = a = 2,
+    native entries 60, 100 and 150 lie within 1e-14 relative of the
+    512-bit :func:`signed_moment_table` entries (summed in doubles, they
+    were off by 4.9e-8, 2.7e-4 and 2.63).  The pass has no condition
+    estimate: a cancellation wider than W bits would go unflagged.
 
     The caller's growth declaration is what guarantees all the expectations
     are finite; it is checked opportunistically and a violation raises
-    :class:`~poisson_moments.core.GrowthBoundError`.
+    :class:`~poisson_moments.core.GrowthBoundError`, and a weight that is
+    NaN or infinite raises a ValueError naming f(j).
     """
     mv = as_mean(m)
-    require_finite(a, "center a")
+    a = _center(a, prec)
     r_max = as_index(r_max, "r_max")
     if not isinstance(f, DiscreteFunction):
         raise ValueError("f must be a DiscreteFunction with declared growth")
-    try:
-        out = _weighted(mv, a, r_max, f, prec)
-    except OverflowError as exc:  # math.fsum, or a binomial as a double
-        if prec.is_extended:
-            raise
-        cause = str(exc)
-    else:
-        if prec.is_extended or all(map(math.isfinite, out)):
-            return out
-        cause = "an entry is not finite"
-    raise OrderOverflowError(
-        f"r_max = {r_max} is too large for binary64 at m = {mv!r}, "
-        f"a = {a!r} ({cause}); use extended precision") from None
-
-
-def _weighted(mv: float, a, r_max: int, f: DiscreteFunction,
-              prec: PrecisionSpec) -> tuple:
-    """The entries of :func:`b_expectation_table`, arguments checked."""
     # Base-sum tails far below the working precision's own resolution needs;
     # capped by rel_tol so a looser caller tolerance still wins.
     tail_eps = min(prec.rel_tol, 2.0 ** (-(prec.bits // 2)))
-    if f.support_end is not None:
-        # D^d f vanishes beyond the support of f itself.
-        cutoffs = [f.support_end] * (r_max + 1)
-    else:
-        cutoffs = [
-            truncation_index(mv, f.degree, -(1.0 + d),
-                             tail_eps / ((2.0 ** d) * f.coeff)).cutoff
-            for d in range(r_max + 1)
-        ]
-    n = max(cutoffs)
-
-    with prec.working():
-        mm = prec.real(mv)
-        aa = prec.real(a)
-        # [P(X=0), ..., P(X=n)]: in extended mode by the term recursion
-        # p_{j+1} = p_j m / (j+1) (mpmath never underflows); in native mode
-        # each from the log-space pmf, so a large mean cannot flush the
-        # whole series to zero
-        if prec.is_extended:
-            pmfs = [mp.exp(-mm)]
-            for j in range(n):
-                pmfs.append(pmfs[-1] * mv / (j + 1))
-        else:
-            pmfs = [math.exp(log_pmf(j, mv)) for j in range(n + 1)]
-        row = []
-        for x in range(max(c + d for d, c in enumerate(cutoffs)) + 1):
-            raw = f.func(x)
-            f.check_growth(x, raw)
-            row.append(prec.real(raw))
-        bases = []  # E (D^d f)(X) with a certified tail
-        for d, cutoff in enumerate(cutoffs):
-            if d:
-                row = [hi - lo for lo, hi in zip(row, row[1:])]
-            bases.append(prec.fsum(row[x] * pmfs[x] for x in range(cutoff + 1)))
-
-        # m binom(k-1, i), shared by every depth
-        coeffs = [[mm * comb(k - 1, i) for i in range(k)]
-                  for k in range(r_max + 1)]
-        upper: list = []  # B(k, a, D^(d+1) f) for k <= r_max - d - 1
-        for d in range(r_max, -1, -1):
-            cur = [bases[d]]
-            for k in range(1, r_max - d + 1):
-                acc = (mm - aa) * cur[k - 1]
-                for i in range(k - 1):
-                    acc = acc + coeffs[k][i] * cur[i]
-                for i in range(k):
-                    acc = acc + coeffs[k][i] * upper[i]
-                cur.append(acc)
-            upper = cur
-        return tuple(upper)
+    # D^d f vanishes beyond the support of f itself
+    cutoffs = [f.support_end if f.support_end is not None else
+               truncation_index(mv, f.degree, -(1.0 + d),
+                                tail_eps / ((2.0 ** d) * f.coeff)).cutoff
+               for d in range(r_max + 1)]
+    keep = _extended_width(prec.bits)
+    (mn, me), (an, ae) = _man_exp(mv), _man_exp(a)
+    # [P(X=0), ..., P(X=n)] as pairs (p, e): p_0 = P(X <= 0) = e^-m, the
+    # memoised anchor, then p_j = p_{j-1} m / j, one floor division each,
+    # the quotient kept at keep + 31 bits or more
+    p, e = _lattice_pairs(0, mv, keep)[0]
+    pmfs = [(p, e)]
+    for j in range(1, max(cutoffs) + 1):
+        wide = p * mn
+        up = keep + 32 + j.bit_length() - wide.bit_length()
+        p = (wide << up if up >= 0 else wide >> -up) // j
+        e += me - up
+        pmfs.append((p, e))
+    row = []
+    for x in range(max(c + d for d, c in enumerate(cutoffs)) + 1):
+        raw = f.func(x)
+        f.check_growth(x, raw)
+        row.append(_man_exp(require_finite(raw, f"f({x})")))
+    low = min(e for _, e in row)  # one exponent for the whole row
+    row = [n << (e - low) for n, e in row]
+    bases = []  # E (D^d f)(X) with a certified tail
+    for d, cutoff in enumerate(cutoffs):
+        if d:
+            row = [hi - lo for lo, hi in zip(row, row[1:])]
+        bases.append(_trimmed([(v * p, e + low) for v, (p, e)
+                               in zip(row[:cutoff + 1], pmfs)], keep))
+    # step k's coefficients on the orders below it, as _products pairs
+    # them: m - a, then m binom(k-1, i) for i <= k - 2
+    diff = _trimmed(((mn, me), (-an, ae)), keep)  # m - a
+    steps = [[diff] + [(mn * comb(k - 1, i), me) for i in range(k - 1)]
+             for k in range(1, r_max + 1)]
+    upper: list = []  # B(k, a, D^(d+1) f) for k <= r_max - d - 1
+    for d in range(r_max, -1, -1):
+        cur = [bases[d]]
+        for own in steps[:r_max - d]:
+            # the next depth's orders take m binom(k-1, i) for i <= k - 1
+            lower = _products([(mn, me)] + own[1:], upper[:len(cur)])
+            cur.append(_trimmed(_products(own, cur) + lower, keep))
+        upper = cur
+    out = tuple(_round(n, e, prec) for n, e in upper)
+    if prec.is_extended or all(map(math.isfinite, out)):
+        return out
+    raise OrderOverflowError(
+        f"r_max = {r_max} is too large for binary64 at m = {mv!r}, "
+        f"a = {a!r} (an entry is not finite); use extended precision")
 
 
 def b_expectation(m, a, r, f: DiscreteFunction, prec: PrecisionSpec = NATIVE):
     """E (X - a)^r f(X): entry r of :func:`b_expectation_table`."""
-    mv = as_mean(m)
-    require_finite(a, "center a")
     r = as_index(r, "order")
-    return b_expectation_table(mv, a, r, f, prec)[r]
+    return b_expectation_table(m, a, r, f, prec)[r]

@@ -53,6 +53,13 @@ class TestPrecisionSpec:
         with pytest.raises(ValueError):
             PrecisionSpec("quad")
 
+    @pytest.mark.parametrize("bits", [100.5, 256.0, "256"])
+    def test_bits_must_be_an_integer(self, bits):
+        # a float width used to pass, and every extended route then failed
+        # on an integer shift by it
+        with pytest.raises(ValueError, match="bits"):
+            PrecisionSpec.extended(bits)
+
 
 class TestDouble:
     @pytest.mark.parametrize("n,e,want", [
@@ -213,6 +220,21 @@ class TestExtendedLogPmf:
         with mp.workprec(400):
             want = -mp.mpf(m) + k * mp.log(m) - mp.log(mp.mpf(math.factorial(k)))
             assert abs(got - want) <= mp.mpf("1e-60") * abs(want)
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_log_pmf_and_pmf_are_rounded_once(self, bits):
+        # each within 2^-(bits-1) relative of its 1024-bit value, whatever
+        # the caller's own mp.prec
+        prec, wide = PrecisionSpec.extended(bits), PrecisionSpec.extended(1024)
+        rng = random.Random(bits)
+        with mp.workprec(53):
+            for _ in range(20):
+                m = 10 ** rng.uniform(-1.0, 4.0)
+                k = rng.randrange(1, int(3 * m) + 80)
+                for f in (log_pmf, pmf):
+                    got, want = f(k, m, prec), f(k, m, wide)
+                    with mp.workprec(1100):
+                        assert abs(got - want) <= abs(want) / 2 ** (bits - 1)
 
 
 class TestTruncationIndex:

@@ -1,10 +1,14 @@
 """Exact integer moment polynomials and the derivative identity."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from poisson_moments import (PrecisionSpec, central_moment_table,
                              check_derivative_identity, evaluate_polynomial,
                              moment_polynomials)
+from poisson_moments.core import exact_ratio
 
 
 class TestConstruction:
@@ -74,6 +78,18 @@ class TestEvaluation:
         p = moment_polynomials(4)[4]
         ext = PrecisionSpec.extended(128)
         assert float(evaluate_polynomial(p, 2.0, ext)) == 14.0
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_extended_value_is_the_exact_value_rounded_once(self, bits):
+        prec = PrecisionSpec.extended(bits)
+        polys = moment_polynomials(16)
+        rng = random.Random(bits)
+        for _ in range(20):
+            m = 10 ** rng.uniform(-2.0, 3.0)
+            p = polys[rng.randrange(17)]
+            want = sum(c * Fraction(m) ** i for i, c in enumerate(p.coeffs))
+            got = Fraction(*exact_ratio(evaluate_polynomial(p, m, prec)))
+            assert abs(got - want) <= abs(want) / 2 ** (bits - 1)
 
     @pytest.mark.parametrize("m", [0.1, 0.5, 1.0, 2.7, 5.0, 10.0, 30.0])
     def test_matches_recurrence_about_mean(self, m):

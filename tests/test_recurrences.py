@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 
 import poisson_moments.core as core
 import poisson_moments.oracle as om
@@ -22,7 +23,7 @@ from poisson_moments import (NATIVE, DiscreteFunction, GrowthBoundError,
                              b_expectation, b_expectation_table, cdf,
                              central_moment_shifted,
                              central_moment_table, g_table, katti_abs_moment,
-                             mean_deviation, sign,
+                             mean_deviation, moment_polynomials, sign,
                              signed_moment_shifted, signed_moment_table,
                              truncation_index)
 from poisson_moments.core import (_LATTICE_CACHE_SIZE, _NATIVE_WIDTH,
@@ -89,6 +90,27 @@ class TestCancellationPolicy:
     def test_extended_build_never_upgrades(self):
         t = central_moment_table(2.0, CANCEL_CENTER, 3, EXT)
         assert not t.upgraded
+
+    def test_condition_of_an_entry_past_the_double_range(self):
+        # at a = m - d0 + 1e-5, d0 the root of E (X - a)^7 near d = m - a
+        # = -1, entry 7 is about -1.05e327 and its largest partial sum
+        # about 4.5e331; converted to doubles unscaled, both were inf and
+        # the condition read max(1.0, inf / inf) = 1.0
+        m = 1e110
+        mu = [p.coeffs for p in moment_polynomials(7)]
+        with mp.workprec(1200):
+            mm = mp.mpf(m)
+            central = [mp.fsum(c * mm ** i for i, c in enumerate(p))
+                       for p in mu]
+
+            def moment(d):  # E (X - a)^7 / m^3 at d = m - a
+                return mp.fsum(math.comb(7, k) * central[k] * d ** (7 - k)
+                               for k in range(8)) / mm ** 3
+
+            a = mm - mp.findroot(moment, -1) + mp.mpf(1e-5)
+        table = central_moment_table(m, a, 7, PrecisionSpec.extended(512))
+        assert mp.mpf("-1.1e327") < table.values[7] < mp.mpf("-1.0e327")
+        assert table.condition[7] >= 1e4
 
     def test_benign_table_not_flagged(self):
         t = central_moment_table(2.0, 2.0, 10)
@@ -325,13 +347,21 @@ class TestShiftAtWorkingWidth:
             assert t.a == a and t.values[1] == mp.mpf(0.5) - a
 
 
+def rounded_at(q: Fraction, bits: int):
+    """The rational q rounded to nearest at ``bits`` bits, once."""
+    return mp.make_mpf(from_rational(q.numerator, q.denominator, bits,
+                                     round_nearest))
+
+
 def per_order_identity(shifted, table, r):
-    """Order r of the center-shift identity as one expression, in its own
-    working context."""
-    prec = table.prec
-    with prec.working():
-        return (prec.real(table.m) * shifted.values[r - 1]
-                - prec.real(table.a) * table.values[r - 1])
+    """Order r of the center-shift identity as one expression: natively in
+    doubles, and extended the exact m s - a t of the two entries rounded
+    once at the table's width."""
+    s, t = shifted.values[r - 1], table.values[r - 1]
+    if not table.prec.is_extended:
+        return float(table.m) * s - float(table.a) * t
+    return rounded_at(to_fraction(table.m) * to_fraction(s)
+                      - to_fraction(table.a) * to_fraction(t), table.prec.bits)
 
 
 class TestShiftIdentityBlock:
@@ -1106,18 +1136,88 @@ class TestBExpectationTable:
         assert mp.isfinite(b_expectation(50.0, -1e10, 40, _const_one(), EXT))
 
     def test_extended_pass_holds_where_the_native_one_drifts(self):
-        # the weighted pass has no cancellation guard: with this weight the
-        # native entry 60 is off by about 5e-8 relative, unflagged, while
-        # the 256-bit entry matches the 512-bit signed table
+        # with this weight a pass in doubles put native entry 60 off by
+        # about 5e-8 relative; the 256-bit entry matches the 512-bit
+        # signed table
         got = b_expectation_table(2.0, 2.0, 60, _sign_at(2.5), EXT)[60]
         want = signed_moment_table(2.0, 2.0, 2.5, 60,
                                    PrecisionSpec.extended(512)).values[60]
         assert rel_err(got, want) < 1e-30
 
+    def test_native_entries_hold_at_high_order(self):
+        # summed in doubles, entries 60, 100 and 150 were off by 4.9e-8,
+        # 2.7e-4 and 2.63 relative; the integer pass rounds each once
+        got = b_expectation_table(2.0, 2.0, 150, _sign_at(2.5))
+        want = signed_moment_table(2.0, 2.0, 2.5, 150,
+                                   PrecisionSpec.extended(512)).values
+        for r in (60, 100, 150):
+            assert type(got[r]) is float
+            assert rel_err(got[r], want[r]) < 1e-13, r
+
+    def test_non_finite_weight_is_named(self):
+        f = DiscreteFunction(lambda j: math.nan if j == 3 else 1.0,
+                             degree=0, coeff=1.0)
+        with pytest.raises(ValueError, match=r"f\(3\)"):
+            b_expectation_table(2.0, 1.0, 2, f)
+
     @pytest.mark.parametrize("r_max", [2.5, -1, math.nan])
     def test_order_is_named_r_max(self, r_max):
         with pytest.raises(ValueError, match="r_max"):
             b_expectation_table(2.0, 0.0, r_max, _const_one())
+
+
+def rounded_once_grid(bits, count=10):
+    """Seeded (m, a, b, r_max) cases for the extended rounded-once checks."""
+    rng = random.Random(bits)
+    for _ in range(count):
+        m = 10 ** rng.uniform(-1.0, 2.5)
+        yield (m, rng.uniform(-3.0, m + 3.0), rng.uniform(0.0, m + 3.0),
+               rng.randrange(0, 9))
+
+
+class TestRoundedOnce:
+    """Extended results of the shift identity and the closed forms lie
+    within 2^-(bits-1) relative of their exact values: each is formed from
+    exact pairs and rounded once."""
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_shift_identity_is_the_exact_identity_of_its_tables(self, bits):
+        prec = PrecisionSpec.extended(bits)
+        bar = Fraction(1, 2 ** (bits - 1))
+        for m, a, b, r_max in rounded_once_grid(bits):
+            lo = _shift_down(a, prec)
+            pairs = [(central_moment_table(m, a, r_max, prec),
+                      central_moment_table(m, lo, r_max, prec)),
+                     (signed_moment_table(m, a, b, r_max, prec),
+                      signed_moment_table(m, lo, b - 1, r_max, prec))]
+            for table, shifted in pairs:
+                block = shift_identity(shifted, table)
+                for got, s, t in zip(block, shifted.values, table.values):
+                    want = (to_fraction(table.m) * to_fraction(s)
+                            - to_fraction(table.a) * to_fraction(t))
+                    assert abs(to_fraction(got) - want) <= bar * abs(want)
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_closed_forms_are_rounded_once(self, bits):
+        prec = PrecisionSpec.extended(bits)
+        wide = PrecisionSpec.extended(1024)
+        bar = Fraction(1, 2 ** (bits - 1))
+        for m, *_ in rounded_once_grid(bits):
+            fl = math.floor(m)
+            f = to_fraction(cdf(m, m, wide))
+            pb = to_fraction(threshold_pmf_factor(fl, m, wide))
+            mm = Fraction(m)
+            u = mm - fl
+            for closed, want in (
+                    (mean_deviation, 2 * pb),
+                    (abs_moment_3_closed,
+                     mm * (1 - 2 * f) + 2 * (u * u + 2 * fl + 1) * pb),
+                    (abs_moment_5_closed,
+                     (10 * mm ** 2 + mm) * (1 - 2 * f) + 2 * (
+                         (fl + 1 - mm) ** 4
+                         + 2 * mm * (2 * u * u + 7 * fl + 7 - 3 * mm)) * pb)):
+                got = closed(m, prec)
+                assert abs(to_fraction(got) - want) <= bar * want, closed
 
 
 class TestGridAgreement:

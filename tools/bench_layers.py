@@ -16,7 +16,7 @@ One case table, ``CASES``, covers the layers:
   ``verify`` center;
 * ``weighted``: the weighted recurrence at a = m and 256 bits, with the
   weight sign(j - m): every order up to r by ``b_expectation_table`` next
-  to a ``b_expectation`` call per order;
+  to a ``b_expectation`` call per order, and the table natively;
 * ``cli``: ``verify`` requests shaped like the benchmark's ``verify_sweep``,
   each one in-process ``cli.main`` call, and the wall time of a whole
   ``python -m poisson_moments`` process.
@@ -245,6 +245,9 @@ CASES = [
     ("weighted", "b_expectation_table", (2.0, 50.0, 1e3), (ORDER,),
      lambda pm, m, r: [partial(pm.b_expectation_table, m, m, r,
                                _sign_weight(pm, m), _ext(pm))]),
+    ("weighted", "b_expectation_table native", (2.0, 50.0, 1e3), (ORDER,),
+     lambda pm, m, r: [partial(pm.b_expectation_table, m, m, r,
+                               _sign_weight(pm, m))]),
     ("cli", "verify", (2.0, 50.0), (8,),
      lambda pm, m, r: [_in_process(pm, "verify", "--mean-grid", f"{m:g}",
                                    "--max-order", str(r))]),
