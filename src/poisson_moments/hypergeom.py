@@ -67,7 +67,7 @@ from mpmath.libmp import from_man_exp, mpf_exp, round_nearest
 
 from .core import (_capped_mean, _extended_width, _factor_at, as_index,
                    exact_ratio, require_finite)
-from .precision import NATIVE, PrecisionSpec, _double, _rounded
+from .precision import NATIVE, PrecisionSpec, _double, _round, _rounded
 from .recurrences import (_UPGRADE_PREC, _condition, _man_exp, _trimmed,
                           central_moment_table)
 
@@ -515,8 +515,7 @@ def _katti_entries(mv: float, a, orders, prec: PrecisionSpec, central=None):
         raw = _double(n, e)
         cond = _condition(max(abs(float(central[r])), abs(_double(*series))),
                           raw)
-        out[r] = (_rounded(max(n, 0), e, prec) if prec.is_extended
-                  else max(0.0, raw), cond)
+        out[r] = (_round(max(n, 0), e, prec), cond)
     return out
 
 

@@ -21,10 +21,11 @@ is then S_r - 2 S_r(j < a) (an even one is S_r) and a signed sum
 S_r - 2 S_r(j <= floor b), and each entry is rounded into floating point
 once, times e^-m.  The cutoff N is the top order's, from one search, and
 the largest any entry needs.  An entry's certified error is the tail bound
-of its own order past that N plus a rounding bound for the pass; the
-mantissa width starts at 192 bits and is raised until every rounding
-bound is below a tenth of eps.  A mean above ``core.MAX_ORACLE_MEAN`` is
-refused before the search.
+of its own order past that N plus a rounding bound for the pass, one
+power of two from the bit length of the order's absolute sum; the
+mantissa width starts at 192 bits, and when a rounding bound is above a
+tenth of eps the pass runs once more, at the width that bound needs.  A
+mean above ``core.MAX_ORACLE_MEAN`` is refused before the search.
 ``expectation`` runs the same pass for a single weight, advancing only
 its order; custom weights multiply each term by the exact value of f(j).
 
@@ -42,9 +43,7 @@ from operator import add, lshift, mul, rshift
 from typing import NamedTuple, Optional
 
 from mpmath import mp
-from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_abs,
-                          mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
-                          mpf_mul_int, mpf_shift, round_nearest, to_float)
+from mpmath.libmp import from_float, from_man_exp, mpf_exp, round_nearest
 
 from .core import (MAX_ORACLE_MEAN, DiscreteFunction, _capped_mean, as_index,
                    exact_ratio, require_finite, tail_bounds, truncation_index)
@@ -61,7 +60,7 @@ __all__ = [
 ]
 
 _START_BITS = 192   # usually enough that no second pass is needed
-_ROUND_SAFETY = 1.0 + 1e-9  # covers M computed a hair low and float rounding
+_MARGIN = 16        # bits past the least width a second pass needs
 
 _FORMS = ("power", "signed_power", "abs_power", "custom")
 
@@ -163,13 +162,12 @@ def _pass(mv: float, a: float, orders: tuple, cutoff: int, bits: int,
     D_j != 0; a term is added at that exponent, exactly or with its bits
     below the unit dropped.
 
-    Returns (sums, prefixes, mags, rounded): ``sums`` are the integer sums
-    for ``orders``; ``prefixes[k]`` holds the sums over j <= k, for each
-    mark 0 <= k < cutoff; ``mags`` sums the absolute terms, kept only for
-    a custom f, whose terms have no known sign; ``rounded(totals)`` turns
-    integers on the scale of ``sums`` into their mpf values, times e^-m
-    taken at bits + 64 bits, each rounded once to nearest at ``bits``
-    bits.
+    Returns (sums, prefixes, mags, (man, exps)): ``sums`` are the integer
+    sums for ``orders``; ``prefixes[k]`` holds the sums over j <= k, for
+    each mark 0 <= k < cutoff; ``mags`` sums the absolute terms, kept only
+    for a custom f, whose terms have no known sign; ``man`` is the
+    mantissa of e^-m at bits + 64 bits, and an integer t of order
+    ``orders[i]`` on the scale of ``sums`` is worth t man 2^exps[i].
     """
     num, den = mv.as_integer_ratio()
     center, q = a.as_integer_ratio()
@@ -226,13 +224,7 @@ def _pass(mv: float, a: float, orders: tuple, cutoff: int, bits: int,
     for k, (prefix, at) in prefixes.items():
         prefixes[k] = _aligned(prefix, 0 if at is None else at, e)
     _, man, exp, _ = mpf_exp(from_float(-mv), bits + 64, round_nearest)
-
-    def rounded(totals):
-        return [mp.make_mpf(from_man_exp(
-            total * man, exp + e - qbits * r, bits, round_nearest))
-            for r, total in zip(orders, totals)]
-
-    return sums, prefixes, mags, rounded
+    return sums, prefixes, mags, (man, [exp + e - qbits * r for r in orders])
 
 
 def _plan(mv: float, a: float, orders: tuple, eps: float,
@@ -265,44 +257,59 @@ def _certify(mv: float, a: float, orders: tuple, eps: float,
     """Every entry about one center from one pass, each with its own
     certified error; a custom f gives power entries only.
 
-    The rounding bound, in units u = 2^-bits, is c u M for a sum and each
-    copy of it, with c = 3N + 3r + 8 and M the sum of the absolute terms,
-    and 3 c u M + u M for S - 2 S(prefix); for power terms M is the
-    absolute entry itself.  (The bound was derived for a pass in mpf
-    arithmetic, which rounded every operation, and is kept so that the
-    cutoff, the width and every certified error stay what they were.)
-    The integer pass errs far less.  With S = bits + log2(N + 2) + 8, and
-    the terms D_j^r m^j/j! f(j) on the integer scale of the sums (e^m Q^r
-    times their share of the entry):
+    An order's rounding bound.  Let u = 2^-bits, S = bits + log2(N + 2)
+    + 8, and M the order's sum of absolute terms D_j^r m^j/j! f(j) on the
+    integer scale of the sums (e^m Q^r times their share of the entry);
+    it bounds the terms of the order's power, absolute and signed sums
+    alike.  Then:
 
     * each weight m^j/j! carries a relative error below N 2^-(S+29):
       every truncated division yields at least 2^(S+31) units, and a
       rescaling drops less than one of them; f(j) is exact;
     * the unit of the sums is at most 2^-(S-1) times the largest
       |m^j/j! f(j)| seen at a j with D_j != 0, so at most 2^-(S-1) M,
-      since |D_j| >= 1 there (the sums stay exact until such a weight is seen); each term
-      added, each raise of the exponent and each alignment of a prefix
-      copy drops under one unit, 2N + 3 units at most in a sum or a copy;
+      since |D_j| >= 1 there (the sums stay exact until such a weight is
+      seen); each term added, each raise of the exponent and each
+      alignment of a prefix copy drops under one unit, 2N + 3 units at
+      most in a sum or a copy;
     * so a sum, a prefix copy or S - 2 S(prefix) is within
-      3 (N 2^-(S+29) + (2N + 3) 2^-(S-1)) M < u M / 16 of its exact value;
+      3 (N 2^-(S+29) + (2N + 3) 2^-(S-1)) M < u M / 16 of its exact value
+      (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4);
     * e^-m enters at bits + 64 bits, within 2^-(bits+62) relative;
     * each entry is rounded to nearest once, at ``bits`` bits, which adds
       at most u times its size, itself below (1 + u) M.
 
-    So every entry lies within 1.07 u M of its exact sum over j <= N, far
-    inside c u M (c >= 8).  The computed M, a rounded sum of the absolute
-    terms as the pass forms them, is within 1.1 u relative of the exact
-    one, which _ROUND_SAFETY covers.
+    So every entry lies within 1.07 u M of its exact sum over j <= N.
+    The computed M (``mags`` for a custom f; otherwise the absolute
+    total, S_r for an even r and S_r - 2 S_r(j < a) for an odd one) is
+    within u M / 16 of the exact one, and times e^-m = man 2^exp, as the
+    pass forms it, it lies in [2^(size-1), 2^size), with size =
+    bitlen(M man) + exp + e - qbits r.  Every entry of the order takes the
+    bound 2^(size + 1 - bits), between 2 u M (1 - u) and 4 u M (1 + u),
+    so above 1.07 u M.  ``math.ldexp`` gives it as a double exactly,
+    floored at 2^-1074, so it is never rounded down.  The certified error
+    is the tail plus the bound, added in doubles: the sum is rounded down
+    by at most 2^-53 of itself, which the tail's factor
+    ``core._BOUND_SAFETY`` (1 + 1e-9) and the bound's own factor of 1.8
+    over the error both cover, and a zero tail (a finite support) leaves
+    the bound as it is.
+
+    The width.  M e^-m is the same number at every width, to within u / 8
+    relative, so size moves by at most 1 from one width to another.  The
+    first pass runs at 192 bits; when the largest bound exponent k exceeds
+    floor(log2(eps / 10)), one more pass, at k - floor(log2(eps / 10)) +
+    _MARGIN bits more, brings every bound to eps / 10 or below.
     """
     cutoff, tails = _plan(mv, a, orders, eps, f)
     thresholds = tuple(dict.fromkeys(thresholds))
     below_a = math.ceil(a) - 1
     marks = () if f is not None else (below_a,) + tuple(
         math.floor(b) for b in thresholds)
+    limit = math.frexp(0.1 * eps)[1] - 1  # floor(log2(eps / 10))
     bits = _START_BITS
     while True:
-        sums, prefixes, mags, rounded = _pass(mv, a, orders, cutoff, bits,
-                                              marks, f)
+        sums, prefixes, mags, (man, exps) = _pass(mv, a, orders, cutoff,
+                                                  bits, marks, f)
 
         def minus_twice_prefix(k):
             if k < 0:
@@ -311,44 +318,26 @@ def _certify(mv: float, a: float, orders: tuple, eps: float,
             return [s - 2 * q for s, q in zip(sums, below)]
 
         if f is None:
-            absolute = rounded(s if r % 2 == 0 else v for r, s, v in
-                               zip(orders, sums, minus_twice_prefix(below_a)))
-            signed = {b: rounded(minus_twice_prefix(math.floor(b)))
-                      for b in thresholds}
-            mags = absolute
-        else:
-            absolute, signed = [], {}
-            mags = rounded(mags)
-        sums = rounded(sums)
-        # the bounds as mpf tuples, each operation rounded at ``bits``
-        rnd, safety = round_nearest, from_float(_ROUND_SAFETY)
-        units = [mpf_shift(mpf_mul(mpf_abs(mg._mpf_), safety, bits, rnd),
-                           -bits) for mg in mags]
-        plain = [mpf_mul_int(u, 3 * cutoff + 3 * r + 8, bits, rnd)
-                 for r, u in zip(orders, units)]
-        derived = [mpf_add(mpf_mul_int(pl, 3, bits, rnd), u, bits, rnd)
-                   for pl, u in zip(plain, units)]
-        worst = max(map(mp.make_mpf, derived if f is None else plain))
-        if worst <= 0.1 * eps:
+            mags = [s if r % 2 == 0 else v for r, s, v in
+                    zip(orders, sums, minus_twice_prefix(below_a))]
+        levels = [(mg * man).bit_length() + x + 1 - bits
+                  for mg, x in zip(mags, exps)]
+        worst = max(levels)
+        if worst <= limit:
             break
-        ratio = mpf_div(mpf_mul_int(worst._mpf_, 10, bits, rnd),
-                        from_float(eps), bits, rnd)
-        # log2 of the ratio as mpmath's two-argument log forms it
-        deficit = to_float(mpf_div(mpf_log(ratio, bits + 20, rnd),
-                                   mpf_log(from_int(2), bits + 20, rnd),
-                                   bits, rnd), rnd=rnd)
-        bits += max(32, int(math.ceil(deficit)) + 16)
+        bits += worst - limit + _MARGIN
 
-    def entries(values, rounding):
-        return tuple(OracleResult(v, t + to_float(e, rnd=rnd), cutoff, bits)
-                     for v, e, t in zip(values, rounding, tails))
+    def entries(totals):
+        return tuple(OracleResult(
+            mp.make_mpf(from_man_exp(t * man, x, bits, round_nearest)),
+            tail + math.ldexp(1.0, max(level, -1074)), cutoff, bits)
+            for t, x, level, tail in zip(totals, exps, levels, tails))
 
-    abs_rounding = [p if r % 2 == 0 else d
-                    for r, p, d in zip(orders, plain, derived)]
+    if f is not None:
+        return OracleTable(entries(sums), (), {})
     return OracleTable(
-        entries(sums, plain),
-        entries(absolute, abs_rounding),
-        {b: entries(v, derived) for b, v in signed.items()})
+        entries(sums), entries(mags),
+        {b: entries(minus_twice_prefix(math.floor(b))) for b in thresholds})
 
 
 def _check_eps(eps: float) -> None:

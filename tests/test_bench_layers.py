@@ -1,6 +1,7 @@
-"""Smoke test of ``tools/bench_layers.py``: every case that runs in this
+"""Tests of ``tools/bench_layers.py``: every case that runs in this
 interpreter builds and times on this tree, so that a renamed library
-function fails here instead of dropping out of the layer benchmark."""
+function fails here instead of dropping out of the layer benchmark; and
+a row's statistics, on synthetic rounds."""
 
 import functools
 import importlib.util
@@ -60,3 +61,32 @@ def test_each_repetition_starts_with_empty_memos():
     # entry, and the factor takes p_3, itself from that entry: one cdf
     # pair and two anchors, in two memos
     assert sorted(memo.cache_info().currsize for memo in memos) == [1, 2]
+
+
+def _rounds(times, capped=False):
+    """Per-round dicts of one unit on one tree, with the given medians."""
+    key = {"layer": "oracle", "case": "table", "m": 2.0, "r": 10}
+    return [dict(key, calls_per_work=1, median_us=us, capped=capped)
+            for us in times]
+
+
+def test_row_pairs_the_two_trees_round_by_round():
+    # the change tree stalls in round 3: the ratio of the medians reads
+    # 1.5, while four of the five paired ratios, and their median, read 2
+    parent = _rounds([10.0, 20.0, 30.0, 40.0, 50.0])
+    change = _rounds([5.0, 10.0, 60.0, 20.0, 25.0])
+    row = bench_layers._row(parent, change)
+    assert row["parent_median_us"] == 30.0 and row["change_median_us"] == 20.0
+    assert row["speedup"] == 1.5
+    assert (row["paired_speedup"], row["paired_lo"], row["paired_hi"]) == (
+        2.0, 0.5, 2.0)
+    assert row["calls_per_work"] == 1 and not row["change_capped"]
+
+
+def test_row_ratios_are_null_when_a_tree_lacks_the_case():
+    parent = [dict(r, median_us=None, calls_per_work=None)
+              for r in _rounds([1.0, 1.0])]
+    row = bench_layers._row(parent, _rounds([3.0, 5.0], capped=True))
+    assert row["parent_median_us"] is None and row["change_median_us"] == 4.0
+    assert row["speedup"] is None and row["change_capped"]
+    assert row["paired_speedup"] is row["paired_lo"] is row["paired_hi"] is None

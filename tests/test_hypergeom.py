@@ -384,8 +384,8 @@ class TestValueRow:
     @pytest.mark.parametrize("r", [15, 31])
     def test_extended_assembly_rounds_one_entry_per_order(self, monkeypatch, r):
         rounded = []
-        real = hg._rounded
-        monkeypatch.setattr(hg, "_rounded",
+        real = hg._round
+        monkeypatch.setattr(hg, "_round",
                             lambda *args: rounded.append(args) or real(*args))
         katti_abs_moment(7.5, 3.2, r, EXT)
         assert len(rounded) == 1

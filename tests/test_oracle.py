@@ -336,15 +336,16 @@ SIGN_CHANGING = DiscreteFunction(lambda j: (j % 3 - 1) * (1.0 + j) ** 2 / 3,
 
 
 class TestIntegerPass:
-    # (m, a, r_max, eps) -> (cutoff, bits), as the mpf pass it replaced
-    # recorded them; the far center escalates to 1426 bits, a = -40 to 272
+    # (m, a, r_max, eps) -> (cutoff, bits): the cutoffs as the mpf pass it
+    # replaced recorded them, the widths those of the derived rounding
+    # bound; the far center escalates to 1416 bits, a = -40 to 264
     PINNED = {
         (0.2, 0.2, 10, 1e-24): (23, 192),
         (50.0, 50.3, 10, 1e-24): (181, 192),
         (1e3, 1e3, 10, 1e-24): (2020, 192),
-        (3.0, 1e100, 4, 1e-20): (274, 1426),
+        (3.0, 1e100, 4, 1e-20): (274, 1416),
         (1e-3, -2.5, 30, 1e-12): (61, 192),
-        (2.0, -40.0, 30, 1e-24): (74, 272),
+        (2.0, -40.0, 30, 1e-24): (74, 264),
     }
 
     @staticmethod
@@ -413,6 +414,38 @@ class TestIntegerPass:
             assert {(e.cutoff, e.bits) for e in every} == {want}, (m, a)
         res = expectation(3.5, WeightSpec.custom(SIGN_CHANGING, 3, 2.5), 1e-24)
         assert (res.cutoff, res.bits) == (45, 192)
+
+    def test_rounding_share_is_within_four_units_of_the_absolute_sum(self):
+        # what a certificate adds to its tail is the pass's rounding bound,
+        # one power of two below 4 u M whatever the number of terms: at
+        # m = 1e3 it stays under 1e-39
+        for m, a, r_max, eps in [*self._cases(), (1e3, 1e3, 10, 1e-24)]:
+            orders = tuple(range(r_max + 1))
+            _, tails = oracle_mod._plan(m, a, orders, eps)
+            table = expectation_table(m, a, r_max, eps, (a, -1.0))
+            cutoff, bits = table.power[0].cutoff, table.power[0].bits
+            _, absolute, _ = _double_width_sums(m, a, r_max, cutoff, bits)
+            for r, tail in zip(orders, tails):
+                most = as_fraction(mp.ldexp(absolute[r], 2 - bits))
+                for entry in (table.power[r], table.absolute[r],
+                              table.signed[a][r], table.signed[-1.0][r]):
+                    share = (Fraction(entry.certified_error)
+                             - Fraction(tail))
+                    assert share <= most, (m, a, r, eps)
+
+    @pytest.mark.parametrize("a", [1e100, 1e300, -1e300])
+    def test_far_center_needs_at_most_one_wider_pass(self, monkeypatch, a):
+        widths = []
+        real = oracle_mod._pass
+        monkeypatch.setattr(oracle_mod, "_pass", lambda *args: widths.append(
+            args[4]) or real(*args))
+        for m, r_max, eps in ((0.1, 1, 1e-12), (3.0, 4, 1e-20),
+                              (50.0, 3, 1e-12)):
+            widths.clear()
+            table = expectation_table(m, a, r_max, eps, (a,))
+            assert len(widths) == 2 and widths[0] == 192, (m, a, widths)
+            every = table.power + table.absolute + table.signed[a]
+            assert all(0 < e.certified_error <= eps for e in every)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_custom_value_is_rejected(self, bad):

@@ -39,8 +39,14 @@ a case is ``capped``); no call is left untimed as a warm-up, since the
 median drops a cold first repetition.  Each repetition starts with the
 memos of ``core`` and ``recurrences`` empty, whatever the tree names
 them, so that a repeated call is timed as a caller meets it first, not as
-a hit left by the repetition before.  A row's figure is the median over rounds of its per-round median;
-a case whose function a tree lacks has a null median on that tree.
+a hit left by the repetition before.  A row's ``speedup`` is the ratio of
+the two trees' medians over rounds of their per-round medians;
+``paired_speedup`` is the median over rounds of the per-round ratio
+parent / change, and ``paired_lo`` and ``paired_hi`` are the smallest and
+the largest per-round ratio.  A speed claim quotes ``paired_speedup`` with
+its range: a round runs the two trees back to back, so the drift of the
+machine between rounds cancels in their ratio.  A case whose function a
+tree lacks has a null median on that tree, and null ratios.
 Standard library only, apart from the package under test and its mpmath
 dependency.
 """
@@ -353,6 +359,11 @@ def _row(parent: list, change: list) -> dict:
         row[f"{side}_capped"] = any(c["capped"] for c in rounds)
     row["speedup"] = (None if None in medians.values()
                       else round(medians["parent"] / medians["change"], 2))
+    ratios = (None if None in medians.values() else
+              [p["median_us"] / c["median_us"] for p, c in zip(parent, change)])
+    for key, pick in (("paired_speedup", statistics.median),
+                      ("paired_lo", min), ("paired_hi", max)):
+        row[key] = None if ratios is None else round(pick(ratios), 2)
     return row
 
 
@@ -391,7 +402,9 @@ def main(argv=None) -> int:
     rows = [_row(runs["parent"][k], runs["change"][k]) for k in todo]
     doc = {
         "what": "median microseconds per unit of work (calls_per_work calls) "
-                "of each layer's cases",
+                "of each layer's cases; a speed claim quotes paired_speedup, "
+                "the median over rounds of the per-round parent/change "
+                "ratio, with its range paired_lo..paired_hi",
         "parent": args.parent_label,
         "change": "this checkout",
         "rounds": ROUNDS,
@@ -412,7 +425,9 @@ def main(argv=None) -> int:
     for r in rows:
         m = "-" if r["m"] is None else f"{r['m']:g}"
         print(f"{r['layer']:10} {r['case']:36} m={m:<6} r={r['r'] or '-':<3}"
-              f"{_text(r, 'parent')}{_text(r, 'change')} x{r['speedup'] or '-'}")
+              f"{_text(r, 'parent')}{_text(r, 'change')} x{r['speedup'] or '-'}"
+              f" paired x{r['paired_speedup'] or '-'}"
+              f" [{r['paired_lo'] or '-'}, {r['paired_hi'] or '-'}]")
     return 0
 
 
