@@ -27,8 +27,7 @@ from typing import List, Optional
 from . import oracle as oracle_mod
 from .core import (MAX_ORACLE_MEAN, MIN_CERTIFIABLE_EPS, MeanTooLargeError,
                    _capped_mean, as_mean)
-from .hypergeom import (MAX_KUMMER_MEAN, _KUMMER_ROUTE, _check_odd_order,
-                        katti_abs_moment_table)
+from .hypergeom import _check_odd_order, katti_abs_moment_table
 from .polynomials import moment_polynomials
 from .precision import PrecisionSpec
 from .recurrences import (CONDITION_FLAG_THRESHOLD, OrderOverflowError,
@@ -115,12 +114,16 @@ def _record_line(rec: tuple) -> str:
 # grid parsing
 
 
-def _eval_expr(src: str, names: dict) -> float:
-    """Tiny arithmetic evaluator for grid tokens like ``fl+0.3`` or ``m/2``."""
+def _parse_expr(src: str) -> ast.Expression:
     try:
-        tree = ast.parse(src.strip(), mode="eval")
+        return ast.parse(src.strip(), mode="eval")
     except SyntaxError:
         raise UsageError(f"bad grid expression {src!r}") from None
+
+
+def _eval_expr(src: str, tree: ast.Expression, names: dict) -> float:
+    """Tiny arithmetic evaluator for grid tokens like ``fl+0.3`` or
+    ``m/2``, given ``src`` parsed."""
 
     def ev(node):
         if isinstance(node, ast.Expression):
@@ -202,22 +205,29 @@ def _parse_exprs(spec: str) -> List[str]:
 
 
 def _grid(args, threshold_spec: Optional[str]):
-    """Parse the grids now; return a walk yielding (m, a, thresholds or None)
-    per mean and center, each expression evaluated when it is reached."""
+    """Parse the grids now; return a walk yielding, per mean, (m, centers),
+    where ``centers`` yields (a, thresholds or None) per center, each
+    expression evaluated when it is reached and parsed the first time."""
     means = [_mean_or_usage(x) for x in _parse_float_grid(args.mean_grid)]
     center_exprs = _parse_exprs(args.centers)
     threshold_exprs = (None if threshold_spec is None
                        else _parse_exprs(threshold_spec))
+    trees: dict = {}  # each expression parsed once, when first reached
 
-    def walk():
-        for mv in means:
-            names = {"m": mv, "fl": float(math.floor(mv))}
-            # dict.fromkeys drops repeated values and keeps the first order
-            for a in dict.fromkeys([_eval_expr(e, names) for e in center_exprs]):
-                tnames = dict(names, a=a)
-                yield mv, a, (None if threshold_exprs is None else list(
-                    dict.fromkeys([_eval_expr(e, tnames) for e in threshold_exprs])))
-    return walk()
+    def ev(src, names):
+        if src not in trees:
+            trees[src] = _parse_expr(src)
+        return _eval_expr(src, trees[src], names)
+
+    def centers(mv):
+        names = {"m": mv, "fl": float(math.floor(mv))}
+        # dict.fromkeys drops repeated values and keeps the first order
+        for a in dict.fromkeys([ev(e, names) for e in center_exprs]):
+            tnames = dict(names, a=a)
+            yield a, (None if threshold_exprs is None else list(
+                dict.fromkeys([ev(e, tnames) for e in threshold_exprs])))
+
+    return ((mv, centers(mv)) for mv in means)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +367,16 @@ def _cmd_table(args, out, err) -> int:
         raise UsageError("--max-order must be nonnegative")
 
     records = []
-    for mv, a, thresholds in grid:
-        for b in thresholds or [None]:
-            for r in range(args.max_order + 1):
-                for method in methods:
-                    try:
-                        records.append(_record(method, mv, a, b, r, prec))
-                    except PreconditionError:
-                        pass  # inapplicable (method, point): skip row
+    for mv, centers in grid:
+        for a, thresholds in centers:
+            for b in thresholds or [None]:
+                for r in range(args.max_order + 1):
+                    for method in methods:
+                        try:
+                            records.append(_record(method, mv, a, b, r,
+                                                   prec))
+                        except PreconditionError:
+                            pass  # inapplicable (method, point): skip row
     _emit(records, CSV_HEADER, args.format, out, _record_line)
     return EXIT_OK
 
@@ -433,57 +445,68 @@ def _cmd_verify(args, out, err) -> int:
     flagged = 0
     gated_rows = 0
 
-    for mv, a, thresholds in grid:
+    # the series route's error is its series' stopping rule, not
+    # cancellation (its condition estimate is at most 2), so a native row
+    # is gated whenever that rule stops well inside tol
+    katti_gated = prec.is_extended or prec.rel_tol <= tol / 100
+
+    for mv, centers in grid:
+        about = []  # (a, thresholds, blocks, series-route entries)
+        for a, thresholds in centers:
+            a_lo = _shift_down(a, prec)
+            central = central_moment_table(mv, a, top, prec)
+            # (b, table about a, table about a - 1 and b - 1)
+            blocks = [(None, central, central_moment_table(mv, a_lo, top,
+                                                           prec))]
+            blocks += [(b, signed_moment_table(mv, a, b, top, prec),
+                        signed_moment_table(mv, a_lo, b - 1, top, prec))
+                       for b in thresholds]
+            # the mean ceilings of the pass, then (a >= 0) of the series
+            # route, are checked at each center before any O(m) sum
+            _capped_mean(mv, MAX_ORACLE_MEAN, oracle_mod._ORACLE_ROUTE)
+            katti = (katti_abs_moment_table(mv, a, top, prec, central.values)
+                     if a >= 0 else {})
+            about.append((a, thresholds, blocks, katti))
+        # one certified pass, and one block of row checks, per mean; every
+        # oracle entry is an exact total (n, x, certified error)
+        _, tables = oracle_mod._center_totals(
+            mv, [(a, thresholds) for a, thresholds, *_ in about], top, eps)
         rows = []  # (method, candidate, oracle entry, key, gated, flagged)
-        a_lo = _shift_down(a, prec)
-        central = central_moment_table(mv, a, top, prec)
-        # (b, table about a, table about a - 1 and b - 1)
-        blocks = [(None, central, central_moment_table(mv, a_lo, top, prec))]
-        blocks += [(b, signed_moment_table(mv, a, b, top, prec),
-                    signed_moment_table(mv, a_lo, b - 1, top, prec))
-                   for b in thresholds]
-        # one certified pass, and one block of row checks, per center; the
-        # series route's mean ceiling is checked before the pass, so that a
-        # refused mean costs no O(m) sum; above the pass's own ceiling the
-        # pass refuses it first, with its own message
-        if a >= 0 and mv <= MAX_ORACLE_MEAN:
-            _capped_mean(mv, MAX_KUMMER_MEAN, _KUMMER_ROUTE)
-        oracle = oracle_mod.expectation_table(mv, a, top, eps, thresholds)
-        katti = (katti_abs_moment_table(mv, a, top, prec, central.values)
-                 if a >= 0 else {})
-        # the series route's error is its series' stopping rule, not
-        # cancellation (its condition estimate is at most 2), so a native
-        # row is gated whenever that rule stops well inside tol
-        katti_gated = prec.is_extended or prec.rel_tol <= tol / 100
-        for b, table, shifted in blocks:
-            expected = oracle.power if b is None else oracle.signed[b]
-            identity = shift_identity(shifted, table)
-            for r in range(top + 1):
-                key = (mv, a, b, r)
-                rows.append(("recurrence", table.values[r], expected[r], key, True,
-                             table.condition_at(r) > CONDITION_FLAG_THRESHOLD))
-                if r >= 1 and (b is None or b >= 0):
-                    rows.append(("shifted", identity[r - 1],
-                                 expected[r], key, True, False))
-                if b is not None:
-                    continue  # closed forms and the series route: E |X - a|^r
-                if a == mv and r in _CLOSED_FORMS:
-                    rows.append(("closed", _CLOSED_FORMS[r](mv, prec),
-                                 oracle.absolute[r], key, True, False))
-                if r in katti:
-                    rows.append(("katti", katti[r][0], oracle.absolute[r], key,
-                                 katti_gated, False))
-        reports = oracle_mod.verify_rows([row[1:3] for row in rows], tol)
-        for (method, _, _, key, gated, row_flagged), report in zip(rows, reports):
+        for (a, _, blocks, katti), (_, power, absolute, signed) in zip(
+                about, tables):
+            for b, table, shifted in blocks:
+                expected = power if b is None else signed[b]
+                identity = shift_identity(shifted, table)
+                for r in range(top + 1):
+                    key = (mv, a, b, r)
+                    rows.append(("recurrence", table.values[r], expected[r],
+                                 key, True, table.condition_at(r)
+                                 > CONDITION_FLAG_THRESHOLD))
+                    if r >= 1 and (b is None or b >= 0):
+                        rows.append(("shifted", identity[r - 1],
+                                     expected[r], key, True, False))
+                    if b is not None:
+                        continue  # closed forms and the series route: E |X - a|^r
+                    if a == mv and r in _CLOSED_FORMS:
+                        rows.append(("closed", _CLOSED_FORMS[r](mv, prec),
+                                     absolute[r], key, True, False))
+                    if r in katti:
+                        rows.append(("katti", katti[r][0], absolute[r], key,
+                                     katti_gated, False))
+        checks = oracle_mod._row_checks(
+            ((candidate, (n, x), err) for _, candidate, (n, x, err), *_ in rows),
+            tol)
+        for (method, _, _, key, gated, row_flagged), (passed, rel_err) in zip(
+                rows, checks):
             prev = worst.get(method)
-            if prev is None or report.rel_err > prev[0]:
-                worst[method] = (report.rel_err, key)
+            if prev is None or rel_err > prev[0]:
+                worst[method] = (rel_err, key)
             if row_flagged:
                 flagged += 1
             if gated and not row_flagged:
                 gated_rows += 1
-                if not report.passed:
-                    failures.append((key, method, report.rel_err))
+                if not passed:
+                    failures.append((key, method, rel_err))
 
     out.write(f"verify: tol={_f17(tol)} precision={prec.mode} "
               f"gated_rows={gated_rows} flagged_rows={flagged}\n")

@@ -29,6 +29,17 @@ mean above ``core.MAX_ORACLE_MEAN`` is refused before the search.
 ``expectation`` runs the same pass for a single weight, advancing only
 its order; custom weights multiply each term by the exact value of f(j).
 
+``verify`` asks about several centers of one mean, and pays for one pass:
+``_center_totals`` sums once about the integer c = floor(m), where
+j - c is a small exact integer, copying the sums also at each center's
+own cutoff and at c - 1.  Each center's entries are then the exact
+binomial re-centring of those sums, E (X - a)^r = sum_k C(r, k)
+(c - a)^(r-k) E (X - c)^k, term by term in integers, and keep the
+certificate a pass about that center alone would give, with a few guard
+bits from one more transform that bounds the re-centring's error.  They
+come back as exact totals (n, x), worth n 2^x, which ``verify`` checks
+in integers (``_row_checks``) with no rounding into floating point.
+
 The module deliberately never imports the recurrence, polynomial, or
 hypergeometric modules: ground truth here comes only from the defining
 series, so it can adjudicate disagreements between the other routes.
@@ -38,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, repeat
 from operator import add, lshift, mul, rshift
 from typing import NamedTuple, Optional
@@ -252,92 +264,208 @@ def _plan(mv: float, a: float, orders: tuple, eps: float,
     return top.cutoff, [scale * t for t in tails]
 
 
-def _certify(mv: float, a: float, orders: tuple, eps: float,
-             thresholds=(), f: Optional[DiscreteFunction] = None) -> OracleTable:
-    """Every entry about one center from one pass, each with its own
-    certified error; a custom f gives power entries only.
+def _recentring(tq: int, s: int, top: int) -> list:
+    """The exact binomial re-centring of a pass's sums, as rows: row r
+    holds C(r, k) tq^(r - k) 2^(s k) for k <= r.
 
-    An order's rounding bound.  Let u = 2^-bits, S = bits + log2(N + 2)
-    + 8, and M the order's sum of absolute terms D_j^r m^j/j! f(j) on the
-    integer scale of the sums (e^m Q^r times their share of the entry);
-    it bounds the terms of the order's power, absolute and signed sums
-    alike.  Then:
+    With the pass about c = C / 2^qc, its sum of order k is on the scale
+    2^(qc k), and a center a with Q = 2^q, q = max(qc, qa), has
+    tq = Q (c - a), an integer, and s = q - qc.  Since
+    Q (j - a) = tq + 2^s 2^qc (j - c), term by term
+    Q^r (j - a)^r = sum_k C(r, k) tq^(r - k) 2^(s k) (2^qc (j - c))^k, so
+    row r applied to the sums of orders 0..r gives the sum of order r
+    about a on the scale Q^r, exactly."""
+    powers = list(accumulate(repeat(tq, top), mul, initial=1))
+    return [[math.comb(r, k) * powers[r - k] << s * k for k in range(r + 1)]
+            for r in range(top + 1)]
+
+
+def _apply(rows, totals) -> list:
+    return [sum(map(mul, row, totals)) for row in rows]
+
+
+def _certify(mv: float, ref: float, centers, orders: tuple, eps: float,
+             f: Optional[DiscreteFunction] = None):
+    """Every entry about each center from one pass about ``ref``, each with
+    its own certified error; a custom f gives power entries only.
+
+    ``centers`` is a list of (a, thresholds).  Returns (bits, tables):
+    ``bits`` is the width of the pass, and tables[i] is (cutoff, power,
+    absolute, signed) for centers[i], every entry an exact total and its
+    certified error, (n, x, err), worth n 2^x; ``signed`` maps each
+    threshold to its entries.  With ref = a, as for one center, no
+    re-centring runs, and ``orders`` may be any run of consecutive orders;
+    a re-centred center needs orders 0..R.
+
+    The cutoff.  Each center keeps the cutoff and the tails its own
+    ``_plan`` gives.  The pass runs to the largest cutoff, N, and copies
+    its sums at each center's own cutoff, so a center's entries are sums
+    over its own j <= N_a, as a pass about it alone forms them.
+
+    An order's rounding bound about the reference.  Let u = 2^-bits,
+    S = bits + log2(N + 2) + 8, and A_k the sum of absolute terms
+    |D_j|^k m^j/j! f(j) of order k on the integer scale of the sums
+    (e^m Q^k times their share of the entry); it bounds the terms of the
+    order's power, absolute and signed sums alike.  Then:
 
     * each weight m^j/j! carries a relative error below N 2^-(S+29):
       every truncated division yields at least 2^(S+31) units, and a
       rescaling drops less than one of them; f(j) is exact;
     * the unit of the sums is at most 2^-(S-1) times the largest
-      |m^j/j! f(j)| seen at a j with D_j != 0, so at most 2^-(S-1) M,
+      |m^j/j! f(j)| seen at a j with D_j != 0, so at most 2^-(S-1) A_k,
       since |D_j| >= 1 there (the sums stay exact until such a weight is
       seen); each term added, each raise of the exponent and each
       alignment of a prefix copy drops under one unit, 2N + 3 units at
       most in a sum or a copy;
-    * so a sum, a prefix copy or S - 2 S(prefix) is within
-      3 (N 2^-(S+29) + (2N + 3) 2^-(S-1)) M < u M / 16 of its exact value
-      (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4);
-    * e^-m enters at bits + 64 bits, within 2^-(bits+62) relative;
-    * each entry is rounded to nearest once, at ``bits`` bits, which adds
-      at most u times its size, itself below (1 + u) M.
+    * so a sum or a prefix copy of order k is within e A_k of its exact
+      value, e = N 2^-(S+29) + (2N + 3) 2^-(S-1), and S - 2 S(prefix)
+      within 3 e A_k < u A_k / 16 (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, ch. 4).
 
-    So every entry lies within 1.07 u M of its exact sum over j <= N.
-    The computed M (``mags`` for a custom f; otherwise the absolute
-    total, S_r for an even r and S_r - 2 S_r(j < a) for an odd one) is
-    within u M / 16 of the exact one, and times e^-m = man 2^exp, as the
-    pass forms it, it lies in [2^(size-1), 2^size), with size =
-    bitlen(M man) + exp + e - qbits r.  Every entry of the order takes the
-    bound 2^(size + 1 - bits), between 2 u M (1 - u) and 4 u M (1 + u),
-    so above 1.07 u M.  ``math.ldexp`` gives it as a double exactly,
-    floored at 2^-1074, so it is never rounded down.  The certified error
-    is the tail plus the bound, added in doubles: the sum is rounded down
-    by at most 2^-53 of itself, which the tail's factor
-    ``core._BOUND_SAFETY`` (1 + 1e-9) and the bound's own factor of 1.8
-    over the error both cover, and a zero tail (a finite support) leaves
-    the bound as it is.
+    Re-centring.  For a center a, with t = c - a, the entry of order r
+    is the exact transform of ``_recentring`` of such sums (over j <= N_a)
+    and, the transform being linear, errs by at most
+    3 e sum_k C(r, k) |t|^(r-k) A_k = 3 e M'_r, with
+    M'_r = sum_{j <= N} (|j - c| + |t|)^r m^j/j! (scaled alike), itself
+    the transform at |t| of the absolute sums A (A itself when t = 0 and
+    N_a < N).  Let M_r be the center's own sum of absolute terms, its
+    absolute entry; M_r <= M'_r.  Where the computed sums give a guard
+    g = bitlen(M'_r) - bitlen(M_r) + 2 with g <= bits - 4, the exact
+    M_r >= 2^-g M'_r (each computed value is within u M'_r / 16 of its
+    exact one), so the entry errs by under u' M_r / 16,
+    u' = 2^-(bits - g): the bound of a pass about a alone at bits - g
+    bits.  With t = 0 and N_a = N the entry is the sum itself, and g = 0.
+    Where g > bits - 4, or the computed M_r is not positive (a center
+    inside the pmf's bulk, far from the reference, at a high order), the
+    pass runs again at twice the width before any bound is read.
+
+    An entry's bound.  Write u for u' from here on.
+    * e^-m enters at bits + 64 bits, within 2^-(bits+62) relative;
+    * an entry rounded to nearest at ``bits`` bits, as the public calls
+      round it, adds at most u times its size, itself below (1 + u) M.
+
+    So every entry, rounded or kept as its exact total, lies within
+    1.07 u M of its exact sum over j <= N_a.  The computed M (``mags`` for a
+    custom f; otherwise the absolute total) is within u M / 16 of the
+    exact one, and times e^-m = man 2^exp, as the pass forms it, it lies
+    in [2^(size-1), 2^size), with size = bitlen(M man) + x, x the entry's
+    binary exponent.  Every entry of the order takes the bound
+    2^(size + 1 - bits + g), between 2 u M (1 - u) and 4 u M (1 + u), so
+    above 1.07 u M.  ``math.ldexp`` gives it as a double exactly, floored
+    at 2^-1074, so it is never rounded down.  The certified error is the
+    tail plus the bound, added in doubles: the sum is rounded down by at
+    most 2^-53 of itself, which the tail's factor ``core._BOUND_SAFETY``
+    (1 + 1e-9) and the bound's own factor of 1.8 over the error both
+    cover, and a zero tail (a finite support) leaves the bound as it is.
 
     The width.  M e^-m is the same number at every width, to within u / 8
-    relative, so size moves by at most 1 from one width to another.  The
-    first pass runs at 192 bits; when the largest bound exponent k exceeds
+    relative, and a guard moves by at most 2 from one resolved width to
+    another, so a bound's exponent moves by at most 3.  The first pass
+    runs at 192 bits; when the largest bound exponent k exceeds
     floor(log2(eps / 10)), one more pass, at k - floor(log2(eps / 10)) +
     _MARGIN bits more, brings every bound to eps / 10 or below.
     """
-    cutoff, tails = _plan(mv, a, orders, eps, f)
-    thresholds = tuple(dict.fromkeys(thresholds))
-    below_a = math.ceil(a) - 1
-    marks = () if f is not None else (below_a,) + tuple(
-        math.floor(b) for b in thresholds)
+    plans = [_plan(mv, a, orders, eps, f) for a, _ in centers]
+    cutoff = max(n for n, _ in plans)
+    num, q = ref.as_integer_ratio()
+    qc = q.bit_length() - 1
+    shifts = []
+    for a, _ in centers:
+        an, aq = a.as_integer_ratio()
+        qt = max(qc, aq.bit_length() - 1)
+        shifts.append(((num << qt - qc) - (an << qt + 1 - aq.bit_length()),
+                       qt - qc))
+    below = math.ceil(ref) - 1
+    marks = () if f is not None else {below}.union(*(
+        {n, math.ceil(a) - 1, *map(math.floor, bs)}
+        for (a, bs), (n, _) in zip(centers, plans)))
     limit = math.frexp(0.1 * eps)[1] - 1  # floor(log2(eps / 10))
     bits = _START_BITS
     while True:
-        sums, prefixes, mags, (man, exps) = _pass(mv, a, orders, cutoff,
+        sums, prefixes, mags, (man, exps) = _pass(mv, ref, orders, cutoff,
                                                   bits, marks, f)
 
-        def minus_twice_prefix(k):
+        def minus_twice_prefix(n, k):
+            """S - 2 S(j <= k), both summed over j <= n."""
+            total = sums if n >= cutoff else prefixes[n]
             if k < 0:
-                return sums
-            below = sums if k >= cutoff else prefixes[k]
-            return [s - 2 * q for s, q in zip(sums, below)]
+                return total
+            if k >= n:
+                return [-t for t in total]
+            return [t - 2 * p for t, p in zip(total, prefixes[k])]
 
         if f is None:
             mags = [s if r % 2 == 0 else v for r, s, v in
-                    zip(orders, sums, minus_twice_prefix(below_a))]
-        levels = [(mg * man).bit_length() + x + 1 - bits
-                  for mg, x in zip(mags, exps)]
-        worst = max(levels)
-        if worst <= limit:
+                    zip(orders, sums, minus_twice_prefix(cutoff, below))]
+        about, short = [], False
+        for (a, bs), (n, _), (tq, s) in zip(centers, plans, shifts):
+            # a center sums to its own cutoff n, a prefix of the pass
+            if tq:
+                rows = _recentring(tq, s, orders[-1])
+                memo = {}
+
+                def totals(k, n=n, rows=rows, memo=memo):
+                    k = min(max(k, -1), n)  # one vector below 0, one past n
+                    if k not in memo:
+                        memo[k] = _apply(rows, minus_twice_prefix(n, k))
+                    return memo[k]
+            else:
+                totals = partial(minus_twice_prefix, n)
+            power = totals(-1)
+            if f is not None or (not tq and n == cutoff):
+                absolute = mags  # the center is the reference
+            else:
+                absolute = [p if r % 2 == 0 else v for r, p, v in
+                            zip(orders, power, totals(math.ceil(a) - 1))]
+            xs = [x - s * r for r, x in zip(orders, exps)] if s else exps
+            levels = [(mg * man).bit_length() + x + 1 - bits
+                      for mg, x in zip(absolute, xs)]
+            if absolute is not mags:
+                wide = (mags if not tq else
+                        _apply([list(map(abs, row)) for row in rows], mags))
+                guards = [w.bit_length() - mg.bit_length() + 2
+                          for w, mg in zip(wide, absolute)]
+                short = short or any(mg <= 0 or g > bits - 4
+                                     for mg, g in zip(absolute, guards))
+                levels = list(map(add, levels, guards))
+            about.append((power, absolute, {
+                b: totals(math.floor(b)) for b in bs}, xs, levels))
+        worst = max(max(levels) for *_, levels in about)
+        if short:
+            bits *= 2
+        elif worst <= limit:
             break
-        bits += worst - limit + _MARGIN
+        else:
+            bits += worst - limit + _MARGIN
+
+    tables = []
+    for (power, absolute, signed, xs, levels), (n, tails) in zip(about, plans):
+        errs = [t + math.ldexp(1.0, max(level, -1074))
+                for t, level in zip(tails, levels)]
+
+        def entries(totals):
+            return tuple(zip([t * man for t in totals], xs, errs))
+        tables.append((n, entries(power), entries(absolute),
+                       {b: entries(v) for b, v in signed.items()}))
+    return bits, tables
+
+
+def _table(mv: float, a: float, orders: tuple, eps: float, thresholds=(),
+           f: Optional[DiscreteFunction] = None) -> OracleTable:
+    """The entries about one center, from one pass about the center
+    itself, each rounded to nearest once at the width of the pass."""
+    bits, [(cutoff, power, absolute, signed)] = _certify(
+        mv, a, [(a, tuple(dict.fromkeys(thresholds)))], orders, eps, f)
 
     def entries(totals):
         return tuple(OracleResult(
-            mp.make_mpf(from_man_exp(t * man, x, bits, round_nearest)),
-            tail + math.ldexp(1.0, max(level, -1074)), cutoff, bits)
-            for t, x, level, tail in zip(totals, exps, levels, tails))
+            mp.make_mpf(from_man_exp(n, x, bits, round_nearest)), err,
+            cutoff, bits) for n, x, err in totals)
 
     if f is not None:
-        return OracleTable(entries(sums), (), {})
-    return OracleTable(
-        entries(sums), entries(mags),
-        {b: entries(minus_twice_prefix(math.floor(b))) for b in thresholds})
+        return OracleTable(entries(power), (), {})
+    return OracleTable(entries(power), entries(absolute),
+                       {b: entries(v) for b, v in signed.items()})
 
 
 def _check_eps(eps: float) -> None:
@@ -356,7 +484,7 @@ def expectation_table(m, a, r_max: int, eps: float,
     thresholds = [float(require_finite(b, "threshold b")) for b in thresholds]
     r_max = as_index(r_max, "r_max")
     _check_eps(eps)
-    return _certify(mv, a, tuple(range(r_max + 1)), eps, thresholds)
+    return _table(mv, a, tuple(range(r_max + 1)), eps, thresholds)
 
 
 def expectation(m, w: WeightSpec, eps: float) -> OracleResult:
@@ -367,11 +495,11 @@ def expectation(m, w: WeightSpec, eps: float) -> OracleResult:
     a = float(require_finite(w.a, "center a"))
     _check_eps(eps)
     if w.form == "custom":
-        return _certify(mv, a, (w.r,), eps, f=w.f).power[0]
+        return _table(mv, a, (w.r,), eps, f=w.f).power[0]
     thresholds = ()
     if w.form == "signed_power":
         thresholds = (float(require_finite(w.b, "threshold b")),)
-    table = _certify(mv, a, (w.r,), eps, thresholds)
+    table = _table(mv, a, (w.r,), eps, thresholds)
     if w.form == "power":
         return table.power[0]
     if w.form == "abs_power":
@@ -379,43 +507,97 @@ def expectation(m, w: WeightSpec, eps: float) -> OracleResult:
     return table.signed[thresholds[0]][0]
 
 
+def _center_totals(m, centers, r_max: int, eps: float):
+    """The entries of :func:`expectation_table` about each (a, thresholds)
+    of ``centers``, from one pass about the integer c = floor(m), as
+    ``_certify`` returns them: (bits, tables), tables[i] holding (cutoff,
+    power, absolute, signed) for centers[i], every entry an exact total
+    (n, x, certified_error), worth n 2^x, re-centred exactly from c to a
+    and certified to eps.  The arguments are checked as
+    :func:`expectation_table` checks them."""
+    mv = _capped_mean(m, MAX_ORACLE_MEAN, _ORACLE_ROUTE)
+    centers = [(float(require_finite(a, "center a")),
+                tuple(dict.fromkeys(float(require_finite(b, "threshold b"))
+                                    for b in thresholds)))
+               for a, thresholds in centers]
+    r_max = as_index(r_max, "r_max")
+    _check_eps(eps)
+    return _certify(mv, float(math.floor(mv)), centers,
+                    tuple(range(r_max + 1)), eps)
+
+
+def _row_checks(rows, tol: float) -> list:
+    """(passed, rel_err) for each (candidate, (n, e), certified_error) row
+    of ``rows``, in order: pass when |candidate - v| <= tol (|v| + 1), for
+    the oracle value v = n 2^e.
+
+    The test is decided exactly.  A candidate (a double, an integer or an
+    mpf), v and tol are binary fractions, so with c = cn/cd and v = vn/vd
+    it reads |cn vd - vn cd| td <= tn (|vn| + vd) cd in Python integers,
+    and ``rel_err`` = |c - v| / (|v| + 1) is one integer division,
+    correctly rounded to a double (inf past the double range).  A NaN or
+    infinite candidate fails its row, with ``rel_err`` NaN or inf.  Each
+    certified error must sit strictly below tol.
+    """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    # tol = tn / td, td = 2^tk; an infinite tol passes every finite candidate
+    every = not math.isfinite(tol)
+    tn, td = (1, 1) if every else exact_ratio(tol)
+    tk = td.bit_length() - 1
+    checks = []
+    for candidate, (vn, e), certified_error in rows:
+        if not tol > certified_error:
+            raise ValueError(
+                "tolerance must exceed the oracle's certified error")
+        try:
+            cn, cd = (candidate.as_integer_ratio() if type(candidate) is float
+                      else exact_ratio(candidate))
+        except (ValueError, OverflowError):  # a NaN or an infinity
+            checks.append((False, abs(float(candidate))))
+            continue
+        # v = vn / vd with vd = 2^-e, and cd = 2^k: shifts, not products
+        if e > 0:
+            vn, e = vn << e, 0
+        k = cd.bit_length() - 1
+        diff = abs((cn << -e) - (vn << k))    # |c - v| = diff / (cd vd)
+        scale = (abs(vn) + (1 << -e)) << k    # (|v| + 1) cd vd
+        try:
+            rel_err = diff / scale
+        except OverflowError:
+            rel_err = math.inf
+        checks.append((every or diff << tk <= tn * scale, rel_err))
+    return checks
+
+
+def _pair(x) -> tuple:
+    """(n, e) with x = n 2^e exactly, for a double, an integer or a finite
+    mpf; a NaN or an infinity raises as :func:`core.exact_ratio` does."""
+    raw = getattr(x, "_mpf_", None)
+    if raw is not None and (raw[1] or not raw[2]):  # zero is (0, 0, 0, 0)
+        sign, man, exp, _ = raw
+        return -man if sign else man, exp
+    n, d = exact_ratio(x)
+    return n, 1 - d.bit_length()
+
+
 def verify_rows(rows, tol: float) -> list:
     """A :class:`VerifyReport` for each (candidate, OracleResult) pair in
     ``rows``, in order: pass when |candidate - oracle| <= tol (|oracle| + 1).
 
-    The test is decided exactly.  A candidate (a double, an integer or an
-    mpf), the oracle value and tol are binary fractions, so with c = cn/cd
-    and v = vn/vd it reads |cn vd - vn cd| td <= tn (|vn| + vd) cd in
-    Python integers, and ``rel_err`` = |c - v| / (|v| + 1) is one integer
-    division, correctly rounded to a double (inf past the double range).
-    A NaN or infinite candidate fails its row, with ``rel_err`` NaN or
-    inf.  Each oracle's certified error must sit strictly below tol.
+    The test is ``_row_checks``' on each oracle value's exact (n, e) pair,
+    read from the mpf: decided exactly in Python integers, with
+    ``rel_err`` = |c - v| / (|v| + 1) correctly rounded to a double (inf
+    past the double range).  A NaN or infinite candidate fails its row,
+    with ``rel_err`` NaN or inf.  Each oracle's certified error must sit
+    strictly below tol.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    # tol = tn / td; an infinite tol (td = 0) passes every finite candidate
-    tn, td = exact_ratio(tol) if math.isfinite(tol) else (1, 0)
-    reports = []
-    for candidate, res in rows:
-        if not tol > res.certified_error:
-            raise ValueError(
-                "tolerance must exceed the oracle's certified error")
-        vn, vd = exact_ratio(res.value)
-        try:
-            cn, cd = exact_ratio(candidate)
-        except (ValueError, OverflowError):  # a NaN or an infinity
-            passed, rel_err = False, abs(float(candidate))
-        else:
-            diff = abs(cn * vd - vn * cd)  # |c - v| = diff / (cd vd)
-            scale = abs(vn) + vd           # |v| + 1 = scale / vd
-            passed = diff * td <= tn * scale * cd
-            try:
-                rel_err = diff / (scale * cd)
-            except OverflowError:
-                rel_err = math.inf
-        reports.append(VerifyReport(passed, float(res.value),
-                                    res.certified_error, rel_err))
-    return reports
+    rows = list(rows)
+    checks = _row_checks(((candidate, _pair(res.value), res.certified_error)
+                          for candidate, res in rows), tol)
+    return [VerifyReport(passed, float(res.value), res.certified_error,
+                         rel_err)
+            for (_, res), (passed, rel_err) in zip(rows, checks)]
 
 
 def verify_against(m, w: WeightSpec, candidate, tol: float) -> VerifyReport:

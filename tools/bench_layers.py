@@ -12,8 +12,9 @@ One case table, ``CASES``, covers the layers:
   ``katti_abs_moment_table`` next to a ``katti_abs_moment`` call per order;
   and native ``hyp1f1`` at z = -m, Kummer's transformation;
 * ``oracle``: ``expectation`` and ``expectation_table``, eps = 1e-24 unless
-  the case says otherwise, and ``verify_rows`` on the rows of one
-  ``verify`` center;
+  the case says otherwise, the tables of ``verify``'s four default
+  centers of one mean, and ``verify_rows`` on the rows of one ``verify``
+  center;
 * ``weighted``: the weighted recurrence at a = m and 256 bits, with the
   weight sign(j - m): every order up to r by ``b_expectation_table`` next
   to a ``b_expectation`` call per order, and the table natively;
@@ -120,6 +121,15 @@ def _per_entry(pm, m, r) -> list:
         w.power(k, m), w.abs_power(k, m),
         *(w.signed_power(k, m, b) for b in (m, 0.0, m / 2)))]
     return [partial(pm.expectation, m, x, EPS) for x in weights]
+
+
+def _verify_centers(pm, m, r) -> list:
+    """The oracle entries ``verify`` checks about its four default centers
+    of one mean (0, m, fl + 0.3 and m + 1, thresholds a, 0 and m/2), one
+    public ``expectation_table`` call per center at eps = 1e-18, as
+    native ``verify`` asks for them."""
+    return [partial(pm.expectation_table, m, a, r, 1e-18, (a, 0.0, m / 2))
+            for a in dict.fromkeys((0.0, m, math.floor(m) + 0.3, m + 1.0))]
 
 
 def _verify_rows(pm, m, r) -> list:
@@ -238,6 +248,8 @@ CASES = [
     ("oracle", "table", None, (ORDER,),
      lambda pm, m, r: [partial(pm.expectation_table, m, m, r, EPS,
                                (m, 0.0, m / 2))]),
+    ("oracle", "verify centers, eps=1e-18", (2.0, 50.0, 1e3), (ORDER,),
+     _verify_centers),
     ("oracle", "single", (2.0, 50.0), (3, 30),
      lambda pm, m, r: [partial(pm.expectation, m,
                                pm.WeightSpec.abs_power(r, m), EPS)]),
