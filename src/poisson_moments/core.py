@@ -5,6 +5,12 @@ outward from the threshold, and certified truncation cutoffs for weighted
 series of the form ``sum_j |j - center|^degree * pmf(j)``.  These are the
 foundation both for the moment recurrences and for the brute-force oracle;
 everything here is a pure function of its arguments.
+
+The exact-pair tools of every integer route live here too, so that no
+other module forms, sums or walks pairs (n, e), worth n 2^e, by hand:
+:func:`_pair` reads a number as one, :func:`_trimmed` sums them truncated
+at a width (:func:`_rescaled` moves integers to a new exponent by the same
+rule), and :func:`_pmf_walk` steps the pmf row p_j = p_(j-1) m / j.
 """
 
 from __future__ import annotations
@@ -13,13 +19,13 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Optional, Tuple
 
-from mpmath import mp, mpf
-from mpmath.libmp import (finf, fninf, from_float, from_int, mpf_div,
-                          mpf_exp, mpf_log, mpf_loggamma, mpf_mul_int,
-                          mpf_pos, mpf_shift, mpf_sub, round_nearest,
-                          to_rational)
+from mpmath import mp
+from mpmath.libmp import (from_float, from_int, mpf_div, mpf_exp, mpf_log,
+                          mpf_loggamma, mpf_mul_int, mpf_pos, mpf_shift,
+                          mpf_sub, round_nearest)
 
 from .precision import NATIVE, PrecisionSpec, _double, _round, _rounded
 
@@ -151,17 +157,94 @@ def require_finite(x, name: str):
     return x
 
 
+def _pair(x) -> Tuple[int, int]:
+    """(n, e) with x = n 2^e exactly, for a double, an integer or an mpf:
+    the one reader of exact pairs.  An mpf is read from its own fields, so
+    a far exponent forms no power of two.  A NaN or an infinity, double or
+    mpf, raises ValueError."""
+    raw = getattr(x, "_mpf_", None)
+    if raw is not None:
+        sign, man, e, _ = raw
+        if man or not e:  # zero is (0, 0, 0, 0); NaN and +-inf have man 0
+            return (-man if sign else man), e
+    elif isinstance(x, int):
+        return x, 0
+    elif math.isfinite(x):
+        num, den = float(x).as_integer_ratio()  # den is a power of two
+        return num, 1 - den.bit_length()
+    raise ValueError(f"cannot read {x!r} as an exact pair: it is not finite")
+
+
 def exact_ratio(x) -> Tuple[int, int]:
     """(num, den) with x = num / den exactly, for a double, an integer or
-    an mpf; den is a power of two.  As ``float.as_integer_ratio`` does, a
-    NaN raises ValueError and an infinity OverflowError."""
-    if isinstance(x, mpf):
-        if x._mpf_ in (finf, fninf):
-            raise OverflowError("cannot convert an infinity to a ratio")
-        return to_rational(x._mpf_)
-    if isinstance(x, int):
-        return x, 1
-    return float(x).as_integer_ratio()
+    an mpf: the pair of :func:`_pair` as a ratio, den a power of two.  A
+    NaN or an infinity raises ValueError."""
+    n, e = _pair(x)
+    return (n << e, 1) if e >= 0 else (n, 1 << -e)
+
+
+def _trimmed(terms, keep: int) -> Tuple[int, int]:
+    """(n, e) with n 2^e the sum of the exact pairs (n_i, e_i) of
+    ``terms``: the one trimmed sum of the integer routes.  Exact when
+    every term lies within ``keep`` bits below the top bit of the largest;
+    otherwise each term is truncated at 2^(top - keep), losing under one
+    unit there per term, so that a sum never holds more than ``keep`` bits
+    plus its carries and its cost does not grow with the spread of the
+    exponents.  k terms thus err by under k 2^(top - keep) in all."""
+    top = low = None
+    for n, e in terms:
+        if n:
+            t = e + n.bit_length()
+            if top is None or t > top:
+                top = t
+            if low is None or e < low:
+                low = e
+    if top is None:
+        return 0, 0
+    base = max(top - keep, low)
+    total = 0
+    for n, e in terms:
+        total += n << (e - base) if e >= base else n >> (base - e)
+    return total, base
+
+
+def _rescaled(values, e: int, to: int) -> list:
+    """The integers ``values``, each standing for v 2^e, brought to the
+    exponent ``to`` by the shift rule of :func:`_trimmed`: exactly when
+    to <= e, and truncated, under one unit of 2^to lost each, when
+    to > e."""
+    return [v << (e - to) if e >= to else v >> (to - e) for v in values]
+
+
+def _pmf_walk(p: int, e: int, mv: float, width: int):
+    """Yield (p_j, e_j) for j = 0, 1, 2, ...: p_j 2^e_j the pmf row
+    p_j = p_(j-1) m / j from the start pair p_0 = p 2^e, one truncated
+    integer division per step on the exact ratio m = num / den.  The one
+    rescaled walk of the pmf row: the oracle's pass and the weighted pass
+    step it, and it never ends, so its caller stops it and a long pass
+    holds one weight at a time.
+
+    Before each division the dividend is rescaled so that the quotient
+    keeps at least width + 31 bits: shifted up, exactly, when it would
+    have fewer than width + 32, and down, truncating, when it would have
+    more than width + 96.  A step therefore loses under 2^-(width+31) to
+    the division and under 2^-(width+64) to a shift down, under
+    2^-(width+30) relative in all, and every loss is downward, so p_j
+    lies within j 2^-(width+30) relative below p_0 m^j / j! (the relative
+    errors of a product add, (1 - d)^j >= 1 - j d; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 4)."""
+    num, den = mv.as_integer_ratio()  # m = num / den exactly
+    for den_j in count(den, den):  # (j + 1) den
+        yield p, e
+        wide = p * num
+        size = wide.bit_length() - den_j.bit_length()
+        if size < width + 32:
+            wide <<= width + 32 - size
+            e -= width + 32 - size
+        elif size > width + 96:
+            wide >>= size - width - 64
+            e += size - width - 64
+        p = wide // den_j
 
 
 def log_pmf(k, m, prec: PrecisionSpec = NATIVE):
@@ -290,14 +373,13 @@ def threshold_pmf_factor(k, m, prec: PrecisionSpec = NATIVE):
     return _lattice_value(_factor_pair, as_index(k), mv, prec)
 
 
-def _lattice_pairs(n: int, m, width: int):
-    """P(X <= n) and the pmf factor at n >= 0 as exact pairs (x, e), x 2^e,
-    unrounded, at working width ``width``: :func:`_cdf_sum` and
-    :func:`_factor_pair`, the entry of the integer tables.  A mean above
-    ``MAX_CDF_MEAN`` raises :class:`MeanTooLargeError`, as :func:`cdf`
-    does."""
-    mv = _capped_mean(m, MAX_CDF_MEAN, _CDF_ROUTE)
-    return _cdf_sum(n, mv, width), _factor_pair(n, mv, width)
+def _cdf_pair(n: int, m, width: int) -> Tuple[int, int]:
+    """P(X <= n) at n >= 0 as the unrounded exact pair (x, e), x 2^e, of
+    :func:`_cdf_sum` at working width ``width``: the entry of the integer
+    tables, the closed forms and the weighted pass (P(X <= 0) = e^-m).  A
+    mean above ``MAX_CDF_MEAN`` raises :class:`MeanTooLargeError`, as
+    :func:`cdf` does."""
+    return _cdf_sum(n, _capped_mean(m, MAX_CDF_MEAN, _CDF_ROUTE), width)
 
 
 def _factor_at(k: int, mv: float, prec: PrecisionSpec) -> Tuple[int, int]:
@@ -340,8 +422,8 @@ def _factor_pair(k: int, mv: float, width: int) -> Tuple[int, int]:
     """e^-m m^(k+1) / k! as the exact product of m and the memoised anchor
     p_k at ``width``, within 2^-(width+11) relative."""
     _, man, e, _ = _pmf_anchor(k, mv, width)._mpf_
-    num, den = mv.as_integer_ratio()  # den is a power of two
-    return man * num, e + 1 - den.bit_length()
+    mn, me = _pair(mv)
+    return man * mn, e + me
 
 
 @functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
@@ -371,10 +453,10 @@ def _pmf_anchor(n: int, mv: float, width: int):
         return mp.make_mpf(mpf_exp(from_float(-mv), wp, round_nearest))
     if n < _DIRECT_TERMS:
         wp = width + 24 + (n + int(mv) + 1).bit_length()
-        num, den = mv.as_integer_ratio()  # den is a power of two
+        mn, me = _pair(mv)
         e_m = _pmf_anchor(0, mv, width)._mpf_
-        power = mpf_shift(mpf_mul_int(e_m, num ** n, wp, round_nearest),
-                          (1 - den.bit_length()) * n)
+        power = mpf_shift(mpf_mul_int(e_m, mn ** n, wp, round_nearest),
+                          me * n)
         return mp.make_mpf(mpf_div(power, from_int(math.factorial(n)), wp,
                                    round_nearest))
     log_p, wp = _log_pmf_at(n, mv, width)
@@ -439,6 +521,12 @@ def _cdf_sum(n: int, mv: float, width: int) -> Tuple[int, int]:
     together, are under 2^-(W+6) relative.  The upward sum from p_0
     (n < 64) adds every term and has only e^-m's rounding and the
     arithmetic's, far below either.
+
+    These loops do not step :func:`_pmf_walk`.  They keep one running
+    total at one fixed scale, with a stopping test on it, and form no
+    pair per term; and they are the hottest constant of a stream of
+    table calls, where every request brings a fresh m, so the memo
+    misses.
     """
     scale = width + 8 + _CDF_GUARD  # p_anchor is 2^scale units
     num, den = mv.as_integer_ratio()  # m = num / den exactly

@@ -65,11 +65,10 @@ from typing import Tuple
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_exp, round_nearest
 
-from .core import (_capped_mean, _extended_width, _factor_at, as_index,
-                   exact_ratio, require_finite)
+from .core import (_capped_mean, _extended_width, _factor_at, _pair,
+                   _trimmed, as_index, exact_ratio, require_finite)
 from .precision import NATIVE, PrecisionSpec, _double, _round, _rounded
-from .recurrences import (_UPGRADE_PREC, _condition, _man_exp, _trimmed,
-                          central_moment_table)
+from .recurrences import _UPGRADE_PREC, _condition, central_moment_table
 
 __all__ = [
     "Hyp1F1Params",
@@ -207,9 +206,7 @@ def _hyp1f1_pair(p: Hyp1F1Params, prec: PrecisionSpec) -> Tuple[int, int]:
     bn, bd = beta
     total, e = _kummer_sum((bn * ad - an * bd, bd * ad), beta, (-zn, zd),
                            prec.rel_tol, _iteration_cap(_mirrored(p)), keep)
-    # e^z, z = zn / zd exactly (zd is a power of two)
-    _, man, ez, _ = mpf_exp(from_man_exp(zn, 1 - zd.bit_length()), keep,
-                            round_nearest)
+    _, man, ez, _ = mpf_exp(from_man_exp(*_pair(p.z)), keep, round_nearest)
     return man * total, ez + e
 
 
@@ -473,7 +470,7 @@ def _top_pairs(a, mv: float, orders, prec: PrecisionSpec) -> dict:
         return {r: (rows[r][0][0], rows[r][1]) for r in orders}
     redo = [r for r in orders if not _in_double_range(rows[r][0])]
     wide = _top_pairs(a, mv, redo, _UPGRADE_PREC) if redo else {}
-    return {r: wide[r] if r in wide else _man_exp(rows[r][0]) for r in orders}
+    return {r: wide[r] if r in wide else _pair(rows[r][0]) for r in orders}
 
 
 def _katti_entries(mv: float, a, orders, prec: PrecisionSpec, central=None):
@@ -488,7 +485,7 @@ def _katti_entries(mv: float, a, orders, prec: PrecisionSpec, central=None):
     memoised anchor (:func:`~poisson_moments.core._factor_at`), and the
     central moment.  2 factor top / (fl + 1) - E (X - a)^r is one integer
     sum, truncated at W + 64 bits, W = max(128, bits)
-    (:func:`~poisson_moments.recurrences._trimmed`), so a far center costs
+    (:func:`~poisson_moments.core._trimmed`), so a far center costs
     no more than a near one, and it is rounded once: by ``_double``
     natively, by ``_rounded`` extended.
     """
@@ -501,6 +498,11 @@ def _katti_entries(mv: float, a, orders, prec: PrecisionSpec, central=None):
         )
     if central is None:
         central = central_moment_table(mv, a, orders[-1], prec).values
+    try:
+        moments = {r: _pair(central[r]) for r in orders}
+    except (IndexError, ValueError):
+        raise ValueError(f"central must hold a finite E (X - a)^r at every "
+                         f"odd order up to {orders[-1]}") from None
     fl = math.floor(a)
     fn, fe = _factor_at(fl, mv, prec)
     keep = _extended_width(prec.bits)
@@ -510,7 +512,7 @@ def _katti_entries(mv: float, a, orders, prec: PrecisionSpec, central=None):
     out = {}
     for r, (tn, te) in _top_pairs(a, mv, orders, prec).items():
         series = pn * tn, pe + te
-        cn, ce = _man_exp(central[r])
+        cn, ce = moments[r]
         n, e = _trimmed((series, (-cn, ce)), keep)
         raw = _double(n, e)
         cond = _condition(max(abs(float(central[r])), abs(_double(*series))),
@@ -527,7 +529,9 @@ def katti_abs_moment_table(m, a, r_max, prec: PrecisionSpec = NATIVE,
 
     ``central`` may pass the caller's own central moments E (X - a)^r
     (``central_moment_table(m, a, R, prec).values`` for some R >= r_max at
-    the same precision), so that table is not built again.
+    the same precision), so that table is not built again.  A ``central``
+    too short for the largest odd order, or with a NaN or infinite entry
+    there, raises a ValueError naming ``central``.
 
     The condition estimate is the larger addend's magnitude over the result
     magnitude.  It is at most 2, up to the addends' errors: the result

@@ -8,11 +8,11 @@ every entry asked about that center, each with its own certified error:
 * the absolute sums E |X - a|^r,
 * the signed sums E (X - a)^r sign(X - b), for each threshold b,
 
-for every order r <= r_max.  The pass runs in Python integers.  The mean
-and the center enter as exact ratios, so j - a is exact.  The weight
-m^j / j! is one truncated integer division per step, rescaled as
-``hypergeom`` rescales its series terms, so that it always keeps
-S = bits + log2(N + 2) + 8 bits.  Each power is one integer product up
+for every order r <= r_max.  The pass runs in Python integers.  The
+center enters as an exact pair (``core._pair``), so j - a is exact.  The
+weight m^j / j! is the pmf row of ``core._pmf_walk`` on the exact ratio
+of m, one truncated integer division per step, rescaled so that it
+always keeps S = bits + log2(N + 2) + 8 bits.  Each power is one integer product up
 from the order below it, and the running sums S_r = sum_j (j - a)^r p_j
 share one binary exponent, kept S bits below the largest weight seen, so
 a term adds exactly or with its bits below that unit dropped.  The sums
@@ -42,7 +42,15 @@ in integers (``_row_checks``) with no rounding into floating point.
 
 The module deliberately never imports the recurrence, polynomial, or
 hypergeometric modules: ground truth here comes only from the defining
-series, so it can adjudicate disagreements between the other routes.
+series, so it can adjudicate disagreements between the other routes.  It
+takes its exact-pair tools from ``core``, as those modules do: the
+reader, the shift rule of the trimmed sum, and the pmf-row walk that the
+weighted recurrence's pass steps too.  Sharing the walk keeps the referee honest, because a fault in it
+could not hide by being the same on both sides of a check: ``verify``
+checks the central tables, which use no pmf at all, against this pass's
+power entries, and the tests check this pass against a plain mpmath
+sum at 60 digits (``tests/helpers.brute_expectation``), which shares no
+code with the package.
 """
 
 from __future__ import annotations
@@ -57,8 +65,9 @@ from typing import NamedTuple, Optional
 from mpmath import mp
 from mpmath.libmp import from_float, from_man_exp, mpf_exp, round_nearest
 
-from .core import (MAX_ORACLE_MEAN, DiscreteFunction, _capped_mean, as_index,
-                   exact_ratio, require_finite, tail_bounds, truncation_index)
+from .core import (MAX_ORACLE_MEAN, DiscreteFunction, _capped_mean, _pair,
+                   _pmf_walk, _rescaled, as_index, exact_ratio,
+                   require_finite, tail_bounds, truncation_index)
 
 __all__ = [
     "WeightSpec",
@@ -150,29 +159,22 @@ class VerifyReport(NamedTuple):
     rel_err: float
 
 
-def _aligned(totals, e: int, to: int) -> list:
-    """Integers at exponent ``e`` brought to exponent ``to``: exactly when
-    to <= e, and floored (under one unit of 2^to lost) when to > e."""
-    if to <= e:
-        return [t << (e - to) for t in totals]
-    return [t >> (to - e) for t in totals]
-
-
 def _pass(mv: float, a: float, orders: tuple, cutoff: int, bits: int,
           marks=(), f: Optional[DiscreteFunction] = None):
     """The one summation loop, over j = 0..cutoff, in Python integers, for
     a run of consecutive orders.
 
-    With m = num/den and a = A/Q exact (Q a power of two), D_j = jQ - A
-    is exact.  The weight p_j e^m = m^j / j! is an integer times 2^ep, one
-    truncated division per step, rescaled with ep before the division so
-    that the quotient keeps at least S + 31 bits, S = bits + log2(N + 2)
-    + 8; times f(j) when given, as its exact binary fraction.  A term of
-    order r is D_j^r times the weight, one integer product up from the
-    order below it.  The sums share one exponent, raised (their low bits
-    dropped) to keep S bits below the largest weight seen at a j with
-    D_j != 0; a term is added at that exponent, exactly or with its bits
-    below the unit dropped.
+    With a = A/Q exact (Q a power of two), D_j = jQ - A is exact.  The
+    weight p_j e^m = m^j / j! is an integer times 2^ep, the step j of
+    ``core._pmf_walk`` from 1 at width S = bits + log2(N + 2) + 8, so
+    that every quotient keeps at least S + 31 bits; times f(j) when
+    given, as its exact binary fraction.  A term of order r is D_j^r
+    times the weight, one integer product up from the order below it.
+    The sums share one exponent, raised (their low bits dropped) to keep S
+    bits below the largest weight seen at a j with D_j != 0; a term is
+    added at that exponent, exactly or with its bits below the unit
+    dropped, and the sums and the prefix copies are brought to a new
+    exponent by ``core._rescaled``, the shift rule of ``core._trimmed``.
 
     Returns (sums, prefixes, mags, (man, exps)): ``sums`` are the integer
     sums for ``orders``; ``prefixes[k]`` holds the sums over j <= k, for
@@ -181,34 +183,32 @@ def _pass(mv: float, a: float, orders: tuple, cutoff: int, bits: int,
     mantissa of e^-m at bits + 64 bits, and an integer t of order
     ``orders[i]`` on the scale of ``sums`` is worth t man 2^exps[i].
     """
-    num, den = mv.as_integer_ratio()
-    center, q = a.as_integer_ratio()
-    qbits = q.bit_length() - 1
+    an, ae = _pair(a)  # a = an 2^ae, ae <= 0 for a double
+    q = 1 << -ae
     width = bits + (cutoff + 2).bit_length() + 8
     first, steps = orders[0], len(orders) - 1
-    p, ep = 1 << width, -width
-    d = -center
+    d = -an
     sums = [0] * len(orders)
     mags = None if f is None else [0] * len(orders)
     prefixes = dict.fromkeys(k for k in marks if 0 <= k < cutoff)
     e = None  # the exponent of the sums, set by the first nonzero weight
     top = None  # the level of the largest weight seen where D_j != 0
-    for j in range(cutoff + 1):
-        w, ew = p, ep
+    weights = _pmf_walk(1 << width, -width, mv, width)
+    for j, (w, ew) in zip(range(cutoff + 1), weights):
         if f is not None:
             raw = f.func(j)
             f.check_growth(j, raw)
-            fn, fd = exact_ratio(require_finite(raw, f"f({j})"))
-            w, ew = p * fn, ep - (fd.bit_length() - 1)
+            fn, fe = _pair(require_finite(raw, f"f({j})"))
+            w, ew = w * fn, ew + fe
         if w:
             level = ew + w.bit_length()
             if d and (top is None or level > top):
                 top = level
                 to = top - width
                 if e is not None and e != to:
-                    sums = _aligned(sums, e, to)
+                    sums = _rescaled(sums, e, to)
                     if mags is not None:
-                        mags = _aligned(mags, e, to)
+                        mags = _rescaled(mags, e, to)
                 e = to
             elif e is None:
                 e = ew
@@ -221,22 +221,12 @@ def _pass(mv: float, a: float, orders: tuple, cutoff: int, bits: int,
                 mags = list(map(add, mags, map(abs, terms)))
         if j in prefixes:
             prefixes[j] = (sums, e)
-        wide = p * num
-        den_j = (j + 1) * den
-        size = wide.bit_length() - den_j.bit_length()
-        if size < width + 32:
-            wide <<= width + 32 - size
-            ep -= width + 32 - size
-        elif size > width + 96:
-            wide >>= size - width - 64
-            ep += size - width - 64
-        p = wide // den_j
         d += q
     e = 0 if e is None else e
     for k, (prefix, at) in prefixes.items():
-        prefixes[k] = _aligned(prefix, 0 if at is None else at, e)
+        prefixes[k] = _rescaled(prefix, 0 if at is None else at, e)
     _, man, exp, _ = mpf_exp(from_float(-mv), bits + 64, round_nearest)
-    return sums, prefixes, mags, (man, [exp + e - qbits * r for r in orders])
+    return sums, prefixes, mags, (man, [exp + e + ae * r for r in orders])
 
 
 def _plan(mv: float, a: float, orders: tuple, eps: float,
@@ -308,9 +298,9 @@ def _certify(mv: float, ref: float, centers, orders: tuple, eps: float,
     (e^m Q^k times their share of the entry); it bounds the terms of the
     order's power, absolute and signed sums alike.  Then:
 
-    * each weight m^j/j! carries a relative error below N 2^-(S+29):
-      every truncated division yields at least 2^(S+31) units, and a
-      rescaling drops less than one of them; f(j) is exact;
+    * each weight m^j/j! carries a relative error below N 2^-(S+30),
+      the bound ``core._pmf_walk`` states for its row at width S; f(j)
+      is exact;
     * the unit of the sums is at most 2^-(S-1) times the largest
       |m^j/j! f(j)| seen at a j with D_j != 0, so at most 2^-(S-1) A_k,
       since |D_j| >= 1 there (the sums stay exact until such a weight is
@@ -318,7 +308,7 @@ def _certify(mv: float, ref: float, centers, orders: tuple, eps: float,
       alignment of a prefix copy drops under one unit, 2N + 3 units at
       most in a sum or a copy;
     * so a sum or a prefix copy of order k is within e A_k of its exact
-      value, e = N 2^-(S+29) + (2N + 3) 2^-(S-1), and S - 2 S(prefix)
+      value, e = N 2^-(S+30) + (2N + 3) 2^-(S-1), and S - 2 S(prefix)
       within 3 e A_k < u A_k / 16 (Higham, *Accuracy and Stability of
       Numerical Algorithms*, ch. 4).
 
@@ -367,14 +357,12 @@ def _certify(mv: float, ref: float, centers, orders: tuple, eps: float,
     """
     plans = [_plan(mv, a, orders, eps, f) for a, _ in centers]
     cutoff = max(n for n, _ in plans)
-    num, q = ref.as_integer_ratio()
-    qc = q.bit_length() - 1
+    cn, ce = _pair(ref)
     shifts = []
     for a, _ in centers:
-        an, aq = a.as_integer_ratio()
-        qt = max(qc, aq.bit_length() - 1)
-        shifts.append(((num << qt - qc) - (an << qt + 1 - aq.bit_length()),
-                       qt - qc))
+        an, ae = _pair(a)
+        low = min(ce, ae)  # Q = 2^-low
+        shifts.append(((cn << ce - low) - (an << ae - low), ce - low))
     below = math.ceil(ref) - 1
     marks = () if f is not None else {below}.union(*(
         {n, math.ceil(a) - 1, *map(math.floor, bs)}
@@ -568,17 +556,6 @@ def _row_checks(rows, tol: float) -> list:
             rel_err = math.inf
         checks.append((every or diff << tk <= tn * scale, rel_err))
     return checks
-
-
-def _pair(x) -> tuple:
-    """(n, e) with x = n 2^e exactly, for a double, an integer or a finite
-    mpf; a NaN or an infinity raises as :func:`core.exact_ratio` does."""
-    raw = getattr(x, "_mpf_", None)
-    if raw is not None and (raw[1] or not raw[2]):  # zero is (0, 0, 0, 0)
-        sign, man, exp, _ = raw
-        return -man if sign else man, exp
-    n, d = exact_ratio(x)
-    return n, 1 - d.bit_length()
 
 
 def verify_rows(rows, tol: float) -> list:

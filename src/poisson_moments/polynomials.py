@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import List, Tuple
 
-from .core import as_mean
+from .core import _pair, as_mean
 from .precision import NATIVE, PrecisionSpec, _rounded
 
 __all__ = [
@@ -119,17 +119,17 @@ def check_derivative_identity(r: int) -> bool:
 
 def evaluate_polynomial(p: MomentPolynomial, m, prec: PrecisionSpec = NATIVE):
     """Horner evaluation of a moment polynomial: in doubles natively;
-    extended, exact Horner on m = num / 2^k, the integer
-    sum_i c_i num^i 2^(k (deg - i)) times 2^(-k deg), rounded once at
-    prec.bits."""
+    extended, exact Horner on m = num 2^-k, the exact pair of
+    ``core._pair``: the integer sum_i c_i num^i 2^(k (deg - i)) times
+    2^(-k deg), rounded once at prec.bits."""
     mv = as_mean(m)
     if not prec.is_extended:
         acc = 0.0
         for c in reversed(p.coeffs):
             acc = acc * mv + c
         return acc
-    num, den = mv.as_integer_ratio()
-    k, acc = den.bit_length() - 1, 0
+    num, e = _pair(mv)  # m = num 2^e, e <= 0 for a double
+    acc = 0
     for i, c in enumerate(reversed(p.coeffs)):
-        acc = acc * num + (c << k * i)
-    return _rounded(acc, -k * (len(p.coeffs) - 1), prec)
+        acc = acc * num + (c << -e * i)
+    return _rounded(acc, e * (len(p.coeffs) - 1), prec)

@@ -47,15 +47,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb
 from typing import Optional
 
-from mpmath import mpf
-
 from .core import (_CDF_ROUTE, MAX_CDF_MEAN, DiscreteFunction, _capped_mean,
-                   _extended_width, _factor_at, _lattice_pairs, as_index,
-                   as_mean, cdf, exact_ratio, require_finite,
+                   _cdf_pair, _extended_width, _factor_at, _pair, _pmf_walk,
+                   _trimmed, as_index, as_mean, cdf, require_finite,
                    threshold_pmf_factor, truncation_index)
 from .precision import NATIVE, PrecisionSpec, _double, _round, _rounded
 
@@ -167,40 +165,6 @@ def _build(kind: str, mv: float, a: float, b: Optional[float], r_max: int):
     return values, conds
 
 
-def _man_exp(x) -> tuple:
-    """(n, e) with x = n 2^e exactly, for a finite double, integer or mpf.
-    An mpf is read from its own fields, so a far exponent forms no power
-    of two."""
-    if isinstance(x, mpf):
-        sign, man, e, _ = x._mpf_
-        return (-man if sign else man), e
-    num, den = exact_ratio(x)
-    return num, 1 - den.bit_length()
-
-
-def _trimmed(terms, keep: int) -> tuple:
-    """(n, e) with n 2^e the sum of the terms (n_i, e_i): exact when every
-    term lies within ``keep`` bits below the top bit of the largest, and
-    otherwise each term truncated at 2^(top - keep), under one unit there
-    per term (the way ``hypergeom._kummer_sum`` rescales), so that a sum
-    never holds more than ``keep`` bits plus its carries."""
-    top = low = None
-    for n, e in terms:
-        if n:
-            t = e + n.bit_length()
-            if top is None or t > top:
-                top = t
-            if low is None or e < low:
-                low = e
-    if top is None:
-        return 0, 0
-    base = max(top - keep, low)
-    total = 0
-    for n, e in terms:
-        total += n << (e - base) if e >= base else n >> (base - e)
-    return total, base
-
-
 def _doubles(terms: list) -> list:
     """Each term (n, e) as a double, all scaled by one power of two, so
     that a ratio of two results is kept: by one ``ldexp`` each, unscaled,
@@ -227,7 +191,7 @@ def _products(coefs: list, xs: list) -> list:
 
 
 def _lattice_build(kind: str, mv: float, a, b: Optional[float], r_max: int,
-                   bits: int, walk: bool):
+                   prec: PrecisionSpec, walk: bool):
     """The table from its lattice constants, in Python integers: returns
     the unrounded entries as (n, e) pairs, n 2^e, and, when ``walk`` is
     set, the condition estimates (else None).
@@ -237,14 +201,15 @@ def _lattice_build(kind: str, mv: float, a, b: Optional[float], r_max: int,
     C(0) = 1 in integers.  A signed entry is C(r) v0 + K(r) pb, with
     v0 = 1 - 2 F(b), pb the pmf factor at floor(b), and K the same
     recurrence from K(0) = 0 plus 2 (floor(b) + 1 - a)^(r-1) at each
-    order, so only v0 and pb are inexact.  Both come from
-    ``core._lattice_pairs`` unrounded, as exact pairs at W + 64 bits, W =
-    max(128, bits) (``core._extended_width``), within 2^-(W+70) relative
-    of the cdf and of the factor: pb is the factor's pair, and v0 is
-    formed from the cdf's pair in integers, so nothing is rounded between
-    the constants and the table.  Every sum, v0 included, stays exact
-    while it is short and is truncated at W + 64 bits once it is not
-    (:func:`_trimmed`), so the cost does not grow with the binary exponent
+    order, so only v0 and pb are inexact.  Both are ``core``'s lattice
+    pairs unrounded (``core._cdf_pair`` and ``core._factor_at``), as exact
+    pairs at W + 64 bits, W = max(128, prec.bits)
+    (``core._extended_width``), within 2^-(W+70) relative of the cdf and
+    of the factor: pb is the factor's pair, and v0 is formed from the
+    cdf's pair in integers, so nothing is rounded between the constants
+    and the table.  Every sum, v0 included, stays exact while it is short
+    and is truncated at W + 64 bits once it is not (``core._trimmed``),
+    so the cost does not grow with the binary exponent
     of m or a, with floor(b), or with m at a threshold far below the mean,
     where F(b) is about e^-m.
 
@@ -254,16 +219,17 @@ def _lattice_build(kind: str, mv: float, a, b: Optional[float], r_max: int,
     correctly rounded from its integer, exactly as :func:`_build` walks
     its double terms.
     """
-    keep = _extended_width(bits)
-    mn, me = _man_exp(mv)
-    an, ae = _man_exp(a)
+    keep = _extended_width(prec.bits)
+    mn, me = _pair(mv)
+    an, ae = _pair(a)
     diff = _trimmed(((mn, me), (-an, ae)), keep)  # m - a
     central = [(1, 0)]
     if kind == "central":
         entries = central
     else:
         fb = math.floor(b)
-        (fx, fe), pb = _lattice_pairs(fb, mv, keep)
+        fx, fe = _cdf_pair(fb, mv, keep)
+        pb = _factor_at(fb, mv, prec)
         v0 = _trimmed(((1, 0), (-2 * fx, fe)), keep)  # 1 - 2 F(b)
         corr_base = _trimmed(((fb + 1, 0), (-an, ae)), keep)
         corr = (2, 0)  # 2 (floor(b) + 1 - a)^(r-1)
@@ -302,8 +268,8 @@ def _finish(kind: str, mv: float, a, b: Optional[float], r_max: int,
     # identity's b-1 sub-call total.
     build_kind = "central" if (kind == "central" or b < 0) else "signed"
     if prec.is_extended:
-        entries, conds = _lattice_build(build_kind, mv, a, b, r_max,
-                                        prec.bits, walk=True)
+        entries, conds = _lattice_build(build_kind, mv, a, b, r_max, prec,
+                                        walk=True)
         values = [_rounded(n, e, prec) for n, e in entries]
         return MomentTable(kind, mv, a, b, tuple(values), tuple(conds), prec)
     try:
@@ -319,7 +285,7 @@ def _finish(kind: str, mv: float, a, b: Optional[float], r_max: int,
         first = next(r for r, c in enumerate(conds)
                      if c > CONDITION_FLAG_THRESHOLD)
         entries, _ = _lattice_build(build_kind, mv, a, b, r_max,
-                                    _UPGRADE_PREC.bits, walk=False)
+                                    _UPGRADE_PREC, walk=False)
         values[first:] = [_double(n, e) for n, e in entries[first:]]
         upgraded = True
     return MomentTable(kind, mv, a, b, tuple(values), tuple(conds),
@@ -340,7 +306,7 @@ def _shift_down(a, prec: PrecisionSpec):
     once at prec.bits, which is exact at 256 bits for such a center."""
     if not prec.is_extended:
         return float(a) - 1
-    an, ae = _man_exp(require_finite(a, "center a"))
+    an, ae = _pair(require_finite(a, "center a"))
     e = min(ae, 0)
     return _rounded((an << (ae - e)) - (1 << -e), e, prec)
 
@@ -372,18 +338,18 @@ def shift_identity(shifted: MomentTable, table: MomentTable) -> list:
     table about a, and b): index r - 1 holds order r, for r = 1 up to one
     more than the shorter table's order.  Natively each order is that
     expression in doubles; extended, it is formed from the exact pairs of
-    m, a and the two entries, summed by :func:`_trimmed` and rounded once
+    m, a and the two entries, summed by ``core._trimmed`` and rounded once
     at prec.bits."""
     prec = table.prec
     if not prec.is_extended:  # m and a are doubles here
         return [table.m * s - table.a * t
                 for s, t in zip(shifted.values, table.values)]
     keep = _extended_width(prec.bits)
-    (mn, me), (an, ae) = _man_exp(table.m), _man_exp(table.a)
+    (mn, me), (an, ae) = _pair(table.m), _pair(table.a)
     return [_rounded(*_trimmed(((mn * sn, me + se), (-an * tn, ae + te)),
                                keep), prec)
-            for (sn, se), (tn, te) in zip(map(_man_exp, shifted.values),
-                                          map(_man_exp, table.values))]
+            for (sn, se), (tn, te) in zip(map(_pair, shifted.values),
+                                          map(_pair, table.values))]
 
 
 def central_moment_shifted(m, a, r, prec: PrecisionSpec = NATIVE):
@@ -444,11 +410,11 @@ def _closed(mv: float, native: tuple, exact: tuple, prec: PrecisionSpec):
         a, b = native
         return a * (1 - 2 * cdf(mv, mv)) + b * pb if a else b * pb
     (a, b, k), keep = exact, _extended_width(prec.bits)
-    s = k * _man_exp(mv)[1]  # den^-k = 2^s
+    s = k * _pair(mv)[1]  # den^-k = 2^s
     pn, pe = _factor_at(fl, mv, prec)
     terms = [(b * pn, pe + s)]
     if a:
-        fn, fe = _lattice_pairs(fl, mv, keep)[0]
+        fn, fe = _cdf_pair(fl, mv, keep)
         terms += [(a, s), (-2 * a * fn, fe + s)]
     return _rounded(*_trimmed(terms, keep), prec)
 
@@ -516,11 +482,13 @@ def b_expectation_table(m, a, r_max, f: DiscreteFunction,
 
     The pass runs in Python integers at both precisions, W = max(128,
     bits) + 64 bits (``core._extended_width``) at every step.  The pmf row
-    starts from ``core``'s memoised e^-m at W and steps by the exact ratio
-    m / (j + 1), one floor division per term, keeping about W + 32 bits.
+    is ``core._pmf_walk``, the walk the oracle's pass steps, at width W
+    from ``core``'s memoised e^-m at W (``core._cdf_pair`` at 0), so p_j
+    lies within the walk's j 2^-(W+30) relative of e^-m m^j / j!, on top
+    of e^-m's own 2^-(W+11).
     f's values (doubles natively) are exact binary fractions at one shared
     exponent, so every difference row is exact integers.  Each base sum
-    and each step of the recurrence is a :func:`_trimmed` sum of exact
+    and each step of the recurrence is a ``core._trimmed`` sum of exact
     pairs, and each entry is rounded once: natively to a double, where an
     entry past the double range raises :class:`OrderOverflowError`, and
     extended at prec.bits.  With the weight sign(j - 2.5) at m = a = 2,
@@ -548,23 +516,15 @@ def b_expectation_table(m, a, r_max, f: DiscreteFunction,
                                 tail_eps / ((2.0 ** d) * f.coeff)).cutoff
                for d in range(r_max + 1)]
     keep = _extended_width(prec.bits)
-    (mn, me), (an, ae) = _man_exp(mv), _man_exp(a)
-    # [P(X=0), ..., P(X=n)] as pairs (p, e): p_0 = P(X <= 0) = e^-m, the
-    # memoised anchor, then p_j = p_{j-1} m / j, one floor division each,
-    # the quotient kept at keep + 31 bits or more
-    p, e = _lattice_pairs(0, mv, keep)[0]
-    pmfs = [(p, e)]
-    for j in range(1, max(cutoffs) + 1):
-        wide = p * mn
-        up = keep + 32 + j.bit_length() - wide.bit_length()
-        p = (wide << up if up >= 0 else wide >> -up) // j
-        e += me - up
-        pmfs.append((p, e))
+    (mn, me), (an, ae) = _pair(mv), _pair(a)
+    # [P(X=0), ..., P(X=n)] as pairs (p, e), from P(X <= 0) = e^-m
+    walk = _pmf_walk(*_cdf_pair(0, mv, keep), mv, keep)
+    pmfs = list(islice(walk, max(cutoffs) + 1))
     row = []
     for x in range(max(c + d for d, c in enumerate(cutoffs)) + 1):
         raw = f.func(x)
         f.check_growth(x, raw)
-        row.append(_man_exp(require_finite(raw, f"f({x})")))
+        row.append(_pair(require_finite(raw, f"f({x})")))
     low = min(e for _, e in row)  # one exponent for the whole row
     row = [n << (e - low) for n, e in row]
     bases = []  # E (D^d f)(X) with a certified tail

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ from poisson_moments import (DiscreteFunction, GrowthBoundError, PoissonMean,
                              PrecisionSpec, TailBound, cdf, log_pmf, pmf,
                              sign, truncation_index)
 from poisson_moments.core import (MAX_CDF_MEAN, MIN_CERTIFIABLE_EPS,
-                                  MeanTooLargeError, tail_bounds)
+                                  MeanTooLargeError, _pair, exact_ratio,
+                                  tail_bounds)
 from poisson_moments.precision import _double
 
 from helpers import brute_expectation, rel_err
@@ -72,6 +74,53 @@ class TestDouble:
     def test_rounds_any_integer(self, n, e, want):
         # an integer past 2^1024 does not convert to a double on its own
         assert _double(n, e) == want
+
+
+def _exact(x) -> Fraction:
+    """x as an exact rational, read apart from the package: a double or an
+    int through Fraction, an mpf from the unsigned mantissa and exponent
+    mpmath's ``man_exp`` gives, and its sign."""
+    if isinstance(x, (int, float)):
+        return Fraction(x)
+    man, exp = x.man_exp
+    return (-1 if x < 0 else 1) * Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
+def _mpf_192_bits():
+    with mp.workprec(192):
+        return -mp.mpf(1) / 3  # an odd 192-bit mantissa
+
+
+class TestPair:
+    """The one reader of exact pairs: x = n 2^e exactly, for a double, an
+    integer or an mpf, and a ValueError for a NaN or an infinity."""
+
+    @pytest.mark.parametrize("x", [
+        0.0, -0.0, -2.75, 5e-324, 1e-310, 12345678901234567890123,
+        mp.mpf(0), -mp.mpf(7) / 16, _mpf_192_bits(), mp.mpf(2) ** -200000,
+    ], ids=["zero", "-zero", "negative", "min-subnormal", "subnormal", "int",
+            "mpf-zero", "mpf-negative", "mpf-192-bits", "mpf-2^-200000"])
+    def test_reads_exactly(self, x):
+        n, e = _pair(x)
+        assert Fraction(n) * Fraction(2) ** e == _exact(x)
+        num, den = exact_ratio(x)
+        assert Fraction(num, den) == _exact(x)
+
+    def test_reads_an_mpf_from_its_own_fields(self):
+        # a 192-bit mantissa is kept whole, and a far exponent forms no
+        # power of two
+        assert _pair(_mpf_192_bits())[0].bit_length() == 192
+        assert _pair(mp.mpf(2) ** -200000) == (1, -200000)
+
+    @pytest.mark.parametrize("x", [
+        math.nan, math.inf, -math.inf,
+        mp.mpf("nan"), mp.mpf("inf"), mp.mpf("-inf"),
+    ], ids=["nan", "inf", "-inf", "mpf-nan", "mpf-inf", "mpf--inf"])
+    def test_refuses_nan_and_infinities(self, x):
+        with pytest.raises(ValueError, match="not finite"):
+            _pair(x)
+        with pytest.raises(ValueError, match="not finite"):
+            exact_ratio(x)
 
 
 class TestLogPmf:

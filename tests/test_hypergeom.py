@@ -556,6 +556,28 @@ class TestKattiTable:
         assert katti_abs_moment_table(7.5, 3.2, 11, central=central) == \
             katti_abs_moment_table(7.5, 3.2, 11)
 
+    @pytest.mark.parametrize("prec", [PrecisionSpec.native(), EXT],
+                             ids=["native", "256"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("at", [1, 3])
+    def test_refuses_a_central_entry_that_is_not_finite(self, prec, bad, at):
+        # a NaN mpf entry was read as zero at 256 bits: 18.27 for 9.27 at
+        # order 3; natively NaN and inf raised bare errors of two types
+        central = list(central_moment_table(2.0, 1.0, 3, prec).values)
+        central[at] = mp.mpf(bad) if prec.is_extended else float(bad)
+        with pytest.raises(ValueError, match="central"):
+            katti_abs_moment_table(2.0, 1.0, 3, prec, central=central)
+
+    @pytest.mark.parametrize("prec", [PrecisionSpec.native(), EXT],
+                             ids=["native", "256"])
+    def test_refuses_a_central_too_short_for_the_top_order(self, prec):
+        central = central_moment_table(2.0, 1.0, 3, prec).values
+        with pytest.raises(ValueError, match="central"):
+            katti_abs_moment_table(2.0, 1.0, 3, prec, central=central[:3])
+        # an entry past the largest odd order is not needed
+        assert katti_abs_moment_table(2.0, 1.0, 4, prec, central=central) \
+            == katti_abs_moment_table(2.0, 1.0, 3, prec, central=central)
+
     @pytest.mark.parametrize("r_max", [0, 1, 2])
     def test_small_orders(self, r_max):
         table = katti_abs_moment_table(2.0, 1.0, r_max)

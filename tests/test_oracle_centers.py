@@ -14,6 +14,7 @@ from mpmath import mp
 import poisson_moments.cli as cli
 import poisson_moments.oracle as oracle_mod
 from poisson_moments import OracleResult, expectation_table, verify_rows
+from poisson_moments.core import _pair
 
 from test_oracle import _double_width_sums, as_fraction, seeded_rows
 
@@ -22,7 +23,7 @@ def _within(entry, want, err) -> bool:
     """|n 2^x - want| <= err, in integers: ``entry`` is an exact total
     (n, x, certified error), ``want`` an mpf or a double."""
     n, x, _ = entry
-    wn, we = oracle_mod._pair(want)
+    wn, we = _pair(want)
     e = min(x, we)
     diff = abs((n << x - e) - (wn << we - e))  # times 2^e
     en, ed = Fraction(err).as_integer_ratio()
@@ -173,7 +174,7 @@ class TestRowChecks:
         rows = seeded_rows(tol)
         reports = verify_rows(rows, tol)
         checks = oracle_mod._row_checks(
-            [(c, oracle_mod._pair(res.value), res.certified_error)
+            [(c, _pair(res.value), res.certified_error)
              for c, res in rows], tol)
         assert [(rep.passed, rep.rel_err) for rep in reports] == checks
 
@@ -197,7 +198,7 @@ class TestRowChecks:
     @pytest.mark.parametrize("value", [mp.mpf(0), mp.mpf(-2.5),
                                        mp.ldexp(mp.mpf(3), -1200), 7, 0.375])
     def test_pair_is_exact(self, value):
-        n, e = oracle_mod._pair(value)
+        n, e = _pair(value)
         assert Fraction(n) * Fraction(2) ** e == as_fraction(value)
 
     def test_an_oracle_result_value_may_be_a_double(self):
