@@ -151,10 +151,35 @@ def as_index(k, name: str = "index") -> int:
 
 def require_finite(x, name: str):
     """Return ``x`` unchanged, or raise ValueError naming the argument when
-    it is NaN or infinite."""
-    if not math.isfinite(x):
+    it is NaN or infinite.  An mpf is judged by its own fields, as
+    :func:`_pair` reads it, so a finite one past the double range passes;
+    a double takes ``math.isfinite`` directly."""
+    raw = None if type(x) is float else getattr(x, "_mpf_", None)
+    if raw is None:
+        finite = math.isfinite(x)
+    else:  # NaN and +-inf have mantissa 0 and a nonzero exponent
+        finite = raw[1] or not raw[2]
+    if not finite:
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
+
+
+def as_double(x, name: str) -> float:
+    """``x`` as a double, or a ValueError naming the argument when it is
+    NaN, infinite, or a finite mpf past the double range."""
+    v = float(require_finite(x, name))
+    if math.isinf(v):
+        raise ValueError(f"{name} lies past the double range, got {x!r}")
+    return v
+
+
+def _floor(x) -> int:
+    """floor(x), exactly, for a finite double, integer or mpf, an mpf past
+    the double range included."""
+    if type(x) is float:
+        return math.floor(x)
+    n, e = _pair(x)
+    return n << e if e >= 0 else n >> -e
 
 
 def _pair(x) -> Tuple[int, int]:
@@ -348,7 +373,7 @@ def cdf(b, m, prec: PrecisionSpec = NATIVE):
     share one sum.
     """
     mv = _capped_mean(m, MAX_CDF_MEAN, _CDF_ROUTE)
-    n = math.floor(require_finite(b, "threshold b"))
+    n = _floor(require_finite(b, "threshold b"))
     if n < 0:
         return _round(0, 0, prec)
     return _lattice_value(_cdf_sum, n, mv, prec)
@@ -606,7 +631,7 @@ def truncation_index(m, degree, center, eps) -> TailBound:
     """
     mv = as_mean(m)
     deg = as_index(degree)
-    c = float(require_finite(center, "center a"))
+    c = as_double(center, "center a")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     if eps < MIN_CERTIFIABLE_EPS:
@@ -668,7 +693,7 @@ def tail_bounds(m, degrees, center, cutoff: int) -> list:
     """
     mv = as_mean(m)
     degs = [as_index(d, "degree") for d in degrees]
-    c = float(require_finite(center, "center a"))
+    c = as_double(center, "center a")
     n = as_index(cutoff, "cutoff")
     if degs and n < 2.0 * (mv + max(degs)):
         raise ValueError(f"cutoff {n} is below 2 (m + degree) = "

@@ -62,11 +62,10 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Tuple
 
-from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_exp, round_nearest
 
 from .core import (_capped_mean, _extended_width, _factor_at, _pair,
-                   _trimmed, as_index, exact_ratio, require_finite)
+                   _trimmed, as_double, as_index, exact_ratio, require_finite)
 from .precision import NATIVE, PrecisionSpec, _double, _round, _rounded
 from .recurrences import _UPGRADE_PREC, _condition, central_moment_table
 
@@ -99,9 +98,7 @@ class Hyp1F1Params:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "z"):
-            v = getattr(self, name)
-            if not (mp.isfinite(v) if isinstance(v, mpf) else math.isfinite(v)):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+            require_finite(getattr(self, name), name)
         b = float(self.beta)
         if b <= 0 and b == math.floor(b):
             raise ValueError("beta must not be a nonpositive integer (series poles)")
@@ -315,7 +312,7 @@ def g_table(a, m, r, prec: PrecisionSpec = NATIVE) -> GTable:
     """
     mv = _capped_mean(m, MAX_KUMMER_MEAN, _KUMMER_ROUTE)
     ri = _check_odd_order(r)
-    require_finite(a, "center a")
+    as_double(a, "center a")  # the series take double parameters
     if a < 0:
         raise ValueError("the series route requires a nonnegative center")
     rows = _g_rows(a, mv, ri, prec)
@@ -489,7 +486,7 @@ def _katti_entries(mv: float, a, orders, prec: PrecisionSpec, central=None):
     no more than a near one, and it is rounded once: by ``_double``
     natively, by ``_rounded`` extended.
     """
-    require_finite(a, "center a")
+    as_double(a, "center a")  # the series take double parameters
     if a < 0:
         raise ValueError(
             "the series route requires a >= 0 (the factorial argument "

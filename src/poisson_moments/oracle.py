@@ -66,7 +66,7 @@ from mpmath import mp
 from mpmath.libmp import from_float, from_man_exp, mpf_exp, round_nearest
 
 from .core import (MAX_ORACLE_MEAN, DiscreteFunction, _capped_mean, _pair,
-                   _pmf_walk, _rescaled, as_index, exact_ratio,
+                   _pmf_walk, _rescaled, as_double, as_index, exact_ratio,
                    require_finite, tail_bounds, truncation_index)
 
 __all__ = [
@@ -468,8 +468,8 @@ def expectation_table(m, a, r_max: int, eps: float,
     certified_error is <= eps.  A mean above ``core.MAX_ORACLE_MEAN``
     raises :class:`~poisson_moments.core.MeanTooLargeError`."""
     mv = _capped_mean(m, MAX_ORACLE_MEAN, _ORACLE_ROUTE)
-    a = float(require_finite(a, "center a"))
-    thresholds = [float(require_finite(b, "threshold b")) for b in thresholds]
+    a = as_double(a, "center a")
+    thresholds = [as_double(b, "threshold b") for b in thresholds]
     r_max = as_index(r_max, "r_max")
     _check_eps(eps)
     return _table(mv, a, tuple(range(r_max + 1)), eps, thresholds)
@@ -480,13 +480,13 @@ def expectation(m, w: WeightSpec, eps: float) -> OracleResult:
     the pass of :func:`expectation_table` for the one order of ``w``, with
     its mean ceiling."""
     mv = _capped_mean(m, MAX_ORACLE_MEAN, _ORACLE_ROUTE)
-    a = float(require_finite(w.a, "center a"))
+    a = as_double(w.a, "center a")
     _check_eps(eps)
     if w.form == "custom":
         return _table(mv, a, (w.r,), eps, f=w.f).power[0]
     thresholds = ()
     if w.form == "signed_power":
-        thresholds = (float(require_finite(w.b, "threshold b")),)
+        thresholds = (as_double(w.b, "threshold b"),)
     table = _table(mv, a, (w.r,), eps, thresholds)
     if w.form == "power":
         return table.power[0]
@@ -504,8 +504,8 @@ def _center_totals(m, centers, r_max: int, eps: float):
     and certified to eps.  The arguments are checked as
     :func:`expectation_table` checks them."""
     mv = _capped_mean(m, MAX_ORACLE_MEAN, _ORACLE_ROUTE)
-    centers = [(float(require_finite(a, "center a")),
-                tuple(dict.fromkeys(float(require_finite(b, "threshold b"))
+    centers = [(as_double(a, "center a"),
+                tuple(dict.fromkeys(as_double(b, "threshold b")
                                     for b in thresholds)))
                for a, thresholds in centers]
     r_max = as_index(r_max, "r_max")

@@ -27,13 +27,13 @@ trades order for a shifted center,
 and serves as an independent consistency route.  Everywhere a power with
 zero base and zero exponent appears, 0^0 = 1.
 
-Tables are built bottom-up in O(r^2) arithmetic operations, in one of two
-ways.  A native table runs the recurrence in doubles.  An extended table
-runs it in Python integers on the lattice constants: a double or mpf m
-and a are exact binary fractions, so C(r, a) is too, and a signed entry is
-C(r, a) v0 + K(r, a, floor(b)) pb, with v0 = 1 - 2 P(X <= b), pb the pmf
-factor above, and K an exact companion recurrence; each entry is rounded
-once (:func:`_lattice_build`).  Each entry carries a condition estimate
+Tables are built bottom-up in O(r^2) arithmetic operations by the same
+recurrence in one of two ways.  A native table runs it in doubles.  An
+extended table runs it in Python integers: a double or mpf m and a are
+exact binary fractions, and the signed row starts from v0 = 1 - 2 P(X <= b)
+and adds the threshold-correction term with the pmf factor above, both
+exact pairs of ``core``'s lattice constants; each entry is rounded once
+(:func:`_lattice_build`).  Each entry carries a condition estimate
 (largest intermediate partial sum over the final magnitude); in native
 mode the entries of a table from the first order whose estimate exceeds
 :data:`CONDITION_FLAG_THRESHOLD` on are transparently rebuilt by the
@@ -52,9 +52,9 @@ from math import comb
 from typing import Optional
 
 from .core import (_CDF_ROUTE, MAX_CDF_MEAN, DiscreteFunction, _capped_mean,
-                   _cdf_pair, _extended_width, _factor_at, _pair, _pmf_walk,
-                   _trimmed, as_index, as_mean, cdf, require_finite,
-                   threshold_pmf_factor, truncation_index)
+                   _cdf_pair, _extended_width, _factor_at, _floor, _pair,
+                   _pmf_walk, _trimmed, as_double, as_index, as_mean, cdf,
+                   require_finite, threshold_pmf_factor, truncation_index)
 from .precision import NATIVE, PrecisionSpec, _double, _round, _rounded
 
 __all__ = [
@@ -95,8 +95,8 @@ class MomentTable:
     ``upgraded`` records that a native build tripped the cancellation flag
     and the entries from the first flagged order on were rebuilt by the
     integer route at 256 bits, each rounded once to a double; the entries
-    below it keep their native bits.  ``a`` is a double in native mode and
-    the center as given in extended mode.
+    below it keep their native bits.  ``a`` and ``b`` are doubles in
+    native mode and the center and threshold as given in extended mode.
     """
 
     kind: str  # "central" | "signed"
@@ -132,15 +132,12 @@ def _condition(max_partial, final) -> float:
 def _build(kind: str, mv: float, a: float, b: Optional[float], r_max: int):
     """One bottom-up native table pass in doubles; returns (values,
     conditions)."""
-    if kind == "central":
-        v0 = 1.0
-        corr_base = pb = None
-    else:
-        v0 = 1.0 - 2 * cdf(b, mv)
+    values = [1.0]
+    if kind == "signed":
+        values = [1.0 - 2 * cdf(b, mv)]
         fb = math.floor(b)
         pb = threshold_pmf_factor(fb, mv)
         corr_base = float(fb + 1) - a
-    values = [v0]
     conds = [1.0]
     for r in range(1, r_max + 1):
         terms = [(mv - a) * values[r - 1]]
@@ -196,26 +193,35 @@ def _lattice_build(kind: str, mv: float, a, b: Optional[float], r_max: int,
     the unrounded entries as (n, e) pairs, n 2^e, and, when ``walk`` is
     set, the condition estimates (else None).
 
-    m and a are exact binary fractions, so the central moments follow
-    C(r) = (m - a) C(r-1) + m sum_{k<=r-2} binom(r-1, k) C(k) from
-    C(0) = 1 in integers.  A signed entry is C(r) v0 + K(r) pb, with
-    v0 = 1 - 2 F(b), pb the pmf factor at floor(b), and K the same
-    recurrence from K(0) = 0 plus 2 (floor(b) + 1 - a)^(r-1) at each
-    order, so only v0 and pb are inexact.  Both are ``core``'s lattice
-    pairs unrounded (``core._cdf_pair`` and ``core._factor_at``), as exact
-    pairs at W + 64 bits, W = max(128, prec.bits)
-    (``core._extended_width``), within 2^-(W+70) relative of the cdf and
-    of the factor: pb is the factor's pair, and v0 is formed from the
-    cdf's pair in integers, so nothing is rounded between the constants
-    and the table.  Every sum, v0 included, stays exact while it is short
-    and is truncated at W + 64 bits once it is not (``core._trimmed``),
-    so the cost does not grow with the binary exponent
-    of m or a, with floor(b), or with m at a threshold far below the mean,
-    where F(b) is about e^-m.
+    It is the recurrence :func:`_build` runs, on exact pairs: m and a are
+    exact binary fractions, and the row starts from D(0) = 1 for a central
+    table and from D(0) = v0 = 1 - 2 F(b) for a signed one.  Each order
+    is one list of terms, (m - a) D(r-1), then m binom(r-1, k) D(k) for
+    k = 0..r-2, then for a signed table the correction
+    2 (floor(b) + 1 - a)^(r-1) pb, pb the pmf factor at floor(b); the
+    entry is one ``core._trimmed`` sum of that list, and the condition
+    walk reads the same list.  v0 and pb are ``core``'s lattice pairs
+    unrounded (``core._cdf_pair`` and ``core._factor_at``), exact pairs at
+    W + 64 bits, W = max(128, prec.bits) (``core._extended_width``),
+    within 2^-(W+70) relative of the cdf and of the factor; v0 is formed
+    from the cdf's pair in integers, so nothing is rounded between the
+    constants and the table.
 
-    The condition estimate walks the terms of the recurrence on the
-    entries themselves, m - a times the last entry, then each binomial
-    term, then the signed correction, in that order, each term's double
+    The error: the exact recurrence is linear in v0 and pb, so D(r) is
+    still C(r) v0 + K(r) pb, with C the same recurrence from C(0) = 1 and
+    K from K(0) = 0 plus the correction power at each order, both exact.
+    The constants' errors thus reach entry r as at most 2^-(W+70)
+    (|C(r) v0| + |K(r) pb|).  Every sum, v0 and the correction power
+    included, stays exact while it is short and is truncated at W + 64
+    bits once it is not, so order r's sum errs by under r + 1 units of
+    2^-(W+63) relative to its largest term, at most twice the largest
+    partial sum the condition estimate reads, and the earlier orders'
+    errors are carried forward by the same linear recurrence.  The cost
+    therefore does not grow with the binary exponent of m or a, with
+    floor(b), or with m at a threshold far below the mean, where F(b) is
+    about e^-m.
+
+    The condition estimate walks that list in order, each term's double
     correctly rounded from its integer, exactly as :func:`_build` walks
     its double terms.
     """
@@ -223,34 +229,24 @@ def _lattice_build(kind: str, mv: float, a, b: Optional[float], r_max: int,
     mn, me = _pair(mv)
     an, ae = _pair(a)
     diff = _trimmed(((mn, me), (-an, ae)), keep)  # m - a
-    central = [(1, 0)]
-    if kind == "central":
-        entries = central
-    else:
-        fb = math.floor(b)
+    entries = [(1, 0)]
+    if kind == "signed":
+        fb = _floor(b)
         fx, fe = _cdf_pair(fb, mv, keep)
-        pb = _factor_at(fb, mv, prec)
-        v0 = _trimmed(((1, 0), (-2 * fx, fe)), keep)  # 1 - 2 F(b)
+        pn, pe = _factor_at(fb, mv, prec)
+        entries = [_trimmed(((1, 0), (-2 * fx, fe)), keep)]  # 1 - 2 F(b)
         corr_base = _trimmed(((fb + 1, 0), (-an, ae)), keep)
         corr = (2, 0)  # 2 (floor(b) + 1 - a)^(r-1)
-        lattice = [(0, 0)]
-        entries = [v0]
     conds = [1.0] if walk else None
     for r in range(1, r_max + 1):
         coefs = [diff] + [(mn * comb(r - 1, k), me) for k in range(r - 1)]
-        terms = _products(coefs, central)
-        central.append(_trimmed(terms, keep))
+        terms = _products(coefs, entries)
         if kind == "signed":
-            lattice.append(_trimmed(_products(coefs, lattice) + [corr], keep))
-            if walk:
-                terms = _products(coefs, entries)
-                if corr[0]:
-                    terms.append((corr[0] * pb[0], corr[1] + pb[1]))
-            (cn, ce), (kn, ke) = central[r], lattice[r]
-            entries.append(_trimmed(((cn * v0[0], ce + v0[1]),
-                                     (kn * pb[0], ke + pb[1])), keep))
+            if corr[0]:
+                terms.append((corr[0] * pn, corr[1] + pe))
             corr = _trimmed(((corr[0] * corr_base[0],
                               corr[1] + corr_base[1]),), keep)
+        entries.append(_trimmed(terms, keep))
         if walk:
             # the largest partial sum, in order, as _build's loop finds it;
             # the terms and the entry take one scale, so that an entry past
@@ -292,12 +288,12 @@ def _finish(kind: str, mv: float, a, b: Optional[float], r_max: int,
                        prec, upgraded)
 
 
-def _center(a, prec: PrecisionSpec):
-    """The center as the tables use it: a double in native mode; in
-    extended mode kept as given (say the a - 1 of :func:`_shift_down`, an
-    mpf of prec.bits bits)."""
-    require_finite(a, "center a")
-    return a if prec.is_extended else float(a)
+def _center(a, prec: PrecisionSpec, name: str = "center a"):
+    """A center (or a threshold, with its ``name``) as the tables use it: a
+    double in native mode, where a finite mpf past the double range raises
+    a ValueError naming it; in extended mode kept as given (say the a - 1
+    of :func:`_shift_down`, an mpf of prec.bits bits)."""
+    return require_finite(a, name) if prec.is_extended else as_double(a, name)
 
 
 def _shift_down(a, prec: PrecisionSpec):
@@ -305,7 +301,7 @@ def _shift_down(a, prec: PrecisionSpec):
     is inexact for a center like 0.1; extended, the exact a - 1 rounded
     once at prec.bits, which is exact at 256 bits for such a center."""
     if not prec.is_extended:
-        return float(a) - 1
+        return as_double(a, "center a") - 1
     an, ae = _pair(require_finite(a, "center a"))
     e = min(ae, 0)
     return _rounded((an << (ae - e)) - (1 << -e), e, prec)
@@ -324,12 +320,12 @@ def signed_moment_table(m, a, b, r_max, prec: PrecisionSpec = NATIVE) -> MomentT
     Base entry is 1 - 2 P(X <= b); each step adds the threshold-correction
     term with its pmf factor at floor(b), which shares the cdf's memoised
     anchor p_floor(b).  For b < 0 the sign is +1 everywhere and the central
-    values are returned.
+    values are returned.  Extended, b is read as given, floor(b) exactly.
     """
     mv = as_mean(m)
     a = _center(a, prec)
-    require_finite(b, "threshold b")
-    return _finish("signed", mv, a, float(b), as_index(r_max, "r_max"), prec)
+    b = _center(b, prec, "threshold b")
+    return _finish("signed", mv, a, b, as_index(r_max, "r_max"), prec)
 
 
 def shift_identity(shifted: MomentTable, table: MomentTable) -> list:

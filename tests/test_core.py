@@ -14,8 +14,8 @@ from poisson_moments import (DiscreteFunction, GrowthBoundError, PoissonMean,
                              PrecisionSpec, TailBound, cdf, log_pmf, pmf,
                              sign, truncation_index)
 from poisson_moments.core import (MAX_CDF_MEAN, MIN_CERTIFIABLE_EPS,
-                                  MeanTooLargeError, _pair, exact_ratio,
-                                  tail_bounds)
+                                  MeanTooLargeError, _floor, _pair, as_double,
+                                  exact_ratio, require_finite, tail_bounds)
 from poisson_moments.precision import _double
 
 from helpers import brute_expectation, rel_err
@@ -121,6 +121,51 @@ class TestPair:
             _pair(x)
         with pytest.raises(ValueError, match="not finite"):
             exact_ratio(x)
+
+
+class TestFiniteCheck:
+    """``require_finite`` judges an mpf by its own fields, so a finite one
+    past the double range passes; ``as_double`` refuses it by name, and
+    ``_floor`` floors it exactly."""
+
+    @pytest.mark.parametrize("x", [
+        mp.mpf("1e400"), -mp.mpf("1e400"), mp.mpf(2) ** -200000, mp.mpf(0),
+        2.5, 0, 10 ** 300,
+    ], ids=["mpf-1e400", "mpf--1e400", "mpf-2^-200000", "mpf-zero",
+            "double", "int", "int-1e300"])
+    def test_passes_finite_values(self, x):
+        assert require_finite(x, "center a") is x
+
+    @pytest.mark.parametrize("x", [
+        math.nan, math.inf, -math.inf,
+        mp.mpf("nan"), mp.mpf("inf"), mp.mpf("-inf"),
+    ], ids=["nan", "inf", "-inf", "mpf-nan", "mpf-inf", "mpf--inf"])
+    def test_refuses_nan_and_infinities_by_name(self, x):
+        with pytest.raises(ValueError, match="center a must be finite"):
+            require_finite(x, "center a")
+        with pytest.raises(ValueError, match="center a must be finite"):
+            as_double(x, "center a")
+
+    @pytest.mark.parametrize("x", [mp.mpf("1e400"), -mp.mpf("1e400")],
+                             ids=["1e400", "-1e400"])
+    def test_as_double_names_a_value_past_the_double_range(self, x):
+        with pytest.raises(ValueError,
+                           match="threshold b lies past the double range"):
+            as_double(x, "threshold b")
+
+    @pytest.mark.parametrize("x", [
+        2.5, -2.5, 7, mp.mpf("1e400"), -mp.mpf("1e400"),
+        mp.mpf(3) - mp.mpf(2) ** -100, mp.mpf(2) ** -200000,
+    ], ids=["double", "negative", "int", "mpf-1e400", "mpf--1e400",
+            "mpf-below-3", "mpf-tiny"])
+    def test_floor_is_exact(self, x):
+        n = _floor(x)
+        assert n <= _exact(x) < n + 1
+
+    def test_cdf_at_a_threshold_past_the_double_range(self):
+        big = mp.mpf("1e400")
+        assert cdf(big, 2.0) == 1.0 and cdf(-big, 2.0) == 0.0
+        assert cdf(big, 2.0, EXT) == 1 and cdf(-big, 2.0, EXT) == 0
 
 
 class TestLogPmf:

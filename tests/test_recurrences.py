@@ -168,7 +168,7 @@ NEAR_ROOTS = [(0.5, 1.3238626510460685), (2.0, CANCEL_CENTER)]
 def lattice_grid():
     """Seeded (m, a, thresholds, r_max) cases: m log-uniform in [0.1, 1e3],
     centers in m +- 3 sqrt(m) plus the near-root centers, thresholds a, 0,
-    m/2 and a random point."""
+    m/2, a random point and m + 25 sqrt(m) + 40, where F(b) rounds to 1."""
     rng = random.Random("integer-route")
     pairs = []
     for _ in range(6):
@@ -178,7 +178,8 @@ def lattice_grid():
     cases = []
     for m, a in pairs + NEAR_ROOTS:
         spread = 3.0 * math.sqrt(m)
-        thresholds = (a, 0.0, m / 2.0, m + rng.uniform(-spread, spread))
+        thresholds = (a, 0.0, m / 2.0, m + rng.uniform(-spread, spread),
+                      m + 25.0 * math.sqrt(m) + 40.0)
         cases.append((m, a, thresholds, rng.randint(8, 30)))
     return cases
 
@@ -506,6 +507,89 @@ class TestNonFiniteArguments:
     def test_threshold_is_rejected(self, b):
         with pytest.raises(ValueError, match="threshold b"):
             signed_moment_table(2.0, 0.5, b, 3)
+
+
+BIG = mp.mpf("1e400")  # finite, past the double range
+
+
+def _poisson2_central(a, r):
+    """E (X - a)^r at m = 2 exactly, from the raw moments 1, 2, 6, 22."""
+    raw = (1, 2, 6, 22)
+    return sum(math.comb(r, k) * raw[k] * (-a) ** (r - k) for k in range(r + 1))
+
+
+def _big_weight():
+    return DiscreteFunction(lambda j: BIG if j == 0 else 0.0, support_end=0)
+
+
+class TestFiniteMpfPastTheDoubleRange:
+    """An mpf center, threshold or weight value that no double holds, past
+    the double range or finer than one, gives finite values where the
+    route reads it exactly, and otherwise a ValueError that names the
+    argument."""
+
+    def test_extended_central_table_about_it(self):
+        a = to_fraction(BIG)
+        table = central_moment_table(2.0, BIG, 3, EXT)
+        for r, got in enumerate(table.values):
+            want = _poisson2_central(a, r)
+            assert abs(to_fraction(got) - want) <= abs(want) / 2 ** 250, r
+
+    def test_extended_odd_absolute_moment_about_it(self):
+        # X < a on the whole support, so E |X - a|^3 = -E (X - a)^3
+        want = -_poisson2_central(to_fraction(BIG), 3)
+        got = to_fraction(abs_central_moment(2.0, BIG, 3, EXT))
+        assert abs(got - want) <= want / 2 ** 250
+
+    def test_extended_signed_table_at_it(self):
+        # F(b) = 1, so D(r, 1, b) = -E (X - 1)^r, and the correction term
+        # lies far below the 256th bit
+        table = signed_moment_table(2.0, 1.0, BIG, 2, EXT)
+        assert list(table.values) == [-1, -1, -3]
+
+    def test_native_tables_name_it(self):
+        for call, name in (
+                (lambda: central_moment_table(2.0, BIG, 3), "center a"),
+                (lambda: abs_central_moment(2.0, BIG, 3), "center a"),
+                (lambda: signed_moment_table(2.0, 1.0, BIG, 2),
+                 "threshold b")):
+            with pytest.raises(ValueError,
+                               match=f"{name} lies past the double range"):
+                call()
+
+    @pytest.mark.parametrize("prec", [NATIVE, EXT], ids=["native", "256"])
+    def test_series_route_names_it(self, prec):
+        # the Kummer series take double parameters
+        with pytest.raises(ValueError,
+                           match="center a lies past the double range"):
+            katti_abs_moment(2.0, BIG, 3, prec)
+
+    def test_weight_value_in_the_extended_weighted_table(self):
+        # E (X - 1)^r f(X) = f(0) e^-2 (-1)^r
+        got = b_expectation_table(2.0, 1.0, 2, _big_weight(), EXT)
+        with mp.workprec(400):
+            want = BIG * mp.exp(-2)
+            for r, value in enumerate(got):
+                assert abs(value - (-1) ** r * want) <= want / 2 ** 250, r
+
+    def test_extended_threshold_is_floored_exactly(self):
+        # b = 3 - 2^-100 is 3.0 as a double; as given, X = 3 lies above it
+        with mp.workprec(256):
+            b = mp.mpf(3) - mp.mpf(2) ** -100
+        table = signed_moment_table(2.0, b, b, 1, EXT)
+        assert table.b is b
+        with mp.workprec(400):
+            want = sum(abs(j - b) * mp.exp(-2) * mp.mpf(2) ** j
+                       / mp.factorial(j) for j in range(120))
+            assert abs(table.values[1] - want) <= want / 2 ** 250
+
+    def test_weight_value_in_the_oracle(self):
+        # eps is absolute, so the pass runs at about 1390 bits
+        got = om.expectation(2.0, om.WeightSpec("custom", 2, 1.0,
+                                                f=_big_weight()), 1e-12)
+        assert got.certified_error <= 1e-12
+        with mp.workprec(1600):
+            assert abs(got.value - BIG * mp.exp(-2)) <= 1e-12
 
 
 class TestOrderDomain:
