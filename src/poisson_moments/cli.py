@@ -19,22 +19,23 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 import time
+from itertools import accumulate
 from statistics import median
 from typing import List, Optional
 
 from . import oracle as oracle_mod
 from .core import (MAX_ORACLE_MEAN, MIN_CERTIFIABLE_EPS, MeanTooLargeError,
                    _capped_mean, as_mean)
-from .hypergeom import _check_odd_order, katti_abs_moment_table
+from .hypergeom import katti_abs_moment_table
 from .polynomials import moment_polynomials
 from .precision import PrecisionSpec
 from .recurrences import (CONDITION_FLAG_THRESHOLD, OrderOverflowError,
                           _shift_down, abs_moment_3_closed,
-                          abs_moment_5_closed, central_moment_shifted,
-                          central_moment_table, mean_deviation,
-                          shift_identity, signed_moment_shifted,
+                          abs_moment_5_closed, central_moment_table,
+                          mean_deviation, shift_identity,
                           signed_moment_table)
 
 EXIT_OK = 0
@@ -126,8 +127,6 @@ def _eval_expr(src: str, tree: ast.Expression, names: dict) -> float:
     ``m/2``, given ``src`` parsed."""
 
     def ev(node):
-        if isinstance(node, ast.Expression):
-            return ev(node.body)
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
             return float(node.value)
         if isinstance(node, ast.Name):
@@ -149,7 +148,7 @@ def _eval_expr(src: str, tree: ast.Expression, names: dict) -> float:
         raise UsageError(f"unsupported grid expression {src!r}")
 
     try:
-        value = ev(tree)
+        value = ev(tree.body)
     except ZeroDivisionError:
         raise UsageError(f"division by zero in grid expression {src!r}") from None
     if not math.isfinite(value):
@@ -249,94 +248,110 @@ def _oracle_eps(prec: PrecisionSpec) -> float:
     return max(prec.rel_tol * 1e-6, 1e-280)
 
 
-def _compute_value(method: str, mv: float, a: float, b: Optional[float],
-                   r: int, prec: PrecisionSpec):
-    """(value, condition or None, certified_error or None).
-
-    Without a threshold the target is E |X - a|^r; with one it is the
-    signed moment E (X - a)^r sign(X - b).  A ValueError from the shifted
-    or series route, other than an order too large for binary64 or a mean
-    above the cdf, oracle or Kummer-series ceiling, is a precondition
-    violation.  A value beyond the double range of the output records (an
-    extended or oracle value, say, about a far center) is a usage error.
-    """
-    try:
-        value, cond, cert = _route(method, mv, a, b, r, prec)
-    except _TOO_LARGE:
-        raise
-    except ValueError as exc:
-        if method not in ("shifted", "katti"):
-            raise
-        raise PreconditionError(str(exc)) from None
-    if math.isinf(value):
-        raise UsageError(f"the {method} value at m = {mv!r}, a = {a!r}, "
-                         f"r = {r} overflows binary64")
-    return value, cond, cert
+# b for E (X - a)^r itself: sign(X - b) = +1 on the support
+_CENTRAL = -math.inf
 
 
-def _route(method: str, mv: float, a: float, b: Optional[float], r: int,
-           prec: PrecisionSpec):
-    """_compute_value's result before its range check."""
-    if method == "recurrence":
-        if b is None and r % 2 == 0:
-            tbl = central_moment_table(mv, a, r, prec)
-        else:  # E |X - a|^r for odd r is the signed moment at b = a
-            tbl = signed_moment_table(mv, a, a if b is None else b, r, prec)
-        v = float(tbl.values[r])
-        if b is None and not v > 0:
-            v = 0.0  # an absolute moment: clamp tiny negative artifacts
-        return v, tbl.condition_at(r), None
+def _rows(method: str, mv: float, a, b, orders: range, prec: PrecisionSpec,
+          tables: dict) -> list:
+    """Each order of ``orders`` as (value, condition, certified_error) or
+    as its precondition message, for E |X - a|^r (b None), E (X - a)^r
+    sign(X - b), or E (X - a)^r (b = _CENTRAL).  ``tables`` holds one
+    mean's tables by (kind, m, a, b, bits), each built at orders[-1] once
+    (entry r is the same at any order >= r; at b < 0, the central table).
+    A shifted or series ValueError, not _TOO_LARGE, is a precondition
+    message."""
+    top = orders[-1]
+    done: dict = {}  # per threshold, its table or identity; katti's entries
 
-    if method == "shifted":
-        if r < 1:
-            raise PreconditionError("the center-shift identity needs --order >= 1")
-        if b is None:
-            if r % 2 == 0 or a < 0:
-                # even order, or odd order about a negative center where
-                # |X - a| = X - a on the whole support
-                v = central_moment_shifted(mv, a, r, prec)
-            else:
-                v = signed_moment_shifted(mv, a, a, r, prec)
-            v = v if v > 0 else 0.0
-        else:
-            v = signed_moment_shifted(mv, a, b, r, prec)
-        return float(v), None, None
+    def table(a, b):
+        key = (("central", mv, a, None, prec.bits) if b < 0
+               else ("signed", mv, a, b, prec.bits))
+        if key not in tables:
+            tables[key] = (central_moment_table(mv, a, top, prec) if b < 0
+                           else signed_moment_table(mv, a, b, top, prec))
+        return tables[key]
 
-    if method == "closed":
-        if b is not None:
-            raise PreconditionError("closed forms cover absolute moments only "
-                                    "(drop --threshold)")
-        if a != mv:
-            raise PreconditionError("closed forms are stated about the mean; "
-                                    "--center must equal --mean")
-        if r not in _CLOSED_FORMS:
-            raise PreconditionError("closed forms exist for orders 1, 3 and 5")
-        return float(_CLOSED_FORMS[r](mv, prec)), None, None
-
-    if method == "katti":
-        if b is not None:
-            raise PreconditionError("the series route covers absolute moments "
-                                    "only (drop --threshold)")
-        v, cond = katti_abs_moment_table(mv, a, _check_odd_order(r), prec)[r]
-        return float(v), cond, None
-
-    if method == "oracle":
+    def entry(r, t):
+        if method == "recurrence":
+            if t not in done:
+                tbl = table(a, t)
+                # condition_at(r) of every r in one pass
+                done[t] = tbl.values, list(accumulate(tbl.condition, max))
+            v = done[t][0][r]  # E |X - a|^r: clamp tiny negative artifacts
+            return v if b is not None or v > 0 else 0.0, done[t][1][r], None
+        if method == "shifted":
+            if r < 1:
+                return "the center-shift identity needs --order >= 1"
+            if b is not None and _CENTRAL < b < 0:
+                return "the signed center-shift identity requires b >= 0"
+            if t not in done:  # the tables about a - 1, t - 1 and a, t
+                done[t] = shift_identity(table(_shift_down(a, prec), t - 1),
+                                         table(a, t))
+            v = done[t][r - 1]
+            return v if b is not None or v > 0 else 0.0, None, None
+        if method == "closed":
+            if b is not None:
+                return ("closed forms cover absolute moments only "
+                        "(drop --threshold)")
+            if a != mv:
+                return ("closed forms are stated about the mean; --center "
+                        "must equal --mean")
+            if r not in _CLOSED_FORMS:
+                return "closed forms exist for orders 1, 3 and 5"
+            return _CLOSED_FORMS[r](mv, prec), None, None
+        if method == "katti":
+            if b is not None:
+                return ("the series route covers absolute moments only "
+                        "(drop --threshold)")
+            if r % 2 == 0:
+                return f"order must be an odd positive integer, got {r!r}"
+            if a < 0:
+                return ("the series route requires a >= 0 (the factorial "
+                        "argument floor(a)+1 must be a nonnegative integer); "
+                        "use the recurrence path for negative centers")
+            if not done:
+                done.update(katti_abs_moment_table(
+                    mv, a, top, prec, table(a, _CENTRAL).values))
+            return (*done[r], None)
         w = (oracle_mod.WeightSpec.abs_power(r, a) if b is None
              else oracle_mod.WeightSpec.signed_power(r, a, b))
         res = oracle_mod.expectation(mv, w, _oracle_eps(prec))
-        return float(res.value), None, res.certified_error
+        return res.value, None, res.certified_error
 
-    raise UsageError(f"unknown method {method!r}")
+    rows = []
+    for r in orders:
+        try:
+            # E |X - a|^r is the signed moment at b = a for odd r and the
+            # central moment for even r
+            rows.append(entry(r, b if b is not None
+                              else a if r % 2 else _CENTRAL))
+        except _TOO_LARGE:
+            raise
+        except ValueError as exc:
+            if method not in ("shifted", "katti"):
+                raise
+            rows.append(str(exc))
+    return rows
 
 
-def _record(method: str, mv: float, a: float, b: Optional[float], r: int,
-            prec: PrecisionSpec) -> tuple:
-    """One output record, fields in CSV_HEADER order: the value by
-    ``method`` and the time it took."""
+def _records(method: str, mv: float, a, b, orders: range,
+             prec: PrecisionSpec, tables: dict) -> list:
+    """Each :func:`_rows` entry as a CSV_HEADER record timed by that one
+    call; a value past the double range is a usage error."""
     t0 = time.perf_counter_ns()
-    value, cond, cert = _compute_value(method, mv, a, b, r, prec)
-    return (mv, a, b, r, method, value, cond, cert,
-            time.perf_counter_ns() - t0)
+    rows = _rows(method, mv, a, b, orders, prec, tables)
+    elapsed = time.perf_counter_ns() - t0
+    out = []
+    for r, row in zip(orders, rows):
+        if not isinstance(row, str):
+            value = float(row[0])
+            if math.isinf(value):
+                raise UsageError(f"the {method} value at m = {mv!r}, "
+                                 f"a = {a!r}, r = {r} overflows binary64")
+            row = (mv, a, b, r, method, value, *row[1:], elapsed)
+        out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +365,10 @@ def _cmd_moment(args, out, err) -> int:
         raise UsageError("--order must be nonnegative")
     _finite_or_usage(args.center, "--center")
     _finite_or_usage(args.threshold, "--threshold")
-    rec = _record(args.method, mv, args.center, args.threshold, args.order,
-                  prec)
+    rec, = _records(args.method, mv, args.center, args.threshold,
+                    range(args.order, args.order + 1), prec, {})
+    if isinstance(rec, str):
+        raise PreconditionError(rec)
     _emit([rec], CSV_HEADER, args.format, out, _record_line)
     return EXIT_OK
 
@@ -363,28 +380,23 @@ def _cmd_table(args, out, err) -> int:
     for m in methods:
         if m not in _MOMENT_METHODS:
             raise UsageError(f"unknown method {m!r}")
-    if args.max_order < 0:
-        raise UsageError("--max-order must be nonnegative")
-
+    orders = _orders(args)
     records = []
     for mv, centers in grid:
+        tables: dict = {}  # this mean's tables
         for a, thresholds in centers:
             for b in thresholds or [None]:
-                for r in range(args.max_order + 1):
-                    for method in methods:
-                        try:
-                            records.append(_record(method, mv, a, b, r,
-                                                   prec))
-                        except PreconditionError:
-                            pass  # inapplicable (method, point): skip row
+                columns = [_records(method, mv, a, b, orders, prec, tables)
+                           for method in methods]
+                # by order, then method; a refused order is skipped
+                records += [rec for recs in zip(*columns) for rec in recs
+                            if not isinstance(rec, str)]
     _emit(records, CSV_HEADER, args.format, out, _record_line)
     return EXIT_OK
 
 
 def _cmd_poly(args, out, err) -> int:
-    if args.max_order < 0:
-        raise UsageError("--max-order must be nonnegative")
-    polys = moment_polynomials(args.max_order)
+    polys = moment_polynomials(_orders(args)[-1])
     _emit([(p.order, list(p.coeffs)) for p in polys], ["order", "coeffs"],
           args.format, out, lambda row: f"mu{row[0]}: {row[1]}")
     return EXIT_OK
@@ -393,29 +405,15 @@ def _cmd_poly(args, out, err) -> int:
 def _cmd_bench(args, out, err) -> int:
     prec = _prec_from(args)
     mv = _mean_or_usage(args.mean)
-    if args.max_order < 0:
-        raise UsageError("--max-order must be nonnegative")
+    orders = _orders(args)
     if args.repeats < 1:
         raise UsageError("--repeats must be positive")
-    orders = range(args.max_order + 1)
-
-    def run_recurrence():
-        for r in orders:
-            _compute_value("recurrence", mv, mv, None, r, prec)
-
-    def run_oracle():
-        for r in orders:
-            oracle_mod.expectation(mv, oracle_mod.WeightSpec.abs_power(r, mv),
-                                   1e-12)
-
     results = []
-    for name, fn in (("recurrence", run_recurrence), ("oracle", run_oracle)):
-        times = []
-        for _ in range(args.repeats):
-            t0 = time.perf_counter_ns()
-            fn()
-            times.append(time.perf_counter_ns() - t0)
-        results.append((name, int(median(times))))
+    for method in ("recurrence", "oracle"):
+        # the row's elapsed_ns, each repeat from an empty memo
+        times = [_records(method, mv, mv, None, orders, prec, {})[0][-1]
+                 for _ in range(args.repeats)]
+        results.append((method, int(median(times))))
 
     _emit(results, ["method", "elapsed_ns"], args.format, out,
           lambda row: f"{row[0]}: {row[1]} ns (median of {args.repeats})")
@@ -435,9 +433,7 @@ def _cmd_verify(args, out, err) -> int:
         raise UsageError(f"--tol must be finite with tol * 1e-6 >= "
                          f"{MIN_CERTIFIABLE_EPS:g}, got {tol!r}")
     grid = _grid(args, args.thresholds)
-    if args.max_order < 0:
-        raise UsageError("--max-order must be nonnegative")
-    top = args.max_order
+    orders = _orders(args)
     eps = min(_oracle_eps(prec), tol * 1e-6)
 
     worst: dict = {}
@@ -451,59 +447,50 @@ def _cmd_verify(args, out, err) -> int:
     katti_gated = prec.is_extended or prec.rel_tol <= tol / 100
 
     for mv, centers in grid:
-        about = []  # (a, thresholds, blocks, series-route entries)
+        tables: dict = {}  # this mean's tables
+        about = []  # (a, thresholds, routes by b)
         for a, thresholds in centers:
-            a_lo = _shift_down(a, prec)
-            central = central_moment_table(mv, a, top, prec)
-            # (b, table about a, table about a - 1 and b - 1)
-            blocks = [(None, central, central_moment_table(mv, a_lo, top,
-                                                           prec))]
-            blocks += [(b, signed_moment_table(mv, a, b, top, prec),
-                        signed_moment_table(mv, a_lo, b - 1, top, prec))
-                       for b in thresholds]
+            # per b (None: E (X - a)^r): (method, b for _rows, rows)
+            routes = {b: [(method, t,
+                           _rows(method, mv, a, t, orders, prec, tables))
+                          for method in ("recurrence", "shifted")]
+                      for b, t in [(None, _CENTRAL),
+                                   *((b, b) for b in thresholds)]}
             # the mean ceilings of the pass, then (a >= 0) of the series
             # route, are checked at each center before any O(m) sum
             _capped_mean(mv, MAX_ORACLE_MEAN, oracle_mod._ORACLE_ROUTE)
-            katti = (katti_abs_moment_table(mv, a, top, prec, central.values)
-                     if a >= 0 else {})
-            about.append((a, thresholds, blocks, katti))
+            # closed forms and the series route: E |X - a|^r
+            routes[None] += [
+                (method, None, _rows(method, mv, a, None, orders, prec, tables))
+                for method in ("closed", "katti")]
+            about.append((a, thresholds, routes))
         # one certified pass, and one block of row checks, per mean; every
         # oracle entry is an exact total (n, x, certified error)
-        _, tables = oracle_mod._center_totals(
-            mv, [(a, thresholds) for a, thresholds, *_ in about], top, eps)
-        rows = []  # (method, candidate, oracle entry, key, gated, flagged)
-        for (a, _, blocks, katti), (_, power, absolute, signed) in zip(
-                about, tables):
-            for b, table, shifted in blocks:
-                expected = power if b is None else signed[b]
-                identity = shift_identity(shifted, table)
-                for r in range(top + 1):
-                    key = (mv, a, b, r)
-                    rows.append(("recurrence", table.values[r], expected[r],
-                                 key, True, table.condition_at(r)
-                                 > CONDITION_FLAG_THRESHOLD))
-                    if r >= 1 and (b is None or b >= 0):
-                        rows.append(("shifted", identity[r - 1],
-                                     expected[r], key, True, False))
-                    if b is not None:
-                        continue  # closed forms and the series route: E |X - a|^r
-                    if a == mv and r in _CLOSED_FORMS:
-                        rows.append(("closed", _CLOSED_FORMS[r](mv, prec),
-                                     absolute[r], key, True, False))
-                    if r in katti:
-                        rows.append(("katti", katti[r][0], absolute[r], key,
-                                     katti_gated, False))
+        _, totals = oracle_mod._center_totals(
+            mv, [(a, thresholds) for a, thresholds, _ in about], orders[-1],
+            eps)
+        rows = []  # (method, key, route entry, oracle entry)
+        for (a, _, routes), (_, power, absolute, signed) in zip(about, totals):
+            expected = {None: absolute, _CENTRAL: power, **signed}
+            # an order a route refuses is skipped
+            rows += [(method, (mv, a, b, r), entries[r], expected[t][r])
+                     for b, block in routes.items() for r in orders
+                     for method, t, entries in block
+                     if not isinstance(entries[r], str)]
         checks = oracle_mod._row_checks(
-            ((candidate, (n, x), err) for _, candidate, (n, x, err), *_ in rows),
+            ((candidate, (n, x), e)
+             for _, _, (candidate, _, _), (n, x, e) in rows),
             tol)
-        for (method, _, _, key, gated, row_flagged), (passed, rel_err) in zip(
+        for (method, key, (_, cond, _), _), (passed, rel_err) in zip(
                 rows, checks):
             prev = worst.get(method)
             if prev is None or rel_err > prev[0]:
                 worst[method] = (rel_err, key)
+            row_flagged = (method == "recurrence"
+                           and cond > CONDITION_FLAG_THRESHOLD)
             if row_flagged:
                 flagged += 1
-            if gated and not row_flagged:
+            if (method != "katti" or katti_gated) and not row_flagged:
                 gated_rows += 1
                 if not passed:
                     failures.append((key, method, rel_err))
@@ -523,6 +510,13 @@ def _cmd_verify(args, out, err) -> int:
         return EXIT_VERIFY_FAIL
     out.write("result: PASS\n")
     return EXIT_OK
+
+
+def _orders(args) -> range:
+    """0..--max-order (a usage error below 0)."""
+    if args.max_order < 0:
+        raise UsageError("--max-order must be nonnegative")
+    return range(args.max_order + 1)
 
 
 def _mean_or_usage(x) -> float:
@@ -616,6 +610,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(run=_cmd_poly)
 
+    for p in sub.choices.values():
+        # a token that starts with '-' and names no option ("-1e-3",
+        # "-m,0") is a value, as argparse already reads "-1"
+        p._negative_number_matcher = re.compile("-")
     return parser
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -13,7 +14,8 @@ from unittest import mock
 
 import pytest
 
-from poisson_moments import WeightSpec, core, expectation, verify_rows
+from poisson_moments import (WeightSpec, core, expectation, recurrences,
+                             verify_rows)
 from poisson_moments.cli import (CSV_HEADER, UsageError, _parse_float_grid,
                                  _prec_from, build_parser, main)
 
@@ -245,7 +247,7 @@ class TestExitCodes:
         def broken(*args):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr(cli, "_compute_value", broken)
+        monkeypatch.setattr(cli, "_rows", broken)
         with pytest.raises(ValueError, match="internal fault"):
             run(["moment", "--mean", "2", "--order", "3", "--center", "2"])
 
@@ -552,7 +554,7 @@ class TestParser:
 class TestParserStreams:
     # argparse's own messages go to the caller's streams, not the process's
     def test_usage_error_lands_in_err(self, capsys):
-        code, out, err = run(["verify", "--centers", "-1e5"])
+        code, out, err = run(["verify", "--centers"])
         assert code == 2 and out == ""
         assert err.startswith("usage: poisson-moments verify")
         assert err.endswith("error: argument --centers: expected one "
@@ -584,3 +586,129 @@ class TestPoly:
         lines = out.splitlines()
         assert lines[0] == "order,coeffs"
         assert lines[5] == '4,0 1 3'
+
+
+class TestOptionValuesStartingWithDash:
+    # argparse reads a token that starts with '-' as an option unless it
+    # looks like a negative number ("-1", "-0.5"), so these exited 2 with
+    # "expected one argument"
+    @pytest.mark.parametrize("argv,option,value", [
+        (["moment", "--mean", "2", "--order", "3"], "--center", "-1e-3"),
+        (["moment", "--mean", "2", "--order", "3"], "--center", "-1e+2"),
+        (["moment", "--mean", "2", "--order", "3", "--center", "1"],
+         "--threshold", "-2e0"),
+        (["table", "--mean-grid", "2", "--max-order", "2"], "--centers",
+         "-0.5,m"),
+        (["table", "--mean-grid", "2", "--max-order", "2"], "--centers", "-m"),
+        (["table", "--mean-grid", "2", "--max-order", "2"], "--thresholds",
+         "-1,a"),
+    ], ids=["center-1e-3", "center-1e+2", "threshold-2e0", "centers-0.5,m",
+            "centers-m", "thresholds-1,a"])
+    def test_space_separated_value_reads_as_the_equals_form(
+            self, argv, option, value):
+        code, out, err = run(argv + [option, value, "--format", "csv"])
+        assert code == 0, err
+        expected = run(argv + [f"{option}={value}", "--format", "csv"])
+        # the records, with their elapsed_ns masked
+        mask = functools.partial(re.sub, r",\d+$", ",*", flags=re.MULTILINE)
+        assert (code, mask(out), err) == (expected[0], mask(expected[1]),
+                                          expected[2])
+
+    @pytest.mark.parametrize("tail", [
+        ["--center"],
+        ["--center", "--method", "katti"],
+        ["--center", "-h"],
+        ["--center", "1", "--threshold"],
+    ], ids=["last", "before-flag", "before-help", "threshold-last"])
+    def test_missing_value_is_still_a_usage_error(self, tail):
+        code, out, err = run(["moment", "--mean", "2", "--order", "3"] + tail)
+        option = tail[-1] if tail[-1] == "--threshold" else "--center"
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: argument {option}: expected one "
+                            f"argument\n")
+
+
+def _grid_points(means, centers, thresholds):
+    """(m, a, b) of a ``table`` grid, in its order; b None without
+    thresholds.  Each center and threshold is a function of m (and a)."""
+    for m in means:
+        for a in dict.fromkeys(c(m) for c in centers):
+            for b in (dict.fromkeys(t(m, a) for t in thresholds)
+                      if thresholds else [None]):
+                yield m, a, b
+
+
+class TestRouter:
+    """Each command builds every distinct table once and reads every order
+    from it, and ``moment`` reads the same entries as ``table``."""
+
+    @pytest.mark.parametrize("argv,builds", [
+        ("table --mean-grid 1:50:1 --centers m,0,fl+0.3 --max-order 30",
+         300),
+        ("verify", 175),
+        ("verify --mean-grid 0.5:2.5:0.5 --max-order 6 --precision-bits 256 "
+         "--tol 1e-18", 103),
+        # the golden table-central-native-text case
+        ("table --mean-grid 0.5,2,7.5 --centers 0,m,fl+0.3 --max-order 5 "
+         "--methods recurrence,shifted,closed,katti,oracle --format text",
+         31),
+    ], ids=["table-grid", "verify-default", "verify-readme-256",
+            "table-golden"])
+    def test_each_distinct_table_is_built_once(self, monkeypatch, argv,
+                                               builds):
+        # one build per distinct table; one per (method, m, a, b, r) would
+        # make 4650, 240, 150 and 171
+        count = []
+        finish = recurrences._finish
+
+        def spy(*args):
+            count.append(args[:4])
+            return finish(*args)
+        monkeypatch.setattr(recurrences, "_finish", spy)
+        code, _, err = run(argv.split())
+        assert code == 0, err
+        assert len(count) == builds
+
+    @pytest.mark.parametrize("flags", [[], ["--precision-bits", "128"],
+                                       ["--precision-bits", "256"]],
+                             ids=["native", "128", "256"])
+    @pytest.mark.parametrize("thresholds", [None, "a,-1.5,m/2"],
+                             ids=["absolute", "signed"])
+    def test_moment_records_equal_table_records(self, flags, thresholds):
+        grid = ["--mean-grid", "0.5,2,7.5", "--centers", "0,m,fl+0.3,-0.5",
+                "--max-order", "7"]
+        if thresholds:
+            grid += ["--thresholds", thresholds]
+        points = list(_grid_points(
+            (0.5, 2.0, 7.5),
+            [lambda m: 0.0, lambda m: m, lambda m: math.floor(m) + 0.3,
+             lambda m: -0.5],
+            thresholds and [lambda m, a: a, lambda m, a: -1.5,
+                            lambda m, a: m / 2]))
+
+        def fields(rec):
+            return {k: v for k, v in rec.items() if k != "elapsed_ns"}
+        for method in ("recurrence", "shifted", "closed", "katti", "oracle"):
+            code, out, err = run(["table", *grid, "--methods", method,
+                                  "--format", "json", *flags])
+            assert code == 0, err
+            table = {(o["m"], o["a"], o["b"], o["r"]): fields(o)
+                     for o in json.loads(out)}
+            served = set()
+            for m, a, b in points:
+                for r in range(8):
+                    argv = ["moment", f"--mean={m!r}", f"--center={a!r}",
+                            f"--order={r}", "--method", method,
+                            "--format", "json", *flags]
+                    if b is not None:
+                        argv.append(f"--threshold={b!r}")
+                    code, out, err = run(argv)
+                    key = (m, a, b, r)
+                    if code == 3:  # table skips exactly these rows
+                        assert key not in table, (method, key)
+                        continue
+                    assert code == 0, err
+                    rec, = json.loads(out)
+                    assert fields(rec) == table[key], (method, key)
+                    served.add(key)
+            assert served == set(table), method

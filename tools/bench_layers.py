@@ -18,8 +18,9 @@ One case table, ``CASES``, covers the layers:
 * ``weighted``: the weighted recurrence at a = m and 256 bits, with the
   weight sign(j - m): every order up to r by ``b_expectation_table`` next
   to a ``b_expectation`` call per order, and the table natively;
-* ``cli``: ``verify`` requests shaped like the benchmark's ``verify_sweep``,
-  each one in-process ``cli.main`` call, and the wall time of a whole
+* ``cli``: ``verify`` requests shaped like the benchmark's ``verify_sweep``
+  and a ``table`` grid of 50 means, three centers and orders to 30, each
+  one in-process ``cli.main`` call, and the wall time of a whole
   ``python -m poisson_moments`` process.
 
 Run it as
@@ -273,6 +274,10 @@ CASES = [
      lambda pm, m, r: [_in_process(pm, "verify", "--mean-grid", f"{m:g}",
                                    "--max-order", str(r), "--precision-bits",
                                    "256", "--tol", "1e-18")]),
+    ("cli", "table grid 1:50:1, centers m,0,fl+0.3", (None,), (30,),
+     lambda pm, m, r: [_in_process(pm, "table", "--mean-grid", "1:50:1",
+                                   "--centers", "m,0,fl+0.3",
+                                   "--max-order", str(r))]),
     ("cli", "verify process, default grid", (None,), (None,),
      lambda pm, m, r: [_process(pm, "verify")]),
     ("cli", "moment process", (2.0,), (3,),
