@@ -6,8 +6,9 @@ or JSON), ``verify`` (cross-method sweep against the oracle), ``bench``
 coefficients).
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/validation (an order
-too large for binary64 and a mean above the cdf, oracle or Kummer-series
-ceiling included), 3 method precondition violation.
+above ``core.MAX_ORDER`` or too large for binary64 and a mean above the
+cdf, oracle or Kummer-series ceiling included), 3 method precondition
+violation.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from statistics import median
 from typing import List, Optional
 
 from . import oracle as oracle_mod
-from .core import (MAX_ORACLE_MEAN, MIN_CERTIFIABLE_EPS, MeanTooLargeError,
-                   _capped_mean, as_mean)
+from .core import (MAX_ORACLE_MEAN, MAX_ORDER, MIN_CERTIFIABLE_EPS,
+                   MeanTooLargeError, _capped_mean, as_mean)
 from .hypergeom import katti_abs_moment_table
 from .polynomials import moment_polynomials
 from .precision import PrecisionSpec
@@ -361,12 +362,11 @@ def _records(method: str, mv: float, a, b, orders: range,
 def _cmd_moment(args, out, err) -> int:
     prec = _prec_from(args)
     mv = _mean_or_usage(args.mean)
-    if args.order < 0:
-        raise UsageError("--order must be nonnegative")
+    order = _order_or_usage(args.order, "--order")
     _finite_or_usage(args.center, "--center")
     _finite_or_usage(args.threshold, "--threshold")
     rec, = _records(args.method, mv, args.center, args.threshold,
-                    range(args.order, args.order + 1), prec, {})
+                    range(order, order + 1), prec, {})
     if isinstance(rec, str):
         raise PreconditionError(rec)
     _emit([rec], CSV_HEADER, args.format, out, _record_line)
@@ -442,9 +442,9 @@ def _cmd_verify(args, out, err) -> int:
     gated_rows = 0
 
     # the series route's error is its series' stopping rule, not
-    # cancellation (its condition estimate is at most 2), so a native row
-    # is gated whenever that rule stops well inside tol
-    katti_gated = prec.is_extended or prec.rel_tol <= tol / 100
+    # cancellation (its condition estimate is at most 2), so its rows are
+    # gated, at either precision, whenever that rule stops well inside tol
+    katti_gated = prec.rel_tol <= tol / 100
 
     for mv, centers in grid:
         tables: dict = {}  # this mean's tables
@@ -513,10 +513,17 @@ def _cmd_verify(args, out, err) -> int:
 
 
 def _orders(args) -> range:
-    """0..--max-order (a usage error below 0)."""
-    if args.max_order < 0:
-        raise UsageError("--max-order must be nonnegative")
-    return range(args.max_order + 1)
+    """0..--max-order (a usage error outside 0..MAX_ORDER)."""
+    return range(_order_or_usage(args.max_order, "--max-order") + 1)
+
+
+def _order_or_usage(r: int, flag: str) -> int:
+    """``r``, or a usage error naming ``flag`` outside 0..MAX_ORDER:
+    checked before any routing, where ``_rows`` would read a refusal as a
+    precondition message."""
+    if not 0 <= r <= MAX_ORDER:
+        raise UsageError(f"{flag} must lie in 0..{MAX_ORDER}, got {r}")
+    return r
 
 
 def _mean_or_usage(x) -> float:

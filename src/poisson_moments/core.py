@@ -11,6 +11,9 @@ other module forms, sums or walks pairs (n, e), worth n 2^e, by hand:
 :func:`_pair` reads a number as one, :func:`_trimmed` sums them truncated
 at a width (:func:`_rescaled` moves integers to a new exponent by the same
 rule), and :func:`_pmf_walk` steps the pmf row p_j = p_(j-1) m / j.
+:func:`_binomial_rows` steps the rows of Pascal's triangle that the
+binomial sums of the tables, the weighted pass, the oracle's re-centring
+and the polynomial check read.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import count
+from operator import add
 from typing import Callable, Optional, Tuple
 
 from mpmath import mp
@@ -147,6 +151,28 @@ def as_index(k, name: str = "index") -> int:
     if ki is None or ki != k or ki < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {k!r}")
     return ki
+
+
+def as_order(r, name: str) -> int:
+    """``r`` as an int, or a ValueError naming the argument when it is not
+    a nonnegative integer (:func:`as_index`) or lies above MAX_ORDER."""
+    ri = as_index(r, name)
+    if ri > MAX_ORDER:
+        raise ValueError(f"{name} = {ri} is above {MAX_ORDER}, the largest "
+                         f"order accepted")
+    return ri
+
+
+def _binomial_rows():
+    """Yield the rows (C(n, 0), ..., C(n, n)) of Pascal's triangle for
+    n = 0, 1, 2, ..., each from the one before by additions: the one
+    source of binomial coefficients for the integer routes, O(n) additions
+    a row where ``math.comb`` builds each entry from scratch.  It never
+    ends, so its caller stops it."""
+    row = [1]
+    while True:
+        yield row
+        row = [1, *map(add, row, row[1:]), 1]
 
 
 def require_finite(x, name: str):
@@ -328,6 +354,17 @@ _CDF_ROUTE = "the cdf sum accepts"  # named by the error above the ceiling
 # to a cutoff past 2m, so at this mean about 2e6 terms: an order-2
 # ``expectation`` takes several seconds on a 2-CPU x86 machine.
 MAX_ORACLE_MEAN = 1e6
+
+# The largest order any entry point accepts (:func:`as_order`).  The
+# slowest entry point at an order is the weighted pass, O(r^3) exact
+# products by construction: at this order, with f = 1 and a = 0,
+# ``b_expectation_table`` took 1.5-1.9 s natively and at 64 and 256 bits,
+# at m = 2 and m = 50, on a 2-CPU x86 Xeon (a weight whose differences do
+# not vanish, sign(j - m), took 9-10 s at 64 bits); the oracle's table
+# (eps 1e-12) took 0.4-0.6 s, and the tables and the Kummer route under
+# 0.2 s.  It stays above 400, so that an order-401 native table at m = 2
+# still ends in its binary64 overflow error.
+MAX_ORDER = 420
 
 # Entries kept by each lattice memo, the pmf anchor and the cdf pair: a
 # ``verify`` request needs a few dozen, and a bound this small keeps the

@@ -65,7 +65,7 @@ from typing import Tuple
 from mpmath.libmp import from_man_exp, mpf_exp, round_nearest
 
 from .core import (_capped_mean, _extended_width, _factor_at, _pair,
-                   _trimmed, as_double, as_index, exact_ratio, require_finite)
+                   _trimmed, as_double, as_order, exact_ratio, require_finite)
 from .precision import NATIVE, PrecisionSpec, _double, _round, _rounded
 from .recurrences import _UPGRADE_PREC, _condition, central_moment_table
 
@@ -284,7 +284,7 @@ class GTable:
 
 
 def _check_odd_order(r) -> int:
-    ri = as_index(r, "order")
+    ri = as_order(r, "order")
     if ri % 2 == 0:
         raise ValueError(f"order must be an odd positive integer, got {r!r}")
     return ri
@@ -554,7 +554,7 @@ def katti_abs_moment_table(m, a, r_max, prec: PrecisionSpec = NATIVE,
     :class:`~poisson_moments.core.MeanTooLargeError`.
     """
     mv = _capped_mean(m, MAX_KUMMER_MEAN, _KUMMER_ROUTE)
-    ri = as_index(r_max, "r_max")
+    ri = as_order(r_max, "r_max")
     orders = tuple(range(1, ri + 1, 2))
     return _katti_entries(mv, a, orders, prec, central) if orders else {}
 

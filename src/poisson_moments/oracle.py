@@ -44,13 +44,15 @@ The module deliberately never imports the recurrence, polynomial, or
 hypergeometric modules: ground truth here comes only from the defining
 series, so it can adjudicate disagreements between the other routes.  It
 takes its exact-pair tools from ``core``, as those modules do: the
-reader, the shift rule of the trimmed sum, and the pmf-row walk that the
-weighted recurrence's pass steps too.  Sharing the walk keeps the referee honest, because a fault in it
+reader, the shift rule of the trimmed sum, the Pascal rows of the
+re-centring, and the pmf-row walk that the weighted recurrence's pass
+steps too.  Sharing the walk keeps the referee honest, because a fault in it
 could not hide by being the same on both sides of a check: ``verify``
 checks the central tables, which use no pmf at all, against this pass's
 power entries, and the tests check this pass against a plain mpmath
 sum at 60 digits (``tests/helpers.brute_expectation``), which shares no
-code with the package.
+code with the package.  The Pascal rows are shared with the integer tables;
+the tests compare every row up to ``core.MAX_ORDER`` with ``math.comb``.
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ from typing import NamedTuple, Optional
 from mpmath import mp
 from mpmath.libmp import from_float, from_man_exp, mpf_exp, round_nearest
 
-from .core import (MAX_ORACLE_MEAN, DiscreteFunction, _capped_mean, _pair,
-                   _pmf_walk, _rescaled, as_double, as_index, exact_ratio,
-                   require_finite, tail_bounds, truncation_index)
+from .core import (MAX_ORACLE_MEAN, DiscreteFunction, _binomial_rows,
+                   _capped_mean, _pair, _pmf_walk, _rescaled, as_double,
+                   as_order, exact_ratio, require_finite, tail_bounds,
+                   truncation_index)
 
 __all__ = [
     "WeightSpec",
@@ -104,7 +107,7 @@ class WeightSpec:
     def __post_init__(self) -> None:
         if self.form not in _FORMS:
             raise ValueError(f"unknown weight form {self.form!r}")
-        as_index(self.r, "r")
+        as_order(self.r, "r")
         if self.form == "signed_power" and self.b is None:
             raise ValueError("signed_power needs a threshold b")
         if self.form == "custom" and self.f is None:
@@ -256,7 +259,8 @@ def _plan(mv: float, a: float, orders: tuple, eps: float,
 
 def _recentring(tq: int, s: int, top: int) -> list:
     """The exact binomial re-centring of a pass's sums, as rows: row r
-    holds C(r, k) tq^(r - k) 2^(s k) for k <= r.
+    holds C(r, k) tq^(r - k) 2^(s k) for k <= r, C(r, k) from
+    ``core._binomial_rows``.
 
     With the pass about c = C / 2^qc, its sum of order k is on the scale
     2^(qc k), and a center a with Q = 2^q, q = max(qc, qa), has
@@ -266,8 +270,8 @@ def _recentring(tq: int, s: int, top: int) -> list:
     row r applied to the sums of orders 0..r gives the sum of order r
     about a on the scale Q^r, exactly."""
     powers = list(accumulate(repeat(tq, top), mul, initial=1))
-    return [[math.comb(r, k) * powers[r - k] << s * k for k in range(r + 1)]
-            for r in range(top + 1)]
+    return [[c * powers[r - k] << s * k for k, c in enumerate(row)]
+            for r, row in zip(range(top + 1), _binomial_rows())]
 
 
 def _apply(rows, totals) -> list:
@@ -470,7 +474,7 @@ def expectation_table(m, a, r_max: int, eps: float,
     mv = _capped_mean(m, MAX_ORACLE_MEAN, _ORACLE_ROUTE)
     a = as_double(a, "center a")
     thresholds = [as_double(b, "threshold b") for b in thresholds]
-    r_max = as_index(r_max, "r_max")
+    r_max = as_order(r_max, "r_max")
     _check_eps(eps)
     return _table(mv, a, tuple(range(r_max + 1)), eps, thresholds)
 
@@ -508,7 +512,7 @@ def _center_totals(m, centers, r_max: int, eps: float):
                 tuple(dict.fromkeys(as_double(b, "threshold b")
                                     for b in thresholds)))
                for a, thresholds in centers]
-    r_max = as_index(r_max, "r_max")
+    r_max = as_order(r_max, "r_max")
     _check_eps(eps)
     return _certify(mv, float(math.floor(mv)), centers,
                     tuple(range(r_max + 1)), eps)

@@ -1,27 +1,31 @@
 """Central moments about the mean as exact integer polynomials in m.
 
 The r-th central moment of a Poisson(m) variable is a polynomial in m with
-integer coefficients; successive polynomials follow
-
-    mu_r = m * sum_{k <= r-2} binom(r-1, k) mu_k,        r >= 2,
-
-with mu_0 = 1 and mu_1 = 0.  A second identity ties consecutive orders to
-the derivative in m,
+integer coefficients, mu_0 = 1 and mu_1 = 0.  They are built by the
+derivative identity (Riordan 1937),
 
     mu_{r+1} = r m mu_{r-1} + m d(mu_r)/dm,
 
-and is used purely as an exact verification property, never as the
-construction path.  Coefficients grow combinatorially, so everything is
-plain Python integer arithmetic (arbitrary width, no tolerance anywhere).
+which in coefficient form reads c_{r+1,k} = r c_{r-1,k-1} + k c_{r,k},
+c_{r,k} the coefficient of m^k in mu_r: O(r) integer operations per order.
+The binomial-sum recurrence the tables run,
+
+    mu_{r+1} = m * sum_{k < r} binom(r, k) mu_k,
+
+shares no step with that construction and is the module's independent
+exact check (:func:`check_derivative_identity`).  Coefficients grow
+combinatorially, so everything is plain Python integer arithmetic
+(arbitrary width, no tolerance anywhere).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from itertools import islice
 from typing import List, Tuple
 
-from .core import _pair, as_mean
+from .core import (MAX_ORDER, _binomial_rows, _pair, as_index, as_mean,
+                   as_order)
 from .precision import NATIVE, PrecisionSpec, _rounded
 
 __all__ = [
@@ -44,48 +48,19 @@ class MomentPolynomial:
         return len(self.coeffs) - 1
 
 
-def _trim(c: Tuple[int, ...]) -> Tuple[int, ...]:
-    n = len(c)
-    while n > 1 and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
-
-
-def _add(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
-    n = max(len(p), len(q))
-    return tuple(
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
-    )
-
-
-def _scale(p: Tuple[int, ...], c: int) -> Tuple[int, ...]:
-    return tuple(c * x for x in p)
-
-
-def _shift(p: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Multiply by m."""
-    return (0,) + tuple(p)
-
-
-def _derivative(p: Tuple[int, ...]) -> Tuple[int, ...]:
-    if len(p) == 1:
-        return (0,)
-    return tuple(k * p[k] for k in range(1, len(p)))
-
-
 def moment_polynomials(r_max: int) -> List[MomentPolynomial]:
-    """Exact mu_0..mu_{r_max}, built by the binomial-sum recurrence."""
-    if r_max < 0:
-        raise ValueError("r_max must be nonnegative")
-    coeffs: List[Tuple[int, ...]] = [(1,)]
-    if r_max >= 1:
-        coeffs.append((0,))
-    for r in range(2, r_max + 1):
-        acc: Tuple[int, ...] = (0,)
-        for k in range(r - 1):
-            acc = _add(acc, _scale(coeffs[k], comb(r - 1, k)))
-        coeffs.append(_trim(_shift(acc)))
-    polys = [MomentPolynomial(r, _trim(c)) for r, c in enumerate(coeffs)]
+    """Exact mu_0..mu_{r_max}, built by the derivative identity.  An r_max
+    that is not a nonnegative integer, or lies above ``core.MAX_ORDER``,
+    raises a ValueError naming it."""
+    r_max = as_order(r_max, "r_max")
+    coeffs: List[Tuple[int, ...]] = [(1,), (0,)]
+    for r in range(1, r_max):
+        # c_{r+1,k} = r c_{r-1,k-1} + k c_{r,k}; zip stops at degree
+        # floor((r+1)/2)
+        lo, hi = (0, *coeffs[r - 1]), (*coeffs[r], 0)
+        coeffs.append(tuple(r * x + k * y
+                            for k, (x, y) in enumerate(zip(lo, hi))))
+    polys = [MomentPolynomial(r, c) for r, c in enumerate(coeffs[:r_max + 1])]
     for p in polys:
         _validate(p)
     return polys
@@ -103,18 +78,20 @@ def _validate(p: MomentPolynomial) -> None:
 
 
 def check_derivative_identity(r: int) -> bool:
-    """Exact check of mu_{r+1} == r m mu_{r-1} + m d(mu_r)/dm, r >= 1."""
-    if r < 1:
-        raise ValueError("the derivative identity needs r >= 1")
-    polys = moment_polynomials(r + 1)
-    lhs = _trim(polys[r + 1].coeffs)
-    rhs = _trim(
-        _add(
-            _scale(_shift(polys[r - 1].coeffs), r),
-            _shift(_derivative(polys[r].coeffs)),
-        )
-    )
-    return lhs == rhs
+    """Exact check of mu_{r+1} == m sum_{k < r} binom(r, k) mu_k, r >= 1:
+    the binomial-sum recurrence, on the polynomials the derivative
+    identity built.  mu_{r+1} may not lie past ``core.MAX_ORDER``, so an
+    r outside 1..MAX_ORDER - 1 raises a ValueError naming it."""
+    r = as_index(r, "r")
+    if not 1 <= r < MAX_ORDER:
+        raise ValueError(f"the derivative identity needs 1 <= r < "
+                         f"{MAX_ORDER}, got r = {r}")
+    polys = [p.coeffs for p in moment_polynomials(r + 1)]
+    binom = next(islice(_binomial_rows(), r, None))  # binom(r, k)
+    width = max(map(len, polys[:r]))
+    rhs = tuple(sum(c * p[j] for c, p in zip(binom, polys[:r]) if j < len(p))
+                for j in range(width))
+    return polys[r + 1] == (0, *rhs)
 
 
 def evaluate_polynomial(p: MomentPolynomial, m, prec: PrecisionSpec = NATIVE):

@@ -51,9 +51,10 @@ from itertools import accumulate, islice
 from math import comb
 from typing import Optional
 
-from .core import (_CDF_ROUTE, MAX_CDF_MEAN, DiscreteFunction, _capped_mean,
-                   _cdf_pair, _extended_width, _factor_at, _floor, _pair,
-                   _pmf_walk, _trimmed, as_double, as_index, as_mean, cdf,
+from .core import (_CDF_ROUTE, MAX_CDF_MEAN, MIN_CERTIFIABLE_EPS,
+                   DiscreteFunction, _binomial_rows, _capped_mean, _cdf_pair,
+                   _extended_width, _factor_at, _floor, _pair, _pmf_walk,
+                   _trimmed, as_double, as_mean, as_order, cdf,
                    require_finite, threshold_pmf_factor, truncation_index)
 from .precision import NATIVE, PrecisionSpec, _double, _round, _rounded
 
@@ -197,7 +198,8 @@ def _lattice_build(kind: str, mv: float, a, b: Optional[float], r_max: int,
     exact binary fractions, and the row starts from D(0) = 1 for a central
     table and from D(0) = v0 = 1 - 2 F(b) for a signed one.  Each order
     is one list of terms, (m - a) D(r-1), then m binom(r-1, k) D(k) for
-    k = 0..r-2, then for a signed table the correction
+    k = 0..r-2 (row r - 1 of ``core._binomial_rows``), then for a signed
+    table the correction
     2 (floor(b) + 1 - a)^(r-1) pb, pb the pmf factor at floor(b); the
     entry is one ``core._trimmed`` sum of that list, and the condition
     walk reads the same list.  v0 and pb are ``core``'s lattice pairs
@@ -238,8 +240,9 @@ def _lattice_build(kind: str, mv: float, a, b: Optional[float], r_max: int,
         corr_base = _trimmed(((fb + 1, 0), (-an, ae)), keep)
         corr = (2, 0)  # 2 (floor(b) + 1 - a)^(r-1)
     conds = [1.0] if walk else None
-    for r in range(1, r_max + 1):
-        coefs = [diff] + [(mn * comb(r - 1, k), me) for k in range(r - 1)]
+    # order r reads row r - 1, binom(r - 1, k) for k <= r - 2
+    for r, binom in zip(range(1, r_max + 1), _binomial_rows()):
+        coefs = [diff] + [(mn * c, me) for c in binom[:-1]]
         terms = _products(coefs, entries)
         if kind == "signed":
             if corr[0]:
@@ -311,7 +314,7 @@ def central_moment_table(m, a, r_max, prec: PrecisionSpec = NATIVE) -> MomentTab
     """Table of E (X - a)^r for r = 0..r_max via the binomial-sum recurrence."""
     mv = as_mean(m)
     a = _center(a, prec)
-    return _finish("central", mv, a, None, as_index(r_max, "r_max"), prec)
+    return _finish("central", mv, a, None, as_order(r_max, "r_max"), prec)
 
 
 def signed_moment_table(m, a, b, r_max, prec: PrecisionSpec = NATIVE) -> MomentTable:
@@ -325,7 +328,7 @@ def signed_moment_table(m, a, b, r_max, prec: PrecisionSpec = NATIVE) -> MomentT
     mv = as_mean(m)
     a = _center(a, prec)
     b = _center(b, prec, "threshold b")
-    return _finish("signed", mv, a, b, as_index(r_max, "r_max"), prec)
+    return _finish("signed", mv, a, b, as_order(r_max, "r_max"), prec)
 
 
 def shift_identity(shifted: MomentTable, table: MomentTable) -> list:
@@ -355,7 +358,7 @@ def central_moment_shifted(m, a, r, prec: PrecisionSpec = NATIVE):
     built from two lower-order tables.
     """
     mv = as_mean(m)
-    r = as_index(r, "order")
+    r = as_order(r, "order")
     if r < 1:
         raise ValueError("the center-shift identity needs r >= 1")
     shifted = central_moment_table(mv, _shift_down(a, prec), r - 1, prec)
@@ -369,7 +372,7 @@ def signed_moment_shifted(m, a, b, r, prec: PrecisionSpec = NATIVE):
     resolves through the b < 0 degeneration of ``signed_moment_table``.
     """
     mv = as_mean(m)
-    r = as_index(r, "order")
+    r = as_order(r, "order")
     if r < 1:
         raise ValueError("the center-shift identity needs r >= 1")
     if b < 0:
@@ -384,7 +387,7 @@ def abs_central_moment(m, a, r, prec: PrecisionSpec = NATIVE):
     that is not a nonnegative integer, or whose moment overflows binary64
     in native mode, raises a ValueError."""
     mv = as_mean(m)
-    r = as_index(r, "order")
+    r = as_order(r, "order")
     if r % 2 == 0:
         value = central_moment_table(mv, a, r, prec).values[r]
     else:
@@ -462,7 +465,10 @@ def b_expectation_table(m, a, r_max, f: DiscreteFunction,
     with Df(j) = f(j+1) - f(j), down to the base cases B(0, a, D^d f)
     = E (D^d f)(X), each evaluated by certified truncated summation using
     the declared envelope |D^d f| <= 2^d coeff (1 + d + x)^degree (or the
-    finite support).  One pass fills B(k, a, D^d f) for every depth d and
+    finite support), each tail certified to tail_eps / (2^d coeff),
+    tail_eps = min(rel_tol, 2^-(bits/2)); an r_max and coeff that put the
+    deepest of these below ``core.MIN_CERTIFIABLE_EPS`` raise a ValueError
+    naming both.  One pass fills B(k, a, D^d f) for every depth d and
     order k with d + k <= r_max; the entries of depth 0 are returned.
 
     The differences come in rows: row 0 holds f on 0..max_d(N_d + d), N_d
@@ -500,12 +506,22 @@ def b_expectation_table(m, a, r_max, f: DiscreteFunction,
     """
     mv = as_mean(m)
     a = _center(a, prec)
-    r_max = as_index(r_max, "r_max")
+    r_max = as_order(r_max, "r_max")
     if not isinstance(f, DiscreteFunction):
         raise ValueError("f must be a DiscreteFunction with declared growth")
     # Base-sum tails far below the working precision's own resolution needs;
     # capped by rel_tol so a looser caller tolerance still wins.
     tail_eps = min(prec.rel_tol, 2.0 ** (-(prec.bits // 2)))
+    if f.support_end is None:
+        # the deepest base sum's tail bound is the smallest the pass asks
+        deepest = tail_eps / (2.0 ** r_max * f.coeff)
+        if deepest < MIN_CERTIFIABLE_EPS:
+            raise ValueError(
+                f"r_max = {r_max} with f's coeff = {f.coeff!r} puts the "
+                f"deepest tail bound, tail_eps / (2^r_max coeff), at "
+                f"{deepest:.3g} (tail_eps = {tail_eps:.3g} from the "
+                f"precision), below the certifiable range "
+                f"(< {MIN_CERTIFIABLE_EPS})")
     # D^d f vanishes beyond the support of f itself
     cutoffs = [f.support_end if f.support_end is not None else
                truncation_index(mv, f.degree, -(1.0 + d),
@@ -532,8 +548,8 @@ def b_expectation_table(m, a, r_max, f: DiscreteFunction,
     # step k's coefficients on the orders below it, as _products pairs
     # them: m - a, then m binom(k-1, i) for i <= k - 2
     diff = _trimmed(((mn, me), (-an, ae)), keep)  # m - a
-    steps = [[diff] + [(mn * comb(k - 1, i), me) for i in range(k - 1)]
-             for k in range(1, r_max + 1)]
+    steps = [[diff] + [(mn * c, me) for c in binom[:-1]]
+             for binom in islice(_binomial_rows(), r_max)]
     upper: list = []  # B(k, a, D^(d+1) f) for k <= r_max - d - 1
     for d in range(r_max, -1, -1):
         cur = [bases[d]]
@@ -552,5 +568,5 @@ def b_expectation_table(m, a, r_max, f: DiscreteFunction,
 
 def b_expectation(m, a, r, f: DiscreteFunction, prec: PrecisionSpec = NATIVE):
     """E (X - a)^r f(X): entry r of :func:`b_expectation_table`."""
-    r = as_index(r, "order")
+    r = as_order(r, "order")
     return b_expectation_table(m, a, r, f, prec)[r]

@@ -166,6 +166,27 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "too large for binary64" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        *((["moment", "--mean", "2", "--center", "0", "--method", method,
+            "--precision-bits", "64"], "--order")
+          for method in ("recurrence", "shifted", "katti", "closed",
+                         "oracle")),
+        (["table"], "--max-order"),
+        (["verify"], "--max-order"),
+        (["bench", "--mean", "2"], "--max-order"),
+        (["poly"], "--max-order"),
+    ], ids=["moment", "moment-shifted", "moment-katti", "moment-closed",
+            "moment-oracle", "table", "verify", "bench", "poly"])
+    def test_order_past_the_ceiling_is_usage_error(self, argv, flag):
+        # refused before any routing: a shifted or katti refusal would be
+        # a precondition row, and at --order 3000 the 64-bit recurrence
+        # ran for minutes
+        past = str(core.MAX_ORDER + 1)
+        code, out, err = run(argv + [flag, past])
+        assert code == 2 and out == ""
+        assert err == (f"error: {flag} must lie in 0..{core.MAX_ORDER}, "
+                       f"got {past}\n")
+
     @pytest.mark.parametrize("argv", [
         ["moment", "--mean", "1e12", "--order", "1", "--center", "1e12"],
         ["moment", "--mean", "1e12", "--order", "1", "--center", "1e12",
@@ -488,6 +509,16 @@ class TestVerify:
             assert code == 0 and "katti" in out, out
             counts.append(int(re.search(r"gated_rows=(\d+)", out)[1]))
         assert counts[0] - counts[1] == 8
+
+    def test_extended_katti_rows_follow_the_native_gate(self):
+        # the series stops at rel_tol 1e-20, above tol / 100: its rows are
+        # reported, not gated, as native ones are at a looser --rel-tol;
+        # gated, 160 of them failed
+        code, out, err = run(["verify", "--precision-bits", "256",
+                              "--tol", "1e-60"])
+        assert code == 0 and err == "", err
+        assert re.search(r"^  katti +worst_rel_err=", out, re.M), out
+        assert "result: PASS" in out
 
     def test_reports_worst_error_per_method(self):
         code, out, _ = run(["verify", "--mean-grid", "1", "--max-order", "2",

@@ -13,8 +13,9 @@ from mpmath import mp
 from poisson_moments import (DiscreteFunction, GrowthBoundError, PoissonMean,
                              PrecisionSpec, TailBound, cdf, log_pmf, pmf,
                              sign, truncation_index)
-from poisson_moments.core import (MAX_CDF_MEAN, MIN_CERTIFIABLE_EPS,
-                                  MeanTooLargeError, _floor, _pair, as_double,
+from poisson_moments.core import (MAX_CDF_MEAN, MAX_ORDER,
+                                  MIN_CERTIFIABLE_EPS, MeanTooLargeError,
+                                  _binomial_rows, _floor, _pair, as_double,
                                   exact_ratio, require_finite, tail_bounds)
 from poisson_moments.precision import _double
 
@@ -121,6 +122,13 @@ class TestPair:
             _pair(x)
         with pytest.raises(ValueError, match="not finite"):
             exact_ratio(x)
+
+
+class TestBinomialRows:
+    def test_rows_equal_math_comb_up_to_the_ceiling(self):
+        rows = zip(range(MAX_ORDER + 1), _binomial_rows())
+        for n, row in rows:
+            assert row == [math.comb(n, k) for k in range(n + 1)], n
 
 
 class TestFiniteCheck:

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from poisson_moments import (PrecisionSpec, central_moment_table,
                              check_derivative_identity, evaluate_polynomial,
                              moment_polynomials)
-from poisson_moments.core import exact_ratio
+from poisson_moments.core import MAX_ORDER, exact_ratio
 
 
 class TestConstruction:
@@ -44,6 +45,17 @@ class TestConstruction:
         for p in moment_polynomials(20)[2:]:
             assert all(c >= 0 for c in p.coeffs)
 
+    def test_equal_the_binomial_sum_recurrence(self):
+        # mu_r = m sum_{k <= r-2} binom(r-1, k) mu_k, from math.comb
+        want = [(1,), (0,)]
+        for r in range(2, 201):
+            acc = [0] * (r // 2 + 1)
+            for k in range(r - 1):
+                for j, c in enumerate(want[k]):
+                    acc[j + 1] += comb(r - 1, k) * c
+            want.append(tuple(acc))
+        assert [p.coeffs for p in moment_polynomials(200)] == want
+
 
 class TestDerivativeIdentity:
     def test_r1(self):
@@ -59,6 +71,12 @@ class TestDerivativeIdentity:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             check_derivative_identity(0)
+
+    def test_holds_below_the_ceiling_and_refuses_at_it(self):
+        # mu_(r+1) must not lie past the order ceiling
+        assert check_derivative_identity(MAX_ORDER - 1)
+        with pytest.raises(ValueError, match=f"r = {MAX_ORDER}$"):
+            check_derivative_identity(MAX_ORDER)
 
 
 class TestEvaluation:

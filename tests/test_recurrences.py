@@ -1,9 +1,11 @@
 """Moment recurrences: tables, shift identities, closed forms, weighted sums."""
 
 import functools
+import hashlib
 import itertools
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -23,6 +25,7 @@ from poisson_moments import (NATIVE, DiscreteFunction, GrowthBoundError,
                              b_expectation, b_expectation_table, cdf,
                              central_moment_shifted,
                              central_moment_table, g_table, katti_abs_moment,
+                             katti_abs_moment_table,
                              mean_deviation, moment_polynomials, sign,
                              signed_moment_shifted, signed_moment_table,
                              truncation_index)
@@ -234,9 +237,34 @@ def lattice_tables(prec):
                    signed_moment_table(m, a, b, r_max, prec))
 
 
+def high_order_tables():
+    """Seeded extended tables at r = 200: central and signed, at 64 and at
+    256 bits."""
+    rng = random.Random(37)
+    for bits in (64, 256):
+        prec = PrecisionSpec.extended(bits)
+        for _ in range(2):
+            m = 10 ** rng.uniform(-1.0, 2.0)
+            a = rng.choice([0.0, m, rng.uniform(-3.0, 2.0 * m)])
+            b = abs(m + rng.gauss(0.0, m ** 0.5))
+            yield central_moment_table(m, a, 200, prec)
+            yield signed_moment_table(m, a, b, 200, prec)
+
+
 class TestIntegerRoute:
     """Extended tables and the native rebuild from the exact lattice
     recurrences, against a Fraction reference."""
+
+    def test_high_order_entries_and_conditions_keep_their_bits(self):
+        # the digest of these tables when each binomial was a math.comb
+        # call: stepping Pascal's rows changes no bit of them
+        digest = hashlib.sha256()
+        for table in high_order_tables():
+            for v, c in zip(table.values, table.condition):
+                digest.update(repr((tuple(map(int, v._mpf_)),
+                                    c.hex())).encode())
+        assert digest.hexdigest() == (
+            "a2dc48c3169314765cb3a5d79057c767ed5c5d19f62a5194efe0d7d061d7cf92")
 
     @pytest.mark.parametrize("bits", [128, 256])
     def test_extended_entries_and_conditions_match_the_reference(self, bits):
@@ -630,6 +658,33 @@ class TestOrderDomain:
 
     def test_integral_float_order_is_accepted(self):
         assert central_moment_table(2.0, 2.0, 4.0).values[4] == 14.0
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda r: central_moment_table(2.0, 0.0, r, EXT), "r_max"),
+        (lambda r: signed_moment_table(2.0, 0.0, 1.0, r, EXT), "r_max"),
+        (lambda r: central_moment_shifted(2.0, 0.0, r), "order"),
+        (lambda r: signed_moment_shifted(2.0, 0.0, 1.0, r), "order"),
+        (lambda r: abs_central_moment(2.0, 0.0, r), "order"),
+        (lambda r: b_expectation_table(2.0, 0.0, r, _const_one()), "r_max"),
+        (lambda r: b_expectation(2.0, 0.0, r, _const_one()), "order"),
+        (lambda r: g_table(0.0, 2.0, r), "order"),
+        (lambda r: katti_abs_moment(2.0, 0.0, r, EXT), "order"),
+        (lambda r: katti_abs_moment_table(2.0, 0.0, r), "r_max"),
+        (lambda r: om.expectation_table(2.0, 0.0, r, 1e-12), "r_max"),
+        (lambda r: om.expectation(2.0, om.WeightSpec("power", r, 0.0),
+                                  1e-12), "r"),
+        (lambda r: om.verify_against(2.0, om.WeightSpec.abs_power(r, 0.0),
+                                     1.0, 1e-9), "r"),
+        (lambda r: moment_polynomials(r), "r_max"),
+    ], ids=["central", "signed", "shifted", "shifted-signed", "abs",
+            "b-table", "b", "g-table", "katti", "katti-table",
+            "oracle-table", "oracle", "verify-against", "polynomials"])
+    def test_order_past_the_ceiling_is_refused_by_name(self, call, name):
+        # refused before any work: at r = 3000 the 64-bit central table
+        # ran for minutes
+        past = core.MAX_ORDER + 1
+        with pytest.raises(ValueError, match=f"^{name} = {past} is above"):
+            call(past)
 
     @pytest.mark.parametrize("b,r", [(1e200, 3), (1e300, 3), (1e20, 30)])
     def test_far_threshold_adds_no_correction(self, b, r):
@@ -1243,6 +1298,19 @@ class TestBExpectationTable:
                              degree=0, coeff=1.0)
         with pytest.raises(ValueError, match=r"f\(3\)"):
             b_expectation_table(2.0, 1.0, 2, f)
+
+    @pytest.mark.parametrize("r_max,coeff,prec", [
+        (300, 1e200, PrecisionSpec.extended(64)),
+        (core.MAX_ORDER, 1e160, NATIVE),
+    ], ids=["64", "native"])
+    def test_uncertifiable_tail_names_r_max_and_coeff(self, r_max, coeff,
+                                                      prec):
+        # the deepest base sum asks for a tail of tail_eps / (2^r_max coeff),
+        # below 1e-290: the refusal named an eps that no caller passed
+        f = DiscreteFunction(lambda j: 1.0, degree=0, coeff=coeff)
+        with pytest.raises(ValueError, match=re.escape(
+                f"r_max = {r_max} with f's coeff = {coeff!r}")):
+            b_expectation_table(2.0, 0.0, r_max, f, prec)
 
     @pytest.mark.parametrize("r_max", [2.5, -1, math.nan])
     def test_order_is_named_r_max(self, r_max):

@@ -4,8 +4,10 @@ One case table, ``CASES``, covers the layers:
 
 * ``primitives``: ``cdf``, extended ``log_pmf`` and ``threshold_pmf_factor``;
 * ``tables``: the table recurrence, native and at 256 bits (a signed
-  table also at b = 0, far below a large mean), and the native table at a
-  near-root center, whose flagged orders are rebuilt at 256 bits;
+  table also at b = 0, far below a large mean), the native table at a
+  near-root center, whose flagged orders are rebuilt at 256 bits, and a
+  64-bit table past the order ceiling, ``core.MAX_ORDER``, which the case
+  lifts while it runs;
 * ``hypergeom``: the Kummer route at a = m and 256 bits unless the case
   says otherwise: the value row, ``g_table``'s derivative recursion
   alone, ``katti_abs_moment``, and every odd order up to r by
@@ -18,6 +20,8 @@ One case table, ``CASES``, covers the layers:
 * ``weighted``: the weighted recurrence at a = m and 256 bits, with the
   weight sign(j - m): every order up to r by ``b_expectation_table`` next
   to a ``b_expectation`` call per order, and the table natively;
+* ``polynomials``: the exact moment polynomials of every order up to r,
+  past the order ceiling, which the case lifts while it runs;
 * ``cli``: ``verify`` requests shaped like the benchmark's ``verify_sweep``
   and a ``table`` grid of 50 means, three centers and orders to 30, each
   one in-process ``cli.main`` call, and the wall time of a whole
@@ -158,6 +162,20 @@ def _sign_weight(pm, m):
                                coeff=1.0)
 
 
+def _past_ceiling(pm, call):
+    """``call`` with the tree's order ceiling, ``core.MAX_ORDER``, lifted
+    while it runs, so that a case past the ceiling times the construction
+    the ceiling bounds (a tree without a ceiling never reads the name)."""
+    def run():
+        saved = vars(pm.core).get("MAX_ORDER")
+        pm.core.MAX_ORDER = math.inf
+        try:
+            call()
+        finally:
+            pm.core.MAX_ORDER = saved
+    return run
+
+
 def _in_process(pm, *argv):
     """One ``cli.main`` call in this interpreter, its output discarded; an
     exit code other than 0 is an error."""
@@ -214,6 +232,10 @@ CASES = [
     ("tables", "central_moment_table a=5e-324, 256 bits", (2.0,), (30,),
      lambda pm, m, r: [partial(pm.central_moment_table, m, 5e-324, r,
                                _ext(pm))]),
+    # an order past the ceiling, where forming the binomials dominated
+    ("tables", "central_moment_table a=0, 64 bits", (2.0,), (600,),
+     lambda pm, m, r: [_past_ceiling(pm, partial(
+         pm.central_moment_table, m, 0.0, r, _ext(pm, 64)))]),
     ("tables", "central_moment_table near root, native rebuild",
      tuple(NEAR_ROOTS), (14,),
      lambda pm, m, r: [partial(pm.central_moment_table, m, NEAR_ROOTS[m], r)]),
@@ -267,6 +289,12 @@ CASES = [
     ("weighted", "b_expectation_table native", (2.0, 50.0, 1e3), (ORDER,),
      lambda pm, m, r: [partial(pm.b_expectation_table, m, m, r,
                                _sign_weight(pm, m))]),
+    ("weighted", "b_expectation_table native", (2.0,), (200,),
+     lambda pm, m, r: [partial(pm.b_expectation_table, m, m, r,
+                               _sign_weight(pm, m))]),
+    ("polynomials", "moment_polynomials", (None,), (600,),
+     lambda pm, m, r: [_past_ceiling(pm, partial(pm.moment_polynomials,
+                                                 r))]),
     ("cli", "verify", (2.0, 50.0), (8,),
      lambda pm, m, r: [_in_process(pm, "verify", "--mean-grid", f"{m:g}",
                                    "--max-order", str(r))]),
