@@ -116,16 +116,18 @@ def _record_line(rec: tuple) -> str:
 # grid parsing
 
 
+@functools.lru_cache(maxsize=256)
 def _parse_expr(src: str) -> ast.Expression:
+    """``src`` parsed, once per text."""
     try:
         return ast.parse(src.strip(), mode="eval")
     except SyntaxError:
         raise UsageError(f"bad grid expression {src!r}") from None
 
 
-def _eval_expr(src: str, tree: ast.Expression, names: dict) -> float:
+def _eval_expr(src: str, names: dict) -> float:
     """Tiny arithmetic evaluator for grid tokens like ``fl+0.3`` or
-    ``m/2``, given ``src`` parsed."""
+    ``m/2``."""
 
     def ev(node):
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
@@ -149,7 +151,7 @@ def _eval_expr(src: str, tree: ast.Expression, names: dict) -> float:
         raise UsageError(f"unsupported grid expression {src!r}")
 
     try:
-        value = ev(tree.body)
+        value = ev(_parse_expr(src).body)
     except ZeroDivisionError:
         raise UsageError(f"division by zero in grid expression {src!r}") from None
     if not math.isfinite(value):
@@ -207,25 +209,20 @@ def _parse_exprs(spec: str) -> List[str]:
 def _grid(args, threshold_spec: Optional[str]):
     """Parse the grids now; return a walk yielding, per mean, (m, centers),
     where ``centers`` yields (a, thresholds or None) per center, each
-    expression evaluated when it is reached and parsed the first time."""
+    expression evaluated when it is reached."""
     means = [_mean_or_usage(x) for x in _parse_float_grid(args.mean_grid)]
     center_exprs = _parse_exprs(args.centers)
     threshold_exprs = (None if threshold_spec is None
                        else _parse_exprs(threshold_spec))
-    trees: dict = {}  # each expression parsed once, when first reached
-
-    def ev(src, names):
-        if src not in trees:
-            trees[src] = _parse_expr(src)
-        return _eval_expr(src, trees[src], names)
 
     def centers(mv):
         names = {"m": mv, "fl": float(math.floor(mv))}
         # dict.fromkeys drops repeated values and keeps the first order
-        for a in dict.fromkeys([ev(e, names) for e in center_exprs]):
+        for a in dict.fromkeys([_eval_expr(e, names) for e in center_exprs]):
             tnames = dict(names, a=a)
             yield a, (None if threshold_exprs is None else list(
-                dict.fromkeys([ev(e, tnames) for e in threshold_exprs])))
+                dict.fromkeys([_eval_expr(e, tnames)
+                               for e in threshold_exprs])))
 
     return ((mv, centers(mv)) for mv in means)
 
@@ -258,16 +255,16 @@ def _rows(method: str, mv: float, a, b, orders: range, prec: PrecisionSpec,
     """Each order of ``orders`` as (value, condition, certified_error) or
     as its precondition message, for E |X - a|^r (b None), E (X - a)^r
     sign(X - b), or E (X - a)^r (b = _CENTRAL).  ``tables`` holds one
-    mean's tables by (kind, m, a, b, bits), each built at orders[-1] once
-    (entry r is the same at any order >= r; at b < 0, the central table).
-    A shifted or series ValueError, not _TOO_LARGE, is a precondition
+    mean's tables at ``prec`` by (a, floor(b)), each built at orders[-1]
+    once: entry r is the same at any order >= r, a signed table reads b
+    only as floor(b), and at b < 0 (key -1) it is the central table.  A
+    shifted or series ValueError, not _TOO_LARGE, is a precondition
     message."""
     top = orders[-1]
     done: dict = {}  # per threshold, its table or identity; katti's entries
 
     def table(a, b):
-        key = (("central", mv, a, None, prec.bits) if b < 0
-               else ("signed", mv, a, b, prec.bits))
+        key = (a, -1 if b < 0 else math.floor(b))
         if key not in tables:
             tables[key] = (central_moment_table(mv, a, top, prec) if b < 0
                            else signed_moment_table(mv, a, b, top, prec))

@@ -41,6 +41,15 @@ _BOUND_SAFETY = 1.0 + 1e-9  # absorbs double rounding in the certificate
 # Above this log the bound 2 e^x (1 + 1e-9) would overflow binary64.
 _LOG_BOUND_MAX = 709.0
 
+# The largest order any entry point accepts (:func:`as_order`).  At this
+# order, at m = 2 and m = 50 on a 2-CPU x86 Xeon, the oracle's table (eps
+# 1e-12) took 0.4-0.6 s, and the tables, the Kummer route and the moment
+# polynomials under 0.2 s (one run each).  The weighted pass, O(r^3) exact
+# products by construction, takes a lower ceiling of its own,
+# ``recurrences.MAX_WEIGHTED_ORDER``.  It stays above 400, so that an
+# order-401 native table at m = 2 still ends in its binary64 overflow error.
+MAX_ORDER = 420
+
 
 class MeanTooLargeError(ValueError):
     """A mean above a route's ceiling: MAX_CDF_MEAN, the largest :func:`cdf`
@@ -60,17 +69,20 @@ class PoissonMean:
     value: float
 
     def __post_init__(self) -> None:
-        v = float(self.value)
-        if not math.isfinite(v) or v <= 0.0:
-            raise ValueError(f"Poisson mean must be finite and positive, got {self.value!r}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", _valid_mean(self.value))
+
+
+def _valid_mean(m) -> float:
+    """float(m), or a ValueError unless it is finite and positive."""
+    v = float(m)
+    if not math.isfinite(v) or v <= 0.0:
+        raise ValueError(f"Poisson mean must be finite and positive, got {m!r}")
+    return v
 
 
 def as_mean(m) -> float:
     """Coerce a number or PoissonMean to a validated float mean."""
-    if isinstance(m, PoissonMean):
-        return m.value
-    return PoissonMean(float(m)).value
+    return m.value if isinstance(m, PoissonMean) else _valid_mean(float(m))
 
 
 def _capped_mean(m, ceiling: float, route: str) -> float:
@@ -153,12 +165,12 @@ def as_index(k, name: str = "index") -> int:
     return ki
 
 
-def as_order(r, name: str) -> int:
+def as_order(r, name: str, ceiling: int = MAX_ORDER) -> int:
     """``r`` as an int, or a ValueError naming the argument when it is not
-    a nonnegative integer (:func:`as_index`) or lies above MAX_ORDER."""
+    a nonnegative integer (:func:`as_index`) or lies above ``ceiling``."""
     ri = as_index(r, name)
-    if ri > MAX_ORDER:
-        raise ValueError(f"{name} = {ri} is above {MAX_ORDER}, the largest "
+    if ri > ceiling:
+        raise ValueError(f"{name} = {ri} is above {ceiling}, the largest "
                          f"order accepted")
     return ri
 
@@ -354,17 +366,6 @@ _CDF_ROUTE = "the cdf sum accepts"  # named by the error above the ceiling
 # to a cutoff past 2m, so at this mean about 2e6 terms: an order-2
 # ``expectation`` takes several seconds on a 2-CPU x86 machine.
 MAX_ORACLE_MEAN = 1e6
-
-# The largest order any entry point accepts (:func:`as_order`).  The
-# slowest entry point at an order is the weighted pass, O(r^3) exact
-# products by construction: at this order, with f = 1 and a = 0,
-# ``b_expectation_table`` took 1.5-1.9 s natively and at 64 and 256 bits,
-# at m = 2 and m = 50, on a 2-CPU x86 Xeon (a weight whose differences do
-# not vanish, sign(j - m), took 9-10 s at 64 bits); the oracle's table
-# (eps 1e-12) took 0.4-0.6 s, and the tables and the Kummer route under
-# 0.2 s.  It stays above 400, so that an order-401 native table at m = 2
-# still ends in its binary64 overflow error.
-MAX_ORDER = 420
 
 # Entries kept by each lattice memo, the pmf anchor and the cdf pair: a
 # ``verify`` request needs a few dozen, and a bound this small keeps the

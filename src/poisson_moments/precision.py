@@ -1,14 +1,14 @@
 """Arithmetic backends: IEEE-754 doubles or mpmath extended precision.
 
 Every numerical routine in this package accepts a :class:`PrecisionSpec`,
-a plain record of the arithmetic mode, the mantissa width and the series
-tolerance.  A native result is a ``float``; an extended one is an mpmath
-float of ``bits`` bits.  No routine reads or sets mpmath's global
-precision: an extended result is formed exactly, as pairs (n, e) standing
-for n 2^e, or by mpmath's low-level functions at an explicit width, and
-this module rounds such a pair into either backend once: :func:`_double`
-natively, :func:`_rounded` at ``prec.bits``.  So a result does not depend
-on the caller's ``mp.prec`` or on other threads.
+a plain record of the mantissa width and the series tolerance; the
+arithmetic mode follows from the width.  A native result is a ``float``;
+an extended one is an mpmath float of ``bits`` bits.  No routine reads or
+sets mpmath's global precision: an extended result is formed exactly, as
+pairs (n, e) standing for n 2^e, or by mpmath's low-level functions at an
+explicit width, and this module rounds such a pair into either backend
+once: :func:`_double` natively, :func:`_rounded` at ``prec.bits``.  So a
+result does not depend on the caller's ``mp.prec`` or on other threads.
 """
 
 from __future__ import annotations
@@ -25,40 +25,41 @@ _NATIVE_BITS = 53
 
 @dataclass(frozen=True)
 class PrecisionSpec:
-    """Arithmetic mode plus the relative tolerance used by series loops.
+    """The mantissa width plus the relative tolerance used by series loops.
 
-    mode: ``"native"`` (binary64) or ``"extended"`` (mpmath).
-    bits: mantissa width; fixed at 53 for native, at least 64 for extended.
+    bits: 53 for binary64 (native mode), or at least 64 for mpmath floats
+    of that width (extended mode); the mode follows from the width.
     rel_tol: relative tolerance in (0, 1) for series termination tests.
     """
 
-    mode: str = "native"
     bits: int = _NATIVE_BITS
     rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.mode not in ("native", "extended"):
-            raise ValueError(f"unknown arithmetic mode: {self.mode!r}")
         if not isinstance(self.bits, int):
             raise ValueError(f"bits must be an integer, got {self.bits!r}")
-        if self.mode == "extended" and self.bits < 64:
-            raise ValueError("extended mode requires at least 64 mantissa bits")
-        if self.mode == "native" and self.bits != _NATIVE_BITS:
-            raise ValueError("native mode has a fixed 53-bit mantissa")
+        if self.bits != _NATIVE_BITS and self.bits < 64:
+            raise ValueError(f"bits must be 53 or at least 64, got {self.bits!r}")
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must lie strictly between 0 and 1")
 
     @classmethod
     def native(cls, rel_tol: float = 1e-12) -> "PrecisionSpec":
-        return cls("native", _NATIVE_BITS, rel_tol)
+        return cls(_NATIVE_BITS, rel_tol)
 
     @classmethod
     def extended(cls, bits: int = 256, rel_tol: float = 1e-20) -> "PrecisionSpec":
-        return cls("extended", bits, rel_tol)
+        if isinstance(bits, int) and bits < 64:
+            raise ValueError("extended mode requires at least 64 mantissa bits")
+        return cls(bits, rel_tol)
 
     @property
     def is_extended(self) -> bool:
-        return self.mode == "extended"
+        return self.bits != _NATIVE_BITS
+
+    @property
+    def mode(self) -> str:
+        return "extended" if self.is_extended else "native"
 
 
 NATIVE = PrecisionSpec.native()

@@ -81,6 +81,14 @@ CONDITION_FLAG_THRESHOLD = 1e6
 
 _UPGRADE_PREC = PrecisionSpec.extended(bits=256)
 
+# The largest order the weighted pass accepts (:func:`b_expectation_table`
+# and :func:`b_expectation`), below ``core.MAX_ORDER``: the pass is O(r^3)
+# exact products by construction.  At this order, with the weight
+# sign(j - m) at a = m and 64 bits, a table took 2.1-2.4 s at m = 2 and
+# m = 50 on a 2-CPU x86 Xeon (two runs each; 1.0-1.3 s at order 200,
+# 2.3-3.2 s at 250).
+MAX_WEIGHTED_ORDER = 240
+
 
 class OrderOverflowError(ValueError):
     """A native table whose order is too large for binary64: a term or a
@@ -466,9 +474,11 @@ def b_expectation_table(m, a, r_max, f: DiscreteFunction,
     = E (D^d f)(X), each evaluated by certified truncated summation using
     the declared envelope |D^d f| <= 2^d coeff (1 + d + x)^degree (or the
     finite support), each tail certified to tail_eps / (2^d coeff),
-    tail_eps = min(rel_tol, 2^-(bits/2)); an r_max and coeff that put the
-    deepest of these below ``core.MIN_CERTIFIABLE_EPS`` raise a ValueError
-    naming both.  One pass fills B(k, a, D^d f) for every depth d and
+    tail_eps = max(min(rel_tol, 2^-(bits/2)), ``core.MIN_CERTIFIABLE_EPS``):
+    the floor holds at any width, so only an r_max and coeff that put the
+    deepest of these below that floor raise a ValueError naming both.  An
+    r_max above :data:`MAX_WEIGHTED_ORDER` raises a ValueError naming it,
+    before any work.  One pass fills B(k, a, D^d f) for every depth d and
     order k with d + k <= r_max; the entries of depth 0 are returned.
 
     The differences come in rows: row 0 holds f on 0..max_d(N_d + d), N_d
@@ -506,12 +516,14 @@ def b_expectation_table(m, a, r_max, f: DiscreteFunction,
     """
     mv = as_mean(m)
     a = _center(a, prec)
-    r_max = as_order(r_max, "r_max")
+    r_max = as_order(r_max, "r_max", MAX_WEIGHTED_ORDER)
     if not isinstance(f, DiscreteFunction):
         raise ValueError("f must be a DiscreteFunction with declared growth")
     # Base-sum tails far below the working precision's own resolution needs;
-    # capped by rel_tol so a looser caller tolerance still wins.
-    tail_eps = min(prec.rel_tol, 2.0 ** (-(prec.bits // 2)))
+    # capped by rel_tol so a looser caller tolerance still wins, and floored
+    # where a certificate still holds.
+    tail_eps = max(min(prec.rel_tol, 2.0 ** (-(prec.bits // 2))),
+                   MIN_CERTIFIABLE_EPS)
     if f.support_end is None:
         # the deepest base sum's tail bound is the smallest the pass asks
         deepest = tail_eps / (2.0 ** r_max * f.coeff)
@@ -567,6 +579,7 @@ def b_expectation_table(m, a, r_max, f: DiscreteFunction,
 
 
 def b_expectation(m, a, r, f: DiscreteFunction, prec: PrecisionSpec = NATIVE):
-    """E (X - a)^r f(X): entry r of :func:`b_expectation_table`."""
-    r = as_order(r, "order")
+    """E (X - a)^r f(X): entry r of :func:`b_expectation_table`, for r up
+    to :data:`MAX_WEIGHTED_ORDER`."""
+    r = as_order(r, "order", MAX_WEIGHTED_ORDER)
     return b_expectation_table(m, a, r, f, prec)[r]

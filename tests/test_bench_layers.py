@@ -42,6 +42,12 @@ def test_layer_measures_every_case(monkeypatch, layer):
         assert row["median_us"] > 0
 
 
+def test_cases_at_the_ceilings_read_the_package_ceilings():
+    assert bench_layers.MAX_ORDER == pm.core.MAX_ORDER
+    assert (bench_layers.MAX_WEIGHTED_ORDER
+            == pm.recurrences.MAX_WEIGHTED_ORDER)
+
+
 def test_each_repetition_starts_with_empty_memos():
     # a repeated cdf call would otherwise time the hit its first
     # repetition left behind; the memos are found, not named

@@ -676,9 +676,9 @@ class TestRouter:
     @pytest.mark.parametrize("argv,builds", [
         ("table --mean-grid 1:50:1 --centers m,0,fl+0.3 --max-order 30",
          300),
-        ("verify", 175),
+        ("verify", 159),
         ("verify --mean-grid 0.5:2.5:0.5 --max-order 6 --precision-bits 256 "
-         "--tol 1e-18", 103),
+         "--tol 1e-18", 88),
         # the golden table-central-native-text case
         ("table --mean-grid 0.5,2,7.5 --centers 0,m,fl+0.3 --max-order 5 "
          "--methods recurrence,shifted,closed,katti,oracle --format text",
@@ -687,8 +687,9 @@ class TestRouter:
             "table-golden"])
     def test_each_distinct_table_is_built_once(self, monkeypatch, argv,
                                                builds):
-        # one build per distinct table; one per (method, m, a, b, r) would
-        # make 4650, 240, 150 and 171
+        # one build per distinct (a, floor(b)) of each mean; one per
+        # (method, m, a, b, r) would make 4650, 240, 150 and 171, and one
+        # per (a, b) 300, 175, 103 and 31
         count = []
         finish = recurrences._finish
 
@@ -699,6 +700,29 @@ class TestRouter:
         code, _, err = run(argv.split())
         assert code == 0, err
         assert len(count) == builds
+
+    @pytest.mark.parametrize("flags", [[], ["--precision-bits", "128"]],
+                             ids=["native", "128"])
+    def test_thresholds_with_one_floor_share_one_table(self, monkeypatch,
+                                                       flags):
+        # a signed table reads b only as floor(b): 2.2 and 2.7 take one
+        # build, and their rows are the same numbers
+        built = []
+        finish = recurrences._finish
+
+        def spy(*args):
+            built.append(args[:4])
+            return finish(*args)
+        monkeypatch.setattr(recurrences, "_finish", spy)
+        code, out, err = run(["table", "--mean-grid", "3", "--centers", "1",
+                              "--thresholds", "2.2,2.7", "--max-order", "6",
+                              "--format", "json", *flags])
+        assert code == 0, err
+        assert built == [("signed", 3.0, 1.0, 2.2)]
+        rows = {}
+        for o in json.loads(out):
+            rows.setdefault(o["b"], []).append((o["value"], o["condition"]))
+        assert rows[2.2] == rows[2.7] and len(rows[2.2]) == 7
 
     @pytest.mark.parametrize("flags", [[], ["--precision-bits", "128"],
                                        ["--precision-bits", "256"]],

@@ -1,5 +1,6 @@
 """Poisson primitives: log-pmf, cdf, certified truncation, domain types."""
 
+import dataclasses
 import math
 import random
 import re
@@ -16,6 +17,7 @@ from poisson_moments import (DiscreteFunction, GrowthBoundError, PoissonMean,
 from poisson_moments.core import (MAX_CDF_MEAN, MAX_ORDER,
                                   MIN_CERTIFIABLE_EPS, MeanTooLargeError,
                                   _binomial_rows, _floor, _pair, as_double,
+                                  as_mean,
                                   exact_ratio, require_finite, tail_bounds)
 from poisson_moments.precision import _double
 
@@ -33,28 +35,50 @@ class TestPoissonMean:
         with pytest.raises(ValueError):
             PoissonMean(bad)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, mp.mpf(-2), -3])
+    def test_as_mean_runs_the_same_check(self, bad):
+        # as_mean names float(m); PoissonMean names the value as given
+        with pytest.raises(ValueError) as direct:
+            PoissonMean(float(bad))
+        with pytest.raises(ValueError) as coerced:
+            as_mean(bad)
+        assert str(coerced.value) == str(direct.value) == (
+            f"Poisson mean must be finite and positive, got {float(bad)!r}")
+        assert as_mean(PoissonMean(mp.mpf(2))) == as_mean(2) == 2.0
+
 
 class TestPrecisionSpec:
     def test_native_default(self):
         p = PrecisionSpec.native()
         assert p.mode == "native" and p.bits == 53 and not p.is_extended
 
+    def test_two_fields_and_the_mode_follows_the_width(self):
+        assert [f.name for f in dataclasses.fields(PrecisionSpec)] == [
+            "bits", "rel_tol"]
+        assert PrecisionSpec() == PrecisionSpec.native()
+        ext = PrecisionSpec(bits=64)
+        assert ext.is_extended and ext.mode == "extended"
+        assert PrecisionSpec.extended(64, 1e-12) == ext
+
     def test_extended_bits_floor(self):
         with pytest.raises(ValueError):
             PrecisionSpec.extended(bits=32)
 
-    def test_native_bits_fixed(self):
-        with pytest.raises(ValueError):
-            PrecisionSpec("native", bits=64)
+    def test_extended_keeps_its_message_at_the_native_width(self):
+        # PrecisionSpec(bits=53) is native; extended(53) is still refused
+        with pytest.raises(ValueError, match="^extended mode requires at "
+                                             "least 64 mantissa bits$"):
+            PrecisionSpec.extended(53)
+
+    @pytest.mark.parametrize("bits", [60, True, 0, -53])
+    def test_width_between_the_modes_is_refused_by_name(self, bits):
+        with pytest.raises(ValueError, match="^bits must be"):
+            PrecisionSpec(bits=bits)
 
     @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0, -1e-3])
     def test_rel_tol_range(self, tol):
         with pytest.raises(ValueError):
             PrecisionSpec.native(rel_tol=tol)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            PrecisionSpec("quad")
 
     @pytest.mark.parametrize("bits", [100.5, 256.0, "256"])
     def test_bits_must_be_an_integer(self, bits):

@@ -32,7 +32,8 @@ from poisson_moments import (NATIVE, DiscreteFunction, GrowthBoundError,
 from poisson_moments.core import (_LATTICE_CACHE_SIZE, _NATIVE_WIDTH,
                                   MAX_CDF_MEAN, MeanTooLargeError, _cdf_sum,
                                   _pmf_anchor, exact_ratio)
-from poisson_moments.recurrences import (CONDITION_FLAG_THRESHOLD, _condition,
+from poisson_moments.recurrences import (CONDITION_FLAG_THRESHOLD,
+                                         MAX_WEIGHTED_ORDER, _condition,
                                          _shift_down, shift_identity,
                                          threshold_pmf_factor)
 
@@ -1300,8 +1301,8 @@ class TestBExpectationTable:
             b_expectation_table(2.0, 1.0, 2, f)
 
     @pytest.mark.parametrize("r_max,coeff,prec", [
-        (300, 1e200, PrecisionSpec.extended(64)),
-        (core.MAX_ORDER, 1e160, NATIVE),
+        (MAX_WEIGHTED_ORDER, 1e200, PrecisionSpec.extended(64)),
+        (MAX_WEIGHTED_ORDER, 1e210, NATIVE),
     ], ids=["64", "native"])
     def test_uncertifiable_tail_names_r_max_and_coeff(self, r_max, coeff,
                                                       prec):
@@ -1311,6 +1312,33 @@ class TestBExpectationTable:
         with pytest.raises(ValueError, match=re.escape(
                 f"r_max = {r_max} with f's coeff = {coeff!r}")):
             b_expectation_table(2.0, 0.0, r_max, f, prec)
+
+    @pytest.mark.parametrize("bits", [1900, 1940, 2048, 4096])
+    def test_any_width_certifies_a_growth_declared_weight(self, bits):
+        # tail_eps is floored at MIN_CERTIFIABLE_EPS, where 2^-(bits/2)
+        # alone fell below it from about 1930 bits on
+        value, = b_expectation_table(2.0, 0.0, 0, _const_one(),
+                                     PrecisionSpec.extended(bits))
+        assert abs(value - 1) <= 1e-289
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda r, prec: b_expectation_table(2.0, 2.0, r, _sign_at(2.0),
+                                             prec), "r_max"),
+        (lambda r, prec: b_expectation(2.0, 2.0, r, _sign_at(2.0), prec),
+         "order"),
+    ], ids=["table", "entry"])
+    @pytest.mark.parametrize("prec", [NATIVE, PrecisionSpec.extended(64)],
+                             ids=["native", "64"])
+    def test_order_past_the_weighted_ceiling_is_refused_by_name(
+            self, call, name, prec):
+        # refused before any work: at order 420 this weight took 9-10 s
+        assert 200 <= MAX_WEIGHTED_ORDER < core.MAX_ORDER
+        past = MAX_WEIGHTED_ORDER + 1
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=(
+                f"^{name} = {past} is above {MAX_WEIGHTED_ORDER}, ")):
+            call(past, prec)
+        assert time.perf_counter() - started < 0.5
 
     @pytest.mark.parametrize("r_max", [2.5, -1, math.nan])
     def test_order_is_named_r_max(self, r_max):

@@ -6,8 +6,7 @@ One case table, ``CASES``, covers the layers:
 * ``tables``: the table recurrence, native and at 256 bits (a signed
   table also at b = 0, far below a large mean), the native table at a
   near-root center, whose flagged orders are rebuilt at 256 bits, and a
-  64-bit table past the order ceiling, ``core.MAX_ORDER``, which the case
-  lifts while it runs;
+  64-bit table at the order ceiling, ``core.MAX_ORDER``;
 * ``hypergeom``: the Kummer route at a = m and 256 bits unless the case
   says otherwise: the value row, ``g_table``'s derivative recursion
   alone, ``katti_abs_moment``, and every odd order up to r by
@@ -19,9 +18,11 @@ One case table, ``CASES``, covers the layers:
   center;
 * ``weighted``: the weighted recurrence at a = m and 256 bits, with the
   weight sign(j - m): every order up to r by ``b_expectation_table`` next
-  to a ``b_expectation`` call per order, and the table natively;
-* ``polynomials``: the exact moment polynomials of every order up to r,
-  past the order ceiling, which the case lifts while it runs;
+  to a ``b_expectation`` call per order, the table natively, and the
+  table at 64 bits at the weighted pass's own order ceiling,
+  ``recurrences.MAX_WEIGHTED_ORDER``;
+* ``polynomials``: the exact moment polynomials of every order up to the
+  order ceiling;
 * ``cli``: ``verify`` requests shaped like the benchmark's ``verify_sweep``
   and a ``table`` grid of 50 means, three centers and orders to 30, each
   one in-process ``cli.main`` call, and the wall time of a whole
@@ -82,6 +83,11 @@ HYP_ORDERS = (3, 15)
 # the table is rebuilt from that order on.
 NEAR_ROOTS = {0.5: 1.3238626510460685, 2.0: 2.3274800020733264}
 EPS = 1e-24
+# The package's order ceilings, ``core.MAX_ORDER`` and
+# ``recurrences.MAX_WEIGHTED_ORDER``: the cases at the ceiling run there on
+# both trees.
+MAX_ORDER = 420
+MAX_WEIGHTED_ORDER = 240
 ROUNDS = 5
 REPEATS = 21
 BUDGET_S = 5.0
@@ -162,20 +168,6 @@ def _sign_weight(pm, m):
                                coeff=1.0)
 
 
-def _past_ceiling(pm, call):
-    """``call`` with the tree's order ceiling, ``core.MAX_ORDER``, lifted
-    while it runs, so that a case past the ceiling times the construction
-    the ceiling bounds (a tree without a ceiling never reads the name)."""
-    def run():
-        saved = vars(pm.core).get("MAX_ORDER")
-        pm.core.MAX_ORDER = math.inf
-        try:
-            call()
-        finally:
-            pm.core.MAX_ORDER = saved
-    return run
-
-
 def _in_process(pm, *argv):
     """One ``cli.main`` call in this interpreter, its output discarded; an
     exit code other than 0 is an error."""
@@ -232,10 +224,10 @@ CASES = [
     ("tables", "central_moment_table a=5e-324, 256 bits", (2.0,), (30,),
      lambda pm, m, r: [partial(pm.central_moment_table, m, 5e-324, r,
                                _ext(pm))]),
-    # an order past the ceiling, where forming the binomials dominated
-    ("tables", "central_moment_table a=0, 64 bits", (2.0,), (600,),
-     lambda pm, m, r: [_past_ceiling(pm, partial(
-         pm.central_moment_table, m, 0.0, r, _ext(pm, 64)))]),
+    # the order ceiling, where forming the binomials dominated
+    ("tables", "central_moment_table a=0, 64 bits", (2.0,), (MAX_ORDER,),
+     lambda pm, m, r: [partial(pm.central_moment_table, m, 0.0, r,
+                               _ext(pm, 64))]),
     ("tables", "central_moment_table near root, native rebuild",
      tuple(NEAR_ROOTS), (14,),
      lambda pm, m, r: [partial(pm.central_moment_table, m, NEAR_ROOTS[m], r)]),
@@ -292,9 +284,11 @@ CASES = [
     ("weighted", "b_expectation_table native", (2.0,), (200,),
      lambda pm, m, r: [partial(pm.b_expectation_table, m, m, r,
                                _sign_weight(pm, m))]),
-    ("polynomials", "moment_polynomials", (None,), (600,),
-     lambda pm, m, r: [_past_ceiling(pm, partial(pm.moment_polynomials,
-                                                 r))]),
+    ("weighted", "b_expectation_table 64 bits", (2.0,), (MAX_WEIGHTED_ORDER,),
+     lambda pm, m, r: [partial(pm.b_expectation_table, m, m, r,
+                               _sign_weight(pm, m), _ext(pm, 64))]),
+    ("polynomials", "moment_polynomials", (None,), (MAX_ORDER,),
+     lambda pm, m, r: [partial(pm.moment_polynomials, r)]),
     ("cli", "verify", (2.0, 50.0), (8,),
      lambda pm, m, r: [_in_process(pm, "verify", "--mean-grid", f"{m:g}",
                                    "--max-order", str(r))]),
