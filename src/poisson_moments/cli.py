@@ -30,7 +30,7 @@ from typing import List, Optional
 from . import oracle as oracle_mod
 from .core import (MAX_ORACLE_MEAN, MAX_ORDER, MIN_CERTIFIABLE_EPS,
                    MeanTooLargeError, _capped_mean, as_mean)
-from .hypergeom import katti_abs_moment_table
+from .hypergeom import _check_center, katti_abs_moment_table
 from .polynomials import moment_polynomials
 from .precision import PrecisionSpec
 from .recurrences import (CONDITION_FLAG_THRESHOLD, OrderOverflowError,
@@ -304,10 +304,7 @@ def _rows(method: str, mv: float, a, b, orders: range, prec: PrecisionSpec,
                         "(drop --threshold)")
             if r % 2 == 0:
                 return f"order must be an odd positive integer, got {r!r}"
-            if a < 0:
-                return ("the series route requires a >= 0 (the factorial "
-                        "argument floor(a)+1 must be a nonnegative integer); "
-                        "use the recurrence path for negative centers")
+            _check_center(a)  # a ValueError, before any table is built
             if not done:
                 done.update(katti_abs_moment_table(
                     mv, a, top, prec, table(a, _CENTRAL).values))

@@ -108,16 +108,10 @@ _NOT_SETTLED = ("hypergeometric series failed to settle within the "
                 "iteration cap (internal fault)")
 
 
-def _iteration_cap(p: Hyp1F1Params) -> int:
+def _iteration_cap(alpha, beta, z) -> int:
     # The series converges for every finite z; the cap only guards against
     # programming errors, not against legitimate slow convergence.
-    return int(10.0 * max(0.0, p.z + p.alpha + p.beta)) + 1000
-
-
-def _mirrored(p: Hyp1F1Params) -> Hyp1F1Params:
-    """The parameters of Kummer's transformation: 1F1(alpha, beta, z)
-    = e^z 1F1(beta - alpha, beta, -z)."""
-    return Hyp1F1Params(p.beta - p.alpha, p.beta, -p.z)
+    return int(10.0 * max(0.0, z + alpha + beta)) + 1000
 
 
 def hyp1f1(p: Hyp1F1Params, prec: PrecisionSpec = NATIVE):
@@ -152,22 +146,22 @@ def hyp1f1(p: Hyp1F1Params, prec: PrecisionSpec = NATIVE):
         n, e = _hyp1f1_pair(p, prec)
         value = _double(n, e)
     else:
-        value = n = _hyp1f1_native(p, prec.rel_tol)
+        value = n = _hyp1f1_native(p.alpha, p.beta, p.z, prec.rel_tol)
     if n and not _in_double_range(value):
         raise ValueError(f"1F1 at z = {p.z!r} leaves the double range; "
                          f"use extended precision")
     return value
 
 
-def _hyp1f1_native(p: Hyp1F1Params, rel_tol: float) -> float:
+def _hyp1f1_native(alpha, beta, z, rel_tol: float) -> float:
     """The native sum of :func:`hyp1f1` for z >= 0, unchecked: the terms
     summed in doubles as they come, to the stopping rule :func:`hyp1f1`
     states.  A sum that overflows stops three terms later and returns
     its non-finite total."""
-    alpha, beta, z = (float(x) for x in (p.alpha, p.beta, p.z))
+    alpha, beta, z = float(alpha), float(beta), float(z)
     term = total = 1.0
     small = 0
-    for n in range(_iteration_cap(p)):
+    for n in range(_iteration_cap(alpha, beta, z)):
         term = term * z * (alpha + n) / ((beta + n) * (n + 1))
         total = total + term
         if abs(term) > rel_tol * abs(total):
@@ -199,10 +193,13 @@ def _hyp1f1_pair(p: Hyp1F1Params, prec: PrecisionSpec) -> Tuple[int, int]:
     keep = _extended_width(prec.bits)
     if zn >= 0:
         return _kummer_sum((an, ad), beta, (zn, zd), prec.rel_tol,
-                           _iteration_cap(p), keep)
+                           _iteration_cap(p.alpha, p.beta, p.z), keep)
     bn, bd = beta
+    # Kummer's transformation: 1F1(alpha, beta, z)
+    # = e^z 1F1(beta - alpha, beta, -z)
+    cap = _iteration_cap(p.beta - p.alpha, p.beta, -p.z)
     total, e = _kummer_sum((bn * ad - an * bd, bd * ad), beta, (-zn, zd),
-                           prec.rel_tol, _iteration_cap(_mirrored(p)), keep)
+                           prec.rel_tol, cap, keep)
     _, man, ez, _ = mpf_exp(from_man_exp(*_pair(p.z)), keep, round_nearest)
     return man * total, ez + e
 
@@ -283,6 +280,17 @@ class GTable:
         return self.entries[self.r][0]
 
 
+def _check_center(a) -> None:
+    """Katti's center rule, for every caller of the series route: a finite
+    double a >= 0, so that floor(a) + 1 is a nonnegative integer."""
+    as_double(a, "center a")  # the series take double parameters
+    if a < 0:
+        raise ValueError(
+            "the series route requires a >= 0 (the factorial argument "
+            "floor(a)+1 must be a nonnegative integer); use the recurrence "
+            "path for negative centers")
+
+
 def _check_odd_order(r) -> int:
     ri = as_order(r, "order")
     if ri % 2 == 0:
@@ -312,9 +320,7 @@ def g_table(a, m, r, prec: PrecisionSpec = NATIVE) -> GTable:
     """
     mv = _capped_mean(m, MAX_KUMMER_MEAN, _KUMMER_ROUTE)
     ri = _check_odd_order(r)
-    as_double(a, "center a")  # the series take double parameters
-    if a < 0:
-        raise ValueError("the series route requires a nonnegative center")
+    _check_center(a)
     rows = _g_rows(a, mv, ri, prec)
     if prec.is_extended:
         rows = [[_rounded(x, e, prec) for x in row] for row, e in rows]
@@ -406,9 +412,9 @@ def _value_row(fl: int, mv: float, ri: int, prec: PrecisionSpec):
         z = mn, md = mv.as_integer_ratio()
 
         def series(beta):
-            p = Hyp1F1Params(beta + 1, beta + c, mv)
+            cap = _iteration_cap(beta + 1, beta + c, mv)
             total, e = _kummer_sum((beta + 1, 1), (beta + c, 1), z,
-                                   prec.rel_tol, _iteration_cap(p), lo)
+                                   prec.rel_tol, cap, lo)
             return total << (e + lo) if e + lo >= 0 else total >> -(e + lo)
 
         def up(b, f0, f1):
@@ -425,8 +431,7 @@ def _value_row(fl: int, mv: float, ri: int, prec: PrecisionSpec):
         c = float(c)
 
         def series(beta):
-            return _hyp1f1_native(Hyp1F1Params(beta + 1, beta + c, mv),
-                                  prec.rel_tol)
+            return _hyp1f1_native(beta + 1, beta + c, mv, prec.rel_tol)
 
         def up(b, f0, f1):
             return ((b + c + 1) * ((b + c) * f0 + (mv - b - c) * f1)
@@ -486,13 +491,7 @@ def _katti_entries(mv: float, a, orders, prec: PrecisionSpec, central=None):
     no more than a near one, and it is rounded once: by ``_double``
     natively, by ``_rounded`` extended.
     """
-    as_double(a, "center a")  # the series take double parameters
-    if a < 0:
-        raise ValueError(
-            "the series route requires a >= 0 (the factorial argument "
-            "floor(a)+1 must be a nonnegative integer); use the recurrence "
-            "path for negative centers"
-        )
+    _check_center(a)
     if central is None:
         central = central_moment_table(mv, a, orders[-1], prec).values
     try:

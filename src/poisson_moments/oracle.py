@@ -447,7 +447,7 @@ def _table(mv: float, a: float, orders: tuple, eps: float, thresholds=(),
     """The entries about one center, from one pass about the center
     itself, each rounded to nearest once at the width of the pass."""
     bits, [(cutoff, power, absolute, signed)] = _certify(
-        mv, a, [(a, tuple(dict.fromkeys(thresholds)))], orders, eps, f)
+        mv, a, [(a, thresholds)], orders, eps, f)
 
     def entries(totals):
         return tuple(OracleResult(
@@ -460,9 +460,20 @@ def _table(mv: float, a: float, orders: tuple, eps: float, thresholds=(),
                        {b: entries(v) for b, v in signed.items()})
 
 
-def _check_eps(eps: float) -> None:
+def _checked(m, centers, r_max, eps: float):
+    """(mean, centers, r_max) of a pass, checked in this order: the mean and
+    its ceiling, each center and its thresholds, r_max, then eps.  Each
+    (a, thresholds) of ``centers`` comes back as doubles, with repeated
+    thresholds dropped."""
+    mv = _capped_mean(m, MAX_ORACLE_MEAN, _ORACLE_ROUTE)
+    centers = [(as_double(a, "center a"),
+                tuple(dict.fromkeys(as_double(b, "threshold b")
+                                    for b in thresholds)))
+               for a, thresholds in centers]
+    r_max = as_order(r_max, "r_max")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
+    return mv, centers, r_max
 
 
 def expectation_table(m, a, r_max: int, eps: float,
@@ -471,11 +482,7 @@ def expectation_table(m, a, r_max: int, eps: float,
     r <= r_max and every threshold b, from one certified pass; each entry's
     certified_error is <= eps.  A mean above ``core.MAX_ORACLE_MEAN``
     raises :class:`~poisson_moments.core.MeanTooLargeError`."""
-    mv = _capped_mean(m, MAX_ORACLE_MEAN, _ORACLE_ROUTE)
-    a = as_double(a, "center a")
-    thresholds = [as_double(b, "threshold b") for b in thresholds]
-    r_max = as_order(r_max, "r_max")
-    _check_eps(eps)
+    mv, [(a, thresholds)], r_max = _checked(m, [(a, thresholds)], r_max, eps)
     return _table(mv, a, tuple(range(r_max + 1)), eps, thresholds)
 
 
@@ -483,15 +490,11 @@ def expectation(m, w: WeightSpec, eps: float) -> OracleResult:
     """E w(X) with certified_error <= eps, always in extended precision:
     the pass of :func:`expectation_table` for the one order of ``w``, with
     its mean ceiling."""
-    mv = _capped_mean(m, MAX_ORACLE_MEAN, _ORACLE_ROUTE)
-    a = as_double(w.a, "center a")
-    _check_eps(eps)
+    b = (w.b,) if w.form == "signed_power" else ()
+    mv, [(a, thresholds)], r = _checked(m, [(w.a, b)], w.r, eps)
     if w.form == "custom":
-        return _table(mv, a, (w.r,), eps, f=w.f).power[0]
-    thresholds = ()
-    if w.form == "signed_power":
-        thresholds = (as_double(w.b, "threshold b"),)
-    table = _table(mv, a, (w.r,), eps, thresholds)
+        return _table(mv, a, (r,), eps, f=w.f).power[0]
+    table = _table(mv, a, (r,), eps, thresholds)
     if w.form == "power":
         return table.power[0]
     if w.form == "abs_power":
@@ -507,13 +510,7 @@ def _center_totals(m, centers, r_max: int, eps: float):
     (n, x, certified_error), worth n 2^x, re-centred exactly from c to a
     and certified to eps.  The arguments are checked as
     :func:`expectation_table` checks them."""
-    mv = _capped_mean(m, MAX_ORACLE_MEAN, _ORACLE_ROUTE)
-    centers = [(as_double(a, "center a"),
-                tuple(dict.fromkeys(as_double(b, "threshold b")
-                                    for b in thresholds)))
-               for a, thresholds in centers]
-    r_max = as_order(r_max, "r_max")
-    _check_eps(eps)
+    mv, centers, r_max = _checked(m, centers, r_max, eps)
     return _certify(mv, float(math.floor(mv)), centers,
                     tuple(range(r_max + 1)), eps)
 

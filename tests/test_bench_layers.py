@@ -27,13 +27,20 @@ def spawns_process(unit) -> bool:
                for call in work(pm, m, r))
 
 
+# the highest order a case runs at here: the cases at the order ceilings
+# take seconds in full, and the ceilings themselves are pinned by
+# test_cases_at_the_ceilings_read_the_package_ceilings
+TEST_ORDER = 30
+
+
 @pytest.mark.parametrize("layer", bench_layers.LAYERS)
 def test_layer_measures_every_case(monkeypatch, layer):
     monkeypatch.setattr(bench_layers, "MEANS", (2.0,))
     monkeypatch.setattr(bench_layers, "REPEATS", 1)
     monkeypatch.setattr(bench_layers, "BUDGET_S", 0.2)
-    todo = [unit for unit in bench_layers.units((layer,))
-            if not spawns_process(unit)]
+    todo = [(layer, case, m, r if r is None else min(r, TEST_ORDER), work)
+            for layer, case, m, r, work in bench_layers.units((layer,))]
+    todo = [unit for unit in todo if not spawns_process(unit)]
     assert todo, f"layer {layer} has no in-process case"
     rows = [bench_layers.measure(str(ROOT / "src"), unit) for unit in todo]
     assert {row["case"] for row in rows} == {unit[1] for unit in todo}

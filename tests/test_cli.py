@@ -273,9 +273,23 @@ class TestExitCodes:
             run(["moment", "--mean", "2", "--order", "3", "--center", "2"])
 
     def test_katti_negative_center_is_precondition(self):
-        code, _, _ = run(["moment", "--mean", "1", "--order", "1",
-                          "--center", "-0.5", "--method", "katti"])
-        assert code == 3
+        code, out, err = run(["moment", "--mean", "1", "--order", "1",
+                              "--center", "-0.5", "--method", "katti"])
+        assert code == 3 and out == ""
+        assert err == ("method precondition violated: the series route "
+                       "requires a >= 0 (the factorial argument floor(a)+1 "
+                       "must be a nonnegative integer); use the recurrence "
+                       "path for negative centers\n")
+
+    @pytest.mark.parametrize("mean,order", [("2e5", "1"), ("1e5", "151")],
+                             ids=["kummer-ceiling", "order-overflow"])
+    def test_katti_negative_center_precedes_the_ceilings(self, mean, order):
+        # the center is refused before the central table or a series is
+        # built: a mean above the Kummer ceiling, or an order whose native
+        # central table overflows, would otherwise exit 2
+        code, _, err = run(["moment", "--mean", mean, "--order", order,
+                            "--center", "-0.5", "--method", "katti"])
+        assert code == 3 and "requires a >= 0" in err
 
     def test_closed_off_mean_is_precondition(self):
         code, _, _ = run(["moment", "--mean", "1", "--order", "1",

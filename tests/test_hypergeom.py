@@ -109,12 +109,12 @@ class TestHyp1F1:
             hyp1f1(Hyp1F1Params(alpha, beta, hi)) * (1 + 1e-9)
 
     def test_iteration_cap_is_internal_fault(self, monkeypatch):
-        monkeypatch.setattr(hg, "_iteration_cap", lambda p: 3)
+        monkeypatch.setattr(hg, "_iteration_cap", lambda *args: 3)
         with pytest.raises(RuntimeError):
             hyp1f1(Hyp1F1Params(2.0, 4.0, 25.0))
 
     def test_iteration_cap_is_internal_fault_extended(self, monkeypatch):
-        monkeypatch.setattr(hg, "_iteration_cap", lambda p: 3)
+        monkeypatch.setattr(hg, "_iteration_cap", lambda *args: 3)
         with pytest.raises(RuntimeError, match="internal fault"):
             hyp1f1(Hyp1F1Params(2.0, 4.0, 25.0), EXT)
         with pytest.raises(RuntimeError, match="internal fault"):
@@ -224,7 +224,7 @@ class TestNativeDoubleRange:
     def test_an_overflowed_sum_stops_at_once(self, monkeypatch):
         # the terms of 1F1(1, 2, 1e5) overflow binary64 near n = 90, and
         # the sum stops there rather than summing on toward n = 1e5
-        monkeypatch.setattr(hg, "_iteration_cap", lambda p: 200)
+        monkeypatch.setattr(hg, "_iteration_cap", lambda *args: 200)
         with pytest.raises(ValueError, match="leaves the double range"):
             hyp1f1(Hyp1F1Params(1, 2, 1e5))
 
@@ -675,3 +675,22 @@ class TestKummerMeanCeiling:
                            match="above 100000, the largest the Kummer"):
             call(m)
         assert time.perf_counter() - t0 < 1.0
+
+
+class TestCenterRule:
+    """Katti's center rule is one check with one message, whichever entry
+    of the series route meets the center first."""
+
+    MESSAGE = ("the series route requires a >= 0 (the factorial argument "
+               "floor(a)+1 must be a nonnegative integer); use the "
+               "recurrence path for negative centers")
+
+    @pytest.mark.parametrize("call", [
+        lambda: g_table(-0.5, 1.0, 1),
+        lambda: katti_abs_moment(1.0, -0.5, 1),
+        lambda: katti_abs_moment_table(1.0, -0.5, 3),
+    ], ids=["g_table", "scalar", "table"])
+    def test_every_entry_raises_the_one_message(self, call):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == self.MESSAGE

@@ -95,6 +95,19 @@ class TestExpectation:
         with pytest.raises(ValueError):
             expectation(1.0, WeightSpec.power(0, 0.0), 0.0)
 
+    def test_checks_arguments_in_the_table_order(self):
+        # one check for every pass: mean, center, thresholds, order, eps
+        for call in (lambda: expectation(
+                         2.0, WeightSpec.signed_power(2, 1.0, math.nan), 0.0),
+                     lambda: expectation_table(2.0, 1.0, 2, 0.0, (math.nan,))):
+            with pytest.raises(ValueError, match="threshold b"):
+                call()
+
+    def test_integral_float_order_is_read_as_its_int(self):
+        # WeightSpec accepts r = 3.0; the pass takes the checked int
+        assert (expectation(2.0, WeightSpec.power(3.0, 1.0), 1e-12)
+                == expectation(2.0, WeightSpec.power(3, 1.0), 1e-12))
+
     def test_zero_power_zero_base(self):
         # weight (j - a)^0 must be 1 even at the lattice point j = a
         res = expectation(2.0, WeightSpec.power(0, 1.0), 1e-12)

@@ -8,8 +8,8 @@ One case table, ``CASES``, covers the layers:
   near-root center, whose flagged orders are rebuilt at 256 bits, and a
   64-bit table at the order ceiling, ``core.MAX_ORDER``;
 * ``hypergeom``: the Kummer route at a = m and 256 bits unless the case
-  says otherwise: the value row, ``g_table``'s derivative recursion
-  alone, ``katti_abs_moment``, and every odd order up to r by
+  says otherwise: the value row, also natively, ``g_table``'s derivative
+  recursion alone, ``katti_abs_moment``, and every odd order up to r by
   ``katti_abs_moment_table`` next to a ``katti_abs_moment`` call per order;
   and native ``hyp1f1`` at z = -m, Kummer's transformation;
 * ``oracle``: ``expectation`` and ``expectation_table``, eps = 1e-24 unless
@@ -99,11 +99,12 @@ def _ext(pm, bits: int = 256):
     return pm.PrecisionSpec.extended(bits)
 
 
-def _value_row(pm, m, r) -> list:
-    """The value row of ``g_table(m, m, r)`` at 256 bits: one
+def _value_row(pm, m, r, native=False) -> list:
+    """The value row of ``g_table(m, m, r)`` at 256 bits, or natively: one
     ``hypergeom._value_row`` call (a few series and the three-term
     recurrence)."""
-    return [partial(pm.hypergeom._value_row, math.floor(m), m, r, _ext(pm))]
+    prec = pm.NATIVE if native else _ext(pm)
+    return [partial(pm.hypergeom._value_row, math.floor(m), m, r, prec)]
 
 
 def _g_recursion(pm, m, r) -> list:
@@ -242,6 +243,8 @@ CASES = [
     ("hypergeom", "hyp1f1 native (1, 2, -m)", None, (None,),
      lambda pm, m, r: [partial(pm.hyp1f1, pm.Hyp1F1Params(1.0, 2.0, -m))]),
     ("hypergeom", "value_row", None, HYP_ORDERS, _value_row),
+    ("hypergeom", "value_row native", (2.0, 50.0), HYP_ORDERS,
+     partial(_value_row, native=True)),
     ("hypergeom", "g_table recursion", None, HYP_ORDERS, _g_recursion),
     ("hypergeom", "katti", None, HYP_ORDERS,
      lambda pm, m, r: [partial(pm.katti_abs_moment, m, m, r, _ext(pm))]),
