@@ -96,7 +96,9 @@ _ORACLE_ROUTE = "the oracle sums"
 @dataclass(frozen=True)
 class WeightSpec:
     """Weight w(j) for E w(X): a power of (j - a), optionally signed at a
-    threshold b or multiplied by a declared-growth function f."""
+    threshold b or multiplied by a declared-growth function f.  Only the
+    ``signed_power`` form takes b and only the ``custom`` form takes f;
+    either on another form raises a ValueError naming it."""
 
     form: str
     r: int
@@ -112,6 +114,9 @@ class WeightSpec:
             raise ValueError("signed_power needs a threshold b")
         if self.form == "custom" and self.f is None:
             raise ValueError("custom weights need a DiscreteFunction")
+        for field, form in (("b", "signed_power"), ("f", "custom")):
+            if getattr(self, field) is not None and self.form != form:
+                raise ValueError(f"a {self.form} weight takes no {field}")
 
     @classmethod
     def power(cls, r: int, a: float) -> "WeightSpec":
@@ -271,7 +276,7 @@ def _recentring(tq: int, s: int, top: int) -> list:
     about a on the scale Q^r, exactly."""
     powers = list(accumulate(repeat(tq, top), mul, initial=1))
     return [[c * powers[r - k] << s * k for k, c in enumerate(row)]
-            for r, row in zip(range(top + 1), _binomial_rows())]
+            for r, row in enumerate(_binomial_rows(top)[:top + 1])]
 
 
 def _apply(rows, totals) -> list:

@@ -21,7 +21,6 @@ combinatorially, so everything is plain Python integer arithmetic
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import List, Tuple
 
 from .core import (MAX_ORDER, _binomial_rows, _pair, as_index, as_mean,
@@ -87,7 +86,7 @@ def check_derivative_identity(r: int) -> bool:
         raise ValueError(f"the derivative identity needs 1 <= r < "
                          f"{MAX_ORDER}, got r = {r}")
     polys = [p.coeffs for p in moment_polynomials(r + 1)]
-    binom = next(islice(_binomial_rows(), r, None))  # binom(r, k)
+    binom = _binomial_rows(r)[r]  # binom(r, k)
     width = max(map(len, polys[:r]))
     rhs = tuple(sum(c * p[j] for c, p in zip(binom, polys[:r]) if j < len(p))
                 for j in range(width))

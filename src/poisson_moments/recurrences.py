@@ -47,8 +47,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, islice
-from math import comb
+from itertools import accumulate, islice, repeat, starmap
+from math import comb, ldexp
+from operator import mul, rshift
 from typing import Optional
 
 from .core import (_CDF_ROUTE, MAX_CDF_MEAN, MIN_CERTIFIABLE_EPS,
@@ -80,6 +81,9 @@ __all__ = [
 CONDITION_FLAG_THRESHOLD = 1e6
 
 _UPGRADE_PREC = PrecisionSpec.extended(bits=256)
+
+# The smallest normal double, 2^_LOW.
+_TINY, _LOW = sys.float_info.min, sys.float_info.min_exp - 1
 
 # The largest order the weighted pass accepts (:func:`b_expectation_table`
 # and :func:`b_expectation`), below ``core.MAX_ORDER``: the pass is O(r^3)
@@ -131,11 +135,9 @@ class MomentTable:
 
 
 def _condition(max_partial, final) -> float:
-    fp = float(abs(final))
-    mp_ = float(max_partial)
-    if fp == 0.0:
-        return math.inf if mp_ > 0.0 else 1.0
-    return max(1.0, mp_ / fp)
+    if final == 0.0:
+        return math.inf if max_partial > 0.0 else 1.0
+    return max(1.0, max_partial / abs(final))
 
 
 def _build(kind: str, mv: float, a: float, b: Optional[float], r_max: int):
@@ -189,11 +191,32 @@ def _doubles(terms: list) -> list:
 
 def _products(coefs: list, xs: list) -> list:
     """The nonzero terms of one order of the recurrence on the entries
-    ``xs`` (all orders below it), in the order the condition walk reads
-    them: (m - a) x_{r-1}, then m binom(r-1, k) x_k for k = 0..r-2."""
+    ``xs`` (all orders below it): (m - a) x_{r-1}, then m binom(r-1, k) x_k
+    for k = 0..r-2, for the weighted pass."""
     return [(p, ce + e)
             for (cn, ce), (x, e) in zip(coefs, xs[-1:] + xs[:-1])
             if (p := cn * x)]
+
+
+def _walk(lead: tuple, prods: list, low: int, tail: list, entry: tuple):
+    """The condition estimate of one order, as :func:`_build` finds it: the
+    largest partial sum of its terms in order, the pair ``lead`` = (m - a)
+    D(r-1), the integers ``prods`` at 2^low, then the pairs ``tail`` (the
+    correction, if any), over the pair ``entry``, each double correctly
+    rounded from its integer.  The doubles are one ``ldexp`` each while
+    every nonzero one is normal (a nonzero product is at least 2^low), and
+    otherwise :func:`_doubles` of the nonzero terms and the entry."""
+    try:
+        first, *mid, last = starmap(ldexp, [lead, *tail, entry])
+        if (low >= _LOW and min(map(abs, [*mid, last])) >= _TINY
+                and (abs(first) >= _TINY or not lead[0])):
+            scaled = [first, *map(ldexp, prods, repeat(low)), *mid]
+            return _condition(max(map(abs, accumulate(scaled))), last)
+    except OverflowError:
+        pass
+    terms = [(p, low) for p in prods if p] + tail + [entry]
+    *scaled, last = _doubles([lead] + terms if lead[0] else terms)
+    return _condition(max(map(abs, accumulate(scaled, initial=0.0))), last)
 
 
 def _lattice_build(kind: str, mv: float, a, b: Optional[float], r_max: int,
@@ -204,67 +227,79 @@ def _lattice_build(kind: str, mv: float, a, b: Optional[float], r_max: int,
 
     It is the recurrence :func:`_build` runs, on exact pairs: m and a are
     exact binary fractions, and the row starts from D(0) = 1 for a central
-    table and from D(0) = v0 = 1 - 2 F(b) for a signed one.  Each order
-    is one list of terms, (m - a) D(r-1), then m binom(r-1, k) D(k) for
-    k = 0..r-2 (row r - 1 of ``core._binomial_rows``), then for a signed
-    table the correction
-    2 (floor(b) + 1 - a)^(r-1) pb, pb the pmf factor at floor(b); the
-    entry is one ``core._trimmed`` sum of that list, and the condition
-    walk reads the same list.  v0 and pb are ``core``'s lattice pairs
+    table and from D(0) = v0 = 1 - 2 F(b) for a signed one.  The entries
+    that order r multiplies by m are held as integers X_k = floor(m D(k) /
+    2^E), k <= r - 2, at one shared exponent E.  Order r forms one list of
+    products binom(r-1, k) X_k (row r - 1 of ``core._binomial_rows``) and
+    sums it with one ``sum``; its entry is one ``core._trimmed`` sum of two
+    or three terms: (m - a) D(r-1), that sum at 2^E, and for a signed table
+    the correction 2 (floor(b) + 1 - a)^(r-1) pb, pb the pmf factor at
+    floor(b).  With keep = W + 64 bits, W = max(128, prec.bits)
+    (``core._extended_width``), and T the top bit of the largest m D(k)
+    held, E is set to T - keep - r_max - 32 whenever T has risen more than
+    keep + r_max + 96 bits above it, the held integers shifted down with
+    it (floor(floor(y) / 2^d) = floor(y / 2^d)).  So E <= T - keep - r_max
+    - 32 always, and no held integer has more than keep + r_max + 96 bits,
+    however large |a| or m is.  v0 and pb are ``core``'s lattice pairs
     unrounded (``core._cdf_pair`` and ``core._factor_at``), exact pairs at
-    W + 64 bits, W = max(128, prec.bits) (``core._extended_width``),
-    within 2^-(W+70) relative of the cdf and of the factor; v0 is formed
-    from the cdf's pair in integers, so nothing is rounded between the
-    constants and the table.
+    W + 64 bits, within 2^-(W+70) relative of the cdf and of the factor;
+    v0 is formed from the cdf's pair in integers, so nothing is rounded
+    between the constants and the table.
 
     The error: the exact recurrence is linear in v0 and pb, so D(r) is
     still C(r) v0 + K(r) pb, with C the same recurrence from C(0) = 1 and
     K from K(0) = 0 plus the correction power at each order, both exact.
     The constants' errors thus reach entry r as at most 2^-(W+70)
-    (|C(r) v0| + |K(r) pb|).  Every sum, v0 and the correction power
-    included, stays exact while it is short and is truncated at W + 64
-    bits once it is not, so order r's sum errs by under r + 1 units of
-    2^-(W+63) relative to its largest term, at most twice the largest
-    partial sum the condition estimate reads, and the earlier orders'
-    errors are carried forward by the same linear recurrence.  The cost
-    therefore does not grow with the binary exponent of m or a, with
+    (|C(r) v0| + |K(r) pb|).  Each X_k errs by under one unit of 2^E, so
+    the binomial sum errs by under sum_k binom(r-1, k) 2^E <= 2^(r-1+E)
+    < 2^(T - keep - 32), below one unit of 2^(top_r - keep), top_r the top
+    bit of order r's largest term, m binom(r-1, k) D(k) or (m - a) D(r-1),
+    since T <= top_r.  The two or three terms, v0 and the correction power
+    are exact while they are short and truncated at keep bits once they
+    are not, so the trim adds under 3 units of 2^(t - keep), t the top bit
+    of the largest of the terms, at most bitlen(r) above top_r: order r
+    errs by under 2^-(W+60) r relative to its largest term, at most twice
+    the largest partial sum the condition estimate reads, and the earlier
+    orders' errors are carried forward by the same linear recurrence.  The
+    cost therefore does not grow with the binary exponent of m or a, with
     floor(b), or with m at a threshold far below the mean, where F(b) is
     about e^-m.
 
-    The condition estimate walks that list in order, each term's double
-    correctly rounded from its integer, exactly as :func:`_build` walks
-    its double terms.
+    The condition estimate (:func:`_walk`) walks each order's terms in the
+    order :func:`_build` adds them, each double correctly rounded from its
+    integer, the products from their integers at 2^E.
     """
     keep = _extended_width(prec.bits)
-    mn, me = _pair(mv)
-    an, ae = _pair(a)
-    diff = _trimmed(((mn, me), (-an, ae)), keep)  # m - a
-    entries = [(1, 0)]
+    (mn, me), (an, ae) = _pair(mv), _pair(a)
+    dn, de = _trimmed(((mn, me), (-an, ae)), keep)  # m - a
+    entries, tail = [(1, 0)], []
     if kind == "signed":
         fb = _floor(b)
-        fx, fe = _cdf_pair(fb, mv, keep)
-        pn, pe = _factor_at(fb, mv, prec)
+        (fx, fe), (pn, pe) = _cdf_pair(fb, mv, keep), _factor_at(fb, mv, prec)
         entries = [_trimmed(((1, 0), (-2 * fx, fe)), keep)]  # 1 - 2 F(b)
-        corr_base = _trimmed(((fb + 1, 0), (-an, ae)), keep)
+        bn, be = _trimmed(((fb + 1, 0), (-an, ae)), keep)  # floor(b) + 1 - a
         corr = (2, 0)  # 2 (floor(b) + 1 - a)^(r-1)
     conds = [1.0] if walk else None
-    # order r reads row r - 1, binom(r - 1, k) for k <= r - 2
-    for r, binom in zip(range(1, r_max + 1), _binomial_rows()):
-        coefs = [diff] + [(mn * c, me) for c in binom[:-1]]
-        terms = _products(coefs, entries)
+    rows, slack = _binomial_rows(r_max), keep + r_max + 32
+    held, low = [], -sys.maxsize  # X_k = floor(m D(k) / 2^low)
+    for r in range(1, r_max + 1):
+        xn, xe = entries[r - 1]
+        lead = (dn * xn, de + xe)  # (m - a) D(r-1)
+        prods = list(map(mul, rows[r - 1], held))
         if kind == "signed":
-            if corr[0]:
-                terms.append((corr[0] * pn, corr[1] + pe))
-            corr = _trimmed(((corr[0] * corr_base[0],
-                              corr[1] + corr_base[1]),), keep)
-        entries.append(_trimmed(terms, keep))
+            tail = [(corr[0] * pn, corr[1] + pe)] if corr[0] else []
+            corr = _trimmed(((corr[0] * bn, corr[1] + be),), keep)
+        # the sum without its trailing zeros, so that a short entry is exact
+        zeros = ((total := sum(prods)) & -total or 1).bit_length() - 1
+        entries.append(_trimmed((lead, (total >> zeros, low + zeros), *tail),
+                                keep))
         if walk:
-            # the largest partial sum, in order, as _build's loop finds it;
-            # the terms and the entry take one scale, so that an entry past
-            # the double range keeps its ratio to them
-            scaled = _doubles(terms + [entries[r]])
-            partials = accumulate(scaled[:-1], initial=0.0)
-            conds.append(_condition(max(map(abs, partials)), scaled[-1]))
+            conds.append(_walk(lead, prods, low, tail, entries[r]))
+        n, e = mn * xn, me + xe  # m D(r-1), held for the orders above
+        if n and (top := e + n.bit_length()) - low > slack + 64:
+            held = list(map(rshift, held, repeat(top - slack - low)))
+            low = top - slack
+        held.append(n << (e - low) if e >= low else n >> (low - e))
     return entries, conds
 
 
@@ -285,8 +320,8 @@ def _finish(kind: str, mv: float, a, b: Optional[float], r_max: int,
         raise OrderOverflowError(
             f"r_max = {r_max} is too large for binary64 at m = {mv!r}, "
             f"a = {a!r} ({exc}); use extended precision") from None
-    upgraded = False
-    if max(conds) > CONDITION_FLAG_THRESHOLD:
+    upgraded = max(conds) > CONDITION_FLAG_THRESHOLD
+    if upgraded:
         # the entries below the first flagged order keep their native bits,
         # so that entry r is the same in a table of any order >= r
         first = next(r for r, c in enumerate(conds)
@@ -294,7 +329,6 @@ def _finish(kind: str, mv: float, a, b: Optional[float], r_max: int,
         entries, _ = _lattice_build(build_kind, mv, a, b, r_max,
                                     _UPGRADE_PREC, walk=False)
         values[first:] = [_double(n, e) for n, e in entries[first:]]
-        upgraded = True
     return MomentTable(kind, mv, a, b, tuple(values), tuple(conds),
                        prec, upgraded)
 
@@ -561,7 +595,7 @@ def b_expectation_table(m, a, r_max, f: DiscreteFunction,
     # them: m - a, then m binom(k-1, i) for i <= k - 2
     diff = _trimmed(((mn, me), (-an, ae)), keep)  # m - a
     steps = [[diff] + [(mn * c, me) for c in binom[:-1]]
-             for binom in islice(_binomial_rows(), r_max)]
+             for binom in _binomial_rows(r_max)[:r_max]]
     upper: list = []  # B(k, a, D^(d+1) f) for k <= r_max - d - 1
     for d in range(r_max, -1, -1):
         cur = [bases[d]]

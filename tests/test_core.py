@@ -4,6 +4,8 @@ import dataclasses
 import math
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from mpmath import mp
 from poisson_moments import (DiscreteFunction, GrowthBoundError, PoissonMean,
                              PrecisionSpec, TailBound, cdf, log_pmf, pmf,
                              sign, truncation_index)
+import poisson_moments.core as core
 from poisson_moments.core import (MAX_CDF_MEAN, MAX_ORDER,
                                   MIN_CERTIFIABLE_EPS, MeanTooLargeError,
                                   _binomial_rows, _floor, _pair, as_double,
@@ -150,9 +153,47 @@ class TestPair:
 
 class TestBinomialRows:
     def test_rows_equal_math_comb_up_to_the_ceiling(self):
-        rows = zip(range(MAX_ORDER + 1), _binomial_rows())
-        for n, row in rows:
-            assert row == [math.comb(n, k) for k in range(n + 1)], n
+        rows = _binomial_rows(MAX_ORDER)
+        assert len(rows) >= MAX_ORDER + 1
+        for n, row in enumerate(rows[:MAX_ORDER + 1]):
+            assert row == tuple(math.comb(n, k) for k in range(n + 1)), n
+
+    def test_a_second_read_builds_nothing(self):
+        first = _binomial_rows(MAX_ORDER)
+        assert _binomial_rows(MAX_ORDER) is first
+        assert _binomial_rows(7) is first  # a shorter read is a prefix
+        assert all(isinstance(row, tuple) for row in first)
+
+    def test_threads_growing_the_cache_each_read_whole_rows(self,
+                                                            monkeypatch):
+        # a race may leave the cache shorter than the longest read, never
+        # hand a reader a short or a wrong row
+        monkeypatch.setattr(core, "_PASCAL", ((1,),))
+        want = [tuple(math.comb(n, k) for k in range(n + 1))
+                for n in range(61)]
+        bad = []
+
+        def read(seed):
+            rng = random.Random(seed)
+            for _ in range(300):
+                n = rng.randrange(61)
+                rows = _binomial_rows(n)
+                if rows[:n + 1] != tuple(want[:n + 1]):
+                    bad.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(seed,))
+                       for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
 
 
 class TestFiniteCheck:

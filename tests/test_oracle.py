@@ -45,6 +45,26 @@ class TestWeightSpec:
         with pytest.raises(ValueError):
             WeightSpec("custom", 1, 0.0)
 
+    @pytest.mark.parametrize("form", ["power", "abs_power", "custom"])
+    def test_a_threshold_only_on_the_signed_form(self, form):
+        f = DiscreteFunction(lambda j: 1.0, degree=0, coeff=1.0)
+        with pytest.raises(ValueError, match=f"a {form} weight takes no b$"):
+            WeightSpec(form, 2, 1.0, b=math.nan,
+                       f=f if form == "custom" else None)
+
+    @pytest.mark.parametrize("form", ["power", "abs_power", "signed_power"])
+    def test_a_function_only_on_the_custom_form(self, form):
+        f = DiscreteFunction(lambda j: 1.0, degree=0, coeff=1.0)
+        with pytest.raises(ValueError, match=f"a {form} weight takes no f$"):
+            WeightSpec(form, 2, 1.0, b=1.0 if form == "signed_power" else None,
+                       f=f)
+
+    def test_an_ignored_threshold_is_refused_not_summed(self):
+        # the pass reads no threshold for the power form, so a NaN one
+        # would otherwise go unnoticed and the sum, 3.0, be returned
+        with pytest.raises(ValueError, match="takes no b"):
+            expectation(2.0, WeightSpec("power", 2, 1.0, b=math.nan), 1e-12)
+
 
 class TestExpectation:
     def test_total_mass(self):

@@ -4,9 +4,10 @@ One case table, ``CASES``, covers the layers:
 
 * ``primitives``: ``cdf``, extended ``log_pmf`` and ``threshold_pmf_factor``;
 * ``tables``: the table recurrence, native and at 256 bits (a signed
-  table also at b = 0, far below a large mean), the native table at a
-  near-root center, whose flagged orders are rebuilt at 256 bits, and a
-  64-bit table at the order ceiling, ``core.MAX_ORDER``;
+  table also at b = 0, far below a large mean, and a central one at the
+  far centers a = 5e-324 and a = 1e300), the native table at a near-root
+  center, whose flagged orders are rebuilt at 256 bits, and a 64-bit
+  table at the order ceiling, ``core.MAX_ORDER``;
 * ``hypergeom``: the Kummer route at a = m and 256 bits unless the case
   says otherwise: the value row, also natively, ``g_table``'s derivative
   recursion alone, ``katti_abs_moment``, and every odd order up to r by
@@ -225,6 +226,10 @@ CASES = [
     ("tables", "central_moment_table a=5e-324, 256 bits", (2.0,), (30,),
      lambda pm, m, r: [partial(pm.central_moment_table, m, 5e-324, r,
                                _ext(pm))]),
+    # a far center: the cost should not grow with |a|
+    ("tables", "central_moment_table a=1e300, 256 bits", (2.0,), (30,),
+     lambda pm, m, r: [partial(pm.central_moment_table, m, 1e300, r,
+                               _ext(pm))]),
     # the order ceiling, where forming the binomials dominated
     ("tables", "central_moment_table a=0, 64 bits", (2.0,), (MAX_ORDER,),
      lambda pm, m, r: [partial(pm.central_moment_table, m, 0.0, r,
@@ -315,7 +320,10 @@ LAYERS = tuple(dict.fromkeys(layer for layer, *_ in CASES))
 def _clear_memos(pm) -> None:
     """Empty every module-level ``functools.lru_cache`` of the tree's
     ``core`` and ``recurrences``, whatever its name, so that no repetition
-    times a value an earlier one left behind."""
+    times a value an earlier one left behind.  The cache of Pascal's rows
+    (``core._binomial_rows``) is not an ``lru_cache`` and stays warm: it
+    holds no per-mean data, so a caller meets it warm after the first
+    table of an order."""
     for module in (pm.core, pm.recurrences):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):  # an lru_cache wrapper
