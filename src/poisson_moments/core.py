@@ -12,8 +12,8 @@ other module forms, sums or walks pairs (n, e), worth n 2^e, by hand:
 at a width (:func:`_rescaled` moves integers to a new exponent by the same
 rule), and :func:`_pmf_walk` steps the pmf row p_j = p_(j-1) m / j.
 :func:`_binomial_rows` caches the rows of Pascal's triangle that the
-binomial sums of the tables, the weighted pass, the oracle's re-centring
-and the polynomial check read.
+binomial sums of the tables, the oracle's re-centring and the polynomial
+check read.
 """
 
 from __future__ import annotations
@@ -41,13 +41,13 @@ _BOUND_SAFETY = 1.0 + 1e-9  # absorbs double rounding in the certificate
 # Above this log the bound 2 e^x (1 + 1e-9) would overflow binary64.
 _LOG_BOUND_MAX = 709.0
 
-# The largest order any entry point accepts (:func:`as_order`).  At this
-# order, at m = 2 and m = 50 on a 2-CPU x86 Xeon, the oracle's table (eps
-# 1e-12) took 0.4-0.6 s, and the tables, the Kummer route and the moment
-# polynomials under 0.2 s (one run each).  The weighted pass, O(r^3) exact
-# products by construction, takes a lower ceiling of its own,
-# ``recurrences.MAX_WEIGHTED_ORDER``.  It stays above 400, so that an
-# order-401 native table at m = 2 still ends in its binary64 overflow error.
+# The largest order any entry point accepts (:func:`as_order`), and the
+# largest growth degree of a :class:`DiscreteFunction`.  At this order, at
+# m = 2 and m = 50 on a 2-CPU x86 Xeon, the oracle's table (eps 1e-12) took
+# 0.4-0.6 s, and the tables, the Kummer route and the moment polynomials
+# under 0.2 s (one run each); the weighted table, O(r^2) steps, about 0.2 s
+# at 64 bits and m = 2.  It stays above 400, so that an order-401 native
+# table at m = 2 still ends in its binary64 overflow error.
 MAX_ORDER = 420
 
 
@@ -120,27 +120,31 @@ class DiscreteFunction:
     support_end: Optional[int] = None
 
     def __post_init__(self) -> None:
-        has_growth = self.degree is not None or self.coeff is not None
-        if has_growth:
+        if self.degree is not None or self.coeff is not None:
             if self.degree is None or self.coeff is None:
                 raise ValueError("growth declaration needs both degree and coeff")
-            if self.degree < 0:
-                raise ValueError("growth degree must be nonnegative")
-            if not self.coeff > 0:
-                raise ValueError("growth coeff must be positive")
+            # the cutoff search starts at 2 (m + degree): a degree bounds the
+            # work of a weighted sum as an order does
+            object.__setattr__(self, "degree", as_order(self.degree, "degree"))
+            if not (math.isfinite(self.coeff) and self.coeff > 0):
+                raise ValueError(
+                    f"coeff must be finite and positive, got {self.coeff!r}")
         elif self.support_end is None:
-            raise ValueError(
-                "DiscreteFunction requires a growth declaration (degree, coeff) "
-                "or a finite support_end"
-            )
-        if self.support_end is not None and self.support_end < 0:
-            raise ValueError("support_end must be nonnegative")
+            raise ValueError("declare degree and coeff, or a support_end")
+        if self.support_end is not None:
+            object.__setattr__(self, "support_end",
+                               as_index(self.support_end, "support_end"))
 
     def check_growth(self, j: int, value) -> None:
-        """Opportunistic envelope check at an evaluated point."""
+        """Opportunistic envelope check at an evaluated point; an envelope
+        past the double range is +inf, which no finite value exceeds."""
         if self.degree is None:
             return
-        if abs(value) > self.coeff * (1.0 + j) ** self.degree * _BOUND_SAFETY:
+        try:
+            envelope = self.coeff * (1.0 + j) ** self.degree
+        except OverflowError:  # past the double range
+            envelope = math.inf
+        if abs(value) > envelope * _BOUND_SAFETY:
             raise GrowthBoundError(
                 f"|f({j})| = {abs(value)} exceeds the declared envelope "
                 f"{self.coeff} * (1 + {j})**{self.degree}"

@@ -45,8 +45,8 @@ hypergeometric modules: ground truth here comes only from the defining
 series, so it can adjudicate disagreements between the other routes.  It
 takes its exact-pair tools from ``core``, as those modules do: the
 reader, the shift rule of the trimmed sum, the Pascal rows of the
-re-centring, and the pmf-row walk that the weighted recurrence's pass
-steps too.  Sharing the walk keeps the referee honest, because a fault in it
+re-centring, and the pmf-row walk that the weighted table's pass steps
+too.  Sharing the walk keeps the referee honest, because a fault in it
 could not hide by being the same on both sides of a check: ``verify``
 checks the central tables, which use no pmf at all, against this pass's
 power entries, and the tests check this pass against a plain mpmath

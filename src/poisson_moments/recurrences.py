@@ -27,6 +27,15 @@ trades order for a shifted center,
 and serves as an independent consistency route.  Everywhere a power with
 zero base and zero exponent appears, 0^0 = 1.
 
+The weighted table takes the falling-factorial sum instead,
+
+    B(r, a, f) = sum_{k<=r} T_r(k) m^k E f(X + k),
+
+T_r(k) the coefficients of (x - a)^r on the falling factorials x^(k), by
+the Stein-Chen identity E[X^(k) f(X)] = m^k E f(X + k), in Python
+integers at a width set by its own condition estimate
+(:func:`b_expectation_table`).
+
 Tables are built bottom-up in O(r^2) arithmetic operations by the same
 recurrence in one of two ways.  A native table runs it in doubles.  An
 extended table runs it in Python integers: a double or mpf m and a are
@@ -55,7 +64,7 @@ from typing import Optional
 from .core import (_CDF_ROUTE, MAX_CDF_MEAN, MIN_CERTIFIABLE_EPS,
                    DiscreteFunction, _binomial_rows, _capped_mean, _cdf_pair,
                    _extended_width, _factor_at, _floor, _pair, _pmf_walk,
-                   _trimmed, as_double, as_mean, as_order, cdf,
+                   _rescaled, _trimmed, as_double, as_mean, as_order, cdf,
                    require_finite, threshold_pmf_factor, truncation_index)
 from .precision import NATIVE, PrecisionSpec, _double, _round, _rounded
 
@@ -85,26 +94,19 @@ _UPGRADE_PREC = PrecisionSpec.extended(bits=256)
 # The smallest normal double, 2^_LOW.
 _TINY, _LOW = sys.float_info.min, sys.float_info.min_exp - 1
 
-# The largest order the weighted pass accepts (:func:`b_expectation_table`
-# and :func:`b_expectation`), below ``core.MAX_ORDER``: the pass is O(r^3)
-# exact products by construction.  At this order, with the weight
-# sign(j - m) at a = m and 64 bits, a table took 2.1-2.4 s at m = 2 and
-# m = 50 on a 2-CPU x86 Xeon (two runs each; 1.0-1.3 s at order 200,
-# 2.3-3.2 s at 250).
-MAX_WEIGHTED_ORDER = 240
-
 
 class OrderOverflowError(ValueError):
-    """A native table whose order is too large for binary64: a term or a
-    binomial coefficient overflows the double range."""
+    """A native table whose order is too large for binary64: a term, a
+    binomial coefficient or an entry overflows the double range."""
 
 
 @dataclass(frozen=True)
 class MomentTable:
     """Moments of order 0..r_max about a fixed center, built in one pass.
 
-    ``values[r]`` is C(r, a) for the central kind and D(r, a, b) for the
-    signed kind; ``condition[r]`` is that entry's condition estimate.
+    ``values[r]`` is C(r, a) for the central kind, D(r, a, b) for the
+    signed kind and B(r, a, f) for the weighted kind, whose ``b`` is None;
+    ``condition[r]`` is that entry's condition estimate.
     ``upgraded`` records that a native build tripped the cancellation flag
     and the entries from the first flagged order on were rebuilt by the
     integer route at 256 bits, each rounded once to a double; the entries
@@ -112,7 +114,7 @@ class MomentTable:
     native mode and the center and threshold as given in extended mode.
     """
 
-    kind: str  # "central" | "signed"
+    kind: str  # "central" | "signed" | "weighted"
     m: float
     a: float
     b: Optional[float]
@@ -187,15 +189,6 @@ def _doubles(terms: list) -> list:
         top = max((e + n.bit_length() for n, e in terms if n), default=0)
         out = [_double(n, e - top) for n, e in terms]
     return out
-
-
-def _products(coefs: list, xs: list) -> list:
-    """The nonzero terms of one order of the recurrence on the entries
-    ``xs`` (all orders below it): (m - a) x_{r-1}, then m binom(r-1, k) x_k
-    for k = 0..r-2, for the weighted pass."""
-    return [(p, ce + e)
-            for (cn, ce), (x, e) in zip(coefs, xs[-1:] + xs[:-1])
-            if (p := cn * x)]
 
 
 def _walk(lead: tuple, prods: list, low: int, tail: list, entry: tuple):
@@ -494,126 +487,167 @@ def abs_moment_5_closed(m, prec: PrecisionSpec = NATIVE):
 
 
 def b_expectation_table(m, a, r_max, f: DiscreteFunction,
-                        prec: PrecisionSpec = NATIVE) -> tuple:
-    """E (X - a)^r f(X) for every r = 0..r_max, by the weighted recurrence
-    over forward differences.
+                        prec: PrecisionSpec = NATIVE) -> MomentTable:
+    """E (X - a)^r f(X) for every r = 0..r_max: a :class:`MomentTable` of
+    kind ``"weighted"``, by the falling-factorial sum.
 
-    The recurrence lowers the order while raising the difference depth,
+    The sum.  With x^(k) the falling factorial, (x - a) x^(k) = x^(k+1)
+    + (k - a) x^(k), so (x - a)^r = sum_(k<=r) T_r(k) x^(k), where T_r(k)
+    = T_(r-1)(k-1) + (k - a) T_(r-1)(k) and T_0 = [1].  The Stein-Chen
+    identity E[X g(X)] = m E[g(X + 1)], applied k times, gives the Poisson
+    factorial moments E[X^(k) f(X)] = m^k E f(X + k) (Johnson, Kemp &
+    Kotz, *Univariate Discrete Distributions*, ch. 4).  Hence
 
-        B(r, a, f) = (m - a) B(r-1, a, f)
-                     + m sum_{k<=r-2} binom(r-1, k) B(k, a, f)
-                     + m sum_{k<=r-1} binom(r-1, k) B(k, a, Df),
+        B(r) = sum_(k<=r) T_r(k) m^k e_k,   e_k = E f(X + k).
 
-    with Df(j) = f(j+1) - f(j), down to the base cases B(0, a, D^d f)
-    = E (D^d f)(X), each evaluated by certified truncated summation using
-    the declared envelope |D^d f| <= 2^d coeff (1 + d + x)^degree (or the
-    finite support), each tail certified to tail_eps / (2^d coeff),
-    tail_eps = max(min(rel_tol, 2^-(bits/2)), ``core.MIN_CERTIFIABLE_EPS``):
-    the floor holds at any width, so only an r_max and coeff that put the
-    deepest of these below that floor raise a ValueError naming both.  An
-    r_max above :data:`MAX_WEIGHTED_ORDER` raises a ValueError naming it,
-    before any work.  One pass fills B(k, a, D^d f) for every depth d and
-    order k with d + k <= r_max; the entries of depth 0 are returned.
+    The T rows are summed nested, as Horner's rule sums a polynomial:
+    H_s(k) = E (X + k - a)^s f(X + k) has H_0(k) = e_k and, by one
+    Stein-Chen step, H_s(k) = m H_(s-1)(k+1) + (k - a) H_(s-1)(k), and
+    B(r) = H_r(0); unrolled, these steps are the T rows.  The pass runs by
+    levels s + k = L, each from the one below, so entry r reads levels 0..r
+    alone: O(r_max^2) steps after r_max + 1 base sums.
 
-    The differences come in rows: row 0 holds f on 0..max_d(N_d + d), N_d
-    the cutoff of depth d, and row d is row d-1 differenced once, so
-    D^d f(x) = D^(d-1) f(x+1) - D^(d-1) f(x), O(r_max N) subtractions in
-    all (a constant f gives exact zeros at every depth).
+    The base sums, at a width of K bits.  e_k = sum_(j<=N) p_j f(j + k)
+    over one pmf row, ``core._pmf_walk`` at K + bitlen(N) bits from
+    ``core``'s e^-m, so each p_j lies within 2^-(K+5) relative of e^-m
+    m^j / j!.  The row is held as integers at one exponent 2^u, K + 32
+    bits below its largest p_j, each truncated by under a unit, and f's
+    values (doubles natively) at one exponent of their own, exactly.  Then
+    e_k and A_k = sum_(j<=N) p_j |f(j + k)| are one exact integer sum each,
+    and e_k errs by under 2^-(K+5) A_k + 2^u S + t, with S the sum of
+    |f| over the row, j <= N + r_max, and t the tail.  For a growth-declared f, N is
+    ``core.truncation_index``'s cutoff for the envelope coeff (1 + j +
+    r_max)^degree at 2^-(K+32) coeff, floored at
+    ``core.MIN_CERTIFIABLE_EPS``, a bound on every e_k's tail, which is t;
+    a finite support has N = support_end and t = 0.  So with G_0(k) = A_k
+    + 2^K (2^u S + t), e_k errs by under 2^-K G_0(k).  G_0(k) is about
+    E |f(X + k)|: 2^(K+u) S is 2^-32 of p S, p the largest p_j, and 2^K t
+    at most 2^-32 coeff.
 
-    Entry r rests only on the depths and orders up to r, each depth's
-    cutoff depends on that depth alone, and the pmf prefix does not depend
-    on the length of the series, so entry r is :func:`b_expectation` of
-    order r bit for bit.  In native mode an entry that overflows binary64
-    raises :class:`OrderOverflowError`.
+    The steps.  Every node holds H_s(k) as integers h, g at one exponent
+    x: h 2^x is the value, and g 2^x the same steps run on absolute
+    values, |m| and |k - a|, from G_0.  So g_r(0) 2^x = sum_k V_r(k) G_0(k)
+    with V_r(k) >= |T_r(k)| m^k, and the condition of entry r is g_r(0) /
+    |h_r(0)|, the figure sum_k |T_r(k) m^k| (|e_k| + tail) / |B(r)| read
+    with A_k for |e_k| (an entry computed as zero reads inf).  A step
+    forms its products exactly, k - a the exact pair trimmed at K bits
+    (``core._trimmed``; exact unless k and a lie more than K - 64 bits
+    apart, and then within 2^(3-K) of itself, for a center a of at most
+    bits bits), and keeps K bits below the top of the larger absolute
+    product; h is summed exactly first, where its two products lie within
+    3K bits of each other, and cut once, so an exact cancellation gives 0.
+    So h and g lose under two units each, and g, where anything is lost,
+    is at least 2^(K-1) - 1 units.  The base node, G_0 trimmed the same
+    way, errs by under 2^(2-K) g.  A step thus errs by under 2^(4-K) g of
+    its own, and g is the absolute step of its inputs within a factor
+    1 +- 2^(4-K), so by induction over the levels each node lies within
+    (s + 1) 2^(5-K) g of H_s(k) while (s + 1) 2^(4-K) <= 1/2, as it is
+    for every K >= 156 and s <= 420 here: entry r lies within (r + 1)
+    2^(5-K) times its condition of itself.  The products and the kept bits do not
+    grow with |a|, with the exponent of m or with the size of k!.
 
-    The pass runs in Python integers at both precisions, W = max(128,
-    bits) + 64 bits (``core._extended_width``) at every step.  The pmf row
-    is ``core._pmf_walk``, the walk the oracle's pass steps, at width W
-    from ``core``'s memoised e^-m at W (``core._cdf_pair`` at 0), so p_j
-    lies within the walk's j 2^-(W+30) relative of e^-m m^j / j!, on top
-    of e^-m's own 2^-(W+11).
-    f's values (doubles natively) are exact binary fractions at one shared
-    exponent, so every difference row is exact integers.  Each base sum
-    and each step of the recurrence is a ``core._trimmed`` sum of exact
-    pairs, and each entry is rounded once: natively to a double, where an
-    entry past the double range raises :class:`OrderOverflowError`, and
-    extended at prec.bits.  With the weight sign(j - 2.5) at m = a = 2,
-    native entries 60, 100 and 150 lie within 1e-14 relative of the
-    512-bit :func:`signed_moment_table` entries (summed in doubles, they
-    were off by 4.9e-8, 2.7e-4 and 2.63).  The pass has no condition
-    estimate: a cancellation wider than W bits would go unflagged.
+    The width.  An entry lies within 2^-(bits+32) of itself once K >=
+    bits + 38 + bitlen(r_max + 1) + log2(condition).  The first pass runs
+    at the K a condition of 2^64 asks.  When an entry's condition asks for
+    more, the pass runs again, from the same values of f, at that K, or at
+    2K where an entry is lost in its own error (its K - log2(condition)
+    falls under bits + 38 + bitlen(r_max + 1) by bits + 32 or more, and
+    its condition is only a lower bound).  It stops once every entry is
+    within 2^-(bits+32) of itself, or at K = 932, where the tail sits on
+    ``core.MIN_CERTIFIABLE_EPS``; there an entry is still within (r + 1)
+    2^(5-K) times its condition of itself, and the condition, with the
+    tail in G_0, says how far.  An entry whose last step cancels exactly,
+    its two products nonzero and each input within 2^-(bits+32) of
+    itself, such as E (X - m) at f = 1, is 0 with condition inf and asks
+    for no wider pass, which could not bring a zero within 2^-(bits+32)
+    of itself: |B(r)| is then under 2^-(bits+31) times either product.
+    An entry cut to 0 from inputs lost in their own error widens like any
+    other.  Each entry is rounded once: to a double natively, extended at
+    prec.bits.  So an entry is the correctly rounded B(r), unless B(r)
+    lies within 2^-(bits+32) of itself of a rounding boundary or the entry
+    is that 0, and entry r of a table equals :func:`b_expectation` of
+    order r with the same proviso.
 
-    The caller's growth declaration is what guarantees all the expectations
-    are finite; it is checked opportunistically and a violation raises
-    :class:`~poisson_moments.core.GrowthBoundError`, and a weight that is
-    NaN or infinite raises a ValueError naming f(j).
+    Native overflow: an entry within its width whose double is infinite
+    raises :class:`OrderOverflowError` as soon as its level is summed,
+    before the orders above it and any wider pass.  With the weight
+    sign(j - m) and 64 bits, a table of order 240 at m = 2 took 75-78 ms
+    at a = m, 1e300 and 1e-300 (medians of three runs on a 2-CPU x86
+    Xeon).  The caller's growth declaration is what makes the
+    expectations finite; it is checked at every point read, and a
+    violation raises :class:`~poisson_moments.core.GrowthBoundError`; a
+    weight that is NaN or infinite raises a ValueError naming f(j).
     """
     mv = as_mean(m)
     a = _center(a, prec)
-    r_max = as_order(r_max, "r_max", MAX_WEIGHTED_ORDER)
+    r_max = as_order(r_max, "r_max")
     if not isinstance(f, DiscreteFunction):
         raise ValueError("f must be a DiscreteFunction with declared growth")
-    # Base-sum tails far below the working precision's own resolution needs;
-    # capped by rel_tol so a looser caller tolerance still wins, and floored
-    # where a certificate still holds.
-    tail_eps = max(min(prec.rel_tol, 2.0 ** (-(prec.bits // 2))),
-                   MIN_CERTIFIABLE_EPS)
-    if f.support_end is None:
-        # the deepest base sum's tail bound is the smallest the pass asks
-        deepest = tail_eps / (2.0 ** r_max * f.coeff)
-        if deepest < MIN_CERTIFIABLE_EPS:
-            raise ValueError(
-                f"r_max = {r_max} with f's coeff = {f.coeff!r} puts the "
-                f"deepest tail bound, tail_eps / (2^r_max coeff), at "
-                f"{deepest:.3g} (tail_eps = {tail_eps:.3g} from the "
-                f"precision), below the certifiable range "
-                f"(< {MIN_CERTIFIABLE_EPS})")
-    # D^d f vanishes beyond the support of f itself
-    cutoffs = [f.support_end if f.support_end is not None else
-               truncation_index(mv, f.degree, -(1.0 + d),
-                                tail_eps / ((2.0 ** d) * f.coeff)).cutoff
-               for d in range(r_max + 1)]
-    keep = _extended_width(prec.bits)
     (mn, me), (an, ae) = _pair(mv), _pair(a)
-    # [P(X=0), ..., P(X=n)] as pairs (p, e), from P(X <= 0) = e^-m
-    walk = _pmf_walk(*_cdf_pair(0, mv, keep), mv, keep)
-    pmfs = list(islice(walk, max(cutoffs) + 1))
-    row = []
-    for x in range(max(c + d for d, c in enumerate(cutoffs)) + 1):
-        raw = f.func(x)
-        f.check_growth(x, raw)
-        row.append(_pair(require_finite(raw, f"f({x})")))
-    low = min(e for _, e in row)  # one exponent for the whole row
-    row = [n << (e - low) for n, e in row]
-    bases = []  # E (D^d f)(X) with a certified tail
-    for d, cutoff in enumerate(cutoffs):
-        if d:
-            row = [hi - lo for lo, hi in zip(row, row[1:])]
-        bases.append(_trimmed([(v * p, e + low) for v, (p, e)
-                               in zip(row[:cutoff + 1], pmfs)], keep))
-    # step k's coefficients on the orders below it, as _products pairs
-    # them: m - a, then m binom(k-1, i) for i <= k - 2
-    diff = _trimmed(((mn, me), (-an, ae)), keep)  # m - a
-    steps = [[diff] + [(mn * c, me) for c in binom[:-1]]
-             for binom in _binomial_rows(r_max)[:r_max]]
-    upper: list = []  # B(k, a, D^(d+1) f) for k <= r_max - d - 1
-    for d in range(r_max, -1, -1):
-        cur = [bases[d]]
-        for own in steps[:r_max - d]:
-            # the next depth's orders take m binom(k-1, i) for i <= k - 1
-            lower = _products([(mn, me)] + own[1:], upper[:len(cur)])
-            cur.append(_trimmed(_products(own, cur) + lower, keep))
-        upper = cur
-    out = tuple(_round(n, e, prec) for n, e in upper)
-    if prec.is_extended or all(map(math.isfinite, out)):
-        return out
-    raise OrderOverflowError(
-        f"r_max = {r_max} is too large for binary64 at m = {mv!r}, "
-        f"a = {a!r} (an entry is not finite); use extended precision")
+    reach = prec.bits + 38 + (r_max + 1).bit_length()  # K - log2 condition
+    # row: f(0), f(1), ... as exact pairs, read once; width: the K that a
+    # condition of 2^64 asks; top: the least K with 2^-(K+32) below the
+    # tail floor MIN_CERTIFIABLE_EPS (932)
+    row, width, top = [], reach + 64, -math.frexp(MIN_CERTIFIABLE_EPS)[1] - 31
+
+    def short(h, g):  # the bits by which the width falls short of h's need
+        return reach + g.bit_length() - abs(h).bit_length() - width
+
+    while True:
+        n, tail, floored = f.support_end, 0.0, width >= top
+        if n is None:
+            found = truncation_index(mv, f.degree, -(1.0 + r_max), max(
+                2.0 ** -(width + 32), MIN_CERTIFIABLE_EPS))
+            n, tail = found.cutoff, f.coeff * found.bound
+        for x in range(len(row), n + r_max + 1):
+            f.check_growth(x, raw := f.func(x))
+            row.append(_pair(raw if math.isfinite(raw)
+                             else require_finite(raw, f"f({x})")))
+        low = min(e for _, e in row)  # one exponent for the whole row
+        fs = [v << (e - low) for v, e in row[:n + r_max + 1]]
+        mags = list(map(abs, fs))
+        wide = width + n.bit_length()
+        pmfs = list(islice(_pmf_walk(*_cdf_pair(0, mv, wide), mv, wide), n + 1))
+        unit = max(e + p.bit_length() for p, e in pmfs) - width - 32
+        ps = [p >> (unit - e) if unit >= e else p << (e - unit) for p, e in pmfs]
+        (tn, te), spread, unit = _pair(tail), sum(mags), unit + low
+        cs = [_trimmed(((k, 0), (-an, ae)), width) for k in range(r_max + 1)]
+        entries, prev, need = [], [], 0
+        for level in range(r_max + 1):  # H_s(level - s) for s = 0..level
+            g, x = _trimmed(((sum(map(mul, ps, mags[level:])), unit),
+                             (spread, unit + width), (tn, te + width)), width)
+            cur = [(_rescaled([sum(map(mul, ps, fs[level:]))], unit, x)[0],
+                    g, x)]
+            for (h0, g0, x0), (cn, ce) in zip(prev, cs[level - 1::-1]):
+                h1, g1, x1 = cur[-1]
+                # m H_(s-1)(k+1) + (k - a) H_(s-1)(k), and on absolute values
+                g, x = _trimmed(((mn * g1, me + x1), (abs(cn) * g0, ce + x0)),
+                                width)
+                # summed exactly where the terms lie within 3K bits, then
+                # cut once: an exact cancellation gives 0
+                h, y = _trimmed(((mn * h1, me + x1), (cn * h0, ce + x0)),
+                                3 * width)
+                cur.append((*_rescaled([h], y, x), g, x))
+            # the last step's inputs lie within 2^-(bits+32) of themselves
+            # and its products cancel exactly: a zero no wider pass resolves
+            zero = level and not h and max(short(h0, g0), short(h1, g1)) <= 0
+            h, g, x = (prev := cur)[-1]
+            if (not prec.is_extended and (short(h, g) <= 0 or floored)
+                    and math.isinf(_double(h, x))):
+                raise OrderOverflowError(
+                    f"r_max = {r_max} is too large for binary64 at m = {mv!r}, "
+                    f"a = {a!r} (entry {level}); use extended precision")
+            entries.append((h, g, x))
+            need = max(need, 0 if zero else short(h, g))
+        if need <= 0 or floored:
+            break
+        # an entry lost in its own error (need >= bits + 32) asks 2K
+        width = min(top, width + need if need < prec.bits + 32 else 2 * width)
+    return MomentTable("weighted", mv, a, None, tuple(
+        _round(h, x, prec) for h, _, x in entries), tuple(
+        _condition(*_doubles([(g, 0), (h, 0)])) for h, g, _ in entries), prec)
 
 
 def b_expectation(m, a, r, f: DiscreteFunction, prec: PrecisionSpec = NATIVE):
-    """E (X - a)^r f(X): entry r of :func:`b_expectation_table`, for r up
-    to :data:`MAX_WEIGHTED_ORDER`."""
-    r = as_order(r, "order", MAX_WEIGHTED_ORDER)
-    return b_expectation_table(m, a, r, f, prec)[r]
+    """E (X - a)^r f(X): entry r of :func:`b_expectation_table`."""
+    return b_expectation_table(m, a, as_order(r, "order"), f, prec).values[-1]

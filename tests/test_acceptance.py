@@ -168,7 +168,7 @@ def test_criterion_6_weighted_recurrence_reductions():
         for a in grid_centers(m):
             const_one = DiscreteFunction(lambda j: 1.0, degree=0, coeff=1.0)
             ct = central_moment_table(m, a, 6, EXT)
-            got = b_expectation_table(m, a, 6, const_one, EXT)
+            got = b_expectation_table(m, a, 6, const_one, EXT).values
             for r in range(7):
                 if rel_err(got[r], ct.values[r]) > 1e-20:
                     failures.append(("const", m, a, None, r))
@@ -176,7 +176,7 @@ def test_criterion_6_weighted_recurrence_reductions():
                 sgn = DiscreteFunction(
                     lambda j, _b=b: float(sign(j - _b)), degree=0, coeff=1.0)
                 st_ = signed_moment_table(m, a, b, 6, EXT)
-                got = b_expectation_table(m, a, 6, sgn, EXT)
+                got = b_expectation_table(m, a, 6, sgn, EXT).values
                 for r in range(7):
                     if rel_err(got[r], st_.values[r]) > 1e-15:
                         failures.append(("sign", m, a, b, r))

@@ -27,8 +27,8 @@ def spawns_process(unit) -> bool:
                for call in work(pm, m, r))
 
 
-# the highest order a case runs at here: the cases at the order ceilings
-# take seconds in full, and the ceilings themselves are pinned by
+# the highest order a case runs at here: the cases at the order ceiling
+# take seconds in full, and the ceiling itself is pinned by
 # test_cases_at_the_ceilings_read_the_package_ceilings
 TEST_ORDER = 30
 
@@ -51,8 +51,6 @@ def test_layer_measures_every_case(monkeypatch, layer):
 
 def test_cases_at_the_ceilings_read_the_package_ceilings():
     assert bench_layers.MAX_ORDER == pm.core.MAX_ORDER
-    assert (bench_layers.MAX_WEIGHTED_ORDER
-            == pm.recurrences.MAX_WEIGHTED_ORDER)
 
 
 def test_each_repetition_starts_with_empty_memos():

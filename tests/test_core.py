@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from poisson_moments import (DiscreteFunction, GrowthBoundError, PoissonMean,
-                             PrecisionSpec, TailBound, cdf, log_pmf, pmf,
-                             sign, truncation_index)
+                             PrecisionSpec, TailBound, b_expectation_table,
+                             cdf, log_pmf, pmf, sign, truncation_index)
 import poisson_moments.core as core
+import poisson_moments.oracle as om
 from poisson_moments.core import (MAX_CDF_MEAN, MAX_ORDER,
                                   MIN_CERTIFIABLE_EPS, MeanTooLargeError,
                                   _binomial_rows, _floor, _pair, as_double,
@@ -601,3 +602,35 @@ class TestDiscreteFunction:
         f = DiscreteFunction(lambda j: float(j ** 3), degree=1, coeff=1.0)
         with pytest.raises(GrowthBoundError):
             f.check_growth(5, f.func(5))
+
+    @pytest.mark.parametrize("caller", [
+        lambda f: b_expectation_table(2.0, 0.0, 2, f),
+        lambda f: om.expectation(2.0, om.WeightSpec.custom(f, 2, 0.0), 1e-12),
+    ], ids=["weighted-table", "oracle-custom"])
+    @pytest.mark.parametrize("declaration,name", [
+        (dict(support_end=2.5), "support_end"),
+        (dict(support_end=math.inf), "support_end"),
+        (dict(support_end=math.nan), "support_end"),
+        (dict(support_end=-1), "support_end"),
+        (dict(degree=1.5, coeff=1.0), "degree"),
+        (dict(degree=math.nan, coeff=1.0), "degree"),
+        (dict(degree=10 ** 6, coeff=1.0), "degree"),
+        (dict(degree=1, coeff=math.inf), "coeff"),
+        (dict(degree=1, coeff=math.nan), "coeff"),
+        (dict(degree=1, coeff=0.0), "coeff"),
+    ])
+    def test_bad_declaration_is_named_at_construction(self, caller,
+                                                      declaration, name):
+        # these gave an islice ValueError, an AttributeError, a misnamed
+        # index error, a bare OverflowError or the r_max/coeff message
+        # from the weighted table and the oracle's custom form
+        with pytest.raises(ValueError, match=f"^{name}"):
+            caller(DiscreteFunction(lambda j: 1.0, **declaration))
+
+    def test_envelope_past_the_double_range_is_infinite(self):
+        # (1 + 10)^420 overflows binary64: the check raised OverflowError
+        f = DiscreteFunction(lambda j: 1.0, degree=420, coeff=1.0)
+        f.check_growth(10, 1.0)
+        assert b_expectation_table(2.0, 0.0, 3, f).values == (1, 2, 6, 22)
+        got = om.expectation(2.0, om.WeightSpec.custom(f, 3, 0.0), 1e-12)
+        assert abs(got.value - 22) <= 1e-12

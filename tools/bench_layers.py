@@ -17,11 +17,12 @@ One case table, ``CASES``, covers the layers:
   the case says otherwise, the tables of ``verify``'s four default
   centers of one mean, and ``verify_rows`` on the rows of one ``verify``
   center;
-* ``weighted``: the weighted recurrence at a = m and 256 bits, with the
+* ``weighted``: the weighted table at a = m and 256 bits, with the
   weight sign(j - m): every order up to r by ``b_expectation_table`` next
-  to a ``b_expectation`` call per order, the table natively, and the
-  table at 64 bits at the weighted pass's own order ceiling,
-  ``recurrences.MAX_WEIGHTED_ORDER``;
+  to a ``b_expectation`` call per order, the table natively (also at
+  m = 1e3 and order 30), and the table at 64 bits and order 240 at a = m
+  and at the far centers a = 1e300, -1e300 and 1e-300, whose cost should
+  not grow with |a|;
 * ``polynomials``: the exact moment polynomials of every order up to the
   order ceiling;
 * ``cli``: ``verify`` requests shaped like the benchmark's ``verify_sweep``
@@ -84,11 +85,9 @@ HYP_ORDERS = (3, 15)
 # the table is rebuilt from that order on.
 NEAR_ROOTS = {0.5: 1.3238626510460685, 2.0: 2.3274800020733264}
 EPS = 1e-24
-# The package's order ceilings, ``core.MAX_ORDER`` and
-# ``recurrences.MAX_WEIGHTED_ORDER``: the cases at the ceiling run there on
-# both trees.
+# The package's order ceiling, ``core.MAX_ORDER``: the cases at the
+# ceiling run there on both trees.
 MAX_ORDER = 420
-MAX_WEIGHTED_ORDER = 240
 ROUNDS = 5
 REPEATS = 21
 BUDGET_S = 5.0
@@ -292,9 +291,16 @@ CASES = [
     ("weighted", "b_expectation_table native", (2.0,), (200,),
      lambda pm, m, r: [partial(pm.b_expectation_table, m, m, r,
                                _sign_weight(pm, m))]),
-    ("weighted", "b_expectation_table 64 bits", (2.0,), (MAX_WEIGHTED_ORDER,),
+    ("weighted", "b_expectation_table native", (1e3,), (30,),
+     lambda pm, m, r: [partial(pm.b_expectation_table, m, m, r,
+                               _sign_weight(pm, m))]),
+    ("weighted", "b_expectation_table 64 bits", (2.0,), (240,),
      lambda pm, m, r: [partial(pm.b_expectation_table, m, m, r,
                                _sign_weight(pm, m), _ext(pm, 64))]),
+    *(("weighted", f"b_expectation_table 64 bits a={a:g}", (2.0,), (240,),
+       lambda pm, m, r, a=a: [partial(pm.b_expectation_table, m, a, r,
+                                      _sign_weight(pm, m), _ext(pm, 64))])
+      for a in (1e300, -1e300, 1e-300)),
     ("polynomials", "moment_polynomials", (None,), (MAX_ORDER,),
      lambda pm, m, r: [partial(pm.moment_polynomials, r)]),
     ("cli", "verify", (2.0, 50.0), (8,),
